@@ -5,8 +5,11 @@ a basis indexed by admissible multiindex pairs (alpha, beta): |alpha| = p,
 |beta| = q, and alpha_1 = 0 or beta_1 = 0.  A diagonal unitary with
 eigenvalue angles t acts on the basis element for (alpha, beta) by the root
 of unity with angle (beta - alpha) . t, so characters are formal integer
-combinations of roots of unity.  This module keeps them exact; numeric
-collapse happens once, in :mod:`kohnspec.invariant_dims`.
+combinations of roots of unity.  This module keeps them exact.  They are
+the reference the tests and the oracle check dimensions against; the engine
+in :mod:`kohnspec.invariant_dims` never builds them, and works with their
+exact Galois traces instead.  ``CharacterValue.value`` (a float) serves only
+comparisons with numeric matrices.
 """
 
 from __future__ import annotations

@@ -6,12 +6,16 @@ over the group.  Expanding each determinant factor as a product of geometric
 series in the eigenvalues gives the coefficients as integer combinations of
 roots of unity whose order divides the group exponent e; the combination
 collapses exactly to an integer through Galois averaging (Ramanujan sums).
-Multiplying the series by (z^e - 1)^n (w^e - 1)^n / (1 - zw) produces an
-integer polynomial of degree at most n(e - 1) in each variable, from which a
-closed polynomial formula for the dimensions at bidegree (0, m*e) follows.
+The invariant-dimension engine (:func:`kohnspec.invariant_dims.dim_cells`)
+evaluates that expansion cell by cell; the coefficient table here is its
+square case.  Multiplying the series by (z^e - 1)^n (w^e - 1)^n / (1 - zw)
+produces an integer polynomial of degree at most n(e - 1) in each variable,
+from which a closed polynomial formula for the dimensions at bidegree
+(0, m*e) follows.
 
-All series arithmetic runs over exact integers; matrix products use float64
-only as an exact container for integers below 2^53 (asserted).
+All series arithmetic runs over int64.  Every product is preceded by an
+a-priori magnitude bound, and a bound at or above 2^63 raises OverflowError
+before the product is formed.
 """
 
 from __future__ import annotations
@@ -23,9 +27,6 @@ import numpy as np
 
 from .errors import NonIntegralDimension, TruncationError
 from .group_catalog import QuotientGroup
-
-_FLOAT_EXACT_LIMIT = 2.0**52
-
 
 def exponent(group: QuotientGroup) -> int:
     """Exponent of the group: lcm of element orders, read off the angle
@@ -73,60 +74,53 @@ def _ramanujan_row(E: int) -> np.ndarray:
     return row
 
 
+def _require_int64(bound: int) -> None:
+    """Raise OverflowError unless an a-priori magnitude bound fits int64."""
+    if bound >= 2**63:
+        raise OverflowError(f"exact integer intermediate may reach {bound}, beyond int64")
+
+
+def _magnitude(a: np.ndarray) -> int:
+    return int(np.abs(a).max(initial=0))
+
+
 def _h_vectors(angles_int: list[int], E: int, degree: int) -> np.ndarray:
     """Rows p = 0..degree: the complete homogeneous sum h_p of the roots of
     unity with the given integer angles, as exponent-count vectors mod E."""
+    # each entry of row p is at most the row total, C(p + n - 1, n - 1)
+    _require_int64(math.comb(degree + len(angles_int) - 1, len(angles_int) - 1))
+    # folding in a variable with angle a is h'[d] = h[d] + roll(h'[d-1], a);
+    # un-rotating row d by d*a turns that recurrence into a cumulative sum
     h = np.zeros((degree + 1, E), dtype=np.int64)
     h[0, 0] = 1
+    d = np.arange(degree + 1)[:, None]
+    r = np.arange(E)
     for a in angles_int:
-        shift = a % E
-        for d in range(1, degree + 1):
-            h[d] += np.roll(h[d - 1], shift)
+        g = np.cumsum(np.take_along_axis(h, (r + d * a) % E, axis=1), axis=0)
+        h = np.take_along_axis(g, (r - d * a) % E, axis=1)
     return h
 
 
 def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integer matrix product through float64 (exact below 2^53, asserted)."""
-    prod = a.astype(np.float64) @ b.astype(np.float64)
-    if np.abs(prod).max(initial=0.0) >= _FLOAT_EXACT_LIMIT:
-        raise OverflowError("generating-function intermediate exceeded exact float range")
-    out = np.rint(prod)
-    if not np.array_equal(out, prod):
-        raise AssertionError("non-integer residue in exact matrix product")
-    return out.astype(np.int64)
+    """Integer matrix product in int64, formed only after the bound
+    max|a| * max|b| * inner < 2^63 rules out overflow."""
+    _require_int64(_magnitude(a) * _magnitude(b) * a.shape[1])
+    return a @ b
 
 
 def fg_coefficients(group: QuotientGroup, ceiling: int) -> np.ndarray:
-    """Series coefficients of F(z, w) for p, q <= ceiling, from the
-    geometric-series side.  Must equal the character-averaged dimensions."""
+    """Series coefficients of F(z, w) for p, q <= ceiling: the invariant
+    dimensions on the square of cells, in one engine call."""
+    from .invariant_dims import dim_cells
+
     if ceiling < 0:
         raise ValueError("ceiling must be nonnegative")
     cached = group._fg_cache.get("table")
     if cached is not None and cached.shape[0] > ceiling:
         return cached[: ceiling + 1, : ceiling + 1].copy()
 
-    E = exponent(group)
-    phi_E = _totient(E)
-    ram = _ramanujan_row(E)
-    # CE[r1, r2] = c_E(r1 + r2): contracts a product of exponent vectors
-    CE = ram[(np.arange(E)[:, None] + np.arange(E)[None, :]) % E]
-
-    total = np.zeros((ceiling + 1, ceiling + 1), dtype=np.int64)
-    for cls in group.classes:
-        ks = [int(a * E) % E for a in cls.angles]
-        A = _h_vectors([(-k) % E for k in ks], E, ceiling)   # h_p of conjugates
-        B = _h_vectors(ks, E, ceiling)                        # h_q
-        X = _exact_matmul(_exact_matmul(A, CE), B.T)
-        X_full = X.copy()
-        X_full[1:, 1:] -= X[:-1, :-1]   # harmonic part: minus bidegree (p-1, q-1)
-        total += cls.mult * X_full
-
-    denom = phi_E * group.order
-    if np.any(total % denom):
-        raise NonIntegralDimension(
-            f"{group.name}: generating-function coefficients not divisible by {denom}"
-        )
-    table = total // denom
+    p, q = np.indices((ceiling + 1, ceiling + 1), dtype=np.int64)
+    table = dim_cells(group, p.ravel(), q.ravel()).reshape(p.shape)
     if cached is None or table.shape[0] > cached.shape[0]:
         group._fg_cache["table"] = table
     return table.copy()

@@ -101,7 +101,7 @@ class QuotientGroup:
         self.base = base
         self.generators = tuple(np.asarray(g, dtype=complex) for g in generators) if generators else ()
         self._dim_cache: dict[tuple[int, int], int] = {}
-        self._spectral_data = None
+        self._trace_tables = None
         self._fg_cache: dict = {}
         self._pg_cache = None
 

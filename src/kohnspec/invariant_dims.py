@@ -1,9 +1,16 @@
-"""Invariant-subspace dimensions: character averaging and closed forms.
+"""Invariant-subspace dimensions: one exact engine and the closed forms.
 
-dim_invariant averages exact characters over the group and collapses the
-resulting root-of-unity combination to an integer (hard error if the value
-is farther than 1e-6 from one).  dim_closed_form evaluates the per-family
-piecewise formulas; reconcile checks the two paths against each other.
+The invariant dimension at bidegree (p, q) is the class-weighted average of
+the character of the harmonic space over the group.  Each character value is
+an integer combination of E-th roots of unity, E the group exponent; the
+engine replaces it by its Galois trace down to the rationals, an integer sum
+of Ramanujan sums c_E.  The average is then the exact quotient of the
+weighted trace sum by phi(E) |G|: a sum that is not divisible, or a quotient
+outside [0, sphere_dim], raises NonIntegralDimension.  No float enters.
+
+dim_cells evaluates whole arrays of cells in one call; dim_invariant is the
+memoised single-cell entry point.  dim_closed_form evaluates the per-family
+piecewise formulas; reconcile checks the two against each other.
 """
 
 from __future__ import annotations
@@ -14,139 +21,137 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import admissible_pairs, sphere_dim
 from .errors import NonIntegralDimension, UnsupportedFamily
+from .genfun import _exact_matmul, _h_vectors, _magnitude, _ramanujan_row, _require_int64, _totient, exponent
 from .group_catalog import QuotientGroup
 
-_INT_TOL = 1e-6
-
-# sphere dimension above which the general-n path switches from exact
-# admissible-pair summation to a complete-homogeneous recurrence in floats
-_EXACT_TERM_LIMIT = 200_000
+# int64 entries per transient array while evaluating a block of cells (128 kB)
+_BLOCK_ENTRIES = 1 << 14
 
 
-class _SpectralData:
-    """Per-group integer-angle tables for vectorized character sums."""
-
-    def __init__(self, group: QuotientGroup):
-        dens = [a.denominator for c in group.classes for a in c.angles]
-        self.modulus = math.lcm(*dens)
-        L = self.modulus
-        self.kmat = np.array(
-            [[int(a * L) % L for a in c.angles] for c in group.classes], dtype=np.int64
-        )
-        self.mult = np.array([c.mult for c in group.classes], dtype=np.float64)
-        grid = 2 * np.pi * np.arange(L) / L
-        self.cos = np.cos(grid)
-        self.sin = np.sin(grid)
-        self.eigs = np.exp(2j * np.pi * self.kmat.astype(np.float64) / L)
+def _sphere_dims(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
+    """sphere_dim elementwise: C(p+n-1, n-1) C(q+n-1, n-1) minus the same at
+    (p-1, q-1)."""
+    def binom(x):   # C(x + n - 1, n - 1), exact at every step, 0 at x = -1
+        out = np.ones_like(x)
+        for i in range(1, n):
+            out = out * (x + i) // i
+        return out
+    _require_int64(math.comb(int(p.max()) + n - 1, n - 1) * math.comb(int(q.max()) + n - 1, n - 1))
+    return binom(p) * binom(q) - binom(p - 1) * binom(q - 1)
 
 
-def _spectral(group: QuotientGroup) -> _SpectralData:
-    if group._spectral_data is None:
-        group._spectral_data = _SpectralData(group)
-    return group._spectral_data
+class _ProgressionTraces:
+    """Galois traces of the n = 2 characters, for every class of one group.
+
+    For n = 2 the character at a class with integer angles (k1, k2) mod E is
+    the progression sum of zeta^(base + j step), j = 0..p+q, with
+    base = q k2 - p k1 and step = k1 - k2.  The residues mod E fall into
+    gcd(step, E) cycles of r -> r + step, each of length period.  Prefix sums
+    of c_E along each cycle, stored twice over, turn a run starting anywhere
+    into one difference; O(E) integers per distinct step.  A whole period
+    traces to 0 unless step = 0 (period 1)."""
+
+    def __init__(self, group: QuotientGroup, E: int):
+        ram = _ramanujan_row(E)
+        k = np.array([[int(a * E) % E for a in c.angles] for c in group.classes], dtype=np.int64)
+        self.E = E
+        self.k1, self.k2 = k[:, :1], k[:, 1:]
+        self.mult = np.array([c.mult for c in group.classes], dtype=np.int64)
+        steps = ((k[:, 0] - k[:, 1]) % E).tolist()
+        # per distinct step: pos maps a residue to its prefix-sum slot in pre
+        pos_parts, pre_parts, table_of = [], [], {}
+        for step in dict.fromkeys(steps):
+            cycles = math.gcd(step, E)
+            period = E // cycles
+            seq = (np.arange(cycles)[:, None] + step * np.arange(2 * period)) % E
+            pre = np.zeros((cycles, 2 * period + 1), dtype=np.int64)
+            np.cumsum(ram[seq], axis=1, out=pre[:, 1:])
+            pos = np.empty(E, dtype=np.int64)
+            offset = sum(map(len, pre_parts))
+            pos[seq[:, :period]] = offset + np.arange(cycles)[:, None] * (2 * period + 1) + np.arange(period)
+            table_of[step] = (E * len(pos_parts), period)
+            pos_parts.append(pos)
+            pre_parts.append(pre.ravel())
+        self.pos = np.concatenate(pos_parts)
+        self.pre = np.concatenate(pre_parts)
+        self.pos_offset = np.array([[table_of[s][0]] for s in steps], dtype=np.int64)
+        self.period = np.array([[table_of[s][1]] for s in steps], dtype=np.int64)
+        self.bound = group.order * _totient(E)
+
+    def weighted_traces(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        length = p + q + 1
+        _require_int64(self.bound * (int(length.max()) + self.E))
+        start = self.pos[self.pos_offset + (q * self.k2 - p * self.k1) % self.E]
+        whole, part = np.divmod(length, self.period)
+        traces = whole * (self.pre[start + self.period] - self.pre[start])
+        traces += self.pre[start + part] - self.pre[start]
+        return self.mult @ traces
 
 
-def _collapse(group: QuotientGroup, p: int, q: int, re: float, im: float) -> int:
-    val = re / group.order
-    if abs(im) / group.order > _INT_TOL:
+def _su2_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    if group._trace_tables is None:
+        group._trace_tables = _ProgressionTraces(group, E)
+    tables = group._trace_tables
+    block = max(1, _BLOCK_ENTRIES // len(group.classes))
+    return np.concatenate([
+        tables.weighted_traces(p[i:i + block], q[i:i + block]) for i in range(0, len(p), block)
+    ])
+
+
+def _series_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Weighted traces from the h-vector series, class by class: the
+    character is h_p(conj g) h_q(g) - h_(p-1)(conj g) h_(q-1)(g), and the
+    trace of a product of exponent-count vectors a, b is a . CE . b with
+    CE[r1, r2] = c_E(r1 + r2)."""
+    ram = _ramanujan_row(E)
+    CE = ram[np.add.outer(np.arange(E), np.arange(E)) % E]
+    zero = np.zeros((1, E), dtype=np.int64)
+    out = np.zeros(len(p), dtype=np.int64)
+    block = max(1, _BLOCK_ENTRIES // E)
+    for cls in group.classes:
+        ks = [int(a * E) % E for a in cls.angles]
+        # a trailing zero row makes index -1, the (p-1, q-1) term at p = 0 or q = 0, vanish
+        AC = np.vstack([_exact_matmul(_h_vectors([-k % E for k in ks], E, int(p.max())), CE), zero])
+        B = np.vstack([_h_vectors(ks, E, int(q.max())), zero])
+        _require_int64(2 * group.order * _magnitude(AC) * _magnitude(B) * E)
+        for i in range(0, len(p), block):
+            pb, qb = p[i:i + block], q[i:i + block]
+            out[i:i + block] += cls.mult * (AC[pb] * B[qb] - AC[pb - 1] * B[qb - 1]).sum(axis=1)
+    return out
+
+
+def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
+    """Invariant dimensions at the cells (p[i], q[i]), all nonnegative, in one
+    exact evaluation; transient memory stays at a few MB per block of cells."""
+    p = np.asarray(p, dtype=np.int64)
+    q = np.asarray(q, dtype=np.int64)
+    if not len(p):
+        return np.zeros(0, dtype=np.int64)
+    E = exponent(group)
+    traces = (_su2_traces if group.n == 2 else _series_traces)(group, E, p, q)
+    denom = _totient(E) * group.order
+    dims, residue = np.divmod(traces, denom)
+    bad = np.flatnonzero((residue != 0) | (dims < 0) | (dims > _sphere_dims(p, q, group.n)))
+    if len(bad):
+        i = bad[0]
         raise NonIntegralDimension(
-            f"{group.name} at (p,q)=({p},{q}): imaginary residue {im / group.order:.3e}"
+            f"{group.name} at (p,q)=({p[i]},{q[i]}): weighted trace sum {traces[i]} "
+            f"is not {denom} times a dimension in [0, sphere dim]"
         )
-    dim = round(val)
-    if abs(val - dim) > _INT_TOL:
-        raise NonIntegralDimension(
-            f"{group.name} at (p,q)=({p},{q}): averaged value {val!r} is not an integer"
-        )
-    if dim < 0 or dim > sphere_dim(p, q, group.n):
-        raise NonIntegralDimension(
-            f"{group.name} at (p,q)=({p},{q}): dimension {dim} outside [0, sphere dim]"
-        )
-    return dim
-
-
-def _dim_su2_path(group: QuotientGroup, p: int, q: int) -> int:
-    # geometric-sum character: angles base + j*step, j = 0..p+q, per class
-    data = _spectral(group)
-    L = data.modulus
-    k1 = data.kmat[:, 0]
-    k2 = data.kmat[:, 1]
-    j = np.arange(p + q + 1, dtype=np.int64)
-    base = (q * k2 - p * k1) % L
-    step = (k1 - k2) % L
-    idx = (base[:, None] + j[None, :] * step[:, None]) % L
-    re = float(data.mult @ data.cos[idx].sum(axis=1))
-    im = float(data.mult @ data.sin[idx].sum(axis=1))
-    return _collapse(group, p, q, re, im)
-
-
-_DIFF_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
-
-
-def _diff_matrix(p: int, q: int, n: int) -> np.ndarray:
-    key = (p, q, n)
-    if key not in _DIFF_CACHE:
-        rows = [
-            [b - a for a, b in zip(alpha, beta)]
-            for alpha, beta in admissible_pairs(p, q, n)
-        ]
-        _DIFF_CACHE[key] = np.array(rows, dtype=np.int64)
-    return _DIFF_CACHE[key]
-
-
-def _dim_admissible_path(group: QuotientGroup, p: int, q: int) -> int:
-    data = _spectral(group)
-    L = data.modulus
-    diffs = _diff_matrix(p, q, group.n)
-    idx = (data.kmat @ diffs.T) % L
-    re = float(data.mult @ data.cos[idx].sum(axis=1))
-    im = float(data.mult @ data.sin[idx].sum(axis=1))
-    return _collapse(group, p, q, re, im)
-
-
-def _complete_homogeneous(eigs: np.ndarray, degree: int) -> np.ndarray:
-    """Complete homogeneous sums h_0..h_degree of each eigenvalue row,
-    folding in one variable at a time (ascending degree makes the update
-    include all powers of the new variable).  eigs has shape (classes, n)."""
-    classes, n = eigs.shape
-    h = np.zeros((degree + 1, classes), dtype=complex)
-    h[0] = 1.0
-    for i in range(n):
-        x = eigs[:, i]
-        for d in range(1, degree + 1):
-            h[d] += x * h[d - 1]
-    return h
-
-
-def _dim_homogeneous_path(group: QuotientGroup, p: int, q: int) -> int:
-    # character = h_p(conj eigs) h_q(eigs) - h_{p-1}(conj eigs) h_{q-1}(eigs)
-    data = _spectral(group)
-    eigs = data.eigs
-    hbar = _complete_homogeneous(eigs.conj(), p)
-    h = _complete_homogeneous(eigs, q)
-    chi = hbar[p] * h[q]
-    if p >= 1 and q >= 1:
-        chi -= hbar[p - 1] * h[q - 1]
-    total = complex(data.mult @ chi)
-    return _collapse(group, p, q, total.real, total.imag)
+    return dims
 
 
 def dim_invariant(group: QuotientGroup, p: int, q: int) -> int:
     """Dimension of the group-invariant subspace of the bidegree-(p, q)
-    harmonic space, by multiplicity-weighted character averaging."""
+    harmonic space: dim_cells at one cell, memoised per group."""
     key = (p, q)
     cached = group._dim_cache.get(key)
     if cached is not None:
         return cached
     if p < 0 or q < 0:
         return 0
-    if group.n == 2:
-        dim = _dim_su2_path(group, p, q)
-    elif sphere_dim(p, q, group.n) <= _EXACT_TERM_LIMIT:
-        dim = _dim_admissible_path(group, p, q)
-    else:
-        dim = _dim_homogeneous_path(group, p, q)
+    dim = int(dim_cells(group, [p], [q])[0])
     group._dim_cache[key] = dim
     return dim
 
@@ -252,13 +257,12 @@ class ReconcileReport:
 
 
 def reconcile(group: QuotientGroup, pq_ceiling: int) -> ReconcileReport:
-    """Compare averaged and closed-form dimensions on p + q <= pq_ceiling."""
+    """Compare engine and closed-form dimensions on p + q <= pq_ceiling."""
+    cells = [(p, s - p) for s in range(pq_ceiling + 1) for p in range(s + 1)]
+    ps, qs = np.array(cells, dtype=np.int64).T
     mismatches = []
-    for s in range(pq_ceiling + 1):
-        for p in range(s + 1):
-            q = s - p
-            averaged = dim_invariant(group, p, q)
-            closed = dim_closed_form(group, p, q)
-            if averaged != closed:
-                mismatches.append((p, q, averaged, closed))
+    for (p, q), averaged in zip(cells, dim_cells(group, ps, qs).tolist()):
+        closed = dim_closed_form(group, p, q)
+        if averaged != closed:
+            mismatches.append((p, q, averaged, closed))
     return ReconcileReport(group, pq_ceiling, mismatches)

@@ -13,10 +13,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+
+import numpy as np
 
 from .genfun import dim_h0_polynomial, exponent
 from .group_catalog import QuotientGroup
-from .invariant_dims import dim_invariant
+from .invariant_dims import dim_cells
 
 _SLACK = 1e-12
 
@@ -83,15 +86,13 @@ def c_group(group: QuotientGroup, ceiling: int, convention: int = 2) -> SobolevC
     n = group.n
     best: tuple[float, tuple[int, int]] | None = None
     best_sq: Fraction | None = None
-    for s in range(1, ceiling + 1):
-        for p in range(0, s):
-            q = s - p
-            if dim_invariant(group, p, q) == 0:
-                continue
-            sq = c_pq_squared(p, q, n, convention)
-            if best_sq is None or sq > best_sq or (sq == best_sq and (p, q) < best[1]):
-                best_sq = sq
-                best = (c_pq(p, q, n, convention), (p, q))
+    cells = [(p, s - p) for s in range(1, ceiling + 1) for p in range(s)]
+    dims = dim_cells(group, *np.array(cells, dtype=np.int64).T)
+    for p, q in compress(cells, dims.tolist()):
+        sq = c_pq_squared(p, q, n, convention)
+        if best_sq is None or sq > best_sq or (sq == best_sq and (p, q) < best[1]):
+            best_sq = sq
+            best = (c_pq(p, q, n, convention), (p, q))
     if best is None:
         raise ValueError(f"{group.name}: no nonvanishing bidegree with q >= 1 below ceiling {ceiling}")
     value, (p, q) = best

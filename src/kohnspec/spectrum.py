@@ -20,7 +20,7 @@ from scipy.integrate import quad as _adaptive_quad
 
 from .characters import sphere_dim
 from .group_catalog import QuotientGroup
-from .invariant_dims import dim_invariant
+from .invariant_dims import dim_cells, dim_invariant
 
 
 def box_eigenvalue(p: int, q: int, n: int) -> int:
@@ -88,24 +88,36 @@ class SpectrumTable:
         return self._cumulative[i - 1] if i else 0
 
 
+def _cells(n: int, lambda_max) -> tuple[np.ndarray, np.ndarray]:
+    """Every bidegree (p, q), q >= 1, with eigenvalue 2q(p + n - 1) <= lambda_max,
+    sorted by eigenvalue and then by q."""
+    half_max = int(lambda_max) // 2
+    q = np.arange(1, half_max // (n - 1) + 1, dtype=np.int64)
+    width = half_max // q - (n - 1) + 1
+    q = np.repeat(q, width)
+    p = np.arange(len(q)) - np.repeat(np.cumsum(width) - width, width)
+    order = np.lexsort((q, q * (p + n - 1)))
+    return p[order], q[order]
+
+
+def _table(group: QuotientGroup | None, n: int, lambda_max, p: np.ndarray, q: np.ndarray,
+           dims) -> SpectrumTable:
+    """Bucket the cells from _cells, with their dimensions, by eigenvalue."""
+    entries: list[SpectrumEntry] = []
+    for pi, qi, d in zip(p.tolist(), q.tolist(), dims):
+        lam = box_eigenvalue(pi, qi, n)
+        if entries and entries[-1].eigenvalue == lam:
+            entries[-1].mult += d
+            entries[-1].contributors.append((pi, qi))
+        else:
+            entries.append(SpectrumEntry(lam, d, [(pi, qi)]))
+    return SpectrumTable(group, int(lambda_max), entries)
+
+
 def counting_function(group: QuotientGroup, lambda_max: int) -> SpectrumTable:
     """Assemble the spectrum table for all eigenvalues <= lambda_max."""
-    n = group.n
-    half_max = int(lambda_max) // 2
-    buckets: dict[int, int] = {}
-    contribs: dict[int, list[tuple[int, int]]] = {}
-    for q in range(1, half_max // (n - 1) + 1):
-        p = 0
-        while q * (p + n - 1) <= half_max:
-            half = q * (p + n - 1)
-            buckets[half] = buckets.get(half, 0) + dim_invariant(group, p, q)
-            contribs.setdefault(half, []).append((p, q))
-            p += 1
-    entries = [
-        SpectrumEntry(2 * h, buckets[h], sorted(contribs[h], key=lambda pq: pq[1]))
-        for h in sorted(buckets)
-    ]
-    return SpectrumTable(group, int(lambda_max), entries)
+    p, q = _cells(group.n, lambda_max)
+    return _table(group, group.n, lambda_max, p, q, dim_cells(group, p, q).tolist())
 
 
 def invariant_count_direct(group: QuotientGroup, half_cutoff: int) -> int:
@@ -125,23 +137,10 @@ def invariant_count_direct(group: QuotientGroup, half_cutoff: int) -> int:
 
 
 def sphere_counting_table(n: int, lambda_max: int) -> SpectrumTable:
-    """Spectrum table of the sphere itself (trivial group path not needed:
-    dimensions are the closed-form sphere dimensions)."""
-    half_max = int(lambda_max) // 2
-    buckets: dict[int, int] = {}
-    contribs: dict[int, list[tuple[int, int]]] = {}
-    for q in range(1, half_max // (n - 1) + 1):
-        p = 0
-        while q * (p + n - 1) <= half_max:
-            half = q * (p + n - 1)
-            buckets[half] = buckets.get(half, 0) + sphere_dim(p, q, n)
-            contribs.setdefault(half, []).append((p, q))
-            p += 1
-    entries = [
-        SpectrumEntry(2 * h, buckets[h], sorted(contribs[h], key=lambda pq: pq[1]))
-        for h in sorted(buckets)
-    ]
-    return SpectrumTable(None, int(lambda_max), entries)
+    """Spectrum table of the sphere itself, from the exact sphere dimensions."""
+    p, q = _cells(n, lambda_max)
+    dims = [sphere_dim(pi, qi, n) for pi, qi in zip(p.tolist(), q.tolist())]
+    return _table(None, n, lambda_max, p, q, dims)
 
 
 # ---------------------------------------------------------------------------
@@ -286,21 +285,11 @@ class SpectrumComparison:
 
 
 def compare_spectra(a: QuotientGroup, b: QuotientGroup, lambda_max: int) -> SpectrumComparison:
-    """Least eigenvalue <= lambda_max whose multiplicities differ, scanning
-    realized eigenvalues only."""
+    """Least eigenvalue <= lambda_max whose multiplicities differ: the first
+    differing entry of the two counting tables."""
     if a.n != b.n:
         raise ValueError("groups must act on the same sphere")
-    n = a.n
-    half_max = int(lambda_max) // 2
-    realized = sorted(
-        {q * (p + n - 1) for q in range(1, half_max // (n - 1) + 1)
-         for p in range(0, half_max // q - (n - 1) + 1)
-         if q * (p + n - 1) <= half_max}
-    )
-    for half in realized:
-        lam = 2 * half
-        ma, _ = multiplicity(a, lam)
-        mb, _ = multiplicity(b, lam)
-        if ma != mb:
-            return SpectrumComparison(a, b, int(lambda_max), lam, ma, mb)
+    for ea, eb in zip(counting_function(a, lambda_max).entries, counting_function(b, lambda_max).entries):
+        if ea.mult != eb.mult:
+            return SpectrumComparison(a, b, int(lambda_max), ea.eigenvalue, ea.mult, eb.mult)
     return SpectrumComparison(a, b, int(lambda_max), None, None, None)

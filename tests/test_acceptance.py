@@ -157,6 +157,15 @@ def test_criterion_4_monotone_improvement():
         )
 
 
+def test_counting_matches_closed_forms_to_8000():
+    # the closed-form recount of criterion 4b, carried to cutoff 8000
+    for spec in WEYL_GROUP_SPECS:
+        g = ks.parse_group_spec(spec)
+        table = ks.counting_function(g, 8000)
+        for lam in (2000, 4000, 8000):
+            assert table.count(lam) == _closed_form_count(g, lam), (spec, lam)
+
+
 def test_criterion_5_tail_bound_exact():
     with criterion("5", "exact tail bound at lambda in {10,...,1000}"):
         tables = _weyl_tables()

@@ -7,10 +7,15 @@ every closed form on the full parameter grid.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction as F
+
 import pytest
 
 from kohnspec import (
+    NonIntegralDimension,
     UnsupportedFamily,
+    char_general,
     dim_closed_form,
     dim_invariant,
     make_binary_dihedral,
@@ -26,6 +31,7 @@ from kohnspec import (
     reconcile,
     sphere_dim,
 )
+from kohnspec.group_catalog import ZERO, from_classes
 from kohnspec.invariant_dims import (
     closed_form_cyclic,
     closed_form_q_semidirect,
@@ -138,30 +144,54 @@ class TestReconcile:
             assert reconcile(g, 36).ok, g.name
 
 
+def _mobius(n: int) -> int:
+    out, d = 1, 2
+    while n > 1:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return out
+
+
+def _ramanujan(E: int, r: int) -> int:
+    """c_E(r), the trace of zeta_E^r down to Q: sum of d mu(E/d) over d | (r, E)."""
+    return sum(d * _mobius(E // d) for d in range(1, E + 1) if E % d == 0 and r % d == 0)
+
+
+def traced_average(group, p: int, q: int) -> int:
+    """Reference dimension, independent of the engine: the exact Galois trace
+    of each character from char_general, averaged over the group."""
+    E = math.lcm(*(a.denominator for c in group.classes for a in c.angles))
+    total = sum(
+        c.mult * count * _ramanujan(E, int(angle * E))
+        for c in group.classes
+        for angle, count in char_general(p, q, c.angles).terms.items()
+    )
+    dim, residue = divmod(total, _ramanujan(E, 0) * group.order)
+    assert residue == 0, (group.name, p, q, total)
+    return dim
+
+
 class TestIntegralityGate:
     def test_non_group_classes_detected(self):
-        # two elements that do not form a group: the average of characters
-        # is not an integer and the collapse must fail loudly
-        from fractions import Fraction as F
+        # the identity and one scalar element do not form a group: the
+        # weighted trace sum is not divisible by phi(E)|G|, and the engine
+        # must fail loudly, on the n = 2 kernel and on the n >= 3 series
+        for n in (2, 3):
+            fake = from_classes(f"not-a-group-{n}", n, [((ZERO,) * n, 1), ((F(1, 3),) * n, 1)],
+                                expect_free=True)
+            with pytest.raises(NonIntegralDimension):
+                dim_invariant(fake, 0, 1)
 
-        import pytest as _pytest
-
-        from kohnspec import NonIntegralDimension
-        from kohnspec.group_catalog import ZERO, from_classes
-
-        fake = from_classes("not-a-group", 2, [((ZERO, ZERO), 1), ((F(1, 3), F(1, 3)), 1)],
-                            expect_free=True)
-        with _pytest.raises(NonIntegralDimension):
-            dim_invariant(fake, 0, 1)
-
-    def test_large_degree_float_path_agrees(self, lens3_groups):
-        # the complete-homogeneous float path used beyond the exact-term
-        # budget matches the exact admissible path
-        from kohnspec.invariant_dims import _dim_admissible_path, _dim_homogeneous_path
-
+    def test_lens3_matches_traced_characters(self, lens3_groups):
+        # an n >= 3 check independent of the engine, on every cell with p + q <= 10
         for g in lens3_groups:
-            for p, q in [(0, 1), (1, 1), (3, 2), (4, 4), (7, 3)]:
-                assert _dim_homogeneous_path(g, p, q) == _dim_admissible_path(g, p, q)
+            for s in range(11):
+                for p in range(s + 1):
+                    assert dim_invariant(g, p, s - p) == traced_average(g, p, s - p), (g.name, p, s - p)
 
 
 class TestStructuralProperties:
