@@ -30,7 +30,7 @@ from .errors import (
 )
 from .genfun import dim_h0_polynomial, exponent, pg_polynomial
 from .group_catalog import QuotientGroup, angle_str
-from .invariant_dims import dim_invariant
+from .invariant_dims import dim_invariant, dim_triangle
 from .oracle import oracle_check
 from .spectrum import (
     compare_spectra,
@@ -153,11 +153,7 @@ def _cmd_dims(args) -> str:
         d = dim_invariant(group, args.p, args.q)
         doc = {"group": group.name, "p": args.p, "q": args.q, "dim": d}
         return _tabular(args, ["p", "q", "dim"], [[args.p, args.q, d]], doc)
-    rows = []
-    for s in range(args.pq_max + 1):
-        for p in range(s + 1):
-            q = s - p
-            rows.append([p, q, dim_invariant(group, p, q)])
+    rows = [list(cell) for cell in dim_triangle(group, args.pq_max)]
     doc = {"group": group.name, "pq_max": args.pq_max, "entries": [list(r) for r in rows]}
     return _tabular(args, ["p", "q", "dim"], rows, doc)
 
@@ -214,6 +210,8 @@ def _cmd_compare(args) -> str:
 
 def _cmd_weyl(args) -> str:
     group = parse_group_spec(args.group)
+    if args.lambda_max < 2:
+        raise ParseError(f"weyl needs --lambda-max >= 2, got {args.lambda_max}")
     k = args.grid
     grid = [args.lambda_max * (i + 1) // k for i in range(k)] if k > 1 else [args.lambda_max]
     grid = sorted(set(grid))
@@ -229,7 +227,7 @@ def _cmd_weyl(args) -> str:
         "grid": rep.grid,
         "n_quotient": rep.n_quotient,
         "n_sphere": rep.n_sphere,
-        "ratios": rep.ratios,
+        "ratios": [r if ng else None for r, ng in zip(rep.ratios, rep.n_quotient)],
         "xi": rep.xi,
         "bound_ok": rep.bound_ok,
         "weyl_constant": rep.weyl_constant,

@@ -8,8 +8,9 @@ of Ramanujan sums c_E.  The average is then the exact quotient of the
 weighted trace sum by phi(E) |G|: a sum that is not divisible, or a quotient
 outside [0, sphere_dim], raises NonIntegralDimension.  No float enters.
 
-dim_cells evaluates whole arrays of cells in one call; dim_invariant is the
-memoised single-cell entry point.  dim_closed_form evaluates the per-family
+dim_cells evaluates whole arrays of cells in one call, dim_triangle every
+cell with p + q <= pq_max; dim_invariant is the memoised single-cell entry
+point.  dim_closed_form evaluates the per-family
 piecewise formulas; reconcile checks the two against each other.
 """
 
@@ -140,6 +141,14 @@ def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
             f"is not {denom} times a dimension in [0, sphere dim]"
         )
     return dims
+
+
+def dim_triangle(group: QuotientGroup, pq_max: int) -> list[tuple[int, int, int]]:
+    """(p, q, dim) for every cell with p + q <= pq_max, by ascending p + q and
+    then p, from one dim_cells call."""
+    cells = [(p, s - p) for s in range(pq_max + 1) for p in range(s + 1)]
+    dims = dim_cells(group, [p for p, _ in cells], [q for _, q in cells]).tolist()
+    return [(p, q, d) for (p, q), d in zip(cells, dims)]
 
 
 def dim_invariant(group: QuotientGroup, p: int, q: int) -> int:

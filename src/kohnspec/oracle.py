@@ -271,14 +271,11 @@ def oracle_check(group: QuotientGroup, pq_max: int) -> list[tuple[int, int, int,
     """Compare brute-force and character-averaged dimensions on a grid.
 
     Returns rows (p, q, brute, averaged, ok)."""
-    from .invariant_dims import dim_invariant
+    from .invariant_dims import dim_triangle
 
     elements = matrix_closure(group)
     rows = []
-    for s in range(pq_max + 1):
-        for p in range(s + 1):
-            q = s - p
-            brute = invariant_dim_bruteforce(group, p, q, elements)
-            averaged = dim_invariant(group, p, q)
-            rows.append((p, q, brute, averaged, brute == averaged))
+    for p, q, averaged in dim_triangle(group, pq_max):
+        brute = invariant_dim_bruteforce(group, p, q, elements)
+        rows.append((p, q, brute, averaged, brute == averaged))
     return rows

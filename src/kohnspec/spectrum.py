@@ -4,8 +4,8 @@ The positive spectrum on a quotient consists of the eigenvalues 2q(p + n - 1)
 for q >= 1, each with multiplicity the sum of the invariant dimensions of the
 contributing bidegree spaces.  The counting function N(lam) is compared
 against the sphere count divided by the group order, with the exact
-binomial-sum tail bound, and against the quadrature value of the Weyl
-constant.
+binomial-sum tail bound, and against the Weyl constant, an exact polynomial
+in pi rounded once.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad as _adaptive_quad
 
 from .characters import sphere_dim
 from .group_catalog import QuotientGroup
@@ -147,45 +146,84 @@ def sphere_counting_table(n: int, lambda_max: int) -> SpectrumTable:
 # Exact tail bound
 
 
-def _as_fraction(lam) -> Fraction:
-    # Fraction(float) is the exact binary value, so floors stay exact
-    return lam if isinstance(lam, Fraction) else Fraction(lam)
-
-
 def xi_bound(lam, n: int) -> int:
     """Exact big-integer tail bound controlling |N_G - N_S/|G|| at cutoff 2*lam.
 
+    lam may be an int, a Fraction or a float (taken at its exact binary
+    value); with lam = num/den every floor is an integer floor division.
     Both index ranges empty gives 0 (the bound is only used asymptotically).
     """
-    lam = _as_fraction(lam)
+    lam = Fraction(lam)
     if n < 2:
         raise ValueError("ambient dimension must be at least 2")
+    num, den = lam.numerator, lam.denominator
     total = 0
-    k_top = math.floor(lam) - n + 1
-    for k in range(0, k_top + 1):
-        inner = math.floor(lam / (k + n - 1))
+    for k in range(0, num // den - n + 2):
+        inner = num // (den * (k + n - 1))
         total += math.comb(k + n - 2, n - 2) * math.comb(inner + n - 2, n - 1)
-    k_top2 = math.floor(lam / (n - 1))
-    for k in range(1, k_top2 + 1):
-        inner = math.floor(lam / k)
+    for k in range(1, num // (den * (n - 1)) + 1):
+        inner = num // (den * k)
         total += math.comb(k + n - 2, n - 2) * math.comb(inner, n - 1)
     return total
+
+
+def _within_tail_bound(order: int, n_quotient: int, n_sphere: int, xi: int) -> bool:
+    return abs(order * n_quotient - n_sphere) <= order * (order - 1) * xi
 
 
 def tail_bound_holds(group: QuotientGroup, half_cutoff: int,
                      n_quotient: int, n_sphere: int) -> bool:
     """Exact integer check of |N_G(2 lam) - N_S(2 lam)/|G|| <= (|G|-1) Xi_lam."""
-    g = group.order
-    return abs(g * n_quotient - n_sphere) <= g * (g - 1) * xi_bound(half_cutoff, group.n)
+    return _within_tail_bound(group.order, n_quotient, n_sphere, xi_bound(half_cutoff, group.n))
 
 
 # ---------------------------------------------------------------------------
 # Weyl constant and report
 
+# pi to 62 decimals: the powers below stay accurate far past the 17
+# significant digits a float keeps, so one rounding at the end is exact
+_PI = Fraction("3.14159265358979323846264338327950288419716939937510582097494459")
+
 
 def sphere_volume(n: int) -> float:
     """Volume of the unit sphere in C^n (real dimension 2n - 1)."""
     return 2 * math.pi**n / math.factorial(n - 1)
+
+
+def _bernoulli(m: int) -> list[Fraction]:
+    """B_0, ..., B_m from sum_{k <= j} C(j+1, k) B_k = 0."""
+    B = [Fraction(1)]
+    for j in range(1, m + 1):
+        B.append(-sum(math.comb(j + 1, k) * B[k] for k in range(j)) / (j + 1))
+    return B
+
+
+def weyl_integral_coefficients(n: int) -> dict[int, Fraction]:
+    """The convergence-factor integral I(n) of (tau/sinh tau)^n e^{-(n-2) tau}
+    over the real line, exactly: I(n) = sum of c * pi^k over the returned
+    {k: c}, k = 2, 4, ..., 2 floor(n/2).
+
+    Splitting at 0 and expanding sinh^-n as a series gives
+    I(n) = (n!/2) sum_k C(n+k-1, n-1) [(k+n-1)^(-n-1) + (k+1)^(-n-1)].
+    With m(m+1)...(m+n-2) = sum_j s_j m^j (integer s_j) the odd zeta values
+    and the head terms cancel, leaving I(n) = n sum_r s_(n+1-2r) zeta(2r),
+    r = 1..floor(n/2), and zeta(2r) = |B_2r| (2 pi)^(2r) / (2 (2r)!)."""
+    s = [1]     # coefficients of m(m+1)...(m+n-2), lowest degree first
+    for i in range(n - 1):
+        s = [i * c + below for c, below in zip(s + [0], [0] + s)]
+    B = _bernoulli(n)
+    return {
+        2 * r: n * s[n + 1 - 2 * r] * 2 ** (2 * r) * abs(B[2 * r]) / (2 * math.factorial(2 * r))
+        for r in range(1, n // 2 + 1)
+    }
+
+
+def weyl_constant(n: int) -> float:
+    """Constant C with N(lam)/lam^n -> C * Vol(quotient):
+    C = (n - 1) I(n) / (n (2 pi)^n n!), evaluated in exact rationals with a
+    62-digit pi and rounded to a float once."""
+    integral = sum(c * _PI**k for k, c in weyl_integral_coefficients(n).items())
+    return float((n - 1) * integral / (n * (2 * _PI) ** n * math.factorial(n)))
 
 
 def _weyl_integrand(tau: float, n: int) -> float:
@@ -194,30 +232,18 @@ def _weyl_integrand(tau: float, n: int) -> float:
     return (tau / math.sinh(tau)) ** n * math.exp(-(n - 2) * tau)
 
 
-def weyl_integral(n: int, scheme: str = "adaptive") -> float:
-    """The convergence-factor integral over the real line, by one of two
-    independent quadratures ('adaptive' Gauss-Kronrod or composite
-    fixed-order 'legendre').  Integrand decays like |tau|^n e^{-2|tau|}."""
-    T = 60.0
-    if scheme == "adaptive":
-        left, _ = _adaptive_quad(_weyl_integrand, -T, 0.0, args=(n,), epsabs=1e-13, epsrel=1e-13, limit=400)
-        right, _ = _adaptive_quad(_weyl_integrand, 0.0, T, args=(n,), epsabs=1e-13, epsrel=1e-13, limit=400)
-        return left + right
-    if scheme == "legendre":
-        nodes, weights = np.polynomial.legendre.leggauss(40)
-        total = 0.0
-        for k in range(-int(T), int(T)):
-            mid = k + 0.5
-            x = mid + 0.5 * nodes
-            vals = [_weyl_integrand(float(t), n) for t in x]
-            total += 0.5 * float(np.dot(weights, vals))
-        return total
-    raise ValueError(f"unknown quadrature scheme {scheme!r}")
-
-
-def weyl_constant(n: int, scheme: str = "adaptive") -> float:
-    """Constant C with N(lam)/lam^n -> C * Vol(quotient)."""
-    return (n - 1) / (n * (2 * math.pi) ** n * math.factorial(n)) * weyl_integral(n, scheme)
+def weyl_integral(n: int) -> float:
+    """I(n) by composite fixed-order Gauss-Legendre quadrature on [-60, 60]:
+    the independent numerical check of weyl_integral_coefficients.  The
+    integrand decays like |tau|^n e^{-2|tau|}."""
+    T = 60
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    total = 0.0
+    for k in range(-T, T):
+        x = k + 0.5 + 0.5 * nodes
+        vals = [_weyl_integrand(float(t), n) for t in x]
+        total += 0.5 * float(np.dot(weights, vals))
+    return total
 
 
 @dataclass
@@ -249,10 +275,7 @@ def weyl_report(group: QuotientGroup, grid) -> WeylReport:
     n_sph = [sphere.count(lam) for lam in grid]
     ratios = [ns / ng if ng else math.inf for ns, ng in zip(n_sph, n_quot)]
     xi = [xi_bound(Fraction(lam, 2), n) for lam in grid]
-    ok = [
-        tail_bound_holds(group, Fraction(lam, 2), ng, ns)
-        for lam, ng, ns in zip(grid, n_quot, n_sph)
-    ]
+    ok = [_within_tail_bound(group.order, ng, ns, x) for ng, ns, x in zip(n_quot, n_sph, xi)]
     const = weyl_constant(n)
     expected = const * sphere_volume(n) / group.order
     empirical = n_quot[-1] / lam_max**n

@@ -19,7 +19,13 @@ from contextlib import contextmanager
 import numpy as np
 
 import kohnspec as ks
-from kohnspec.spectrum import sphere_counting_table, sphere_volume, tail_bound_holds, weyl_integral
+from kohnspec.spectrum import (
+    sphere_counting_table,
+    sphere_volume,
+    tail_bound_holds,
+    weyl_integral,
+    weyl_integral_coefficients,
+)
 
 from conftest import full_reconcile_sweep
 
@@ -179,10 +185,10 @@ def test_criterion_5_tail_bound_exact():
 
 
 def test_criterion_6_weyl_constant():
-    with criterion("6", "quadrature constant stable and matches counting"):
-        for n in (2, 3):
-            a = weyl_integral(n, "adaptive")
-            b = weyl_integral(n, "legendre")
+    with criterion("6", "closed-form constant matches quadrature and counting"):
+        for n in range(2, 7):
+            a = float(sum(c * math.pi**k for k, c in weyl_integral_coefficients(n).items()))
+            b = weyl_integral(n)
             assert abs(a - b) / abs(a) < 1e-9, n
         tables = _weyl_tables()
         empirical = tables["sphere"].count(2000) / 2000**2

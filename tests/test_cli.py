@@ -5,9 +5,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kohnspec
 from kohnspec import ConstraintError, NonFreeAction, ParseError, parse_group_spec
 from kohnspec.cli import run
 
@@ -115,6 +120,19 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["bound_ok"] == [True, True]
 
+    def test_weyl_json_null_ratio_at_zero_count(self, capsys):
+        code, out, _ = capture(capsys, ["weyl", "--group", "2T", "--lambda-max", "3", "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["grid"] == [0, 1, 2, 3]
+        assert doc["n_quotient"] == [0, 0, 0, 0]
+        assert doc["ratios"] == [None, None, None, None]
+
+    def test_weyl_table_keeps_inf_ratio(self, capsys):
+        code, out, _ = capture(capsys, ["weyl", "--group", "2T", "--lambda-max", "3"])
+        assert code == 0
+        assert out.splitlines()[1].split()[3] == "inf"
+
     def test_oracle_check_json(self, capsys):
         code, out, _ = capture(capsys, ["oracle-check", "--group", "cyclic:3", "--pq-max", "3",
                                         "--format", "json"])
@@ -148,6 +166,13 @@ class TestDeterminismAndExitCodes:
         code, _, err = capture(capsys, ["multiplicity", "--group", "nope:1", "--lambda", "4"])
         assert code == 1
 
+    @pytest.mark.parametrize("lam", ["0", "1", "-4"])
+    def test_weyl_small_cutoff_is_user_error(self, capsys, lam):
+        code, out, err = capture(capsys, ["weyl", "--group", "2T", "--lambda-max", lam])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: weyl needs --lambda-max >= 2, got {lam}\n"
+
     def test_internal_violation_exit_2(self, capsys, monkeypatch):
         from kohnspec.errors import NonIntegralDimension
 
@@ -158,3 +183,11 @@ class TestDeterminismAndExitCodes:
         code, _, err = capture(capsys, ["dims", "--group", "cyclic:3", "--p", "1", "--q", "1"])
         assert code == 2
         assert "invariant violation" in err
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(kohnspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, kohnspec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"

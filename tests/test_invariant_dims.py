@@ -35,6 +35,7 @@ from kohnspec.group_catalog import ZERO, from_classes
 from kohnspec.invariant_dims import (
     closed_form_cyclic,
     closed_form_q_semidirect,
+    dim_triangle,
 )
 
 from conftest import full_reconcile_sweep
@@ -230,6 +231,12 @@ class TestStructuralProperties:
                 q = s - p
                 expected = dim_invariant(base, p, q) if (q - p) % 5 == 0 else 0
                 assert dim_invariant(g, p, q) == expected
+
+    def test_triangle_matches_single_cells(self, all_n2_groups, lens3_groups):
+        for g in all_n2_groups + lens3_groups:
+            expected = [(p, s - p, dim_invariant(g, p, s - p)) for s in range(7) for p in range(s + 1)]
+            assert dim_triangle(g, 6) == expected, g.name
+        assert dim_triangle(make_cyclic(3), -1) == []
 
     def test_h00_always_one(self, all_n2_groups, lens3_groups):
         for g in all_n2_groups + lens3_groups:

@@ -33,9 +33,27 @@ from kohnspec.spectrum import (
     sphere_volume,
     tail_bound_holds,
     weyl_integral,
+    weyl_integral_coefficients,
 )
 
 F = Fraction
+
+
+def fraction_xi_bound(lam, n):
+    """Reference tail bound: the Fraction-division loop xi_bound replaced."""
+    lam = Fraction(lam)
+    total = 0
+    for k in range(0, math.floor(lam) - n + 2):
+        inner = math.floor(lam / (k + n - 1))
+        total += math.comb(k + n - 2, n - 2) * math.comb(inner + n - 2, n - 1)
+    for k in range(1, math.floor(lam / (n - 1)) + 1):
+        inner = math.floor(lam / k)
+        total += math.comb(k + n - 2, n - 2) * math.comb(inner, n - 1)
+    return total
+
+
+def closed_form_integral(n):
+    return float(sum(c * math.pi**k for k, c in weyl_integral_coefficients(n).items()))
 
 
 class TestMultiplicity:
@@ -134,6 +152,12 @@ class TestXiBound:
     def test_fraction_input(self):
         assert xi_bound(F(5, 2), 2) == xi_bound(2.5, 2)
 
+    def test_integer_floors_match_fraction_loop(self):
+        lams = [0, 1, 2, 7, 100, 1001, F(1, 2), F(7, 3), F(2001, 2), F(999, 7), 0.1, 2.5, 10.75, 333.3]
+        for n in (2, 3, 4):
+            for lam in lams:
+                assert xi_bound(lam, n) == fraction_xi_bound(lam, n), (lam, n)
+
 
 class TestTailBound:
     def test_exact_bound_all_groups(self, all_n2_groups):
@@ -165,10 +189,19 @@ class TestTailBound:
 
 class TestWeylConstant:
     def test_quadrature_schemes_agree(self):
-        for n in (2, 3):
-            a = weyl_integral(n, "adaptive")
-            b = weyl_integral(n, "legendre")
-            assert abs(a - b) / abs(a) < 1e-9
+        # the exact pi-polynomial against the independent Legendre quadrature
+        for n in range(2, 7):
+            a = closed_form_integral(n)
+            b = weyl_integral(n)
+            assert abs(a - b) / abs(a) < 1e-9, n
+
+    def test_integral_pi_polynomials(self):
+        # identified independently from 40-digit numerical integrals
+        assert weyl_integral_coefficients(2) == {2: F(1, 3)}
+        assert weyl_integral_coefficients(3) == {2: F(1, 2)}
+        assert weyl_integral_coefficients(4) == {2: F(2, 3), 4: F(4, 45)}
+        assert weyl_integral_coefficients(5) == {2: F(5, 6), 4: F(11, 18)}
+        assert weyl_integral_coefficients(6) == {2: F(1), 4: F(7, 3), 6: F(16, 105)}
 
     def test_n2_integral_analytic(self):
         # the n = 2 convergence integral evaluates to pi^2 / 3
@@ -183,6 +216,11 @@ class TestWeylConstant:
         # closed forms 1/48 and 1/(144 pi) to full precision
         assert weyl_constant(2) == pytest.approx(1 / 48, rel=1e-12)
         assert weyl_constant(3) == pytest.approx(1 / (144 * math.pi), rel=1e-12)
+
+    def test_closed_form_values_exact(self):
+        assert weyl_constant(2) == 1 / 48
+        # the correctly rounded value of 1/(144 pi)
+        assert repr(weyl_constant(3)) == "0.0022104853207207684"
 
 
 class TestWeylReport:
@@ -201,6 +239,21 @@ class TestWeylReport:
         raw_err = abs(rep.empirical_limit - rep.expected_limit)
         rich_err = abs(rep.richardson_limit - rep.expected_limit)
         assert rich_err <= raw_err
+
+    def test_xi_bound_once_per_grid_point(self, monkeypatch):
+        import kohnspec.spectrum as spectrum
+
+        calls = []
+
+        def counted(lam, n):
+            calls.append(lam)
+            return xi_bound(lam, n)
+
+        monkeypatch.setattr(spectrum, "xi_bound", counted)
+        rep = weyl_report(make_cyclic(4), [100, 200, 300, 400])
+        assert len(calls) == 4
+        assert rep.xi == [xi_bound(F(lam, 2), 2) for lam in rep.grid]
+        assert all(rep.bound_ok)
 
 
 class TestCompareSpectra:
