@@ -108,8 +108,3 @@ def char_su2_closed(p: int, q: int, angles: Sequence[Angle]) -> CharacterValue:
     for j in range(p + q + 1):
         counts[(base + j * step) % 1] += 1
     return CharacterValue(dict(counts))
-
-
-def char_at_identity(p: int, q: int, n: int) -> int:
-    """Character at the identity, i.e. the sphere-level dimension."""
-    return sphere_dim(p, q, n)

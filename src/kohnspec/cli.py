@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import group_catalog as gc
@@ -132,6 +133,8 @@ def _cmd_catalog(args) -> str:
         rows = [list(row) for row in gc.CATALOG_FAMILIES]
         doc = {"families": [dict(zip(header, row)) for row in rows]}
         return _tabular(args, header, rows, doc)
+    if args.spec is None:
+        raise ParseError("catalog show needs a group spec")
     group = parse_group_spec(args.spec)
     doc = {
         "name": group.name,
@@ -243,9 +246,12 @@ def _cmd_weyl(args) -> str:
 
 
 def _cmd_xi(args) -> str:
-    val = xi_bound(getattr(args, "lambda"), args.n)
-    doc = {"n": args.n, "lambda": getattr(args, "lambda"), "xi": val}
-    return _tabular(args, ["n", "lambda", "xi"], [[args.n, getattr(args, "lambda"), val]], doc)
+    lam = getattr(args, "lambda")
+    if not math.isfinite(lam):
+        raise ParseError(f"xi needs a finite --lambda, got {lam}")
+    val = xi_bound(lam, args.n)
+    doc = {"n": args.n, "lambda": lam, "xi": val}
+    return _tabular(args, ["n", "lambda", "xi"], [[args.n, lam, val]], doc)
 
 
 def _cmd_genfun(args) -> str:

@@ -19,7 +19,12 @@ Families covered, with their canonical spec strings:
 
 The two semidirect families are enumerated by exact worklist closure of their
 generators inside SU(2) x U(1), then pushed down along the multiplication
-double cover to U(2).
+double cover to U(2).  The closure is rational: the quaternion generators
+i, j and (1+i+j+k)/2 of qsemi generate the binary tetrahedral group, whose
+24 elements are the Hurwitz units with every coordinate in Z/2, so quaternions
+with Fraction components are exact.  cycsemi keeps its cyclic part as an
+exact angle.  2O and 2I, whose units need sqrt(2) and sqrt(5), are stored as
+class lists and never go through closure.
 """
 
 from __future__ import annotations
@@ -47,11 +52,6 @@ def angle(numerator: int, denominator: int = 1) -> Angle:
 
 def angle_str(a: Angle) -> str:
     return f"{a.numerator}/{a.denominator}"
-
-
-def unit_value(a: Angle) -> complex:
-    """The unit complex number exp(2*pi*i*a)."""
-    return complex(math.cos(2 * math.pi * float(a)), math.sin(2 * math.pi * float(a)))
 
 
 class ConjugacyClass(NamedTuple):
@@ -338,100 +338,54 @@ def make_product_with_center(base: QuotientGroup, l: int) -> QuotientGroup:
 # Exact arithmetic for the semidirect families
 
 
-class FieldElement(NamedTuple):
-    """Element x + y*sqrt(2) + z*sqrt(5) + w*sqrt(10) of Q(sqrt2, sqrt5)."""
-
-    x: Fraction
-    y: Fraction
-    z: Fraction
-    w: Fraction
-
-    def __add__(self, other):
-        return FieldElement(self.x + other.x, self.y + other.y, self.z + other.z, self.w + other.w)
-
-    def __sub__(self, other):
-        return FieldElement(self.x - other.x, self.y - other.y, self.z - other.z, self.w - other.w)
-
-    def __neg__(self):
-        return FieldElement(-self.x, -self.y, -self.z, -self.w)
-
-    def mul(self, other: "FieldElement") -> "FieldElement":
-        x1, y1, z1, w1 = self
-        x2, y2, z2, w2 = other
-        return FieldElement(
-            x1 * x2 + 2 * y1 * y2 + 5 * z1 * z2 + 10 * w1 * w2,
-            x1 * y2 + y1 * x2 + 5 * (z1 * w2 + w1 * z2),
-            x1 * z2 + z1 * x2 + 2 * (y1 * w2 + w1 * y2),
-            x1 * w2 + w1 * x2 + y1 * z2 + z1 * y2,
-        )
-
-    def to_float(self) -> float:
-        return float(self.x) + float(self.y) * math.sqrt(2) + float(self.z) * math.sqrt(5) + float(self.w) * math.sqrt(10)
-
-
-def _field(x=0, y=0, z=0, w=0) -> FieldElement:
-    return FieldElement(Fraction(x), Fraction(y), Fraction(z), Fraction(w))
-
-
 # trace = 2*Re(q) of a finite-order unit quaternion determines its eigenvalue
-# angle; only these eleven traces occur in the binary families.
-_TRACE_TABLE: dict[FieldElement, Angle] = {
-    _field(2): ZERO,
-    _field(-2): HALF,
-    _field(0): Fraction(1, 4),
-    _field(1): Fraction(1, 6),
-    _field(-1): Fraction(1, 3),
-    _field(0, 1): Fraction(1, 8),
-    _field(0, -1): Fraction(3, 8),
-    _field(Fraction(1, 2), 0, Fraction(1, 2)): Fraction(1, 10),    # phi
-    _field(Fraction(-1, 2), 0, Fraction(-1, 2)): Fraction(2, 5),   # -phi
-    _field(Fraction(-1, 2), 0, Fraction(1, 2)): Fraction(1, 5),    # 1/phi
-    _field(Fraction(1, 2), 0, Fraction(-1, 2)): Fraction(3, 10),   # -1/phi
+# angle; closure only ever meets Hurwitz units, whose traces are these five.
+_TRACE_TABLE: dict[Fraction, Angle] = {
+    Fraction(2): ZERO,
+    Fraction(-2): HALF,
+    Fraction(0): Fraction(1, 4),
+    Fraction(1): Fraction(1, 6),
+    Fraction(-1): Fraction(1, 3),
 }
 
 
 class QuaternionExact(NamedTuple):
-    """Unit quaternion with components in Q(sqrt2, sqrt5)."""
+    """Quaternion a + bi + cj + dk with rational components."""
 
-    a: FieldElement
-    b: FieldElement
-    c: FieldElement
-    d: FieldElement
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    d: Fraction
 
     def mul(self, o: "QuaternionExact") -> "QuaternionExact":
         a1, b1, c1, d1 = self
         a2, b2, c2, d2 = o
         return QuaternionExact(
-            a1.mul(a2) - b1.mul(b2) - c1.mul(c2) - d1.mul(d2),
-            a1.mul(b2) + b1.mul(a2) + c1.mul(d2) - d1.mul(c2),
-            a1.mul(c2) - b1.mul(d2) + c1.mul(a2) + d1.mul(b2),
-            a1.mul(d2) + b1.mul(c2) - c1.mul(b2) + d1.mul(a2),
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
         )
 
     def neg(self) -> "QuaternionExact":
         return QuaternionExact(-self.a, -self.b, -self.c, -self.d)
 
-    def norm_squared(self) -> FieldElement:
-        return self.a.mul(self.a) + self.b.mul(self.b) + self.c.mul(self.c) + self.d.mul(self.d)
+    def norm_squared(self) -> Fraction:
+        return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
 
     def eigen_angle(self) -> Angle:
-        trace = self.a + self.a
+        trace = 2 * self.a
         try:
             return _TRACE_TABLE[trace]
         except KeyError:
             raise TraceLookupError(f"quaternion trace {trace} outside the finite trace table") from None
 
     def matrix(self) -> np.ndarray:
-        return _quat_matrix(self.a.to_float(), self.b.to_float(), self.c.to_float(), self.d.to_float())
+        return _quat_matrix(*map(float, self))
 
 
 def quat(a, b, c, d) -> QuaternionExact:
-    return QuaternionExact(
-        a if isinstance(a, FieldElement) else _field(a),
-        b if isinstance(b, FieldElement) else _field(b),
-        c if isinstance(c, FieldElement) else _field(c),
-        d if isinstance(d, FieldElement) else _field(d),
-    )
+    return QuaternionExact(*map(Fraction, (a, b, c, d)))
 
 
 QUAT_ONE = quat(1, 0, 0, 0)

@@ -38,7 +38,8 @@ def _sphere_dims(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
         for i in range(1, n):
             out = out * (x + i) // i
         return out
-    _require_int64(math.comb(int(p.max()) + n - 1, n - 1) * math.comb(int(q.max()) + n - 1, n - 1))
+    p_max, q_max = int(p.max(initial=0)), int(q.max(initial=0))
+    _require_int64(math.comb(p_max + n - 1, n - 1) * math.comb(q_max + n - 1, n - 1))
     return binom(p) * binom(q) - binom(p - 1) * binom(q - 1)
 
 
@@ -267,10 +268,8 @@ class ReconcileReport:
 
 def reconcile(group: QuotientGroup, pq_ceiling: int) -> ReconcileReport:
     """Compare engine and closed-form dimensions on p + q <= pq_ceiling."""
-    cells = [(p, s - p) for s in range(pq_ceiling + 1) for p in range(s + 1)]
-    ps, qs = np.array(cells, dtype=np.int64).T
     mismatches = []
-    for (p, q), averaged in zip(cells, dim_cells(group, ps, qs).tolist()):
+    for p, q, averaged in dim_triangle(group, pq_ceiling):
         closed = dim_closed_form(group, p, q)
         if averaged != closed:
             mismatches.append((p, q, averaged, closed))

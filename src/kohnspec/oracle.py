@@ -79,11 +79,6 @@ class _SymPowers:
         return self._mats[degree]
 
 
-def sym_power_matrix(h: np.ndarray, degree: int) -> np.ndarray:
-    """Matrix of z^a -> (h z)^a on the degree-d monomial basis."""
-    return _SymPowers(np.asarray(h, dtype=complex))[degree]
-
-
 @dataclass
 class BidegreeSpace:
     """Monomial model of the bidegree-(p, q) polynomials with the complex

@@ -13,13 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-
-import numpy as np
 
 from .genfun import dim_h0_polynomial, exponent
 from .group_catalog import QuotientGroup
-from .invariant_dims import dim_cells
+from .invariant_dims import dim_triangle
 
 _SLACK = 1e-12
 
@@ -86,9 +83,9 @@ def c_group(group: QuotientGroup, ceiling: int, convention: int = 2) -> SobolevC
     n = group.n
     best: tuple[float, tuple[int, int]] | None = None
     best_sq: Fraction | None = None
-    cells = [(p, s - p) for s in range(1, ceiling + 1) for p in range(s)]
-    dims = dim_cells(group, *np.array(cells, dtype=np.int64).T)
-    for p, q in compress(cells, dims.tolist()):
+    for p, q, dim in dim_triangle(group, ceiling):
+        if q < 1 or not dim:
+            continue
         sq = c_pq_squared(p, q, n, convention)
         if best_sq is None or sq > best_sq or (sq == best_sq and (p, q) < best[1]):
             best_sq = sq

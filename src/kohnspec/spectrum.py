@@ -17,9 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .characters import sphere_dim
 from .group_catalog import QuotientGroup
-from .invariant_dims import dim_cells, dim_invariant
+from .invariant_dims import _sphere_dims, dim_cells, dim_invariant
 
 
 def box_eigenvalue(p: int, q: int, n: int) -> int:
@@ -138,8 +137,7 @@ def invariant_count_direct(group: QuotientGroup, half_cutoff: int) -> int:
 def sphere_counting_table(n: int, lambda_max: int) -> SpectrumTable:
     """Spectrum table of the sphere itself, from the exact sphere dimensions."""
     p, q = _cells(n, lambda_max)
-    dims = [sphere_dim(pi, qi, n) for pi, qi in zip(p.tolist(), q.tolist())]
-    return _table(None, n, lambda_max, p, q, dims)
+    return _table(None, n, lambda_max, p, q, _sphere_dims(p, q, n).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +227,9 @@ def weyl_constant(n: int) -> float:
 def _weyl_integrand(tau: float, n: int) -> float:
     if tau == 0.0:
         return 1.0
-    return (tau / math.sinh(tau)) ** n * math.exp(-(n - 2) * tau)
+    # one exp of the summed logarithms: e^{-(n-2) tau} alone overflows at
+    # tau = -60 once n >= 14, though the product is small
+    return math.exp(n * math.log(tau / math.sinh(tau)) - (n - 2) * tau)
 
 
 def weyl_integral(n: int) -> float:
@@ -261,6 +261,10 @@ class WeylReport:
     richardson_limit: float    # two-point fit assuming an O(1/lam) error term
 
 
+def _counts(table: SpectrumTable, grid: list[int]) -> list[int]:
+    return [table.count(lam) for lam in grid]
+
+
 def weyl_report(group: QuotientGroup, grid) -> WeylReport:
     """Counting-function comparison against the sphere over an ascending grid
     of eigenvalue cutoffs."""
@@ -269,10 +273,10 @@ def weyl_report(group: QuotientGroup, grid) -> WeylReport:
         raise ValueError("grid must be ascending")
     n = group.n
     lam_max = grid[-1]
-    table = counting_function(group, lam_max)
-    sphere = sphere_counting_table(n, lam_max)
-    n_quot = [table.count(lam) for lam in grid]
-    n_sph = [sphere.count(lam) for lam in grid]
+    # each table is read and dropped before the next is built, which keeps
+    # one table alive at a time and halves the report's peak memory
+    n_quot = _counts(counting_function(group, lam_max), grid)
+    n_sph = _counts(sphere_counting_table(n, lam_max), grid)
     ratios = [ns / ng if ng else math.inf for ns, ng in zip(n_sph, n_quot)]
     xi = [xi_bound(Fraction(lam, 2), n) for lam in grid]
     ok = [_within_tail_bound(group.order, ng, ns, x) for ng, ns, x in zip(n_quot, n_sph, xi)]

@@ -173,6 +173,19 @@ class TestDeterminismAndExitCodes:
         assert out == ""
         assert err == f"error: weyl needs --lambda-max >= 2, got {lam}\n"
 
+    def test_catalog_show_without_spec_is_user_error(self, capsys):
+        code, out, err = capture(capsys, ["catalog", "show"])
+        assert code == 1
+        assert out == ""
+        assert err == "error: catalog show needs a group spec\n"
+
+    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    def test_xi_nonfinite_lambda_is_user_error(self, capsys, lam):
+        code, out, err = capture(capsys, ["xi", "--n", "2", "--lambda", lam])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: xi needs a finite --lambda, got {float(lam)}\n"
+
     def test_internal_violation_exit_2(self, capsys, monkeypatch):
         from kohnspec.errors import NonIntegralDimension
 
@@ -191,3 +204,12 @@ def test_cli_import_loads_no_scipy():
     code = "import sys, kohnspec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def test_reproduce_golden_byte_identical(capsys):
+    # every docs/REPRODUCE.md command, against the stdout recorded in the golden
+    golden = Path(__file__).resolve().parents[1] / "bench" / "reproduce_golden.json"
+    for entry in json.loads(golden.read_text())["commands"]:
+        code, out, err = capture(capsys, entry["argv"])
+        assert (code, err) == (0, ""), entry["argv"]
+        assert out == entry["stdout"], entry["argv"]

@@ -227,16 +227,14 @@ class TestFreeAction:
 
     def test_rejected_tetrahedral_twist(self):
         # tetrahedral-by-scalar analog of the semidirect families: closing
-        # with a quarter-turn phase on an outside order-4 element produces a
+        # with a quarter-turn phase on a trace-zero element produces a
         # trace-zero element carrying phase i, whose image has eigenvalues
         # +1 and -1
-        from kohnspec.group_catalog import QuaternionExact, _classes_from_pairs, _field
+        from kohnspec.group_catalog import _classes_from_pairs
 
-        sqrt_half = _field(0, F(1, 2))  # sqrt(2)/2
-        g4 = QuaternionExact(_field(0), sqrt_half, sqrt_half, _field(0))  # (i+j)/sqrt2
         gens = [(quat(0, 1, 0, 0), ZERO), (quat(0, 0, 1, 0), ZERO),
                 (quat(F(1, 2), F(1, 2), F(1, 2), F(1, 2)), ZERO),
-                (g4, F(1, 4))]
+                (quat(0, 1, 0, 0), F(1, 4))]
         pairs = close_in_su2_x_u1(gens, QUAT_ONE)
         bad = from_classes("tet-twist", 2, _classes_from_pairs(pairs))
         report = check_free_action(bad)
@@ -246,35 +244,20 @@ class TestFreeAction:
 
 class TestExactArithmetic:
     def test_unit_norm_preserved_under_closure(self):
-        from kohnspec.group_catalog import _field
-
-        one = _field(1)
+        one = F(1)
         h = quat(F(1, 2), F(1, 2), F(1, 2), F(1, 2))
         assert h.norm_squared() == one
         gens = [(quat(0, 1, 0, 0), ZERO), (quat(0, 0, 1, 0), ZERO), (h, F(1, 18))]
         for elem, _phase in close_in_su2_x_u1(gens, QUAT_ONE):
             assert elem.norm_squared() == one
 
-    def test_field_multiplication_table(self):
-        from kohnspec.group_catalog import _field
-
-        sqrt2 = _field(0, 1)
-        sqrt5 = _field(0, 0, 1)
-        sqrt10 = _field(0, 0, 0, 1)
-        assert sqrt2.mul(sqrt2) == _field(2)
-        assert sqrt5.mul(sqrt5) == _field(5)
-        assert sqrt2.mul(sqrt5) == sqrt10
-        assert sqrt10.mul(sqrt10) == _field(10)
-        assert sqrt2.mul(sqrt10) == _field(0, 0, 2)
-        assert sqrt5.mul(sqrt10) == _field(0, 5)
-
     def test_trace_lookup_error(self):
         from kohnspec.errors import TraceLookupError
-        from kohnspec.group_catalog import _field, QuaternionExact
+        from kohnspec.group_catalog import QuaternionExact
 
         # norm-1 quaternion with trace 6/5: outside every binary family
-        stray = QuaternionExact(_field(F(3, 5)), _field(F(4, 5)), _field(0), _field(0))
-        assert stray.norm_squared() == _field(1)
+        stray = QuaternionExact(F(3, 5), F(4, 5), F(0), F(0))
+        assert stray.norm_squared() == F(1)
         with pytest.raises(TraceLookupError):
             stray.eigen_angle()
 

@@ -23,6 +23,7 @@ from kohnspec import (
     make_trivial,
     multiplicity,
     sphere_counting_table,
+    sphere_dim,
     weyl_constant,
     weyl_report,
     xi_bound,
@@ -121,6 +122,12 @@ class TestCountingFunction:
             for lam in range(2, 201, 2):
                 assert table.count(lam) <= sphere.count(lam)
 
+    def test_sphere_table_matches_scalar_sphere_dim(self):
+        for n, lam in ((2, 400), (3, 120), (4, 60)):
+            for e in sphere_counting_table(n, lam).entries:
+                assert e.mult == sum(sphere_dim(p, q, n) for p, q in e.contributors), (n, e)
+        assert sphere_counting_table(3, 3).entries == []
+
     def test_zero_multiplicity_entries_retained(self):
         table = counting_function(make_binary_tetrahedral(), 10)
         assert [e.eigenvalue for e in table.entries] == [2, 4, 6, 8, 10]
@@ -190,7 +197,7 @@ class TestTailBound:
 class TestWeylConstant:
     def test_quadrature_schemes_agree(self):
         # the exact pi-polynomial against the independent Legendre quadrature
-        for n in range(2, 7):
+        for n in range(2, 31):
             a = closed_form_integral(n)
             b = weyl_integral(n)
             assert abs(a - b) / abs(a) < 1e-9, n
