@@ -7,10 +7,12 @@ from .characters import CharacterValue, admissible_pairs, char_general, char_su2
 from .errors import (
     ClosureMismatch,
     ConstraintError,
+    Int64Limit,
     KohnspecError,
     NonFreeAction,
     NonIntegralDimension,
     ParseError,
+    ReductionError,
     SizeLimit,
     TraceLookupError,
     TruncationError,

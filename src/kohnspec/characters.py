@@ -6,10 +6,10 @@ a basis indexed by admissible multiindex pairs (alpha, beta): |alpha| = p,
 eigenvalue angles t acts on the basis element for (alpha, beta) by the root
 of unity with angle (beta - alpha) . t, so characters are formal integer
 combinations of roots of unity.  This module keeps them exact.  They are
-the reference the tests and the oracle check dimensions against; the engine
-in :mod:`kohnspec.invariant_dims` never builds them, and works with their
-exact Galois traces instead.  ``CharacterValue.value`` (a float) serves only
-comparisons with numeric matrices.
+the reference the tests check dimensions and the oracle's traces against;
+the engine in :mod:`kohnspec.invariant_dims` never builds them, and works
+with their exact Galois traces instead.  ``CharacterValue.value`` (a float)
+serves only numeric spot checks in the tests.
 """
 
 from __future__ import annotations

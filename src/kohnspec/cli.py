@@ -2,8 +2,8 @@
 
 Every subcommand emits either a human table (default), RFC-4180 CSV, or JSON
 with a fixed key order, so reproduction scripts can be one-liners.  Exit
-codes: 0 success, 1 user error (bad spec string or family constraint),
-2 internal invariant violation.
+codes: 0 success, 1 user error (bad input, family constraint or size
+budget), 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import (
     NonFreeAction,
     NonIntegralDimension,
     ParseError,
+    ReductionError,
     SizeLimit,
     TraceLookupError,
     TruncationError,
@@ -42,7 +43,7 @@ from .spectrum import (
 )
 
 _USER_ERRORS = (ParseError, ConstraintError, NonFreeAction, UnsupportedFamily, SizeLimit, ValueError)
-_INTERNAL_ERRORS = (NonIntegralDimension, TruncationError, ClosureMismatch, TraceLookupError)
+_INTERNAL_ERRORS = (NonIntegralDimension, TruncationError, ClosureMismatch, TraceLookupError, ReductionError)
 
 
 def parse_group_spec(spec: str) -> QuotientGroup:
@@ -216,7 +217,9 @@ def _cmd_weyl(args) -> str:
     if args.lambda_max < 2:
         raise ParseError(f"weyl needs --lambda-max >= 2, got {args.lambda_max}")
     k = args.grid
-    grid = [args.lambda_max * (i + 1) // k for i in range(k)] if k > 1 else [args.lambda_max]
+    if k < 1:
+        raise ParseError(f"weyl needs --grid >= 1, got {k}")
+    grid = [args.lambda_max * (i + 1) // k for i in range(k)]
     grid = sorted(set(grid))
     rep = weyl_report(group, grid)
     rows = [
@@ -255,6 +258,8 @@ def _cmd_xi(args) -> str:
 
 
 def _cmd_genfun(args) -> str:
+    if args.ceiling is not None and args.ceiling < 0:
+        raise ParseError(f"genfun needs --ceiling >= 0, got {args.ceiling}")
     group = parse_group_spec(args.group)
     poly = pg_polynomial(group, args.ceiling)
     coeffs = [
@@ -288,6 +293,8 @@ def _cmd_sobolev(args) -> str:
 
 
 def _cmd_oracle_check(args) -> str:
+    if args.pq_max < 0:
+        raise ParseError(f"oracle-check needs --pq-max >= 0, got {args.pq_max}")
     group = parse_group_spec(args.group)
     rows = oracle_check(group, args.pq_max)
     doc = {

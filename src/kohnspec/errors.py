@@ -36,12 +36,22 @@ class TraceLookupError(KohnspecError):
 
 
 class SizeLimit(KohnspecError):
-    """A brute-force computation was requested beyond its size budget."""
+    """A computation was requested beyond its size budget."""
+
+
+class Int64Limit(SizeLimit, OverflowError):
+    """An exact integer intermediate could exceed int64: the input is too
+    large for the fixed-width exact arithmetic."""
 
 
 class ClosureMismatch(KohnspecError):
     """Matrix closure of the stored generators produced a group whose order
     differs from the catalog order."""
+
+
+class ReductionError(KohnspecError):
+    """Reduction mod the oracle's prime lost rank: the Laplacian's rank mod
+    the prime fell below its rank over the rationals."""
 
 
 class TruncationError(KohnspecError):

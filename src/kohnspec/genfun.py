@@ -14,8 +14,8 @@ from which a closed polynomial formula for the dimensions at bidegree
 (0, m*e) follows.
 
 All series arithmetic runs over int64.  Every product is preceded by an
-a-priori magnitude bound, and a bound at or above 2^63 raises OverflowError
-before the product is formed.
+a-priori magnitude bound, and a bound at or above 2^63 raises Int64Limit, an
+OverflowError, before the product is formed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonIntegralDimension, TruncationError
+from .errors import Int64Limit, NonIntegralDimension, TruncationError
 from .group_catalog import QuotientGroup
 
 def exponent(group: QuotientGroup) -> int:
@@ -75,9 +75,10 @@ def _ramanujan_row(E: int) -> np.ndarray:
 
 
 def _require_int64(bound: int) -> None:
-    """Raise OverflowError unless an a-priori magnitude bound fits int64."""
+    """Raise Int64Limit (an OverflowError and a SizeLimit) unless an a-priori
+    magnitude bound fits int64."""
     if bound >= 2**63:
-        raise OverflowError(f"exact integer intermediate may reach {bound}, beyond int64")
+        raise Int64Limit(f"exact integer intermediate may reach {bound}, beyond int64")
 
 
 def _magnitude(a: np.ndarray) -> int:

@@ -23,8 +23,15 @@ double cover to U(2).  The closure is rational: the quaternion generators
 i, j and (1+i+j+k)/2 of qsemi generate the binary tetrahedral group, whose
 24 elements are the Hurwitz units with every coordinate in Z/2, so quaternions
 with Fraction components are exact.  cycsemi keeps its cyclic part as an
-exact angle.  2O and 2I, whose units need sqrt(2) and sqrt(5), are stored as
-class lists and never go through closure.
+exact angle.  2O and 2I are stored as class lists and never go through
+closure.
+
+Every family also stores exact generator matrices, which only the brute-force
+oracle reads.  An entry is a finite sum of c * exp(2*pi*i*t) with c a
+``Fraction`` and t an angle, held as a tuple of (c, t) terms.  The irrational
+quaternion components of 2O and 2I are such sums too: cos(pi/4) =
+(z8 + z8^-1)/2, phi/2 = (1 + z5 + z5^4)/2 and 1/(2 phi) = (z5 + z5^4)/2, with
+zk = exp(2*pi*i/k) and phi the golden ratio.
 """
 
 from __future__ import annotations
@@ -35,14 +42,18 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
-import numpy as np
-
 from .errors import ConstraintError, NonFreeAction, TraceLookupError
 
 Angle = Fraction
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
+QUARTER = Fraction(1, 4)
+
+# exact generator data: an entry is a sum of c * exp(2*pi*i*t) over its
+# (c, t) terms; a matrix is a tuple of rows of entries
+Cyclotomic = tuple[tuple[Fraction, Angle], ...]
+ExactMatrix = tuple[tuple[Cyclotomic, ...], ...]
 
 
 def angle(numerator: int, denominator: int = 1) -> Angle:
@@ -89,7 +100,7 @@ class QuotientGroup:
         *,
         params: dict | None = None,
         base: "QuotientGroup | None" = None,
-        generators: Sequence[np.ndarray] | None = None,
+        generators: Sequence[ExactMatrix] | None = None,
         expect_free: bool = True,
     ):
         self.name = name
@@ -99,7 +110,7 @@ class QuotientGroup:
         self.order = sum(c.mult for c in self.classes)
         self.params = dict(params or {})
         self.base = base
-        self.generators = tuple(np.asarray(g, dtype=complex) for g in generators) if generators else ()
+        self.generators = tuple(generators or ())
         self._dim_cache: dict[tuple[int, int], int] = {}
         self._trace_tables = None
         self._fg_cache: dict = {}
@@ -176,12 +187,47 @@ def from_classes(
 # SU(2) families
 
 
-def _quat_matrix(a: complex, b: complex, c: complex, d: complex) -> np.ndarray:
-    """2x2 unitary matrix of the unit quaternion a+bi+cj+dk."""
-    return np.array([[a + 1j * b, -c + 1j * d], [c + 1j * d, a - 1j * b]], dtype=complex)
+def _cyc(*terms: tuple) -> Cyclotomic:
+    """Exact entry sum of c * exp(2*pi*i*t) over (c, t) terms, like angles merged."""
+    acc: Counter[Angle] = Counter()
+    for c, t in terms:
+        acc[Fraction(t) % 1] += Fraction(c)
+    return tuple((c, t) for t, c in sorted(acc.items()) if c)
 
 
-_J_MATRIX = _quat_matrix(0, 0, 1, 0)
+def _turn(x: Cyclotomic, t: Angle) -> Cyclotomic:
+    """x * exp(2*pi*i*t)."""
+    return _cyc(*((c, s + t) for c, s in x))
+
+
+def _rational(x) -> Cyclotomic:
+    return _cyc((x, ZERO))
+
+
+def _diag(*angles: Angle) -> ExactMatrix:
+    """Diagonal matrix of the roots of unity with the given angles."""
+    return tuple(tuple(_cyc((1, t)) if i == j else () for j in range(len(angles)))
+                 for i, t in enumerate(angles))
+
+
+def _quat_matrix(a: Cyclotomic, b: Cyclotomic, c: Cyclotomic, d: Cyclotomic,
+                 phase: Angle = ZERO) -> ExactMatrix:
+    """exp(2*pi*i*phase) times the 2x2 unitary matrix of the unit quaternion
+    a+bi+cj+dk, whose real components are exact entries."""
+    rows = (
+        (_cyc(*a, *_turn(b, QUARTER)), _cyc(*_turn(c, HALF), *_turn(d, QUARTER))),
+        (_cyc(*c, *_turn(d, QUARTER)), _cyc(*a, *_turn(b, -QUARTER))),
+    )
+    return tuple(tuple(_turn(x, phase) for x in row) for row in rows)
+
+
+def _rational_quat_matrix(h: "QuaternionExact", phase: Angle = ZERO) -> ExactMatrix:
+    return _quat_matrix(*map(_rational, h), phase=phase)
+
+
+_HALF_SQRT2 = _cyc((HALF, Fraction(1, 8)), (HALF, Fraction(7, 8)))
+_HALF_PHI = _cyc((HALF, ZERO), (HALF, Fraction(1, 5)), (HALF, Fraction(4, 5)))
+_HALF_INV_PHI = _cyc((HALF, Fraction(1, 5)), (HALF, Fraction(4, 5)))
 
 
 @cache
@@ -191,7 +237,7 @@ def make_cyclic(m: int) -> QuotientGroup:
     if m < 1:
         raise ConstraintError("cyclic order m must be >= 1")
     classes = [((angle(j, m), angle(m - j, m)), 1) for j in range(m)]
-    gen = np.diag([np.exp(2j * np.pi / m), np.exp(-2j * np.pi / m)])
+    gen = _diag(Fraction(1, m), Fraction(-1, m))
     return QuotientGroup(f"cyclic:{m}", "cyclic", 2, classes, params={"m": m}, generators=[gen])
 
 
@@ -217,7 +263,7 @@ def _make_lens(m: int, rotations: tuple[int, ...]) -> QuotientGroup:
                 f"the generator has a fixed point on the sphere"
             )
     classes = [(tuple(angle(j * q, m) for q in rotations), 1) for j in range(m)]
-    gen = np.diag([np.exp(2j * np.pi * q / m) for q in rotations])
+    gen = _diag(*(Fraction(q, m) for q in rotations))
     name = f"lens:{m}:{','.join(str(q) for q in rotations)}"
     return QuotientGroup(name, "lens", n, classes, params={"m": m, "rotations": rotations}, generators=[gen])
 
@@ -232,11 +278,8 @@ def make_binary_dihedral(m: int) -> QuotientGroup:
         ((angle(j, 2 * m), angle(2 * m - j, 2 * m)), 1) for j in range(2 * m)
     ]
     classes.append(((Fraction(1, 4), Fraction(3, 4)), 2 * m))
-    gens = [np.diag([np.exp(1j * np.pi / m), np.exp(-1j * np.pi / m)]), _J_MATRIX]
+    gens = [_diag(Fraction(1, 2 * m), Fraction(-1, 2 * m)), _rational_quat_matrix(QUAT_J)]
     return QuotientGroup(f"bindih:{2 * m}", "bindih", 2, classes, params={"m": m}, generators=gens)
-
-
-_GOLDEN = (1 + math.sqrt(5)) / 2
 
 
 @cache
@@ -248,25 +291,21 @@ def make_binary_tetrahedral() -> QuotientGroup:
         ((Fraction(1, 6), Fraction(5, 6)), 8),
         ((Fraction(1, 3), Fraction(2, 3)), 8),
     ]
-    gens = [
-        _quat_matrix(0, 1, 0, 0),
-        _quat_matrix(0.5, 0.5, 0.5, 0.5),
-    ]
+    gens = [_rational_quat_matrix(QUAT_I), _rational_quat_matrix(QUAT_H)]
     return QuotientGroup("2T", "2T", 2, classes, generators=gens)
 
 
 @cache
 def make_binary_octahedral() -> QuotientGroup:
     """Binary octahedral group: binary tetrahedral plus 24 elements with
-    traces 0 and +-sqrt(2)."""
+    traces 0 and +-√2."""
     classes = [(c.angles, c.mult) for c in make_binary_tetrahedral().classes]
     classes += [
         ((Fraction(1, 4), Fraction(3, 4)), 12),
         ((Fraction(1, 8), Fraction(7, 8)), 6),
         ((Fraction(3, 8), Fraction(5, 8)), 6),
     ]
-    s = 1 / math.sqrt(2)
-    gens = [g for g in make_binary_tetrahedral().generators] + [_quat_matrix(s, s, 0, 0)]
+    gens = [*make_binary_tetrahedral().generators, _quat_matrix(_HALF_SQRT2, _HALF_SQRT2, (), ())]
     return QuotientGroup("2O", "2O", 2, classes, generators=gens)
 
 
@@ -284,9 +323,8 @@ def make_binary_icosahedral() -> QuotientGroup:
         ((Fraction(1, 10), Fraction(9, 10)), 12),  # real part +phi/2
         ((Fraction(2, 5), Fraction(3, 5)), 12),   # real part -phi/2
     ]
-    gens = [g for g in make_binary_tetrahedral().generators] + [
-        _quat_matrix(_GOLDEN / 2, 1 / (2 * _GOLDEN), 0.5, 0)
-    ]
+    gens = [*make_binary_tetrahedral().generators,
+            _quat_matrix(_HALF_PHI, _HALF_INV_PHI, _rational(HALF), ())]
     return QuotientGroup("2I", "2I", 2, classes, generators=gens)
 
 
@@ -318,7 +356,7 @@ def make_product_with_center(base: QuotientGroup, l: int) -> QuotientGroup:
             shift = angle(j, l)
             classes.append((tuple((a + shift) % 1 for a in c.angles), c.mult))
     name = f"{base.name}xC:{l}"
-    gens = list(base.generators) + [np.exp(2j * np.pi / l) * np.eye(2)]
+    gens = [*base.generators, _diag(Fraction(1, l), Fraction(1, l))]
     group = QuotientGroup(
         name, "product", 2, classes,
         params={"l": l, "constraint": constraint},
@@ -380,9 +418,6 @@ class QuaternionExact(NamedTuple):
         except KeyError:
             raise TraceLookupError(f"quaternion trace {trace} outside the finite trace table") from None
 
-    def matrix(self) -> np.ndarray:
-        return _quat_matrix(*map(float, self))
-
 
 def quat(a, b, c, d) -> QuaternionExact:
     return QuaternionExact(*map(Fraction, (a, b, c, d)))
@@ -391,6 +426,7 @@ def quat(a, b, c, d) -> QuaternionExact:
 QUAT_ONE = quat(1, 0, 0, 0)
 QUAT_I = quat(0, 1, 0, 0)
 QUAT_J = quat(0, 0, 1, 0)
+QUAT_H = quat(HALF, HALF, HALF, HALF)
 
 
 class DihedralElement(NamedTuple):
@@ -463,17 +499,12 @@ def make_q_semidirect(l: int) -> QuotientGroup:
     """
     if l < 1 or l % 2 == 0:
         raise ConstraintError(f"twist parameter l must be odd and positive, got {l}")
-    h = quat(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
-    gens = [(QUAT_I, ZERO), (QUAT_J, ZERO), (h, Fraction(1, 18 * l))]
+    gens = [(QUAT_I, ZERO), (QUAT_J, ZERO), (QUAT_H, Fraction(1, 18 * l))]
     pairs = close_in_su2_x_u1(gens, QUAT_ONE)
     group = QuotientGroup(
         f"qsemi:{l}", "qsemi", 2, _classes_from_pairs(pairs),
         params={"l": l},
-        generators=[
-            QUAT_I.matrix(),
-            QUAT_J.matrix(),
-            np.exp(1j * np.pi / (9 * l)) * h.matrix(),
-        ],
+        generators=[_rational_quat_matrix(g, phase) for g, phase in gens],
     )
     assert group.order == 72 * l, (group.order, l)
     return group
@@ -501,8 +532,8 @@ def make_cyclic_semidirect(m: int, l: int) -> QuotientGroup:
         name, "cycsemi", 2, classes,
         params={"m": m, "l": l},
         generators=[
-            np.diag([np.exp(1j * np.pi / m), np.exp(-1j * np.pi / m)]),
-            np.exp(1j * np.pi / (2 * l)) * _J_MATRIX,
+            _diag(Fraction(1, 2 * m), Fraction(-1, 2 * m)),
+            _rational_quat_matrix(QUAT_J, Fraction(1, 4 * l)),
         ],
         expect_free=False,
     )

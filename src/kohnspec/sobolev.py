@@ -18,8 +18,6 @@ from .genfun import dim_h0_polynomial, exponent
 from .group_catalog import QuotientGroup
 from .invariant_dims import dim_triangle
 
-_SLACK = 1e-12
-
 
 def laplace_eigenvalue(s: int, n: int) -> int:
     """Laplace-Beltrami eigenvalue of spherical harmonics of degree s."""
@@ -44,13 +42,22 @@ def c_pq_squared(p: int, q: int, n: int, convention: int = 2) -> Fraction:
     return Fraction(1 + mu, (convention * q * (p + n - 1)) ** 2)
 
 
-def envelope(s: int, n: int, convention: int = 2) -> float:
-    """Largest possible cell constant on the line p + q = s: the denominator
-    q(p + n - 1) is concave in q, so its minimum sits at an endpoint."""
+def _line_denominator(s: int, n: int, convention: int) -> int:
+    """Smallest cell denominator D q (p + n - 1) on the line p + q = s: it is
+    concave in q, so its minimum sits at an endpoint."""
     if s < 1:
         raise ValueError("s must be at least 1")
-    denom = min(s + n - 2, s * (n - 1))
-    return math.sqrt(1 + laplace_eigenvalue(s, n)) / (convention * denom)
+    return convention * min(s + n - 2, s * (n - 1))
+
+
+def envelope(s: int, n: int, convention: int = 2) -> float:
+    """Largest possible cell constant on the line p + q = s."""
+    return math.sqrt(1 + laplace_eigenvalue(s, n)) / _line_denominator(s, n, convention)
+
+
+def envelope_squared(s: int, n: int, convention: int = 2) -> Fraction:
+    """Exact square of the envelope, for order comparisons."""
+    return Fraction(1 + laplace_eigenvalue(s, n), _line_denominator(s, n, convention) ** 2)
 
 
 @dataclass
@@ -74,9 +81,9 @@ def c_group(group: QuotientGroup, ceiling: int, convention: int = 2) -> SobolevC
     p + q <= ceiling, ties broken toward the lexicographically smallest cell.
 
     Certified means the whole-line envelope at the ceiling already lies below
-    the found maximum, so no deeper cell can beat it; when the envelope
-    plateau sits above the found maximum the result stays uncertified no
-    matter the ceiling.
+    the found maximum, compared exactly as squares, so no deeper cell can
+    beat it; when the envelope plateau sits above the found maximum the
+    result stays uncertified no matter the ceiling.
     """
     if ceiling < 2:
         raise ValueError("ceiling must be at least 2")
@@ -95,7 +102,7 @@ def c_group(group: QuotientGroup, ceiling: int, convention: int = 2) -> SobolevC
     value, (p, q) = best
     env = envelope(ceiling, n, convention)
     plateau = 1.0 / (convention * (n - 1))
-    certified = env < value - _SLACK
+    certified = envelope_squared(ceiling, n, convention) < best_sq
     return SobolevConstant(value, p, q, convention, ceiling, certified, env, plateau, best_sq)
 
 

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,29 @@ class TestDeterminismAndExitCodes:
         assert code == 1
         assert out == ""
         assert err == f"error: xi needs a finite --lambda, got {float(lam)}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["weyl", "--group", "2T", "--lambda-max", "100", "--grid", "0"], "weyl needs --grid >= 1, got 0"),
+        (["weyl", "--group", "2T", "--lambda-max", "100", "--grid", "-2"], "weyl needs --grid >= 1, got -2"),
+        (["genfun", "--group", "2T", "--ceiling", "-3"], "genfun needs --ceiling >= 0, got -3"),
+        (["oracle-check", "--group", "2T", "--pq-max", "-1"], "oracle-check needs --pq-max >= 0, got -1"),
+    ])
+    def test_out_of_range_option_is_user_error(self, capsys, argv, message):
+        code, out, err = capture(capsys, argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_int64_limit_is_user_error(self, capsys):
+        code, out, err = capture(capsys, ["dims", "--group", "cyclic:3", "--p", "4000000000",
+                                          "--q", "4000000000"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: exact integer intermediate") and err.count("\n") == 1
+
+    def test_oracle_budget_trips_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, err = capture(capsys, ["oracle-check", "--group", "2I", "--pq-max", "400"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error: oracle check of 2I") and err.count("\n") == 1
 
     def test_internal_violation_exit_2(self, capsys, monkeypatch):
         from kohnspec.errors import NonIntegralDimension

@@ -264,8 +264,9 @@ class TestExactArithmetic:
 
 class TestMatrixAgreement:
     def test_float_closure_matches_exact_enumeration(self):
-        # independent float-matrix closure reproduces every enumerated order,
-        # including the large twisted groups
+        # independent closure of the exact generator matrices (mod the oracle
+        # prime) reproduces every enumerated order, including the large
+        # twisted groups
         from kohnspec.oracle import matrix_closure
 
         for g in (make_q_semidirect(3), make_q_semidirect(5),

@@ -1,8 +1,10 @@
-"""Brute-force path: harmonic spaces, projector averaging, matrix traces."""
+"""Brute-force path: harmonic spaces, closure and ranks mod a prime, traces."""
 
 from __future__ import annotations
 
-import random
+import math
+from collections import Counter
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from kohnspec import (
     dim_invariant,
     invariant_dim_bruteforce,
     make_binary_dihedral,
+    make_binary_icosahedral,
     make_binary_octahedral,
     make_binary_tetrahedral,
     make_cyclic,
@@ -26,14 +29,15 @@ from kohnspec import (
     sphere_dim,
     trace_bruteforce,
 )
+from kohnspec import group_catalog as gc
 from kohnspec.errors import ClosureMismatch
-from kohnspec.oracle import (
-    action_unitarity_defect,
-    laplacian_commutation_defect,
-    oracle_check,
-    projector_defect,
-)
-from kohnspec.group_catalog import from_classes, ZERO
+from kohnspec.group_catalog import ZERO, QuotientGroup, from_classes
+from kohnspec.oracle import ElementAction, modular_image, monomial_exponents, oracle_check
+
+
+def _reduce_character(chi, image) -> int:
+    """A character value (angle -> count) reduced mod the image's prime."""
+    return sum(count * image.reduce(((F(1), t),)) for t, count in chi.terms.items()) % image.ell
 
 
 class TestBidegreeSpace:
@@ -58,6 +62,26 @@ class TestBidegreeSpace:
             build_space(4, 12, 12)
 
 
+class TestField:
+    @pytest.mark.parametrize("group", [make_cyclic(48), make_binary_icosahedral(),
+                                       make_q_semidirect(3), make_lens(5, (1, 2, 3))],
+                             ids=lambda g: g.name)
+    def test_prime_and_root(self, group):
+        image = modular_image(group)
+        ell, E, r = image.ell, image.E, image.root
+        assert ell % E == 1 and ell > max(group.order, 4000)
+        assert all(ell % k for k in range(2, int(ell ** 0.5) + 1))
+        assert pow(r, E, ell) == 1
+        assert all(pow(r, k, ell) != 1 for k in range(1, E))
+
+    def test_conjugation_is_inverse_transpose(self, all_n2_groups):
+        # unitary: U conj(U)^T = I holds exactly, so it holds mod ell
+        for g in all_n2_groups:
+            image = modular_image(g)
+            for u, u_bar in image.gens:
+                assert (u @ u_bar.T % image.ell == np.eye(2, dtype=np.int64)).all(), g.name
+
+
 class TestMatrixClosure:
     def test_orders(self):
         for g in (make_cyclic(5), make_binary_dihedral(3), make_binary_tetrahedral(),
@@ -65,9 +89,10 @@ class TestMatrixClosure:
             assert len(matrix_closure(g)) == g.order
 
     def test_mismatch_detected(self):
-        # corrupt group: catalog says order 1 but the generator has order 8
+        # corrupt group: catalog says order 1 but the generator diag(z8, z8^-1) has order 8
         bad = from_classes("corrupt", 2, [((ZERO, ZERO), 1)])
-        bad.generators = (np.diag([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)]),)
+        z8, z8_inv = ((F(1), F(1, 8)),), ((F(1), F(7, 8)),)
+        bad.generators = (((z8, ()), ((), z8_inv)),)
         with pytest.raises(ClosureMismatch):
             matrix_closure(bad)
 
@@ -75,6 +100,41 @@ class TestMatrixClosure:
         bare = from_classes("bare", 2, [((ZERO, ZERO), 1)])
         with pytest.raises(ClosureMismatch):
             matrix_closure(bare)
+
+
+def _icosahedral_with(generator) -> QuotientGroup:
+    """2I's class list with its last generator replaced."""
+    g = make_binary_icosahedral()
+    return QuotientGroup("2I-mutant", "2I", 2, [(c.angles, c.mult) for c in g.classes],
+                         generators=[*g.generators[:-1], generator])
+
+
+class TestMutations:
+    def test_icosahedral_grid(self):
+        rows = oracle_check(make_binary_icosahedral(), 12)
+        assert len(rows) == 91 and all(ok for *_, ok in rows)
+
+    def test_wrong_golden_ratio_breaks_closure(self):
+        # phi/2 replaced by 1/(2 phi) in the real part only: not a unit
+        # quaternion, so the closure never ends
+        bad = _icosahedral_with(gc._quat_matrix(gc._HALF_INV_PHI, gc._HALF_INV_PHI, gc._rational(gc.HALF), ()))
+        with pytest.raises(ClosureMismatch):
+            oracle_check(bad, 4)
+
+    def test_swapped_golden_ratio_is_a_conjugate_group(self):
+        # phi and 1/phi swapped between the real and i parts: an odd
+        # permutation of the coordinates, outside 2I, which with 2T generates
+        # the other binary icosahedral group containing this 2T.  A conjugate
+        # group has the same order and the same dimensions: nothing to report.
+        swapped = _icosahedral_with(gc._quat_matrix(gc._HALF_INV_PHI, gc._HALF_PHI, gc._rational(gc.HALF), ()))
+        assert all(ok for *_, ok in oracle_check(swapped, 8))
+
+    def test_generators_of_another_group_are_reported(self):
+        # bindih:60 also has order 120, so only the ranks can tell
+        bad = QuotientGroup("2I-mutant", "2I", 2, [(c.angles, c.mult) for c in make_binary_icosahedral().classes],
+                            generators=make_binary_dihedral(30).generators)
+        rows = oracle_check(bad, 8)
+        assert not all(ok for *_, ok in rows)
 
 
 class TestBruteForceDims:
@@ -105,43 +165,73 @@ class TestBruteForceDims:
         for p, q in [(1, 1), (2, 1), (1, 2), (0, 3), (2, 2)]:
             assert invariant_dim_bruteforce(g, p, q) == dim_invariant(g, p, q)
 
+    def test_budget_trips_before_any_matrix(self):
+        with pytest.raises(SizeLimit):
+            oracle_check(make_binary_icosahedral(), 400)
+
 
 class TestTraces:
     def test_identity_trace(self):
-        assert trace_bruteforce(np.eye(2), 3, 2) == pytest.approx(6)
+        ident = np.eye(2, dtype=np.int64)
+        assert trace_bruteforce(ElementAction((ident, ident), 4001), 3, 2) == 6
 
     def test_quarter_turn(self):
-        U = np.diag([1j, -1j])
-        assert trace_bruteforce(U, 1, 1) == pytest.approx(-1)
+        # cyclic:4 is generated by diag(i, -i)
+        image = modular_image(make_cyclic(4))
+        assert trace_bruteforce(image.actions()[0], 1, 1) == image.ell - 1
 
-    def test_random_elements_match_characters(self, all_n2_groups):
-        rng = random.Random(20250809)
-        samples = 0
-        while samples < 100:
-            g = rng.choice(all_n2_groups)
-            elements = matrix_closure(g)
-            U = rng.choice(elements)
-            p, q = rng.randrange(4), rng.randrange(4)
-            eigs = np.linalg.eigvals(U)
-            angles = sorted((np.angle(e) / (2 * np.pi)) % 1 for e in eigs)
-            from fractions import Fraction
-
-            exact = tuple(Fraction(a).limit_denominator(10**6) for a in angles)
-            chi = char_general(p, q, exact)
-            assert trace_bruteforce(U, p, q) == pytest.approx(chi.value, abs=1e-8)
-            samples += 1
+    def test_closure_traces_match_characters(self, all_n2_groups):
+        for g in all_n2_groups:
+            image = modular_image(g)
+            actions = [ElementAction(u, image.ell) for u in matrix_closure(g, image)]
+            for p in range(4):
+                for q in range(4):
+                    brute = Counter(trace_bruteforce(a, p, q) for a in actions)
+                    averaged = Counter()
+                    for c in g.classes:
+                        averaged[_reduce_character(char_general(p, q, c.angles), image)] += c.mult
+                    assert brute == averaged, (g.name, p, q)
 
 
 class TestOperatorInvariants:
     def test_projector_idempotent(self):
-        for g in (make_cyclic(4), make_binary_tetrahedral()):
-            assert projector_defect(g, 2, 2) < 1e-8
+        # the average over the closure is idempotent; its trace is the
+        # invariant dimension of all (p, q) polynomials, which split as the
+        # harmonics plus |z|^2 times bidegree (p-1, q-1)
+        for g, cells in ((make_cyclic(4), [(2, 2), (3, 1)]),
+                         (make_binary_tetrahedral(), [(2, 2), (3, 3), (0, 6)]),
+                         (make_lens(3, (1, 1, 2)), [(1, 2), (2, 2)])):
+            image = modular_image(g)
+            ell = image.ell
+            actions = [ElementAction(u, ell) for u in matrix_closure(g, image)]
+            inv_order = pow(g.order, -1, ell)
+            traces = {}
+            for p, q in cells + [(p - 1, q - 1) for p, q in cells if p and q]:
+                proj = sum(a.matrix(p, q) for a in actions) % ell * inv_order % ell
+                assert ((proj @ proj - proj) % ell == 0).all(), (g.name, p, q)
+                traces[p, q] = int(np.trace(proj)) % ell
+            for p, q in cells:
+                assert (traces[p, q] - traces.get((p - 1, q - 1), 0)) % ell == dim_invariant(g, p, q)
 
     def test_action_unitary_in_weighted_basis(self):
-        for g in (make_binary_tetrahedral(), make_cyclic_semidirect(3, 2)):
-            for U in g.generators:
-                assert action_unitarity_defect(U, 2, 1) < 1e-8
+        # the Fischer inner product <z^a conj(z)^b, z^a conj(z)^b> = a! b! is
+        # invariant: conj(A)^T D A = D with conj(A) the action of (conj U, U)
+        for g in (make_binary_tetrahedral(), make_cyclic_semidirect(3, 2), make_binary_icosahedral()):
+            image = modular_image(g)
+            ell = image.ell
+            p, q = 2, 1
+            weights = [math.prod(map(math.factorial, a + b))
+                       for a in monomial_exponents(p, 2) for b in monomial_exponents(q, 2)]
+            D = np.diag(np.array(weights, dtype=np.int64) % ell)
+            for u, u_bar in image.gens:
+                A = ElementAction((u, u_bar), ell).matrix(p, q)
+                A_conj = ElementAction((u_bar, u), ell).matrix(p, q)
+                assert ((A_conj.T @ D % ell @ A - D) % ell == 0).all(), g.name
 
     def test_action_commutes_with_laplacian(self):
-        for g in (make_binary_octahedral(), make_lens(3, (1, 1, 2))):
-            assert laplacian_commutation_defect(g, 2, 2) < 1e-8
+        for g in (make_binary_octahedral(), make_lens(3, (1, 1, 2)), make_binary_icosahedral()):
+            image = modular_image(g)
+            ell = image.ell
+            lap = build_space(g.n, 2, 2).laplacian % ell
+            for a in image.actions():
+                assert ((lap @ a.matrix(2, 2) - a.matrix(1, 1) @ lap) % ell == 0).all(), g.name
