@@ -165,14 +165,15 @@ def _cmd_dims(args) -> str:
 def _cmd_spectrum(args) -> str:
     group = parse_group_spec(args.group)
     table = counting_function(group, args.lambda_max)
+    entries = table.entries
     rows = [[e.eigenvalue, e.mult, " ".join(f"({p},{q})" for p, q in e.contributors)]
-            for e in table.entries]
+            for e in entries]
     doc = {
         "group": group.name,
         "lambda_max": table.lambda_max,
         "entries": [
             {"lambda": e.eigenvalue, "mult": e.mult, "contributors": [[p, q] for p, q in e.contributors]}
-            for e in table.entries
+            for e in entries
         ],
     }
     return _tabular(args, ["lambda", "mult", "contributors"], rows, doc)

@@ -42,13 +42,17 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ConstraintError, NonFreeAction, TraceLookupError
+from .errors import ConstraintError, NonFreeAction, SizeLimit, TraceLookupError
 
 Angle = Fraction
 
 ZERO = Fraction(0)
 HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
+
+# largest group order a constructor builds: each element costs a class
+# tuple, and make_cyclic(10**5) already takes about 1.7 s
+MAX_ORDER = 10**5
 
 # exact generator data: an entry is a sum of c * exp(2*pi*i*t) over its
 # (c, t) terms; a matrix is a tuple of rows of entries
@@ -63,6 +67,13 @@ def angle(numerator: int, denominator: int = 1) -> Angle:
 
 def angle_str(a: Angle) -> str:
     return f"{a.numerator}/{a.denominator}"
+
+
+def _require_order(name: str, order: int) -> None:
+    """Raise SizeLimit before any class list is built if order exceeds the
+    order budget."""
+    if order > MAX_ORDER:
+        raise SizeLimit(f"{name} has order {order}, above the budget of {MAX_ORDER}")
 
 
 class ConjugacyClass(NamedTuple):
@@ -236,6 +247,7 @@ def make_cyclic(m: int) -> QuotientGroup:
     z a primitive m-th root of unity."""
     if m < 1:
         raise ConstraintError("cyclic order m must be >= 1")
+    _require_order(f"cyclic:{m}", m)
     classes = [((angle(j, m), angle(m - j, m)), 1) for j in range(m)]
     gen = _diag(Fraction(1, m), Fraction(-1, m))
     return QuotientGroup(f"cyclic:{m}", "cyclic", 2, classes, params={"m": m}, generators=[gen])
@@ -256,6 +268,8 @@ def _make_lens(m: int, rotations: tuple[int, ...]) -> QuotientGroup:
     n = len(rotations)
     if n < 2:
         raise ConstraintError("lens groups need at least 2 rotation exponents")
+    name = f"lens:{m}:{','.join(str(q) for q in rotations)}"
+    _require_order(name, m)
     for q in rotations:
         if math.gcd(q, m) != 1:
             raise NonFreeAction(
@@ -264,7 +278,6 @@ def _make_lens(m: int, rotations: tuple[int, ...]) -> QuotientGroup:
             )
     classes = [(tuple(angle(j * q, m) for q in rotations), 1) for j in range(m)]
     gen = _diag(*(Fraction(q, m) for q in rotations))
-    name = f"lens:{m}:{','.join(str(q) for q in rotations)}"
     return QuotientGroup(name, "lens", n, classes, params={"m": m, "rotations": rotations}, generators=[gen])
 
 
@@ -274,6 +287,7 @@ def make_binary_dihedral(m: int) -> QuotientGroup:
     2m elements of trace zero.  Requires m >= 2 (m = 1 is cyclic of order 4)."""
     if m < 2:
         raise ConstraintError("binary dihedral requires m >= 2")
+    _require_order(f"bindih:{2 * m}", 4 * m)
     classes: list[tuple[tuple[Angle, Angle], int]] = [
         ((angle(j, 2 * m), angle(2 * m - j, 2 * m)), 1) for j in range(2 * m)
     ]
@@ -350,6 +364,7 @@ def make_product_with_center(base: QuotientGroup, l: int) -> QuotientGroup:
     constraint = _product_constraint(base)
     if l < 1 or l % 2 == 0:
         raise ConstraintError(f"scalar order l must be odd and positive, got {l}")
+    _require_order(f"{base.name}xC:{l}", base.order * l)
     classes = []
     for c in base.classes:
         for j in range(l):
@@ -499,6 +514,7 @@ def make_q_semidirect(l: int) -> QuotientGroup:
     """
     if l < 1 or l % 2 == 0:
         raise ConstraintError(f"twist parameter l must be odd and positive, got {l}")
+    _require_order(f"qsemi:{l}", 72 * l)
     gens = [(QUAT_I, ZERO), (QUAT_J, ZERO), (QUAT_H, Fraction(1, 18 * l))]
     pairs = close_in_su2_x_u1(gens, QUAT_ONE)
     group = QuotientGroup(
@@ -522,6 +538,7 @@ def make_cyclic_semidirect(m: int, l: int) -> QuotientGroup:
         raise ConstraintError(f"cyclic part must have m >= 3 (m=1 is abelian), got m={m}")
     if l < 1:
         raise ConstraintError(f"twist parameter l must be positive, got {l}")
+    _require_order(f"cycsemi:{m}:{l}", 4 * m * l)
     a = DihedralElement(Fraction(1, 2 * m) % 1, 0)
     x = DihedralElement(ZERO, 1)
     gens = [(a, ZERO), (x, Fraction(1, 4 * l))]

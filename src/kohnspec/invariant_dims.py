@@ -10,7 +10,8 @@ outside [0, sphere_dim], raises NonIntegralDimension.  No float enters.
 
 dim_cells evaluates whole arrays of cells in one call, dim_triangle every
 cell with p + q <= pq_max; dim_invariant is the memoised single-cell entry
-point.  dim_closed_form evaluates the per-family
+point.  Every enumeration of cells counts them against one cell budget
+before it allocates.  dim_closed_form evaluates the per-family
 piecewise formulas; reconcile checks the two against each other.
 """
 
@@ -22,12 +23,33 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonIntegralDimension, UnsupportedFamily
+from .errors import NonIntegralDimension, SizeLimit, UnsupportedFamily
 from .genfun import _exact_matmul, _h_vectors, _magnitude, _ramanujan_row, _require_int64, _totient, exponent
 from .group_catalog import QuotientGroup
 
 # int64 entries per transient array while evaluating a block of cells (128 kB)
 _BLOCK_ENTRIES = 1 << 14
+
+# most cells one enumeration may hold: building a spectrum table peaks near
+# 80 bytes per cell, so the budget caps one table near 0.35 GB
+MAX_CELLS = 1 << 22
+
+
+def require_cells(count: int, what: str) -> None:
+    """Raise SizeLimit before allocation if an enumeration of count cells
+    exceeds the cell budget."""
+    if count > MAX_CELLS:
+        raise SizeLimit(f"{what} needs at least {count} cells, above the budget of {MAX_CELLS}")
+
+
+def triangle_cells(pq_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every cell (p, q) with p + q <= pq_max, by ascending p + q and then p;
+    line s starts at index s(s + 1)/2."""
+    lines = max(pq_max + 1, 0)
+    require_cells(lines * (lines + 1) // 2, f"the triangle p + q <= {pq_max}")
+    s = np.repeat(np.arange(lines, dtype=np.int64), np.arange(1, lines + 1))
+    p = np.arange(len(s), dtype=np.int64) - s * (s + 1) // 2
+    return p, s - p
 
 
 def _sphere_dims(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
@@ -147,9 +169,8 @@ def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
 def dim_triangle(group: QuotientGroup, pq_max: int) -> list[tuple[int, int, int]]:
     """(p, q, dim) for every cell with p + q <= pq_max, by ascending p + q and
     then p, from one dim_cells call."""
-    cells = [(p, s - p) for s in range(pq_max + 1) for p in range(s + 1)]
-    dims = dim_cells(group, [p for p, _ in cells], [q for _, q in cells]).tolist()
-    return [(p, q, d) for (p, q), d in zip(cells, dims)]
+    p, q = triangle_cells(pq_max)
+    return list(zip(p.tolist(), q.tolist(), dim_cells(group, p, q).tolist()))
 
 
 def dim_invariant(group: QuotientGroup, p: int, q: int) -> int:

@@ -14,9 +14,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .genfun import dim_h0_polynomial, exponent
 from .group_catalog import QuotientGroup
-from .invariant_dims import dim_triangle
+from .invariant_dims import dim_cells, triangle_cells
 
 
 def laplace_eigenvalue(s: int, n: int) -> int:
@@ -60,6 +62,10 @@ def envelope_squared(s: int, n: int, convention: int = 2) -> Fraction:
     return Fraction(1 + laplace_eigenvalue(s, n), _line_denominator(s, n, convention) ** 2)
 
 
+# key of a cell that cannot be a line's best: q = 0 or dimension zero
+_NO_CELL = np.iinfo(np.int64).max
+
+
 @dataclass
 class SobolevConstant:
     value: float
@@ -88,18 +94,27 @@ def c_group(group: QuotientGroup, ceiling: int, convention: int = 2) -> SobolevC
     if ceiling < 2:
         raise ValueError("ceiling must be at least 2")
     n = group.n
-    best: tuple[float, tuple[int, int]] | None = None
-    best_sq: Fraction | None = None
-    for p, q, dim in dim_triangle(group, ceiling):
-        if q < 1 or not dim:
+    # on a line p + q = s the numerator 1 + mu is fixed, so the line's best
+    # cell is the nonvanishing one with the least q(p + n - 1), then least
+    # p: each line's least key, one minimum.reduceat over the triangle
+    p, q = triangle_cells(ceiling)
+    dims = dim_cells(group, p, q)
+    key = (q * (p + n - 1)) * (ceiling + 1) + p
+    key[(q < 1) | (dims == 0)] = _NO_CELL
+    line_best = np.minimum.reduceat(key, np.arange(ceiling + 1) * np.arange(1, ceiling + 2) // 2)
+    best: tuple[Fraction, tuple[int, int]] | None = None
+    for s, k in enumerate(line_best.tolist()):
+        if k == _NO_CELL:
             continue
-        sq = c_pq_squared(p, q, n, convention)
-        if best_sq is None or sq > best_sq or (sq == best_sq and (p, q) < best[1]):
-            best_sq = sq
-            best = (c_pq(p, q, n, convention), (p, q))
+        p = k % (ceiling + 1)
+        cell = (p, s - p)
+        sq = c_pq_squared(p, s - p, n, convention)
+        if best is None or sq > best[0] or (sq == best[0] and cell < best[1]):
+            best = (sq, cell)
     if best is None:
         raise ValueError(f"{group.name}: no nonvanishing bidegree with q >= 1 below ceiling {ceiling}")
-    value, (p, q) = best
+    best_sq, (p, q) = best
+    value = c_pq(p, q, n, convention)
     env = envelope(ceiling, n, convention)
     plateau = 1.0 / (convention * (n - 1))
     certified = envelope_squared(ceiling, n, convention) < best_sq

@@ -11,14 +11,15 @@ in pi rounded once.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .group_catalog import QuotientGroup
-from .invariant_dims import _sphere_dims, dim_cells, dim_invariant
+from .errors import SizeLimit
+from .genfun import _require_int64
+from .invariant_dims import _sphere_dims, dim_cells, dim_invariant, require_cells
 
 
 def box_eigenvalue(p: int, q: int, n: int) -> int:
@@ -59,89 +60,85 @@ class SpectrumEntry:
     contributors: list[tuple[int, int]]
 
 
-@dataclass
 class SpectrumTable:
-    """Sorted positive spectrum up to a cutoff, with cumulative counts.
+    """Sorted positive spectrum up to a cutoff, held as arrays.
 
-    Entries with multiplicity zero are kept whenever the sphere has a
-    contributing bidegree space: explicit zeros matter for comparisons.
-    A ``group`` of None marks the sphere's own table.
+    ``eigenvalues`` are the distinct eigenvalues <= lambda_max in ascending
+    order and ``mults`` their multiplicities.  An eigenvalue of multiplicity
+    zero is kept whenever the sphere has a contributing bidegree space:
+    explicit zeros matter for comparisons.  A ``group`` of None marks the
+    sphere's own table.
     """
 
-    group: QuotientGroup | None
-    lambda_max: int
-    entries: list[SpectrumEntry]
-
-    def __post_init__(self):
-        self._eigenvalues = [e.eigenvalue for e in self.entries]
-        self._cumulative = []
-        total = 0
-        for e in self.entries:
-            total += e.mult
-            self._cumulative.append(total)
+    def __init__(self, group: QuotientGroup | None, lambda_max, n: int,
+                 p: np.ndarray, q: np.ndarray, dims: np.ndarray):
+        """Bucket the cells from _cells, with their dimensions, by eigenvalue."""
+        half = q * (p + n - 1)
+        starts = np.flatnonzero(np.diff(half, prepend=0))
+        _require_int64(len(dims) * int(dims.max(initial=0)))
+        self.group = group
+        self.lambda_max = int(lambda_max)
+        self.eigenvalues = 2 * half[starts]
+        self.mults = np.add.reduceat(dims, starts) if len(starts) else dims
+        self._cumulative = np.cumsum(self.mults)
+        self._p, self._q, self._starts = p, q, starts
 
     def count(self, lam: float) -> int:
         """N(lam): number of positive eigenvalues <= lam, with multiplicity."""
-        i = bisect_right(self._eigenvalues, lam)
-        return self._cumulative[i - 1] if i else 0
+        if lam >= self.lambda_max:
+            i = len(self.eigenvalues)
+        else:   # the eigenvalues are integers, so lam counts as its floor
+            i = int(np.searchsorted(self.eigenvalues, math.floor(lam), side="right"))
+        return int(self._cumulative[i - 1]) if i else 0
+
+    @property
+    def entries(self) -> list[SpectrumEntry]:
+        """One entry per eigenvalue with its contributing bidegrees by
+        ascending q, built afresh on each read."""
+        p, q = self._p.tolist(), self._q.tolist()
+        bounds = self._starts.tolist() + [len(p)]
+        return [
+            SpectrumEntry(lam, mult, list(zip(p[a:b], q[a:b])))
+            for lam, mult, a, b in zip(self.eigenvalues.tolist(), self.mults.tolist(), bounds, bounds[1:])
+        ]
 
 
 def _cells(n: int, lambda_max) -> tuple[np.ndarray, np.ndarray]:
     """Every bidegree (p, q), q >= 1, with eigenvalue 2q(p + n - 1) <= lambda_max,
     sorted by eigenvalue and then by q."""
     half_max = int(lambda_max) // 2
+    what = f"the spectrum up to lambda {lambda_max}"
+    # the q = 1 row alone holds half_max - n + 2 cells: refuse a cutoff that
+    # large before the per-row widths are allocated
+    require_cells(half_max - n + 2, what)
     q = np.arange(1, half_max // (n - 1) + 1, dtype=np.int64)
     width = half_max // q - (n - 1) + 1
+    require_cells(int(width.sum()), what)
     q = np.repeat(q, width)
     p = np.arange(len(q)) - np.repeat(np.cumsum(width) - width, width)
     order = np.lexsort((q, q * (p + n - 1)))
     return p[order], q[order]
 
 
-def _table(group: QuotientGroup | None, n: int, lambda_max, p: np.ndarray, q: np.ndarray,
-           dims) -> SpectrumTable:
-    """Bucket the cells from _cells, with their dimensions, by eigenvalue."""
-    entries: list[SpectrumEntry] = []
-    for pi, qi, d in zip(p.tolist(), q.tolist(), dims):
-        lam = box_eigenvalue(pi, qi, n)
-        if entries and entries[-1].eigenvalue == lam:
-            entries[-1].mult += d
-            entries[-1].contributors.append((pi, qi))
-        else:
-            entries.append(SpectrumEntry(lam, d, [(pi, qi)]))
-    return SpectrumTable(group, int(lambda_max), entries)
-
-
 def counting_function(group: QuotientGroup, lambda_max: int) -> SpectrumTable:
     """Assemble the spectrum table for all eigenvalues <= lambda_max."""
     p, q = _cells(group.n, lambda_max)
-    return _table(group, group.n, lambda_max, p, q, dim_cells(group, p, q).tolist())
-
-
-def invariant_count_direct(group: QuotientGroup, half_cutoff: int) -> int:
-    """Independent double-loop evaluation of the dimension of the span of all
-    invariant bidegree spaces with 0 < q(p + n - 1) <= half_cutoff.
-
-    Equals counting_function(group, 2*half_cutoff).count(2*half_cutoff); used
-    as a cross-check of the bucketed enumeration."""
-    n = group.n
-    total = 0
-    p = 0
-    while (p + n - 1) <= half_cutoff:
-        for q in range(1, half_cutoff // (p + n - 1) + 1):
-            total += dim_invariant(group, p, q)
-        p += 1
-    return total
+    return SpectrumTable(group, lambda_max, group.n, p, q, dim_cells(group, p, q))
 
 
 def sphere_counting_table(n: int, lambda_max: int) -> SpectrumTable:
     """Spectrum table of the sphere itself, from the exact sphere dimensions."""
     p, q = _cells(n, lambda_max)
-    return _table(None, n, lambda_max, p, q, _sphere_dims(p, q, n).tolist())
+    return SpectrumTable(None, lambda_max, n, p, q, _sphere_dims(p, q, n))
 
 
 # ---------------------------------------------------------------------------
 # Exact tail bound
+
+# largest lam xi_bound takes: it loops once per integer up to lam (about
+# 2.5 s at this bound), which admits the half-cutoff of every spectrum
+# table within the cell budget
+MAX_XI_CUTOFF = 1 << 22
 
 
 def xi_bound(lam, n: int) -> int:
@@ -154,6 +151,8 @@ def xi_bound(lam, n: int) -> int:
     lam = Fraction(lam)
     if n < 2:
         raise ValueError("ambient dimension must be at least 2")
+    if lam > MAX_XI_CUTOFF:
+        raise SizeLimit(f"xi_bound needs lam <= {MAX_XI_CUTOFF}, the cutoff budget")
     num, den = lam.numerator, lam.denominator
     total = 0
     for k in range(0, num // den - n + 2):
@@ -313,10 +312,14 @@ class SpectrumComparison:
 
 def compare_spectra(a: QuotientGroup, b: QuotientGroup, lambda_max: int) -> SpectrumComparison:
     """Least eigenvalue <= lambda_max whose multiplicities differ: the first
-    differing entry of the two counting tables."""
+    differing entry of the two counting tables, which share one set of cells."""
     if a.n != b.n:
         raise ValueError("groups must act on the same sphere")
-    for ea, eb in zip(counting_function(a, lambda_max).entries, counting_function(b, lambda_max).entries):
-        if ea.mult != eb.mult:
-            return SpectrumComparison(a, b, int(lambda_max), ea.eigenvalue, ea.mult, eb.mult)
-    return SpectrumComparison(a, b, int(lambda_max), None, None, None)
+    p, q = _cells(a.n, lambda_max)
+    ta = SpectrumTable(a, lambda_max, a.n, p, q, dim_cells(a, p, q))
+    tb = SpectrumTable(b, lambda_max, b.n, p, q, dim_cells(b, p, q))
+    differ = np.flatnonzero(ta.mults != tb.mults)
+    if not len(differ):
+        return SpectrumComparison(a, b, int(lambda_max), None, None, None)
+    i = differ[0]
+    return SpectrumComparison(a, b, int(lambda_max), int(ta.eigenvalues[i]), int(ta.mults[i]), int(tb.mults[i]))

@@ -210,6 +210,22 @@ class TestDeterminismAndExitCodes:
         assert (code, out) == (1, "")
         assert err.startswith("error: oracle check of 2I") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle-check", "--group", "cyclic:100000000", "--pq-max", "1"],
+         "cyclic:100000000 has order 100000000, above the budget of 100000"),
+        (["xi", "--n", "2", "--lambda", "1e300"], "xi_bound needs lam <= 4194304, the cutoff budget"),
+        (["weyl", "--group", "2I", "--lambda-max", "1000000000000"],
+         "the spectrum up to lambda 1000000000000 needs at least 500000000000 cells, "
+         "above the budget of 4194304"),
+        (["sobolev", "--group", "2T", "--ceiling", "100000"],
+         "the triangle p + q <= 100000 needs at least 5000150001 cells, above the budget of 4194304"),
+    ])
+    def test_budgets_trip_before_allocation(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = capture(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_internal_violation_exit_2(self, capsys, monkeypatch):
         from kohnspec.errors import NonIntegralDimension
 
@@ -233,6 +249,16 @@ def test_cli_import_loads_no_scipy():
 def test_reproduce_golden_byte_identical(capsys):
     # every docs/REPRODUCE.md command, against the stdout recorded in the golden
     golden = Path(__file__).resolve().parents[1] / "bench" / "reproduce_golden.json"
+    for entry in json.loads(golden.read_text())["commands"]:
+        code, out, err = capture(capsys, entry["argv"])
+        assert (code, err) == (0, ""), entry["argv"]
+        assert out == entry["stdout"], entry["argv"]
+
+
+def test_table_goldens_byte_identical(capsys):
+    # spectrum, weyl, compare and sobolev above the reproduce cutoffs, in every
+    # format, against stdout recorded before the tables became arrays
+    golden = Path(__file__).resolve().parent / "data" / "cli_golden.json"
     for entry in json.loads(golden.read_text())["commands"]:
         code, out, err = capture(capsys, entry["argv"])
         assert (code, err) == (0, ""), entry["argv"]

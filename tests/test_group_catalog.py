@@ -10,6 +10,7 @@ import pytest
 from kohnspec import (
     ConstraintError,
     NonFreeAction,
+    SizeLimit,
     check_free_action,
     from_classes,
     make_binary_dihedral,
@@ -23,6 +24,7 @@ from kohnspec import (
     make_q_semidirect,
 )
 from kohnspec.group_catalog import (
+    MAX_ORDER,
     DihedralElement,
     QUAT_ONE,
     ZERO,
@@ -212,6 +214,20 @@ class TestCyclicSemidirect:
         pairs = close_in_su2_x_u1(gens, DihedralElement(ZERO, 0))
         regenerated = from_classes("regen", 2, _classes_from_pairs(pairs), expect_free=True)
         assert regenerated.class_multiset() == g.class_multiset()
+
+
+class TestOrderBudget:
+    @pytest.mark.parametrize("build, order", [
+        (lambda: make_cyclic(10**8), 10**8),
+        (lambda: make_lens(10**8 + 1, (1, 2, 3)), 10**8 + 1),
+        (lambda: make_binary_dihedral(10**6), 4 * 10**6),
+        (lambda: make_product_with_center(make_binary_icosahedral(), 10**4 + 1), 120 * (10**4 + 1)),
+        (lambda: make_q_semidirect(10**4 + 1), 72 * (10**4 + 1)),
+        (lambda: make_cyclic_semidirect(3, 10**4), 12 * 10**4),
+    ])
+    def test_order_above_budget_refused(self, build, order):
+        with pytest.raises(SizeLimit, match=f"has order {order}, above the budget of {MAX_ORDER}"):
+            build()
 
 
 class TestFreeAction:

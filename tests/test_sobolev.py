@@ -21,7 +21,21 @@ from kohnspec import (
     make_q_semidirect,
     make_trivial,
 )
+from kohnspec.invariant_dims import dim_triangle
 from kohnspec.sobolev import envelope, laplace_eigenvalue
+
+
+def reference_c_group(group, ceiling, convention):
+    """The per-cell maximum c_group replaced: one exact square per
+    nonvanishing cell, ties toward the lexicographically smallest cell."""
+    best_sq, best_cell = None, None
+    for p, q, dim in dim_triangle(group, ceiling):
+        if q < 1 or not dim:
+            continue
+        sq = c_pq_squared(p, q, group.n, convention)
+        if best_sq is None or sq > best_sq or (sq == best_sq and (p, q) < best_cell):
+            best_sq, best_cell = sq, (p, q)
+    return best_sq, best_cell
 
 
 class TestCellConstant:
@@ -96,6 +110,22 @@ class TestGroupConstant:
         # 13/24 is attained at both (0,12) and (11,1); the smallest cell wins
         const = c_group(make_binary_icosahedral(), 40)
         assert (const.p, const.q) == (0, 12)
+
+
+    @pytest.mark.parametrize("convention", [2, 4])
+    def test_line_maxima_match_per_cell_reference(self, all_n2_groups, lens3_groups, convention):
+        for g in all_n2_groups + lens3_groups + [make_trivial(2), make_trivial(3)]:
+            for ceiling in (2, 3, 7, 12, 30):
+                best_sq, cell = reference_c_group(g, ceiling, convention)
+                if cell is None:
+                    with pytest.raises(ValueError, match="no nonvanishing bidegree"):
+                        c_group(g, ceiling, convention)
+                    continue
+                const = c_group(g, ceiling, convention)
+                p, q = cell
+                assert (const.value_squared, const.p, const.q) == (best_sq, p, q), (g.name, ceiling)
+                assert const.value == c_pq(p, q, g.n, convention)
+                assert type(const.p) is int and type(const.q) is int
 
 
 class TestGreensWitness:

@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kohnspec import (
     box_eigenvalue,
     compare_spectra,
     counting_function,
+    dim_invariant,
     make_binary_dihedral,
     make_binary_icosahedral,
     make_binary_octahedral,
@@ -28,9 +31,10 @@ from kohnspec import (
     weyl_report,
     xi_bound,
 )
+from kohnspec.invariant_dims import _sphere_dims, dim_cells
 from kohnspec.spectrum import (
+    SpectrumEntry,
     eigenvalue_bidegrees,
-    invariant_count_direct,
     sphere_volume,
     tail_bound_holds,
     weyl_integral,
@@ -50,6 +54,50 @@ def fraction_xi_bound(lam, n):
     for k in range(1, math.floor(lam / (n - 1)) + 1):
         inner = math.floor(lam / k)
         total += math.comb(k + n - 2, n - 2) * math.comb(inner, n - 1)
+    return total
+
+
+def reference_cells(n, lam_max):
+    """Every (p, q), q >= 1, with 2q(p + n - 1) <= lam_max, by eigenvalue and
+    then q, as two int64 arrays."""
+    half = lam_max // 2
+    cells = sorted((q * (p + n - 1), q, p) for q in range(1, half + 1) for p in range(half + 1)
+                   if q * (p + n - 1) <= half)
+    return np.array([c[2] for c in cells], dtype=np.int64), np.array([c[1] for c in cells], dtype=np.int64)
+
+
+def reference_entries(n, p, q, dims):
+    """The per-cell bucketing loop the array table replaced: one entry per
+    eigenvalue, contributors in cell order."""
+    entries = []
+    for pi, qi, d in zip(p.tolist(), q.tolist(), dims.tolist()):
+        lam = box_eigenvalue(pi, qi, n)
+        if entries and entries[-1].eigenvalue == lam:
+            entries[-1].mult += d
+            entries[-1].contributors.append((pi, qi))
+        else:
+            entries.append(SpectrumEntry(lam, d, [(pi, qi)]))
+    return entries
+
+
+def reference_count(entries, lam):
+    i = bisect_right([e.eigenvalue for e in entries], lam)
+    return sum(e.mult for e in entries[:i])
+
+
+def invariant_count_direct(group, half_cutoff):
+    """Double-loop evaluation of the dimension of the span of all invariant
+    bidegree spaces with 0 < q(p + n - 1) <= half_cutoff.
+
+    Equals counting_function(group, 2*half_cutoff).count(2*half_cutoff); a
+    cross-check of the bucketed enumeration through the same dim_invariant."""
+    n = group.n
+    total = 0
+    p = 0
+    while (p + n - 1) <= half_cutoff:
+        for q in range(1, half_cutoff // (p + n - 1) + 1):
+            total += dim_invariant(group, p, q)
+        p += 1
     return total
 
 
@@ -132,6 +180,55 @@ class TestCountingFunction:
         table = counting_function(make_binary_tetrahedral(), 10)
         assert [e.eigenvalue for e in table.entries] == [2, 4, 6, 8, 10]
         assert all(e.mult == 0 for e in table.entries)
+
+
+TABLE_GROUPS = [
+    (make_trivial, (2,), 240), (make_trivial, (3,), 160), (make_binary_tetrahedral, (), 240),
+    (make_binary_icosahedral, (), 240), (make_cyclic_semidirect, (3, 2), 240),
+    (make_lens, (5, (1, 2, 3)), 160),
+]
+
+
+class TestArrayTable:
+    """The array table against the per-cell bucketing loop it replaced."""
+
+    @staticmethod
+    def assert_matches(table, entries, lam_max):
+        assert table.entries == entries
+        for e in table.entries:
+            assert type(e.eigenvalue) is int and type(e.mult) is int
+            assert all(type(p) is int and type(q) is int for p, q in e.contributors)
+        for lam in [*range(0, lam_max + 1, 2), 37, 101.5, lam_max + 0.5]:
+            got = table.count(lam)
+            assert type(got) is int
+            assert got == reference_count(entries, lam), lam
+
+    @pytest.mark.parametrize("make, args, lam_max", TABLE_GROUPS)
+    def test_group_table_matches_reference(self, make, args, lam_max):
+        g = make(*args)
+        p, q = reference_cells(g.n, lam_max)
+        entries = reference_entries(g.n, p, q, dim_cells(g, p, q))
+        assert any(e.mult == 0 for e in entries) == (g.order > 1)   # zero entries are covered
+        self.assert_matches(counting_function(g, lam_max), entries, lam_max)
+
+    @pytest.mark.parametrize("n, lam_max", [(2, 240), (3, 160), (4, 100)])
+    def test_sphere_table_matches_reference(self, n, lam_max):
+        p, q = reference_cells(n, lam_max)
+        entries = reference_entries(n, p, q, _sphere_dims(p, q, n))
+        self.assert_matches(sphere_counting_table(n, lam_max), entries, lam_max)
+
+    def test_empty_table(self):
+        for table in (counting_function(make_lens(5, (1, 2, 3)), 3), sphere_counting_table(3, 3)):
+            assert table.entries == []
+            assert [table.count(lam) for lam in (0, 3, 3.5, 100)] == [0, 0, 0, 0]
+            assert type(table.count(3)) is int
+            assert (table.lambda_max, type(table.lambda_max)) == (3, int)
+
+    def test_results_hold_python_ints(self):
+        res = compare_spectra(make_binary_dihedral(6), make_binary_tetrahedral(), 48)
+        assert all(type(x) is int for x in (res.lambda_max, res.eigenvalue, res.mult_a, res.mult_b))
+        rep = weyl_report(make_cyclic(4), [100, 200])
+        assert all(type(x) is int for x in rep.n_quotient + rep.n_sphere + rep.xi)
 
 
 class TestXiBound:
