@@ -30,8 +30,10 @@ from .group_catalog import QuotientGroup
 
 def exponent(group: QuotientGroup) -> int:
     """Exponent of the group: lcm of element orders, read off the angle
-    denominators."""
-    return math.lcm(*(a.denominator for c in group.classes for a in c.angles))
+    denominators once per group."""
+    if group._exponent is None:
+        group._exponent = math.lcm(*(a.denominator for c in group.classes for a in c.angles))
+    return group._exponent
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -63,15 +65,15 @@ def _mobius(n: int) -> int:
 
 def _ramanujan_row(E: int) -> np.ndarray:
     """c_E(r) for r = 0..E-1: the trace of the r-th power of a primitive E-th
-    root of unity down to the rationals."""
+    root of unity down to the rationals.  It depends on r only through
+    g = gcd(r, E), so it is evaluated once per divisor g."""
     phi_E = _totient(E)
-    row = np.empty(E, dtype=np.int64)
-    for r in range(E):
-        g = math.gcd(r, E)
-        d = E // g
-        mu = _mobius(d)
-        row[r] = 0 if mu == 0 else mu * (phi_E // _totient(d))
-    return row
+    by_gcd = {}
+    for g in range(1, E + 1):
+        if E % g == 0:
+            mu = _mobius(E // g)
+            by_gcd[g] = 0 if mu == 0 else mu * (phi_E // _totient(E // g))
+    return np.array([by_gcd[math.gcd(r, E)] for r in range(E)], dtype=np.int64)
 
 
 def _require_int64(bound: int) -> None:

@@ -123,6 +123,8 @@ class QuotientGroup:
         self.base = base
         self.generators = tuple(generators or ())
         self._dim_cache: dict[tuple[int, int], int] = {}
+        self._exponent = None
+        self._orbits = None
         self._trace_tables = None
         self._fg_cache: dict = {}
         self._pg_cache = None

@@ -4,9 +4,18 @@ The invariant dimension at bidegree (p, q) is the class-weighted average of
 the character of the harmonic space over the group.  Each character value is
 an integer combination of E-th roots of unity, E the group exponent; the
 engine replaces it by its Galois trace down to the rationals, an integer sum
-of Ramanujan sums c_E.  The average is then the exact quotient of the
-weighted trace sum by phi(E) |G|: a sum that is not divisible, or a quotient
-outside [0, sphere_dim], raises NonIntegralDimension.  No float enters.
+of Ramanujan sums c_E.  Classes in one Galois orbit (g and g^j, j a unit)
+have equal traces, so the engine takes one trace per rational class,
+weighted by the orbit's summed multiplicity.  The average is then the exact
+quotient of the weighted trace sum by phi(E) |G|: a sum that is not
+divisible, or a quotient outside [0, sphere_dim], raises
+NonIntegralDimension.  No float enters.
+
+For n = 2 a trace is one difference of prefix sums along a progression mod
+E.  For n >= 3 the traces of all rational classes at once are one int64
+matrix product T = M N^T of stacked h-vector tables, read at T[p, q] -
+T[p-1, q-1]; it is formed over bands of the requested cells whose bounding
+boxes hold at most about twice their cells.
 
 dim_cells evaluates whole arrays of cells in one call, dim_triangle every
 cell with p + q <= pq_max; dim_invariant is the memoised single-cell entry
@@ -29,6 +38,13 @@ from .group_catalog import QuotientGroup
 
 # int64 entries per transient array while evaluating a block of cells (128 kB)
 _BLOCK_ENTRIES = 1 << 14
+
+# most int64 entries the n >= 3 kernel's tables may hold, the E x E
+# Ramanujan matrix and the stacked h-vector rows together (128 MB)
+MAX_SERIES_ENTRIES = 1 << 24
+
+# a band of cells may compute this many entries beyond twice its cells
+_BAND_SLACK = 64
 
 # most cells one enumeration may hold: building a spectrum table peaks near
 # 80 bytes per cell, so the budget caps one table near 0.35 GB
@@ -65,8 +81,42 @@ def _sphere_dims(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     return binom(p) * binom(q) - binom(p - 1) * binom(q - 1)
 
 
+def _rational_classes(group: QuotientGroup, E: int) -> list[tuple[tuple[int, ...], int]]:
+    """The classes by Galois orbit: one (sorted integer angles mod E, summed
+    multiplicity) per orbit, cached on the group.
+
+    For j a unit mod the element order d, the angles j k mod d belong to
+    g^j, and the Galois trace of chi(g^j) equals that of chi(g): the two
+    values are Galois conjugates.  So one trace per orbit, weighted by the
+    multiplicities of the orbit's classes that are present, gives the class
+    sum exactly, whether or not the class set is closed under powers.  Each
+    new orbit lists its images once, from the units mod d, so the cost is
+    about one dictionary entry per class."""
+    if group._orbits is not None:
+        return group._orbits
+    orbit_of: dict[tuple[int, ...], int] = {}
+    orbits: list[list] = []
+    units: dict[int, list[int]] = {}
+    for c in group.classes:
+        key = tuple(sorted(a.numerator * (E // a.denominator) % E for a in c.angles))
+        i = orbit_of.get(key)
+        if i is None:
+            d = math.lcm(*(a.denominator for a in c.angles))
+            if d not in units:
+                units[d] = [j for j in range(1, d + 1) if math.gcd(j, d) == 1]
+            step = E // d
+            i = len(orbits)
+            for j in units[d]:
+                orbit_of[tuple(sorted(j * k // step % d * step for k in key))] = i
+            orbits.append([key, 0])
+        orbits[i][1] += c.mult
+    group._orbits = [(key, mult) for key, mult in orbits]
+    return group._orbits
+
+
 class _ProgressionTraces:
-    """Galois traces of the n = 2 characters, for every class of one group.
+    """Galois traces of the n = 2 characters, for every rational class of
+    one group.
 
     For n = 2 the character at a class with integer angles (k1, k2) mod E is
     the progression sum of zeta^(base + j step), j = 0..p+q, with
@@ -78,10 +128,11 @@ class _ProgressionTraces:
 
     def __init__(self, group: QuotientGroup, E: int):
         ram = _ramanujan_row(E)
-        k = np.array([[int(a * E) % E for a in c.angles] for c in group.classes], dtype=np.int64)
+        orbits = _rational_classes(group, E)
+        k = np.array([angles for angles, _ in orbits], dtype=np.int64)
         self.E = E
         self.k1, self.k2 = k[:, :1], k[:, 1:]
-        self.mult = np.array([c.mult for c in group.classes], dtype=np.int64)
+        self.mult = np.array([mult for _, mult in orbits], dtype=np.int64)
         steps = ((k[:, 0] - k[:, 1]) % E).tolist()
         # per distinct step: pos maps a residue to its prefix-sum slot in pre
         pos_parts, pre_parts, table_of = [], [], {}
@@ -117,32 +168,94 @@ def _su2_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -> n
     if group._trace_tables is None:
         group._trace_tables = _ProgressionTraces(group, E)
     tables = group._trace_tables
-    block = max(1, _BLOCK_ENTRIES // len(group.classes))
+    block = max(1, _BLOCK_ENTRIES // len(tables.mult))
     return np.concatenate([
         tables.weighted_traces(p[i:i + block], q[i:i + block]) for i in range(0, len(p), block)
     ])
 
 
-def _series_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Weighted traces from the h-vector series, class by class: the
-    character is h_p(conj g) h_q(g) - h_(p-1)(conj g) h_(q-1)(g), and the
-    trace of a product of exponent-count vectors a, b is a . CE . b with
-    CE[r1, r2] = c_E(r1 + r2)."""
+def _require_series_entries(group: QuotientGroup, count: int) -> None:
+    """Raise SizeLimit before allocation if the n >= 3 tables of count int64
+    entries exceed their budget."""
+    if count > MAX_SERIES_ENTRIES:
+        raise SizeLimit(f"the series tables of {group.name} need at least {count} int64 entries, "
+                        f"above the budget of {MAX_SERIES_ENTRIES}")
+
+
+def _series_tables(group: QuotientGroup, E: int, p_max: int, q_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked tables M, rows w h_p(conj g) CE, and N, rows h_q(g), with
+    one block of E columns per rational class of weight w and
+    CE[r1, r2] = c_E(r1 + r2).  Row x stands for degree x - 1: the zero row
+    0 makes the (p - 1, q - 1) term vanish at p = 0 or q = 0."""
+    _require_series_entries(group, E * E)   # before the orbits and CE are built
+    orbits = _rational_classes(group, E)
+    _require_series_entries(group, E * E + len(orbits) * E * (p_max + q_max + 4))
     ram = _ramanujan_row(E)
-    CE = ram[np.add.outer(np.arange(E), np.arange(E)) % E]
-    zero = np.zeros((1, E), dtype=np.int64)
-    out = np.zeros(len(p), dtype=np.int64)
-    block = max(1, _BLOCK_ENTRIES // E)
-    for cls in group.classes:
-        ks = [int(a * E) % E for a in cls.angles]
-        # a trailing zero row makes index -1, the (p-1, q-1) term at p = 0 or q = 0, vanish
-        AC = np.vstack([_exact_matmul(_h_vectors([-k % E for k in ks], E, int(p.max())), CE), zero])
-        B = np.vstack([_h_vectors(ks, E, int(q.max())), zero])
-        _require_int64(2 * group.order * _magnitude(AC) * _magnitude(B) * E)
-        for i in range(0, len(p), block):
-            pb, qb = p[i:i + block], q[i:i + block]
-            out[i:i + block] += cls.mult * (AC[pb] * B[qb] - AC[pb - 1] * B[qb - 1]).sum(axis=1)
-    return out
+    residues = np.arange(E)
+    CE = ram[np.add.outer(residues, residues) % E]
+    H = np.stack([_h_vectors(list(ks), E, max(p_max, q_max)) for ks, _ in orbits])
+    # the rows of conj g are those of g with every residue r read at -r
+    AC = _exact_matmul(H[:, :p_max + 1, -residues % E].reshape(-1, E), CE)
+    B = H[:, :q_max + 1]
+    _require_int64(2 * group.order * _magnitude(AC) * _magnitude(B) * E)
+    M = np.zeros((p_max + 2, len(orbits), E), dtype=np.int64)
+    M[1:] = AC.reshape(len(orbits), p_max + 1, E).transpose(1, 0, 2)
+    M *= np.array([mult for _, mult in orbits], dtype=np.int64)[:, None]
+    N = np.zeros((q_max + 2, len(orbits), E), dtype=np.int64)
+    N[1:] = B.transpose(1, 0, 2)
+    return M.reshape(p_max + 2, -1), N.reshape(q_max + 2, -1)
+
+
+def _bands(p: np.ndarray, q: np.ndarray):
+    """Runs of the cells, sorted by q, as (start, stop, least p, largest p).
+    A run never splits a row q, and it ends before the row that would make
+    its bounding box hold more than twice its cells plus _BAND_SLACK; only a
+    run of one sparse row can exceed that.  A square, a triangle or a single
+    cell is one run, the hyperbola of a counting table O(log lambda) runs."""
+    starts = np.flatnonzero(np.diff(q, prepend=-1))
+    ends = np.append(starts[1:], len(q))
+    row_q = q[starts]
+    row_lo = np.minimum.reduceat(p, starts)
+    row_hi = np.maximum.reduceat(p, starts)
+    first, rows = 0, len(starts)
+    while first < rows:
+        width = 16
+        while True:     # widen the window until the box overflows or the rows run out
+            last = min(rows, first + width)
+            lo = np.minimum.accumulate(row_lo[first:last])
+            hi = np.maximum.accumulate(row_hi[first:last])
+            box = (row_q[first:last] - row_q[first] + 1) * (hi - lo + 1)
+            over = np.flatnonzero(box > 2 * (ends[first:last] - starts[first]) + _BAND_SLACK)
+            if len(over) or last == rows:
+                break
+            width *= 2
+        run = max(1, int(over[0])) if len(over) else last - first
+        yield int(starts[first]), int(ends[first + run - 1]), int(lo[run - 1]), int(hi[run - 1])
+        first += run
+
+
+def _series_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Weighted traces from the h-vector series.  The character is
+    h_p(conj g) h_q(g) - h_(p-1)(conj g) h_(q-1)(g), and the trace of a
+    product of exponent-count vectors a, b is a . CE . b; so T = M N^T sums
+    the weighted traces of the first product over the rational classes, and
+    cell (p, q) reads T[p, q] - T[p-1, q-1].  T is formed one band of cells
+    at a time, in chunks of rows q near _BLOCK_ENTRIES entries."""
+    M, N = _series_tables(group, E, int(p.max()), int(q.max()))
+    order = np.argsort(q, kind="stable")
+    ps, qs = p[order], q[order]
+    traces = np.empty(len(p), dtype=np.int64)
+    for start, stop, lo, hi in _bands(ps, qs):
+        cols = M[lo:hi + 2].T       # columns p = lo - 1 .. hi
+        step = max(1, _BLOCK_ENTRIES // (hi - lo + 2))
+        for q0 in range(int(qs[start]), int(qs[stop - 1]) + 1, step):
+            i, j = start + np.searchsorted(qs[start:stop], [q0, q0 + step])
+            if i == j:
+                continue
+            T = N[q0:q0 + step + 1] @ cols      # rows q = q0 - 1 .. q0 + step - 1
+            r, c = qs[i:j] - q0, ps[i:j] - lo
+            traces[order[i:j]] = T[r + 1, c + 1] - T[r, c]
+    return traces
 
 
 def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:

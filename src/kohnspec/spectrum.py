@@ -27,22 +27,24 @@ def box_eigenvalue(p: int, q: int, n: int) -> int:
     return 2 * q * (p + n - 1)
 
 
+# largest eigenvalue multiplicity takes: its bidegrees come from trial
+# division up to sqrt(lam/2), about 1.5 million steps at this bound
+MAX_EIGENVALUE = 1 << 42
+
+
 def eigenvalue_bidegrees(lam: int, n: int) -> list[tuple[int, int]]:
-    """All (p, q), q >= 1, with 2q(p + n - 1) = lam, ordered by ascending q.
+    """All (p, q), q >= 1, with 2q(p + n - 1) = lam, ordered by ascending q:
+    one per divisor q of lam/2 with q(n - 1) <= lam/2.
 
     Empty for odd or non-realizable lam."""
+    if lam > MAX_EIGENVALUE:
+        raise SizeLimit(f"eigenvalue {lam} is above the budget of {MAX_EIGENVALUE}")
     if lam <= 0 or lam % 2 != 0:
         return []
     half = lam // 2
-    out = []
-    q = 1
-    while q * (n - 1) <= half:
-        if half % q == 0:
-            p = half // q - (n - 1)
-            if p >= 0:
-                out.append((p, q))
-        q += 1
-    return out
+    small = [d for d in range(1, math.isqrt(half) + 1) if half % d == 0]
+    large = [half // d for d in reversed(small) if d * d != half]
+    return [(half // q - (n - 1), q) for q in small + large if q * (n - 1) <= half]
 
 
 def multiplicity(group: QuotientGroup, lam: int) -> tuple[int, list[tuple[int, int]]]:
@@ -135,32 +137,46 @@ def sphere_counting_table(n: int, lambda_max: int) -> SpectrumTable:
 # ---------------------------------------------------------------------------
 # Exact tail bound
 
-# largest lam xi_bound takes: it loops once per integer up to lam (about
-# 2.5 s at this bound), which admits the half-cutoff of every spectrum
+# largest lam xi_bound takes.  The cost is O(sqrt(lam)) big-integer steps,
+# a few ms at this bound; the bound admits the half-cutoff of every spectrum
 # table within the cell budget
 MAX_XI_CUTOFF = 1 << 22
 
 
+def _floor_runs(L: int, lo: int, hi: int):
+    """(a, b, L // a) for the maximal runs a..b within lo..hi (lo >= 1) on
+    which L // m is constant: O(sqrt(L)) runs."""
+    a = lo
+    while a <= hi:
+        v = L // a
+        b = min(hi, L // v)
+        yield a, b, v
+        a = b + 1
+
+
 def xi_bound(lam, n: int) -> int:
-    """Exact big-integer tail bound controlling |N_G - N_S/|G|| at cutoff 2*lam.
+    """Exact big-integer tail bound controlling |N_G - N_S/|G|| at cutoff 2*lam:
+
+        sum_{m = n-1}^{L} C(m-1, n-2) C(L//m + n-2, n-1)
+          + sum_{k = 1}^{L//(n-1)} C(k+n-2, n-2) C(L//k, n-1),   L = floor(lam).
 
     lam may be an int, a Fraction or a float (taken at its exact binary
-    value); with lam = num/den every floor is an integer floor division.
-    Both index ranges empty gives 0 (the bound is only used asymptotically).
+    value); floor(lam/m) = L // m for integer m.  Both sums run over the
+    O(sqrt(L)) runs of constant L // m, each summing its binomials by the
+    hockey-stick identity.  Both index ranges empty gives 0 (the bound is
+    only used asymptotically).
     """
     lam = Fraction(lam)
     if n < 2:
         raise ValueError("ambient dimension must be at least 2")
     if lam > MAX_XI_CUTOFF:
         raise SizeLimit(f"xi_bound needs lam <= {MAX_XI_CUTOFF}, the cutoff budget")
-    num, den = lam.numerator, lam.denominator
+    L = lam.numerator // lam.denominator
     total = 0
-    for k in range(0, num // den - n + 2):
-        inner = num // (den * (k + n - 1))
-        total += math.comb(k + n - 2, n - 2) * math.comb(inner + n - 2, n - 1)
-    for k in range(1, num // (den * (n - 1)) + 1):
-        inner = num // (den * k)
-        total += math.comb(k + n - 2, n - 2) * math.comb(inner, n - 1)
+    for a, b, v in _floor_runs(L, n - 1, L):
+        total += (math.comb(b, n - 1) - math.comb(a - 1, n - 1)) * math.comb(v + n - 2, n - 1)
+    for a, b, v in _floor_runs(L, 1, L // (n - 1)):
+        total += (math.comb(b + n - 1, n - 1) - math.comb(a + n - 2, n - 1)) * math.comb(v, n - 1)
     return total
 
 

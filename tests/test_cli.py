@@ -219,12 +219,25 @@ class TestDeterminismAndExitCodes:
          "above the budget of 4194304"),
         (["sobolev", "--group", "2T", "--ceiling", "100000"],
          "the triangle p + q <= 100000 needs at least 5000150001 cells, above the budget of 4194304"),
+        (["dims", "--group", "lens:4097:1,2,3", "--p", "1", "--q", "1"],
+         "the series tables of lens:4097:1,2,3 need at least 16785409 int64 entries, "
+         "above the budget of 16777216"),
+        (["multiplicity", "--group", "2T", "--lambda", "4398046511106"],
+         "eigenvalue 4398046511106 is above the budget of 4398046511104"),
     ])
     def test_budgets_trip_before_allocation(self, capsys, argv, message):
         start = time.perf_counter()
         code, out, err = capture(capsys, argv)
         assert time.perf_counter() - start < 1.0
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("group", ["2T", "cyclic:7", "lens:5:1,2,3", "lens:3:1,1,1,2"])
+    def test_large_eigenvalue_multiplicity_is_fast(self, capsys, group):
+        start = time.perf_counter()
+        code, out, err = capture(capsys, ["multiplicity", "--group", group, "--lambda", "1000000000000"])
+        assert time.perf_counter() - start < 1.0
+        assert code in (0, 1)
+        assert (out == "") == (code == 1) and err.count("\n") == code
 
     def test_internal_violation_exit_2(self, capsys, monkeypatch):
         from kohnspec.errors import NonIntegralDimension

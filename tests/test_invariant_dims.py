@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from kohnspec import (
@@ -31,12 +32,21 @@ from kohnspec import (
     reconcile,
     sphere_dim,
 )
+from kohnspec import invariant_dims
+from kohnspec.genfun import _exact_matmul, _h_vectors, _ramanujan_row, _totient, exponent
 from kohnspec.group_catalog import ZERO, from_classes
 from kohnspec.invariant_dims import (
+    _bands,
+    _rational_classes,
+    _series_traces,
+    _su2_traces,
     closed_form_cyclic,
     closed_form_q_semidirect,
+    dim_cells,
     dim_triangle,
+    triangle_cells,
 )
+from kohnspec.spectrum import _cells
 
 from conftest import full_reconcile_sweep
 
@@ -176,6 +186,11 @@ def traced_average(group, p: int, q: int) -> int:
     return dim
 
 
+def test_ramanujan_row_matches_divisor_sum():
+    for E in list(range(1, 61)) + [72, 210, 360]:
+        assert _ramanujan_row(E).tolist() == [_ramanujan(E, r) for r in range(E)], E
+
+
 class TestIntegralityGate:
     def test_non_group_classes_detected(self):
         # the identity and one scalar element do not form a group: the
@@ -247,3 +262,128 @@ class TestStructuralProperties:
             for p, q in [(1, 1), (2, 1), (0, 3)]:
                 d = dim_invariant(g, p, q)
                 assert 0 <= d <= sphere_dim(p, q, 3)
+
+
+# ---------------------------------------------------------------------------
+# The per-class kernels the orbit engine replaced, kept as references: one
+# Galois trace for every class, by progression prefix sums (n = 2) and by
+# gathering h-vector rows per cell (n >= 3).
+
+
+def per_class_su2_traces(group, E, p, q):
+    ram = _ramanujan_row(E)
+    total = np.zeros(len(p), dtype=np.int64)
+    for cls in group.classes:
+        k1, k2 = (int(a * E) % E for a in cls.angles)
+        step = (k1 - k2) % E
+        cycles = math.gcd(step, E)
+        period = E // cycles
+        seq = (np.arange(cycles)[:, None] + step * np.arange(2 * period)) % E
+        pre = np.zeros((cycles, 2 * period + 1), dtype=np.int64)
+        np.cumsum(ram[seq], axis=1, out=pre[:, 1:])
+        cycle, slot = np.empty(E, dtype=np.int64), np.empty(E, dtype=np.int64)
+        cycle[seq[:, :period]] = np.arange(cycles)[:, None]
+        slot[seq[:, :period]] = np.arange(period)
+        base = (q * k2 - p * k1) % E
+        row, start = pre[cycle[base]], slot[base]
+        whole, part = np.divmod(p + q + 1, period)
+        at = np.arange(len(p))
+        full = row[at, start + period] - row[at, start]
+        total += cls.mult * (whole * full + row[at, start + part] - row[at, start])
+    return total
+
+
+def per_class_series_traces(group, E, p, q):
+    ram = _ramanujan_row(E)
+    CE = ram[np.add.outer(np.arange(E), np.arange(E)) % E]
+    zero = np.zeros((1, E), dtype=np.int64)
+    out = np.zeros(len(p), dtype=np.int64)
+    for cls in group.classes:
+        ks = [int(a * E) % E for a in cls.angles]
+        AC = np.vstack([_exact_matmul(_h_vectors([-k % E for k in ks], E, int(p.max())), CE), zero])
+        B = np.vstack([_h_vectors(ks, E, int(q.max())), zero])
+        out += cls.mult * (AC[p] * B[q] - AC[p - 1] * B[q - 1]).sum(axis=1)
+    return out
+
+
+def per_class_traces(group, p, q):
+    E = exponent(group)
+    return (per_class_su2_traces if group.n == 2 else per_class_series_traces)(group, E, p, q)
+
+
+def orbit_traces(group, p, q):
+    E = exponent(group)
+    return (_su2_traces if group.n == 2 else _series_traces)(group, E, p, q)
+
+
+def cell_sets(n, seed):
+    """Named cell sets: square, triangle, hyperbola, scattered, unsorted,
+    duplicated and single."""
+    rng = np.random.default_rng(seed)
+    p, q = np.indices((25, 25), dtype=np.int64)
+    square = (p.ravel(), q.ravel())
+    tri = triangle_cells(30)
+    hyper = _cells(n, 400)
+    scattered = (rng.integers(0, 60, 200), rng.integers(0, 60, 200))
+    perm = rng.permutation(len(tri[0]))
+    pick = rng.integers(0, len(hyper[0]), 150)
+    dup = (np.concatenate([hyper[0][pick], hyper[0][pick[:40]]]), np.concatenate([hyper[1][pick], hyper[1][pick[:40]]]))
+    return {
+        "square": square, "triangle": tri, "hyperbola": hyper, "scattered": scattered,
+        "unsorted": (tri[0][perm], tri[1][perm]), "duplicated": dup,
+        "single": (np.array([17]), np.array([4])),
+    }
+
+
+class TestRationalClasses:
+    def test_orbit_engine_matches_per_class_kernels(self, all_n2_groups, lens3_groups):
+        for seed, g in enumerate(all_n2_groups + lens3_groups):
+            denom = _totient(exponent(g)) * g.order
+            for name, (p, q) in cell_sets(g.n, seed).items():
+                expected = per_class_traces(g, p, q)
+                assert np.array_equal(orbit_traces(g, p, q), expected), (g.name, name)
+                assert np.array_equal(dim_cells(g, p, q), expected // denom), (g.name, name)
+
+    def test_row_chunks_split_bands(self, lens3_groups, monkeypatch):
+        # a block of 40 entries cuts every band into chunks of a few rows q
+        monkeypatch.setattr(invariant_dims, "_BLOCK_ENTRIES", 40)
+        for g in lens3_groups:
+            for name, (p, q) in cell_sets(g.n, 7).items():
+                assert np.array_equal(orbit_traces(g, p, q), per_class_traces(g, p, q)), (g.name, name)
+
+    def test_orbits_group_conjugate_classes(self):
+        for g, classes, orbits in [(make_binary_icosahedral(), 10, 7), (make_cyclic_semidirect(3, 2), 16, 7),
+                                   (make_lens(5, (1, 2, 3)), 5, 2), (make_lens(7, (1, 2, 4)), 7, 2),
+                                   (make_cyclic(12), 12, 6)]:
+            rational = _rational_classes(g, exponent(g))
+            assert (len(g.classes), len(rational)) == (classes, orbits), g.name
+            assert sum(mult for _, mult in rational) == g.order
+            assert _rational_classes(g, exponent(g)) is rational     # cached on the group
+
+    def test_classes_not_closed_under_powers(self):
+        # {identity, one element of order 5}: its four Galois conjugates are
+        # absent, so the orbit holds one class, and its trace counts once
+        for n in (2, 3):
+            fake = from_classes(f"not-closed-{n}", n, [((ZERO,) * n, 1), ((F(1, 5),) * n, 1)],
+                                expect_free=True)
+            assert [mult for _, mult in _rational_classes(fake, 5)] == [1, 1]
+            for name, (p, q) in cell_sets(n, n).items():
+                assert np.array_equal(orbit_traces(fake, p, q), per_class_traces(fake, p, q)), (n, name)
+
+    def test_bands_bound_their_boxes(self):
+        def bands(p, q):
+            order = np.argsort(q, kind="stable")
+            return list(_bands(p[order], q[order]))
+
+        p, q = np.indices((200, 200), dtype=np.int64)
+        assert len(bands(p.ravel(), q.ravel())) == 1
+        assert len(bands(*triangle_cells(300))) == 1
+        assert len(bands(np.array([5]), np.array([9]))) == 1
+        for lam in (2000, 20000, 200000):
+            p, q = _cells(3, lam)
+            runs = bands(p, q)
+            assert len(runs) <= 2 * math.log2(lam), (lam, len(runs))
+            order = np.argsort(q, kind="stable")
+            for start, stop, lo, hi in runs:
+                qs = q[order][start:stop]
+                assert (qs[-1] - qs[0] + 1) * (hi - lo + 1) <= 2 * (stop - start) + 64

@@ -57,6 +57,36 @@ def fraction_xi_bound(lam, n):
     return total
 
 
+def loop_xi_bound(lam, n):
+    """Reference tail bound: the integer-floor loop, one step per k, that the
+    hyperbola-blocked sum replaced."""
+    lam = Fraction(lam)
+    num, den = lam.numerator, lam.denominator
+    total = 0
+    for k in range(0, num // den - n + 2):
+        inner = num // (den * (k + n - 1))
+        total += math.comb(k + n - 2, n - 2) * math.comb(inner + n - 2, n - 1)
+    for k in range(1, num // (den * (n - 1)) + 1):
+        inner = num // (den * k)
+        total += math.comb(k + n - 2, n - 2) * math.comb(inner, n - 1)
+    return total
+
+
+def loop_eigenvalue_bidegrees(lam, n):
+    """Reference contributor list: the loop over every q up to lam/(2(n-1))
+    that trial division replaced."""
+    if lam <= 0 or lam % 2 != 0:
+        return []
+    half = lam // 2
+    out = []
+    q = 1
+    while q * (n - 1) <= half:
+        if half % q == 0:
+            out.append((half // q - (n - 1), q))
+        q += 1
+    return out
+
+
 def reference_cells(n, lam_max):
     """Every (p, q), q >= 1, with 2q(p + n - 1) <= lam_max, by eigenvalue and
     then q, as two int64 arrays."""
@@ -112,6 +142,19 @@ class TestMultiplicity:
         assert eigenvalue_bidegrees(7, 2) == []
         for p, q in eigenvalue_bidegrees(40, 3):
             assert box_eigenvalue(p, q, 3) == 40
+
+    def test_contributors_match_loop(self):
+        for n in (2, 3, 4):
+            for lam in range(-2, 2001):
+                assert eigenvalue_bidegrees(lam, n) == loop_eigenvalue_bidegrees(lam, n), (lam, n)
+
+    def test_eigenvalue_budget(self):
+        from kohnspec.errors import SizeLimit
+        from kohnspec.spectrum import MAX_EIGENVALUE
+
+        assert eigenvalue_bidegrees(MAX_EIGENVALUE, 2)[0] == (MAX_EIGENVALUE // 2 - 1, 1)
+        with pytest.raises(SizeLimit):
+            eigenvalue_bidegrees(MAX_EIGENVALUE + 2, 2)
 
     def test_mult4_separates_cyclic_from_dihedral(self):
         for m in range(2, 7):
@@ -255,6 +298,12 @@ class TestXiBound:
 
     def test_fraction_input(self):
         assert xi_bound(F(5, 2), 2) == xi_bound(2.5, 2)
+
+    def test_blocked_sum_matches_loop(self):
+        large = [65537, 100_000, F(199_999, 2), F(700_001, 7), 99_999.75, 12_345.5]
+        for n in (2, 3, 4):
+            for lam in list(range(0, 300)) + large:
+                assert xi_bound(lam, n) == loop_xi_bound(lam, n), (lam, n)
 
     def test_integer_floors_match_fraction_loop(self):
         lams = [0, 1, 2, 7, 100, 1001, F(1, 2), F(7, 3), F(2001, 2), F(999, 7), 0.1, 2.5, 10.75, 333.3]
