@@ -3,7 +3,7 @@ unitary groups: exact group catalogs, characters, invariant dimensions,
 eigenvalue counting with Weyl-law verification, generating functions,
 Sobolev constants, and a brute-force linear-algebra oracle."""
 
-from .characters import CharacterValue, admissible_pairs, char_general, char_su2_closed, sphere_dim
+from .characters import CharacterValue, admissible_pairs, char_general, sphere_dim
 from .errors import (
     ClosureMismatch,
     ConstraintError,

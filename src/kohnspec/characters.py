@@ -8,15 +8,14 @@ of unity with angle (beta - alpha) . t, so characters are formal integer
 combinations of roots of unity.  This module keeps them exact.  They are
 the reference the tests check dimensions and the oracle's traces against;
 the engine in :mod:`kohnspec.invariant_dims` never builds them, and works
-with their exact Galois traces instead.  ``CharacterValue.value`` (a float)
-serves only numeric spot checks in the tests.
+with their exact Galois traces instead.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .group_catalog import Angle
@@ -58,19 +57,9 @@ class CharacterValue:
     """Formal integer combination of roots of unity: angle -> count."""
 
     terms: dict[Angle, int]
-    _value: complex | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.terms = {a: c for a, c in self.terms.items() if c != 0}
-
-    @property
-    def value(self) -> complex:
-        """Numeric value, computed once by compensated summation."""
-        if self._value is None:
-            re = math.fsum(c * math.cos(2 * math.pi * float(a)) for a, c in self.terms.items())
-            im = math.fsum(c * math.sin(2 * math.pi * float(a)) for a, c in self.terms.items())
-            self._value = complex(re, im)
-        return self._value
 
     def term_count(self) -> int:
         return sum(self.terms.values())
@@ -94,17 +83,3 @@ def char_general(p: int, q: int, angles: Sequence[Angle]) -> CharacterValue:
         counts[term] += 1
     return CharacterValue(dict(counts))
 
-
-def char_su2_closed(p: int, q: int, angles: Sequence[Angle]) -> CharacterValue:
-    """Closed-form character for n = 2: a geometric sum of length p + q + 1
-    in the eigenvalue ratio, with the degenerate equal-eigenvalue case giving
-    (p + q + 1) times a single root of unity.  Agrees with char_general."""
-    t1, t2 = angles
-    base = (q * t2 - p * t1) % 1
-    if t1 == t2:
-        return CharacterValue({base: p + q + 1})
-    step = (t1 - t2) % 1
-    counts: Counter[Angle] = Counter()
-    for j in range(p + q + 1):
-        counts[(base + j * step) % 1] += 1
-    return CharacterValue(dict(counts))

@@ -310,8 +310,9 @@ def _cmd_oracle_check(args) -> str:
 
 def _cmd_h0(args) -> str:
     group = parse_group_spec(args.group)
-    rows = [[m, dim_h0_polynomial(group, m)] for m in range(args.m_max + 1)]
-    doc = {"group": group.name, "e": exponent(group), "entries": [list(r) for r in rows]}
+    poly = pg_polynomial(group)
+    rows = [[m, dim_h0_polynomial(poly, m)] for m in range(args.m_max + 1)]
+    doc = {"group": group.name, "e": poly.e, "entries": [list(r) for r in rows]}
     return _tabular(args, ["m", "dim"], rows, doc)
 
 

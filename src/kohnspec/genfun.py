@@ -113,20 +113,15 @@ def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def fg_coefficients(group: QuotientGroup, ceiling: int) -> np.ndarray:
     """Series coefficients of F(z, w) for p, q <= ceiling: the invariant
-    dimensions on the square of cells, in one engine call."""
-    from .invariant_dims import dim_cells
+    dimensions on the square of cells, counted against the cell budget and
+    evaluated in one engine call."""
+    from .invariant_dims import dim_cells, require_cells
 
     if ceiling < 0:
         raise ValueError("ceiling must be nonnegative")
-    cached = group._fg_cache.get("table")
-    if cached is not None and cached.shape[0] > ceiling:
-        return cached[: ceiling + 1, : ceiling + 1].copy()
-
+    require_cells((ceiling + 1) ** 2, f"the series square p, q <= {ceiling}")
     p, q = np.indices((ceiling + 1, ceiling + 1), dtype=np.int64)
-    table = dim_cells(group, p.ravel(), q.ravel()).reshape(p.shape)
-    if cached is None or table.shape[0] > cached.shape[0]:
-        group._fg_cache["table"] = table
-    return table.copy()
+    return dim_cells(group, p.ravel(), q.ravel()).reshape(p.shape)
 
 
 @dataclass
@@ -148,9 +143,6 @@ class PGPolynomial:
 def pg_polynomial(group: QuotientGroup, ceiling: int | None = None) -> PGPolynomial:
     """Compute P by truncated series arithmetic and verify the degree bound:
     any nonzero coefficient beyond n(e - 1) raises TruncationError."""
-    default_ceiling = ceiling is None
-    if group._pg_cache is not None and default_ceiling:
-        return group._pg_cache
     n = group.n
     e = exponent(group)
     degree = n * (e - 1)
@@ -185,8 +177,6 @@ def pg_polynomial(group: QuotientGroup, ceiling: int | None = None) -> PGPolynom
     poly = PGPolynomial(group, e, degree, P[: degree + 1, : degree + 1].copy())
     if poly.c(0, 0) != 1:
         raise NonIntegralDimension(f"{group.name}: P(0,0) = {poly.c(0, 0)}, expected 1")
-    if default_ceiling or group._pg_cache is None:
-        group._pg_cache = poly
     return poly
 
 
@@ -214,15 +204,10 @@ def reconstruct_dims(poly: PGPolynomial, ceiling: int) -> np.ndarray:
     return F
 
 
-def dim_h0_polynomial(group: QuotientGroup, m: int) -> int:
+def dim_h0_polynomial(poly: PGPolynomial, m: int) -> int:
     """Invariant dimension at bidegree (0, m*e) through the polynomial-in-m
     formula read off the c(0, j*e) column of P."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    poly = pg_polynomial(group)
-    n = group.n
-    e = poly.e
-    total = 0
-    for j in range(n):
-        total += math.comb(m - j + n - 1, n - 1) * poly.c(0, j * e)
-    return total
+    n = poly.group.n
+    return sum(math.comb(m - j + n - 1, n - 1) * poly.c(0, j * poly.e) for j in range(n))

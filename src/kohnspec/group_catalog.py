@@ -96,8 +96,9 @@ def _merge_classes(classes: Iterable[tuple[Sequence[Angle], int]]) -> tuple[Conj
 class QuotientGroup:
     """A finite subgroup of U(n) given by eigenvalue-angle classes.
 
-    Instances are immutable by convention and safe to share; all derived data
-    (spectral caches, dimension memo tables) is monotone and attached lazily.
+    Instances are immutable by convention and safe to share.  The only derived
+    data attached to them, lazily, depends on the group alone: the exponent,
+    the Galois orbits of the classes and the n = 2 trace tables.
     Equality and hashing are by identity; use :meth:`class_multiset` for
     structural comparison.
     """
@@ -122,12 +123,9 @@ class QuotientGroup:
         self.params = dict(params or {})
         self.base = base
         self.generators = tuple(generators or ())
-        self._dim_cache: dict[tuple[int, int], int] = {}
         self._exponent = None
         self._orbits = None
         self._trace_tables = None
-        self._fg_cache: dict = {}
-        self._pg_cache = None
 
         if self.n < 2:
             raise ConstraintError("ambient dimension must be at least 2")

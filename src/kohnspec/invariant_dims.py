@@ -18,8 +18,8 @@ T[p-1, q-1]; it is formed over bands of the requested cells whose bounding
 boxes hold at most about twice their cells.
 
 dim_cells evaluates whole arrays of cells in one call, dim_triangle every
-cell with p + q <= pq_max; dim_invariant is the memoised single-cell entry
-point.  Every enumeration of cells counts them against one cell budget
+cell with p + q <= pq_max, and dim_invariant one cell; no result is
+memoised.  Every enumeration of cells counts them against one cell budget
 before it allocates.  dim_closed_form evaluates the per-family
 piecewise formulas; reconcile checks the two against each other.
 """
@@ -33,7 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonIntegralDimension, SizeLimit, UnsupportedFamily
-from .genfun import _exact_matmul, _h_vectors, _magnitude, _ramanujan_row, _require_int64, _totient, exponent
+from .genfun import _exact_matmul, _h_vectors, _ramanujan_row, _require_int64, _totient, exponent
 from .group_catalog import QuotientGroup
 
 # int64 entries per transient array while evaluating a block of cells (128 kB)
@@ -76,9 +76,17 @@ def _sphere_dims(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
         for i in range(1, n):
             out = out * (x + i) // i
         return out
-    p_max, q_max = int(p.max(initial=0)), int(q.max(initial=0))
-    _require_int64(math.comb(p_max + n - 1, n - 1) * math.comb(q_max + n - 1, n - 1))
-    return binom(p) * binom(q) - binom(p - 1) * binom(q - 1)
+    bp_max, bq_max = (math.comb(int(x.max(initial=0)) + n - 1, n - 1) for x in (p, q))
+    if bp_max * bq_max < 2**63:
+        return binom(p) * binom(q) - binom(p - 1) * binom(q - 1)
+    # the joint bound pairs the largest p with the largest q, which no cell
+    # may do: bound binom's last step, then each cell's own product
+    _require_int64(max(bp_max, bq_max) * (n - 1))
+    bp, bq = binom(p), binom(q)
+    over = np.flatnonzero(bp > (2**63 - 1) // np.maximum(bq, 1))
+    if len(over):
+        _require_int64(int(bp[over[0]]) * int(bq[over[0]]))
+    return bp * bq - binom(p - 1) * binom(q - 1)
 
 
 def _rational_classes(group: QuotientGroup, E: int) -> list[tuple[tuple[int, ...], int]]:
@@ -182,11 +190,13 @@ def _require_series_entries(group: QuotientGroup, count: int) -> None:
                         f"above the budget of {MAX_SERIES_ENTRIES}")
 
 
-def _series_tables(group: QuotientGroup, E: int, p_max: int, q_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _series_tables(group: QuotientGroup, E: int, p_max: int, q_max: int) -> tuple[np.ndarray, ...]:
     """The stacked tables M, rows w h_p(conj g) CE, and N, rows h_q(g), with
     one block of E columns per rational class of weight w and
-    CE[r1, r2] = c_E(r1 + r2).  Row x stands for degree x - 1: the zero row
-    0 makes the (p - 1, q - 1) term vanish at p = 0 or q = 0."""
+    CE[r1, r2] = c_E(r1 + r2), and per row of each the largest magnitude of
+    h_p(conj g) CE and of h_q(g) over the classes.  Row x stands for degree
+    x - 1: the zero row 0 makes the (p - 1, q - 1) term vanish at p = 0 or
+    q = 0."""
     _require_series_entries(group, E * E)   # before the orbits and CE are built
     orbits = _rational_classes(group, E)
     _require_series_entries(group, E * E + len(orbits) * E * (p_max + q_max + 4))
@@ -197,13 +207,16 @@ def _series_tables(group: QuotientGroup, E: int, p_max: int, q_max: int) -> tupl
     # the rows of conj g are those of g with every residue r read at -r
     AC = _exact_matmul(H[:, :p_max + 1, -residues % E].reshape(-1, E), CE)
     B = H[:, :q_max + 1]
-    _require_int64(2 * group.order * _magnitude(AC) * _magnitude(B) * E)
+    ac_rows = np.zeros(p_max + 2, dtype=np.int64)
+    ac_rows[1:] = np.abs(AC).reshape(len(orbits), p_max + 1, E).max(axis=(0, 2))
+    b_rows = np.zeros(q_max + 2, dtype=np.int64)
+    b_rows[1:] = B.max(axis=(0, 2))     # h-vector entries are counts, never negative
     M = np.zeros((p_max + 2, len(orbits), E), dtype=np.int64)
     M[1:] = AC.reshape(len(orbits), p_max + 1, E).transpose(1, 0, 2)
     M *= np.array([mult for _, mult in orbits], dtype=np.int64)[:, None]
     N = np.zeros((q_max + 2, len(orbits), E), dtype=np.int64)
     N[1:] = B.transpose(1, 0, 2)
-    return M.reshape(p_max + 2, -1), N.reshape(q_max + 2, -1)
+    return M.reshape(p_max + 2, -1), N.reshape(q_max + 2, -1), ac_rows, b_rows
 
 
 def _bands(p: np.ndarray, q: np.ndarray):
@@ -240,19 +253,24 @@ def _series_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -
     product of exponent-count vectors a, b is a . CE . b; so T = M N^T sums
     the weighted traces of the first product over the rational classes, and
     cell (p, q) reads T[p, q] - T[p-1, q-1].  T is formed one band of cells
-    at a time, in chunks of rows q near _BLOCK_ENTRIES entries."""
-    M, N = _series_tables(group, E, int(p.max()), int(q.max()))
+    at a time, in chunks of rows q near _BLOCK_ENTRIES entries, once the
+    band's own rows bound every entry it reads below 2^63."""
+    M, N, ac_rows, b_rows = _series_tables(group, E, int(p.max()), int(q.max()))
     order = np.argsort(q, kind="stable")
     ps, qs = p[order], q[order]
     traces = np.empty(len(p), dtype=np.int64)
     for start, stop, lo, hi in _bands(ps, qs):
+        q_lo, q_hi = int(qs[start]), int(qs[stop - 1])
+        # the band reads M rows lo .. hi + 1 and N rows q_lo .. q_hi + 1
+        _require_int64(2 * group.order * int(ac_rows[lo:hi + 2].max())
+                       * int(b_rows[q_lo:q_hi + 2].max()) * E)
         cols = M[lo:hi + 2].T       # columns p = lo - 1 .. hi
         step = max(1, _BLOCK_ENTRIES // (hi - lo + 2))
-        for q0 in range(int(qs[start]), int(qs[stop - 1]) + 1, step):
+        for q0 in range(q_lo, q_hi + 1, step):
             i, j = start + np.searchsorted(qs[start:stop], [q0, q0 + step])
             if i == j:
                 continue
-            T = N[q0:q0 + step + 1] @ cols      # rows q = q0 - 1 .. q0 + step - 1
+            T = N[q0:min(q0 + step, q_hi + 1) + 1] @ cols      # rows q = q0 - 1 .. min(q0 + step - 1, q_hi)
             r, c = qs[i:j] - q0, ps[i:j] - lo
             traces[order[i:j]] = T[r + 1, c + 1] - T[r, c]
     return traces
@@ -288,16 +306,10 @@ def dim_triangle(group: QuotientGroup, pq_max: int) -> list[tuple[int, int, int]
 
 def dim_invariant(group: QuotientGroup, p: int, q: int) -> int:
     """Dimension of the group-invariant subspace of the bidegree-(p, q)
-    harmonic space: dim_cells at one cell, memoised per group."""
-    key = (p, q)
-    cached = group._dim_cache.get(key)
-    if cached is not None:
-        return cached
+    harmonic space: dim_cells at one cell, 0 outside p, q >= 0."""
     if p < 0 or q < 0:
         return 0
-    dim = int(dim_cells(group, [p], [q])[0])
-    group._dim_cache[key] = dim
-    return dim
+    return int(dim_cells(group, [p], [q])[0])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .genfun import dim_h0_polynomial, exponent
+from .genfun import dim_h0_polynomial, pg_polynomial
 from .group_catalog import QuotientGroup
 from .invariant_dims import dim_cells, triangle_cells
 
@@ -127,9 +127,6 @@ def greens_lower_witness(group: QuotientGroup, m_max: int, convention: int = 2) 
     1/(D(n-1)) from above."""
     if m_max < 1:
         raise ValueError("m_max must be at least 1")
-    e = exponent(group)
-    out = []
-    for m in range(1, m_max + 1):
-        if dim_h0_polynomial(group, m) >= 1:
-            out.append((m, c_pq(0, m * e, group.n, convention)))
-    return out
+    poly = pg_polynomial(group)
+    return [(m, c_pq(0, m * poly.e, group.n, convention))
+            for m in range(1, m_max + 1) if dim_h0_polynomial(poly, m) >= 1]

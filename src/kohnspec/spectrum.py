@@ -19,7 +19,7 @@ import numpy as np
 from .group_catalog import QuotientGroup
 from .errors import SizeLimit
 from .genfun import _require_int64
-from .invariant_dims import _sphere_dims, dim_cells, dim_invariant, require_cells
+from .invariant_dims import _sphere_dims, dim_cells, require_cells
 
 
 def box_eigenvalue(p: int, q: int, n: int) -> int:
@@ -49,10 +49,11 @@ def eigenvalue_bidegrees(lam: int, n: int) -> list[tuple[int, int]]:
 
 def multiplicity(group: QuotientGroup, lam: int) -> tuple[int, list[tuple[int, int]]]:
     """Multiplicity of lam in the positive spectrum, with the sphere-level
-    contributor list.  Zero (with no contributors) for odd or unrealizable lam."""
+    contributor list, from one dim_cells call over the contributors.  Zero
+    (with no contributors) for odd or unrealizable lam."""
     contributors = eigenvalue_bidegrees(lam, group.n)
-    total = sum(dim_invariant(group, p, q) for p, q in contributors)
-    return total, contributors
+    p, q = np.array(contributors, dtype=np.int64).reshape(-1, 2).T
+    return sum(dim_cells(group, p, q).tolist()), contributors
 
 
 @dataclass

@@ -261,8 +261,8 @@ def test_criterion_8_generating_functions():
             assert np.array_equal(ks.fg_coefficients(g, 24), dims), spec
             assert np.array_equal(ks.reconstruct_dims(poly, 24), dims), spec
             for m in range(7):
-                assert ks.dim_h0_polynomial(g, m) == ks.dim_invariant(g, 0, m * e), (spec, m)
-            values = [ks.dim_h0_polynomial(g, m) for m in range(51)]
+                assert ks.dim_h0_polynomial(poly, m) == ks.dim_invariant(g, 0, m * e), (spec, m)
+            values = [ks.dim_h0_polynomial(poly, m) for m in range(51)]
             threshold = next(M for M in range(51) if all(v >= 1 for v in values[M:]))
             assert threshold <= 10, (spec, threshold)
 

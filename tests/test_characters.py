@@ -1,4 +1,4 @@
-"""Character evaluation: admissible pairs, closed form vs general sum."""
+"""Character evaluation: admissible pairs and the exact general sum."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from kohnspec import admissible_pairs, char_general, char_su2_closed, sphere_dim
+from kohnspec import admissible_pairs, char_general, sphere_dim
 from kohnspec.characters import CharacterValue
 
 F = Fraction
@@ -43,64 +43,30 @@ class TestAdmissiblePairs:
 
 class TestCharGeneral:
     def test_identity_value(self):
-        for p, q in [(0, 0), (1, 1), (3, 2)]:
+        for p, q in [(0, 0), (1, 1), (3, 2), (4, 2)]:
             chi = char_general(p, q, (F(0), F(0)))
-            assert chi.value == pytest.approx(p + q + 1)
+            assert chi.terms == {F(0): p + q + 1}
             assert chi.term_count() == p + q + 1
 
     def test_minus_identity_odd_degree(self):
+        # every term is (-1)^(p+q) = -1: the value is -(2 + 1 + 1)
         chi = char_general(2, 1, (F(1, 2), F(1, 2)))
-        assert chi.value == pytest.approx(-(2 + 1 + 1))
+        assert chi.terms == {F(1, 2): 4}
 
     def test_quarter_turn_value(self):
         # eigenvalues (i, -i) at bidegree (1,1): i^-2 + 1 + i^2 = -1
         chi = char_general(1, 1, (F(1, 4), F(3, 4)))
-        assert chi.value == pytest.approx(-1)
+        assert chi.terms == {F(0): 1, F(1, 2): 2}
 
-
-class TestClosedForm:
     def test_quarter_turn_bidegree_31(self):
         # direct expansion over the five admissible pairs gives
         # 1 - 1 + 1 - 1 + 1 = 1 at eigenvalue i
-        angles = (F(1, 4), F(3, 4))
-        chi_closed = char_su2_closed(3, 1, angles)
-        chi_general = char_general(3, 1, angles)
-        assert chi_closed == chi_general
-        assert chi_closed.value == pytest.approx(1)
+        chi = char_general(3, 1, (F(1, 4), F(3, 4)))
+        assert chi.terms == {F(0): 3, F(1, 2): 2}
 
     def test_degenerate_equal_eigenvalues(self):
-        chi = char_su2_closed(2, 2, (F(1, 2), F(1, 2)))
+        chi = char_general(2, 2, (F(1, 2), F(1, 2)))
         assert chi.terms == {F(0): 5}
-
-    def test_identity(self):
-        assert char_su2_closed(4, 2, (F(0), F(0))).terms == {F(0): 7}
-
-    def test_matches_general_on_catalog_classes(self, all_n2_groups):
-        budget = 0
-        for g in all_n2_groups:
-            for c in g.classes[:6]:
-                for p, q in [(0, 1), (1, 1), (2, 0), (2, 3), (0, 6), (4, 4)]:
-                    assert char_su2_closed(p, q, c.angles) == char_general(p, q, c.angles)
-                    budget += 1
-        assert budget > 100
-
-    def test_exhaustive_to_degree_12(self):
-        # every class of a family cross-section, every bidegree p+q <= 12
-        from kohnspec import (
-            make_binary_tetrahedral,
-            make_cyclic,
-            make_cyclic_semidirect,
-            make_q_semidirect,
-        )
-
-        groups = [make_cyclic(8), make_binary_tetrahedral(), make_q_semidirect(1),
-                  make_cyclic_semidirect(3, 2)]
-        for g in groups:
-            for c in g.classes:
-                for s in range(13):
-                    for p in range(s + 1):
-                        q = s - p
-                        assert char_su2_closed(p, q, c.angles) == char_general(p, q, c.angles)
 
 
 class TestSymmetries:
@@ -127,6 +93,8 @@ class TestSymmetries:
                 assert char_general(0, 4, c.angles) == char_general(4, 0, c.angles)
 
     def test_value_consistency(self):
-        chi = CharacterValue({F(1, 3): 2, F(2, 3): 2, F(0): 1})
-        # 2 cos(2 pi / 3) * 2 + 1 = -2 + 1
-        assert chi.value == pytest.approx(-1)
+        chi = CharacterValue({F(1, 3): 2, F(2, 3): 2, F(0): 1, F(1, 2): 0})
+        # zero counts drop out, and the value 2 cos(2 pi / 3) * 2 + 1 = -1
+        # is real: the character equals its conjugate
+        assert chi == CharacterValue({F(0): 1, F(1, 3): 2, F(2, 3): 2})
+        assert chi.conjugate() == chi and chi.term_count() == 5

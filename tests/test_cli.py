@@ -224,6 +224,9 @@ class TestDeterminismAndExitCodes:
          "above the budget of 16777216"),
         (["multiplicity", "--group", "2T", "--lambda", "4398046511106"],
          "eigenvalue 4398046511106 is above the budget of 4398046511104"),
+        (["genfun", "--group", "cyclic:4", "--ceiling", "1000000"],
+         "the series square p, q <= 1000000 needs at least 1000002000001 cells, "
+         "above the budget of 4194304"),
     ])
     def test_budgets_trip_before_allocation(self, capsys, argv, message):
         start = time.perf_counter()

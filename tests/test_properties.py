@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from kohnspec import (
     char_general,
-    char_su2_closed,
     check_free_action,
     counting_function,
     dim_invariant,
@@ -104,12 +103,6 @@ class TestCountingMonotone:
 
 
 class TestRandomizedCharacterIdentities:
-    @settings(max_examples=60, deadline=None)
-    @given(t1=angles_st, t2=angles_st,
-           p=st.integers(min_value=0, max_value=7), q=st.integers(min_value=0, max_value=7))
-    def test_closed_equals_general(self, t1, t2, p, q):
-        assert char_su2_closed(p, q, (t1, t2)) == char_general(p, q, (t1, t2))
-
     @settings(max_examples=40, deadline=None)
     @given(t1=angles_st, t2=angles_st,
            p=st.integers(min_value=0, max_value=6), q=st.integers(min_value=0, max_value=6))

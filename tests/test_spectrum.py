@@ -186,6 +186,32 @@ class TestMultiplicity:
         g3 = make_lens(2, (1, 1, 1))
         assert multiplicity(g3, 2) == (0, [])  # 2q(p+2) >= 4 in C^3
 
+    def test_contributors_in_one_engine_call(self, monkeypatch):
+        # the value is the sum the per-cell path gave over the same cells
+        import kohnspec.spectrum as spectrum
+
+        calls = []
+
+        def counted(group, p, q):
+            calls.append(len(p))
+            return dim_cells(group, p, q)
+
+        monkeypatch.setattr(spectrum, "dim_cells", counted)
+        total, contributors = multiplicity(make_lens(5, (1, 2, 3)), 10**5)
+        assert (total, len(contributors), calls) == (1210835783, 29, [29])
+
+    def test_large_eigenvalue_matches_closed_form(self, capsys):
+        # one batch over 156 contributors whose p and q each reach 5e11: the
+        # sphere-dimension bound holds per cell, not jointly
+        from kohnspec.cli import run
+        from kohnspec.invariant_dims import dim_closed_form
+
+        g = make_binary_tetrahedral()
+        total, contributors = multiplicity(g, 10**12)
+        assert total == sum(dim_closed_form(g, p, q) for p, q in contributors) == 104217529218
+        assert run(["multiplicity", "--group", "2T", "--lambda", "1000000000000"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["1000000000000", "104217529218"]
+
 
 class TestCountingFunction:
     def test_trivial_entries(self):
@@ -230,6 +256,41 @@ TABLE_GROUPS = [
     (make_binary_icosahedral, (), 240), (make_cyclic_semidirect, (3, 2), 240),
     (make_lens, (5, (1, 2, 3)), 160),
 ]
+
+
+class TestInt64BoundsPerCell:
+    def test_lens3_counts_past_the_joint_bound(self):
+        # the int64 bound of the n >= 3 kernel holds per band of cells: a
+        # joint bound over all cells raised Int64Limit at this cutoff
+        g = make_lens(5, (1, 2, 3))
+        table = counting_function(g, 60000)
+        assert (table.count(50000), table.count(60000)) == (1713478028787, 2960967380227)
+        report = weyl_report(g, [50000, 60000])
+        assert report.n_quotient == [1713478028787, 2960967380227]
+        assert all(report.bound_ok)
+
+    def test_series_bound_still_trips_on_one_cell(self):
+        from kohnspec.errors import Int64Limit
+
+        g = make_lens(5, (1, 2, 3))
+        # three bands, each bounded by its own rows: the single-cell values,
+        # where one bound over all three rows raised Int64Limit
+        assert dim_cells(g, [20000, 100000, 0], [20000, 0, 100000]).tolist() == [
+            1600240012001, 1000030001, 1000030001]
+        with pytest.raises(Int64Limit):
+            dim_cells(g, [0, 30000], [1, 30000])
+
+    def test_sphere_dims_bound_each_cell(self):
+        from kohnspec.errors import Int64Limit
+
+        # no cell pairs the largest p with the largest q
+        for n, big in ((2, 5 * 10**11), (3, 10**6)):
+            p, q = np.array([big, 0, 3]), np.array([1, big, 4])
+            assert _sphere_dims(p, q, n).tolist() == [sphere_dim(a, b, n) for a, b in zip(p, q)]
+        with pytest.raises(Int64Limit):
+            _sphere_dims(np.array([1, 4 * 10**9]), np.array([1, 4 * 10**9]), 2)
+        with pytest.raises(Int64Limit):     # C(p + 4, 4) alone passes 2^63
+            _sphere_dims(np.array([3 * 10**5, 1]), np.array([1, 3 * 10**5]), 5)
 
 
 class TestArrayTable:
