@@ -69,6 +69,16 @@ class TestCharGeneral:
         assert chi.terms == {F(0): 5}
 
 
+class TestClosedForm:
+    def test_identity(self):
+        # at the identity the character is the dimension, sphere_dim(p, q, n)
+        assert char_general(4, 2, (F(0), F(0))).terms == {F(0): 7}
+        for n in (2, 3, 4):
+            for p, q in [(0, 0), (1, 0), (2, 3), (4, 2)]:
+                chi = char_general(p, q, (F(0),) * n)
+                assert chi.terms == {F(0): sphere_dim(p, q, n)}
+
+
 class TestSymmetries:
     def test_permutation_invariance(self):
         # characters depend only on the eigenvalue multiset
