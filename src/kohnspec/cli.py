@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -42,8 +43,11 @@ from .spectrum import (
     xi_bound,
 )
 
-_USER_ERRORS = (ParseError, ConstraintError, NonFreeAction, UnsupportedFamily, SizeLimit, ValueError)
+_USER_ERRORS = (ParseError, ConstraintError, NonFreeAction, UnsupportedFamily, SizeLimit)
 _INTERNAL_ERRORS = (NonIntegralDimension, TruncationError, ClosureMismatch, TraceLookupError, ReductionError)
+
+# most weyl grid points: each costs an xi_bound and a counting lookup
+MAX_GRID = 2**12
 
 
 def parse_group_spec(spec: str) -> QuotientGroup:
@@ -220,8 +224,12 @@ def _cmd_weyl(args) -> str:
     k = args.grid
     if k < 1:
         raise ParseError(f"weyl needs --grid >= 1, got {k}")
-    grid = [args.lambda_max * (i + 1) // k for i in range(k)]
-    grid = sorted(set(grid))
+    if k > MAX_GRID:
+        raise SizeLimit(f"weyl needs --grid <= {MAX_GRID}, got {k}")
+    # the distinct values of floor(L*i/k), i = 1..k: consecutive values differ
+    # by at least 1 when k <= L, and by 0 or 1 (from 0 up to L) when k > L
+    top = args.lambda_max
+    grid = [top * i // k for i in range(1, k + 1)] if k <= top else list(range(top + 1))
     rep = weyl_report(group, grid)
     rows = [
         [lam, ng, ns, f"{r:.6f}", xi, ok]
@@ -316,7 +324,10 @@ def _cmd_h0(args) -> str:
     return _tabular(args, ["m", "dim"], rows, doc)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    :func:`run` call; parsing leaves no state on it."""
     parser = argparse.ArgumentParser(
         prog="kohnspec",
         description="Spectra of the Kohn Laplacian on quotients of odd spheres by finite unitary groups.",
@@ -402,8 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line and return its exit code; argparse's own
+    rejections and ``--help`` raise ``SystemExit``."""
+    args = build_parser().parse_args(argv)
     try:
         out = args.func(args)
         sys.stdout.write(out if out.endswith("\n") else out + "\n")

@@ -7,9 +7,10 @@ class KohnspecError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConstraintError(KohnspecError):
-    """A family constructor was called with parameters outside its family
-    constraints (e.g. an even twist order where an odd one is required)."""
+class ConstraintError(KohnspecError, ValueError):
+    """A family constructor or computation was called with parameters outside
+    its constraints (e.g. an even twist order where an odd one is required).
+    Also a ``ValueError``, so callers that catch that keep working."""
 
 
 class NonFreeAction(KohnspecError):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Int64Limit, NonIntegralDimension, TruncationError
+from .errors import ConstraintError, Int64Limit, NonIntegralDimension, TruncationError
 from .group_catalog import QuotientGroup
 
 def exponent(group: QuotientGroup) -> int:
@@ -118,7 +118,7 @@ def fg_coefficients(group: QuotientGroup, ceiling: int) -> np.ndarray:
     from .invariant_dims import dim_cells, require_cells
 
     if ceiling < 0:
-        raise ValueError("ceiling must be nonnegative")
+        raise ConstraintError("ceiling must be nonnegative")
     require_cells((ceiling + 1) ** 2, f"the series square p, q <= {ceiling}")
     p, q = np.indices((ceiling + 1, ceiling + 1), dtype=np.int64)
     return dim_cells(group, p.ravel(), q.ravel()).reshape(p.shape)
@@ -208,6 +208,6 @@ def dim_h0_polynomial(poly: PGPolynomial, m: int) -> int:
     """Invariant dimension at bidegree (0, m*e) through the polynomial-in-m
     formula read off the c(0, j*e) column of P."""
     if m < 0:
-        raise ValueError("m must be nonnegative")
+        raise ConstraintError("m must be nonnegative")
     n = poly.group.n
     return sum(math.comb(m - j + n - 1, n - 1) * poly.c(0, j * poly.e) for j in range(n))

@@ -19,12 +19,18 @@ Families covered, with their canonical spec strings:
 
 The two semidirect families are enumerated by exact worklist closure of their
 generators inside SU(2) x U(1), then pushed down along the multiplication
-double cover to U(2).  The closure is rational: the quaternion generators
+double cover to U(2).  The SU(2) part is rational: the quaternion generators
 i, j and (1+i+j+k)/2 of qsemi generate the binary tetrahedral group, whose
-24 elements are the Hurwitz units with every coordinate in Z/2, so quaternions
-with Fraction components are exact.  cycsemi keeps its cyclic part as an
-exact angle.  2O and 2I are stored as class lists and never go through
-closure.
+24 elements are the Hurwitz units with every coordinate in Z/2, and cycsemi
+keeps its cyclic part as an exact angle.  That part is closed once, with
+Fraction arithmetic, into a table of right products by the generators over
+the group it generates together with -1.  The pairs are then closed over
+integers, and this integer image is exact: an element is its index in that
+table, numbered in the order the elements sort, and a phase is its
+numerator over P = 2 lcm(generator phase denominators), since every sum of
+generator phases and the kernel's 1/2 is a multiple of 1/P.  Canonicalising
+modulo (-1, +1/2) is then an index swap and an addition mod P.  2O and 2I
+are stored as class lists and never go through closure.
 
 Every family also stores exact generator matrices, which only the brute-force
 oracle reads.  An entry is a finite sum of c * exp(2*pi*i*t) with c a
@@ -90,7 +96,11 @@ def _merge_classes(classes: Iterable[tuple[Sequence[Angle], int]]) -> tuple[Conj
     counts: Counter[tuple[Angle, ...]] = Counter()
     for angles, mult in classes:
         counts[tuple(angles)] += int(mult)
-    return tuple(ConjugacyClass(a, m) for a, m in sorted(counts.items()))
+    # angle tuples sort as their integer numerators over one common
+    # denominator, which is much cheaper than comparing Fractions
+    den = math.lcm(*(a.denominator for angles in counts for a in angles))
+    order = sorted(counts, key=lambda angles: [a.numerator * (den // a.denominator) for a in angles])
+    return tuple(ConjugacyClass(a, counts[a]) for a in order)
 
 
 class QuotientGroup:
@@ -402,6 +412,12 @@ _TRACE_TABLE: dict[Fraction, Angle] = {
 }
 
 
+def _numerators(xs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of xs over their least common denominator."""
+    den = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 class QuaternionExact(NamedTuple):
     """Quaternion a + bi + cj + dk with rational components."""
 
@@ -411,13 +427,16 @@ class QuaternionExact(NamedTuple):
     d: Fraction
 
     def mul(self, o: "QuaternionExact") -> "QuaternionExact":
-        a1, b1, c1, d1 = self
-        a2, b2, c2, d2 = o
+        # integer numerators over each factor's common denominator; every
+        # coordinate of the product is reduced once
+        (a1, b1, c1, d1), den1 = _numerators(self)
+        (a2, b2, c2, d2), den2 = _numerators(o)
+        den = den1 * den2
         return QuaternionExact(
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+            Fraction(a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, den),
+            Fraction(a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2, den),
+            Fraction(a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, den),
+            Fraction(a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2, den),
         )
 
     def neg(self) -> "QuaternionExact":
@@ -470,30 +489,68 @@ class DihedralElement(NamedTuple):
         return min(self.t, (1 - self.t) % 1)
 
 
-def _canon_pair(elem, phase: Angle):
-    # the double-cover kernel identifies (g, phase) with (-g, phase + 1/2)
-    alt = (elem.neg(), (phase + HALF) % 1)
-    cur = (elem, phase)
-    return min(cur, alt)
-
-
 def close_in_su2_x_u1(generators: Sequence[tuple], identity) -> list[tuple]:
     """Worklist closure of generator pairs (element, phase) in SU(2) x U(1),
     taken modulo the order-two center of the covering map.
 
-    Returns one canonical representative per element of the image in U(2).
+    Returns one canonical representative per element of the image in U(2),
+    sorted: of (g, phase) and (-g, phase + 1/2), the one with the smaller g.
+    Raises TraceLookupError if the SU(2) part reaches an element whose trace
+    is outside the finite trace table, which no element of a finite group
+    of rational quaternions has; the closure then stops instead of running
+    on forever.
     """
-    start = _canon_pair(identity, ZERO)
+    # the SU(2) part: close {1, -1} under right multiplication into a table
+    # of product indices.  Elements come in pairs 2k, 2k + 1 of e and -e,
+    # and (-e)g = -(eg), so only the row of e is multiplied out.
+    elems = [identity, identity.neg()]
+    index = {e: i for i, e in enumerate(elems)}
+    table = []
+    for i, elem in enumerate(elems):        # grows while it is read
+        if i % 2:
+            table.append([j ^ 1 for j in table[i - 1]])
+            continue
+        elem.eigen_angle()
+        row = []
+        for g, _ in generators:
+            prod = elem.mul(g)
+            j = index.get(prod)
+            if j is None:
+                j = len(elems)
+                elems += [prod, prod.neg()]
+                index[prod], index[elems[-1]] = j, j + 1
+            row.append(j)
+        table.append(row)
+    # renumber by sorted element, so that integer states sort like pairs
+    order = sorted(range(len(elems)), key=elems.__getitem__)
+    rank = [0] * len(elems)
+    for r, i in enumerate(order):
+        rank[i] = r
+    elems = [elems[i] for i in order]
+    table = [[rank[j] for j in table[i]] for i in order]
+    neg = [rank[i ^ 1] for i in order]
+
+    # the U(1) part: phases as numerators over P, state r * P + numerator
+    big_p = 2 * math.lcm(*(phase.denominator for _, phase in generators))
+    half = big_p // 2
+    steps = [int(phase * big_p) for _, phase in generators]
+
+    def canon(r: int, num: int) -> int:
+        if neg[r] < r:
+            return neg[r] * big_p + (num + half) % big_p
+        return r * big_p + num % big_p
+
+    start = canon(rank[0], 0)
     seen = {start}
     work = [start]
     while work:
-        elem, phase = work.pop()
-        for g, gphase in generators:
-            nxt = _canon_pair(elem.mul(g), (phase + gphase) % 1)
+        r, num = divmod(work.pop(), big_p)
+        for j, step in zip(table[r], steps):
+            nxt = canon(j, num + step)
             if nxt not in seen:
                 seen.add(nxt)
                 work.append(nxt)
-    return sorted(seen)
+    return [(elems[state // big_p], Fraction(state % big_p, big_p)) for state in sorted(seen)]
 
 
 def _classes_from_pairs(pairs: Iterable[tuple]) -> list[tuple[tuple[Angle, Angle], int]]:

@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import ConstraintError
 from .genfun import dim_h0_polynomial, pg_polynomial
 from .group_catalog import QuotientGroup
 from .invariant_dims import dim_cells, triangle_cells
@@ -29,9 +30,9 @@ def laplace_eigenvalue(s: int, n: int) -> int:
 def c_pq(p: int, q: int, n: int, convention: int = 2) -> float:
     """Cell constant sqrt(1 + mu)/(D q (p + n - 1)), q >= 1."""
     if q < 1:
-        raise ValueError("q must be at least 1")
+        raise ConstraintError("q must be at least 1")
     if convention not in (2, 4):
-        raise ValueError("convention must be 2 or 4")
+        raise ConstraintError("convention must be 2 or 4")
     mu = laplace_eigenvalue(p + q, n)
     return math.sqrt(1 + mu) / (convention * q * (p + n - 1))
 
@@ -39,7 +40,7 @@ def c_pq(p: int, q: int, n: int, convention: int = 2) -> float:
 def c_pq_squared(p: int, q: int, n: int, convention: int = 2) -> Fraction:
     """Exact square of the cell constant, for order comparisons."""
     if q < 1:
-        raise ValueError("q must be at least 1")
+        raise ConstraintError("q must be at least 1")
     mu = laplace_eigenvalue(p + q, n)
     return Fraction(1 + mu, (convention * q * (p + n - 1)) ** 2)
 
@@ -48,7 +49,7 @@ def _line_denominator(s: int, n: int, convention: int) -> int:
     """Smallest cell denominator D q (p + n - 1) on the line p + q = s: it is
     concave in q, so its minimum sits at an endpoint."""
     if s < 1:
-        raise ValueError("s must be at least 1")
+        raise ConstraintError("s must be at least 1")
     return convention * min(s + n - 2, s * (n - 1))
 
 
@@ -92,7 +93,7 @@ def c_group(group: QuotientGroup, ceiling: int, convention: int = 2) -> SobolevC
     result stays uncertified no matter the ceiling.
     """
     if ceiling < 2:
-        raise ValueError("ceiling must be at least 2")
+        raise ConstraintError("ceiling must be at least 2")
     n = group.n
     # on a line p + q = s the numerator 1 + mu is fixed, so the line's best
     # cell is the nonvanishing one with the least q(p + n - 1), then least
@@ -112,7 +113,7 @@ def c_group(group: QuotientGroup, ceiling: int, convention: int = 2) -> SobolevC
         if best is None or sq > best[0] or (sq == best[0] and cell < best[1]):
             best = (sq, cell)
     if best is None:
-        raise ValueError(f"{group.name}: no nonvanishing bidegree with q >= 1 below ceiling {ceiling}")
+        raise ConstraintError(f"{group.name}: no nonvanishing bidegree with q >= 1 below ceiling {ceiling}")
     best_sq, (p, q) = best
     value = c_pq(p, q, n, convention)
     env = envelope(ceiling, n, convention)
@@ -126,7 +127,7 @@ def greens_lower_witness(group: QuotientGroup, m_max: int, convention: int = 2) 
     exponent with nonvanishing invariant dimension; decreases to the plateau
     1/(D(n-1)) from above."""
     if m_max < 1:
-        raise ValueError("m_max must be at least 1")
+        raise ConstraintError("m_max must be at least 1")
     poly = pg_polynomial(group)
     return [(m, c_pq(0, m * poly.e, group.n, convention))
             for m in range(1, m_max + 1) if dim_h0_polynomial(poly, m) >= 1]

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .group_catalog import QuotientGroup
-from .errors import SizeLimit
+from .errors import ConstraintError, SizeLimit
 from .genfun import _require_int64
 from .invariant_dims import _sphere_dims, dim_cells, require_cells
 
@@ -169,7 +169,7 @@ def xi_bound(lam, n: int) -> int:
     """
     lam = Fraction(lam)
     if n < 2:
-        raise ValueError("ambient dimension must be at least 2")
+        raise ConstraintError("ambient dimension must be at least 2")
     if lam > MAX_XI_CUTOFF:
         raise SizeLimit(f"xi_bound needs lam <= {MAX_XI_CUTOFF}, the cutoff budget")
     L = lam.numerator // lam.denominator
@@ -286,7 +286,7 @@ def weyl_report(group: QuotientGroup, grid) -> WeylReport:
     of eigenvalue cutoffs."""
     grid = [int(x) for x in grid]
     if grid != sorted(grid):
-        raise ValueError("grid must be ascending")
+        raise ConstraintError("grid must be ascending")
     n = group.n
     lam_max = grid[-1]
     # each table is read and dropped before the next is built, which keeps
@@ -331,7 +331,7 @@ def compare_spectra(a: QuotientGroup, b: QuotientGroup, lambda_max: int) -> Spec
     """Least eigenvalue <= lambda_max whose multiplicities differ: the first
     differing entry of the two counting tables, which share one set of cells."""
     if a.n != b.n:
-        raise ValueError("groups must act on the same sphere")
+        raise ConstraintError("groups must act on the same sphere")
     p, q = _cells(a.n, lambda_max)
     ta = SpectrumTable(a, lambda_max, a.n, p, q, dim_cells(a, p, q))
     tb = SpectrumTable(b, lambda_max, b.n, p, q, dim_cells(b, p, q))

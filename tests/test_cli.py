@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import csv
 import io
 import json
@@ -12,10 +14,14 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import kohnspec
 from kohnspec import ConstraintError, NonFreeAction, ParseError, parse_group_spec
-from kohnspec.cli import run
+from kohnspec.cli import build_parser, run
+
+REPRODUCE_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "reproduce_golden.json"
 
 
 def capture(capsys, argv):
@@ -197,6 +203,42 @@ class TestDeterminismAndExitCodes:
         code, out, err = capture(capsys, argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_grid_above_budget_is_size_limit(self, capsys):
+        start = time.perf_counter()
+        code, out, err = capture(capsys, ["weyl", "--group", "2T", "--lambda-max", "100",
+                                          "--grid", "10000000"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", "error: weyl needs --grid <= 4096, got 10000000\n")
+
+    @pytest.mark.parametrize("lam, k", [(3, 4), (2, 1), (10, 10), (10, 11), (100, 7), (61, 4096), (97, 40)])
+    def test_grid_is_the_deduplicated_floor_grid(self, capsys, lam, k):
+        code, out, _ = capture(capsys, ["weyl", "--group", "cyclic:4", "--lambda-max", str(lam),
+                                        "--grid", str(k), "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["grid"] == sorted({lam * (i + 1) // k for i in range(k)})
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sobolev", "--group", "2T", "--ceiling", "0"], "ceiling must be at least 2"),
+        (["xi", "--n", "1", "--lambda", "10"], "ambient dimension must be at least 2"),
+        (["compare", "--group-a", "2T", "--group-b", "lens:5:1,2,3", "--lambda-max", "10"],
+         "groups must act on the same sphere"),
+    ])
+    def test_library_constraint_is_user_error(self, capsys, argv, message):
+        code, out, err = capture(capsys, argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_bare_value_error_is_not_a_user_error(self, capsys, monkeypatch):
+        # ConstraintError is a ValueError for library callers, but the CLI
+        # no longer reports any other ValueError as bad input
+        assert issubclass(ConstraintError, ValueError)
+
+        def boom(*args, **kwargs):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr("kohnspec.cli.dim_invariant", boom)
+        with pytest.raises(ValueError, match="synthetic failure"):
+            run(["dims", "--group", "cyclic:3", "--p", "1", "--q", "1"])
+
     def test_int64_limit_is_user_error(self, capsys):
         code, out, err = capture(capsys, ["dims", "--group", "cyclic:3", "--p", "4000000000",
                                           "--q", "4000000000"])
@@ -254,6 +296,115 @@ class TestDeterminismAndExitCodes:
         assert "invariant violation" in err
 
 
+class TestSharedParser:
+    def test_parser_built_once_across_runs(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        assert built == []
+        capture(capsys, ["xi", "--n", "2", "--lambda", "2"])
+        per_parser = len(built)
+        assert built.count("kohnspec") == 1 and per_parser == 12    # the root and 11 subcommands
+        for argv in (["catalog", "list"], ["multiplicity", "--group", "2T", "--lambda", "12"],
+                     ["dims", "--group", "cyclic:0", "--p", "0", "--q", "0"]):
+            capture(capsys, argv)
+        with pytest.raises(SystemExit):
+            run(["frobnicate"])
+        assert len(built) == per_parser
+
+    def test_reuse_after_errors_and_help_is_stateless(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["weyl", "--group", "2T", "--lambda-max", "not-a-number"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        fresh = build_parser.__wrapped__()
+        for argv in (["--help"], ["weyl", "--help"]):
+            texts = []
+            for parse in (run, run, fresh.parse_args):
+                with pytest.raises(SystemExit) as exc:
+                    parse(argv)
+                assert exc.value.code == 0
+                texts.append(capsys.readouterr().out)
+            assert texts[0] == texts[1] == texts[2], argv
+        for entry in json.loads(REPRODUCE_GOLDEN.read_text())["commands"][:3]:
+            code, out, err = capture(capsys, entry["argv"])
+            assert (code, out, err) == (0, entry["stdout"], ""), entry["argv"]
+
+
+# -- in-process argv fuzzing: every argv exits 0, 1 or 2, without a traceback,
+# and JSON output parses.  Budgets keep each example to a few milliseconds.
+
+_SPECS = st.sampled_from([
+    "cyclic:1", "cyclic:4", "cyclic:7", "Q", "bindih:8", "2T", "2O", "2I", "QxC:3", "2TxC:5",
+    "qsemi:1", "cycsemi:3:2", "lens:5:1,2", "lens:5:1,2,3", "lens:3:1,1,1,2",
+    "cyclic:0", "cyclic:-2", "bindih:7", "2TxC:3", "lens:4:1,2", "lens:5", "lens:5:1", "qsemi:2",
+    "cycsemi:3:3", "cycsemi:1:2", "cycsemi:3", "cyclic:x", "nope:1", "", " 2T ",
+])
+
+
+def _num(lo: int, hi: int):
+    return st.integers(lo, hi).map(str)
+
+
+_FLOATS = _num(-5, 300) | st.sampled_from(["nan", "inf", "-inf", "1e300", "2.5", "-0.0"])
+
+_COMMANDS = {
+    "catalog": [("action", st.sampled_from(["list", "show"])), ("spec", _SPECS)],
+    "dims": [("--group", _SPECS), ("--p", _num(-2, 12)), ("--q", _num(-2, 12)), ("--pq-max", _num(-2, 10))],
+    "spectrum": [("--group", _SPECS), ("--lambda-max", _num(-3, 120))],
+    "multiplicity": [("--group", _SPECS), ("--lambda", _num(-3, 300))],
+    "compare": [("--group-a", _SPECS), ("--group-b", _SPECS), ("--lambda-max", _num(-3, 80))],
+    "weyl": [("--group", _SPECS), ("--lambda-max", _num(-3, 200)),
+             ("--grid", _num(-2, 8) | st.sampled_from(["4096", "4097"]))],
+    "xi": [("--n", _num(-1, 5)), ("--lambda", _FLOATS)],
+    "genfun": [("--group", _SPECS), ("--ceiling", _num(-2, 30))],
+    "sobolev": [("--group", _SPECS), ("--ceiling", _num(-1, 40)), ("--convention", _num(1, 4)),
+                ("--witness", _num(-1, 4))],
+    "oracle-check": [("--group", _SPECS), ("--pq-max", _num(-1, 4))],
+    "h0dims": [("--group", _SPECS), ("--m-max", _num(-2, 8))],
+}
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of one subcommand.  Each option is usually present with a
+    value in its range; one in twenty is left out, one in twenty gets a
+    token argparse may reject."""
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    argv = [command]
+    for option, values in _COMMANDS[command] + [("--format", st.sampled_from(["table", "csv", "json"]))]:
+        roll = draw(st.integers(0, 19))
+        if roll == 0:
+            continue
+        value = draw(st.sampled_from(["x", "1.5", "", "xml"]) if roll == 1 else values)
+        argv += [option, value] if option.startswith("--") else [value]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(argv=_argvs())
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:       # argparse rejects the argv
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 1:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
+    if code == 0 and argv[-2:] == ["--format", "json"]:
+        json.loads(out.getvalue())
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(kohnspec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -264,8 +415,7 @@ def test_cli_import_loads_no_scipy():
 
 def test_reproduce_golden_byte_identical(capsys):
     # every docs/REPRODUCE.md command, against the stdout recorded in the golden
-    golden = Path(__file__).resolve().parents[1] / "bench" / "reproduce_golden.json"
-    for entry in json.loads(golden.read_text())["commands"]:
+    for entry in json.loads(REPRODUCE_GOLDEN.read_text())["commands"]:
         code, out, err = capture(capsys, entry["argv"])
         assert (code, err) == (0, ""), entry["argv"]
         assert out == entry["stdout"], entry["argv"]

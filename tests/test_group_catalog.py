@@ -258,6 +258,60 @@ class TestFreeAction:
         assert set(report.witness.angles) == {ZERO, F(1, 2)}
 
 
+def _reference_closure(generators, identity):
+    """The closure as a Fraction worklist: (g, phase) and (-g, phase + 1/2)
+    name one element of U(2), represented by the smaller pair."""
+    def canon(elem, phase):
+        return min((elem, phase), (elem.neg(), (phase + F(1, 2)) % 1))
+
+    start = canon(identity, ZERO)
+    seen = {start}
+    work = [start]
+    while work:
+        elem, phase = work.pop()
+        for g, gphase in generators:
+            nxt = canon(elem.mul(g), (phase + gphase) % 1)
+            if nxt not in seen:
+                seen.add(nxt)
+                work.append(nxt)
+    return sorted(seen)
+
+
+_H = quat(F(1, 2), F(1, 2), F(1, 2), F(1, 2))
+_I, _J, _K = quat(0, 1, 0, 0), quat(0, 0, 1, 0), quat(0, 0, 0, 1)
+
+
+def _cycsemi_generators(m, l):
+    return [(DihedralElement(F(1, 2 * m), 0), ZERO), (DihedralElement(ZERO, 1), F(1, 4 * l))]
+
+
+class TestIntegerClosure:
+    @pytest.mark.parametrize("generators, identity", [
+        *[([(_I, ZERO), (_J, ZERO), (_H, F(1, 18 * l))], QUAT_ONE) for l in (1, 3, 5)],
+        ([(_I, ZERO), (_J, ZERO), (_K, ZERO), (_H, F(1, 18)), (_H.mul(_H), F(2, 18))], QUAT_ONE),
+        ([(_I, ZERO), (_J, ZERO), (_H, ZERO), (_I, F(1, 4))], QUAT_ONE),
+        *[(_cycsemi_generators(m, l), DihedralElement(ZERO, 0)) for m, l in ((3, 2), (5, 2), (3, 4), (7, 6))],
+        ([(DihedralElement(F(1, 6), 0), ZERO), (DihedralElement(ZERO, 1), F(1, 8)),
+          (DihedralElement(F(1, 3), 0), ZERO), (DihedralElement(F(1, 2), 0), F(1, 4))],
+         DihedralElement(ZERO, 0)),
+        # a rational unit that is not Hurwitz, of order 4, and a phase with an odd denominator
+        ([(quat(0, F(3, 5), F(4, 5), 0), F(1, 3))], QUAT_ONE),
+    ])
+    def test_matches_fraction_worklist(self, generators, identity):
+        pairs = close_in_su2_x_u1(generators, identity)
+        assert pairs == _reference_closure(generators, identity)
+        assert all(type(phase) is F for _, phase in pairs)
+
+    def test_infinite_order_generator_raises(self):
+        # 3/5 + 4/5 i has trace 6/5: it generates an infinite group, which a
+        # worklist would enumerate forever
+        from kohnspec.errors import TraceLookupError
+
+        stray = quat(F(3, 5), F(4, 5), 0, 0)
+        with pytest.raises(TraceLookupError, match="6/5"):
+            close_in_su2_x_u1([(_I, ZERO), (stray, ZERO)], QUAT_ONE)
+
+
 class TestExactArithmetic:
     def test_unit_norm_preserved_under_closure(self):
         one = F(1)
@@ -266,6 +320,17 @@ class TestExactArithmetic:
         gens = [(quat(0, 1, 0, 0), ZERO), (quat(0, 0, 1, 0), ZERO), (h, F(1, 18))]
         for elem, _phase in close_in_su2_x_u1(gens, QUAT_ONE):
             assert elem.norm_squared() == one
+
+    def test_mul_is_the_hamilton_product(self):
+        assert _I.mul(_J) == _K and _J.mul(_I) == _K.neg() and _I.mul(_I) == QUAT_ONE.neg()
+        assert _H.mul(_H) == quat(F(-1, 2), F(1, 2), F(1, 2), F(1, 2))
+        x, y = quat(F(1, 2), F(-1, 3), 0, 2), quat(F(3, 4), -1, F(1, 5), F(2, 7))
+        (a1, b1, c1, d1), (a2, b2, c2, d2) = x, y
+        assert x.mul(y) == (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+        assert all(type(c) is F for c in x.mul(y))
 
     def test_trace_lookup_error(self):
         from kohnspec.errors import TraceLookupError
