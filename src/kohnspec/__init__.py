@@ -14,7 +14,6 @@ from .errors import (
     ParseError,
     ReductionError,
     SizeLimit,
-    TraceLookupError,
     TruncationError,
     UnsupportedFamily,
 )

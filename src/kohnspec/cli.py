@@ -27,7 +27,6 @@ from .errors import (
     ParseError,
     ReductionError,
     SizeLimit,
-    TraceLookupError,
     TruncationError,
     UnsupportedFamily,
 )
@@ -44,10 +43,19 @@ from .spectrum import (
 )
 
 _USER_ERRORS = (ParseError, ConstraintError, NonFreeAction, UnsupportedFamily, SizeLimit)
-_INTERNAL_ERRORS = (NonIntegralDimension, TruncationError, ClosureMismatch, TraceLookupError, ReductionError)
+_INTERNAL_ERRORS = (NonIntegralDimension, TruncationError, ClosureMismatch, ReductionError)
 
-# most weyl grid points: each costs an xi_bound and a counting lookup
-MAX_GRID = 2**12
+# most rows a row-count option may ask for: each weyl grid point costs an
+# xi_bound and a counting lookup, each sobolev witness or h0dims row one
+# evaluation of the generating polynomial
+MAX_ROWS = 2**12
+
+
+def _require_rows(command: str, option: str, k: int) -> None:
+    """Raise SizeLimit before any work if an option asks for more than
+    MAX_ROWS rows."""
+    if k > MAX_ROWS:
+        raise SizeLimit(f"{command} needs {option} <= {MAX_ROWS}, got {k}")
 
 
 def parse_group_spec(spec: str) -> QuotientGroup:
@@ -224,8 +232,7 @@ def _cmd_weyl(args) -> str:
     k = args.grid
     if k < 1:
         raise ParseError(f"weyl needs --grid >= 1, got {k}")
-    if k > MAX_GRID:
-        raise SizeLimit(f"weyl needs --grid <= {MAX_GRID}, got {k}")
+    _require_rows("weyl", "--grid", k)
     # the distinct values of floor(L*i/k), i = 1..k: consecutive values differ
     # by at least 1 when k <= L, and by 0 or 1 (from 0 up to L) when k > L
     top = args.lambda_max
@@ -282,6 +289,7 @@ def _cmd_genfun(args) -> str:
 
 
 def _cmd_sobolev(args) -> str:
+    _require_rows("sobolev", "--witness", args.witness)
     group = parse_group_spec(args.group)
     const = sb.c_group(group, args.ceiling, args.convention)
     doc = {
@@ -317,6 +325,7 @@ def _cmd_oracle_check(args) -> str:
 
 
 def _cmd_h0(args) -> str:
+    _require_rows("h0dims", "--m-max", args.m_max)
     group = parse_group_spec(args.group)
     poly = pg_polynomial(group)
     rows = [[m, dim_h0_polynomial(poly, m)] for m in range(args.m_max + 1)]

@@ -31,11 +31,6 @@ class UnsupportedFamily(KohnspecError):
     """No closed-form dimension formula is available for this family."""
 
 
-class TraceLookupError(KohnspecError):
-    """An exact quaternion trace fell outside the finite trace table.
-    Impossible for catalog groups; indicates corrupted generator data."""
-
-
 class SizeLimit(KohnspecError):
     """A computation was requested beyond its size budget."""
 

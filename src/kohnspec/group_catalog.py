@@ -17,20 +17,14 @@ Families covered, with their canonical spec strings:
     cycsemi:m:l     image in U(2) of the cyclic-by-cyclic semidirect product
                     of Z/2mZ with twist order 4l       (m odd, l even, coprime)
 
-The two semidirect families are enumerated by exact worklist closure of their
-generators inside SU(2) x U(1), then pushed down along the multiplication
-double cover to U(2).  The SU(2) part is rational: the quaternion generators
-i, j and (1+i+j+k)/2 of qsemi generate the binary tetrahedral group, whose
-24 elements are the Hurwitz units with every coordinate in Z/2, and cycsemi
-keeps its cyclic part as an exact angle.  That part is closed once, with
-Fraction arithmetic, into a table of right products by the generators over
-the group it generates together with -1.  The pairs are then closed over
-integers, and this integer image is exact: an element is its index in that
-table, numbered in the order the elements sort, and a phase is its
-numerator over P = 2 lcm(generator phase denominators), since every sum of
-generator phases and the kernel's 1/2 is a multiple of 1/P.  Canonicalising
-modulo (-1, +1/2) is then an index swap and an addition mod P.  2O and 2I
-are stored as class lists and never go through closure.
+Every family writes its classes down directly.  The two twisted families are
+images in U(2), under the double cover (g, phase) -> exp(2*pi*i*phase) g, of
+fibre products inside SU(2) x U(1): pairs (g, k/P) of an element of a binary
+family and a phase, with k fixed modulo 3 (qsemi, over 2T/Q8) or modulo 2
+(cycsemi, over bindih/cyclic) by the coset of g.  An element with phase
+angle t whose SU(2) part has eigenvalue angles +-theta has the class
+(t + theta, t - theta); each image element is listed once, by one of its two
+lifts.
 
 Every family also stores exact generator matrices, which only the brute-force
 oracle reads.  An entry is a finite sum of c * exp(2*pi*i*t) with c a
@@ -48,7 +42,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ConstraintError, NonFreeAction, SizeLimit, TraceLookupError
+from .errors import ConstraintError, NonFreeAction, SizeLimit
 
 Angle = Fraction
 
@@ -242,7 +236,25 @@ def _quat_matrix(a: Cyclotomic, b: Cyclotomic, c: Cyclotomic, d: Cyclotomic,
     return tuple(tuple(_turn(x, phase) for x in row) for row in rows)
 
 
-def _rational_quat_matrix(h: "QuaternionExact", phase: Angle = ZERO) -> ExactMatrix:
+class QuaternionExact(NamedTuple):
+    """Quaternion a + bi + cj + dk with rational components."""
+
+    a: Fraction
+    b: Fraction
+    c: Fraction
+    d: Fraction
+
+
+def quat(a, b, c, d) -> QuaternionExact:
+    return QuaternionExact(*map(Fraction, (a, b, c, d)))
+
+
+QUAT_I = quat(0, 1, 0, 0)
+QUAT_J = quat(0, 0, 1, 0)
+QUAT_H = quat(HALF, HALF, HALF, HALF)
+
+
+def _rational_quat_matrix(h: QuaternionExact, phase: Angle = ZERO) -> ExactMatrix:
     return _quat_matrix(*map(_rational, h), phase=phase)
 
 
@@ -367,6 +379,7 @@ def _product_constraint(base: QuotientGroup) -> int:
     )
 
 
+@cache
 def make_product_with_center(base: QuotientGroup, l: int) -> QuotientGroup:
     """Group generated by an SU(2) binary family and the scalar matrix of
     order l.  Free action requires l odd and coprime to the base constraint
@@ -398,195 +411,55 @@ def make_product_with_center(base: QuotientGroup, l: int) -> QuotientGroup:
 
 
 # ---------------------------------------------------------------------------
-# Exact arithmetic for the semidirect families
+# Twisted families: fibre products of an SU(2) family with scalar phases
 
 
-# trace = 2*Re(q) of a finite-order unit quaternion determines its eigenvalue
-# angle; closure only ever meets Hurwitz units, whose traces are these five.
-_TRACE_TABLE: dict[Fraction, Angle] = {
-    Fraction(2): ZERO,
-    Fraction(-2): HALF,
-    Fraction(0): Fraction(1, 4),
-    Fraction(1): Fraction(1, 6),
-    Fraction(-1): Fraction(1, 3),
-}
-
-
-def _numerators(xs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators of xs over their least common denominator."""
-    den = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs], den
-
-
-class QuaternionExact(NamedTuple):
-    """Quaternion a + bi + cj + dk with rational components."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-
-    def mul(self, o: "QuaternionExact") -> "QuaternionExact":
-        # integer numerators over each factor's common denominator; every
-        # coordinate of the product is reduced once
-        (a1, b1, c1, d1), den1 = _numerators(self)
-        (a2, b2, c2, d2), den2 = _numerators(o)
-        den = den1 * den2
-        return QuaternionExact(
-            Fraction(a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, den),
-            Fraction(a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2, den),
-            Fraction(a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, den),
-            Fraction(a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2, den),
-        )
-
-    def neg(self) -> "QuaternionExact":
-        return QuaternionExact(-self.a, -self.b, -self.c, -self.d)
-
-    def norm_squared(self) -> Fraction:
-        return self.a * self.a + self.b * self.b + self.c * self.c + self.d * self.d
-
-    def eigen_angle(self) -> Angle:
-        trace = 2 * self.a
-        try:
-            return _TRACE_TABLE[trace]
-        except KeyError:
-            raise TraceLookupError(f"quaternion trace {trace} outside the finite trace table") from None
-
-
-def quat(a, b, c, d) -> QuaternionExact:
-    return QuaternionExact(*map(Fraction, (a, b, c, d)))
-
-
-QUAT_ONE = quat(1, 0, 0, 0)
-QUAT_I = quat(0, 1, 0, 0)
-QUAT_J = quat(0, 0, 1, 0)
-QUAT_H = quat(HALF, HALF, HALF, HALF)
-
-
-class DihedralElement(NamedTuple):
-    """Element exp(2*pi*i*t) * j^flag of the binary dihedral subalgebra.
-
-    Keeps the cyclic part as an exact angle so that semidirect closures with
-    arbitrary odd m need no field extension.
-    """
-
-    t: Angle
-    flag: int
-
-    def mul(self, o: "DihedralElement") -> "DihedralElement":
-        if not self.flag:
-            return DihedralElement((self.t + o.t) % 1, o.flag)
-        if not o.flag:
-            return DihedralElement((self.t - o.t) % 1, 1)
-        return DihedralElement((self.t - o.t + HALF) % 1, 0)
-
-    def neg(self) -> "DihedralElement":
-        return DihedralElement((self.t + HALF) % 1, self.flag)
-
-    def eigen_angle(self) -> Angle:
-        if self.flag:
-            return Fraction(1, 4)
-        return min(self.t, (1 - self.t) % 1)
-
-
-def close_in_su2_x_u1(generators: Sequence[tuple], identity) -> list[tuple]:
-    """Worklist closure of generator pairs (element, phase) in SU(2) x U(1),
-    taken modulo the order-two center of the covering map.
-
-    Returns one canonical representative per element of the image in U(2),
-    sorted: of (g, phase) and (-g, phase + 1/2), the one with the smaller g.
-    Raises TraceLookupError if the SU(2) part reaches an element whose trace
-    is outside the finite trace table, which no element of a finite group
-    of rational quaternions has; the closure then stops instead of running
-    on forever.
-    """
-    # the SU(2) part: close {1, -1} under right multiplication into a table
-    # of product indices.  Elements come in pairs 2k, 2k + 1 of e and -e,
-    # and (-e)g = -(eg), so only the row of e is multiplied out.
-    elems = [identity, identity.neg()]
-    index = {e: i for i, e in enumerate(elems)}
-    table = []
-    for i, elem in enumerate(elems):        # grows while it is read
-        if i % 2:
-            table.append([j ^ 1 for j in table[i - 1]])
-            continue
-        elem.eigen_angle()
-        row = []
-        for g, _ in generators:
-            prod = elem.mul(g)
-            j = index.get(prod)
-            if j is None:
-                j = len(elems)
-                elems += [prod, prod.neg()]
-                index[prod], index[elems[-1]] = j, j + 1
-            row.append(j)
-        table.append(row)
-    # renumber by sorted element, so that integer states sort like pairs
-    order = sorted(range(len(elems)), key=elems.__getitem__)
-    rank = [0] * len(elems)
-    for r, i in enumerate(order):
-        rank[i] = r
-    elems = [elems[i] for i in order]
-    table = [[rank[j] for j in table[i]] for i in order]
-    neg = [rank[i ^ 1] for i in order]
-
-    # the U(1) part: phases as numerators over P, state r * P + numerator
-    big_p = 2 * math.lcm(*(phase.denominator for _, phase in generators))
-    half = big_p // 2
-    steps = [int(phase * big_p) for _, phase in generators]
-
-    def canon(r: int, num: int) -> int:
-        if neg[r] < r:
-            return neg[r] * big_p + (num + half) % big_p
-        return r * big_p + num % big_p
-
-    start = canon(rank[0], 0)
-    seen = {start}
-    work = [start]
-    while work:
-        r, num = divmod(work.pop(), big_p)
-        for j, step in zip(table[r], steps):
-            nxt = canon(j, num + step)
-            if nxt not in seen:
-                seen.add(nxt)
-                work.append(nxt)
-    return [(elems[state // big_p], Fraction(state % big_p, big_p)) for state in sorted(seen)]
-
-
-def _classes_from_pairs(pairs: Iterable[tuple]) -> list[tuple[tuple[Angle, Angle], int]]:
-    classes = []
-    for elem, phase in pairs:
-        theta = elem.eigen_angle()
-        classes.append((((phase + theta) % 1, (phase - theta) % 1), 1))
-    return classes
+def _twisted(phase: Angle, theta: Angle) -> tuple[Angle, Angle]:
+    """Eigenvalue angles of exp(2*pi*i*phase) times an SU(2) element whose
+    eigenvalue angles are +-theta."""
+    return ((phase + theta) % 1, (phase - theta) % 1)
 
 
 @cache
 def make_q_semidirect(l: int) -> QuotientGroup:
-    """Image in U(2) of the group generated by the quaternion group and an
-    order-6 half-integer quaternion carrying a scalar phase of order 18l.
+    """Image in U(2) of the group generated by the quaternions i and j and
+    the order-6 unit h = (1+i+j+k)/2 carrying the scalar phase 1/P, P = 18l.
 
-    The enumerated image order is 72l; see the decisions notes for why this
-    is the ground truth rather than any smaller reading.
+    The pairs (g, phase) generated form the fibre product of 2T and Z/P over
+    Z/3: {(g, k/P) : g in 2T, k = chi(g) mod 3}, chi : 2T -> 2T/Q8 = Z/3 with
+    chi(h) = 1, since h^3 = -1 carries the phase 3/P and -1 in Q8 carries 0.
+    The kernel (-1, 1/2) of the map to U(2) lies in it, so the image has
+    order 24 (P/3) / 2 = 72l.  Each image element is listed by its lift with
+    g = -1, -i, -j, -k (chi = 0, eigenvalue angles +-1/2 and +-1/4) or with
+    real part -1/2 (four per nonzero value of chi, angles +-1/3).
     """
     if l < 1 or l % 2 == 0:
         raise ConstraintError(f"twist parameter l must be odd and positive, got {l}")
     _require_order(f"qsemi:{l}", 72 * l)
-    gens = [(QUAT_I, ZERO), (QUAT_J, ZERO), (QUAT_H, Fraction(1, 18 * l))]
-    pairs = close_in_su2_x_u1(gens, QUAT_ONE)
-    group = QuotientGroup(
-        f"qsemi:{l}", "qsemi", 2, _classes_from_pairs(pairs),
-        params={"l": l},
-        generators=[_rational_quat_matrix(g, phase) for g, phase in gens],
-    )
-    assert group.order == 72 * l, (group.order, l)
-    return group
+    big_p = 18 * l
+    classes = []
+    for k in range(big_p):
+        phase = Fraction(k, big_p)
+        if k % 3:
+            classes.append((_twisted(phase, Fraction(1, 3)), 4))
+        else:
+            classes += [(_twisted(phase, HALF), 1), (_twisted(phase, QUARTER), 3)]
+    gens = [_rational_quat_matrix(QUAT_I), _rational_quat_matrix(QUAT_J),
+            _rational_quat_matrix(QUAT_H, Fraction(1, big_p))]
+    return QuotientGroup(f"qsemi:{l}", "qsemi", 2, classes, params={"l": l}, generators=gens)
 
 
 @cache
 def make_cyclic_semidirect(m: int, l: int) -> QuotientGroup:
     """Image in U(2) of the group generated by the cyclic group of order 2m
-    and the trace-zero quaternion j carrying a scalar phase of order 4l.
+    and the trace-zero quaternion j carrying the scalar phase 1/P, P = 4l.
+
+    The pairs (g, phase) generated form the fibre product of bindih:2m and
+    Z/P over Z/2: {(g, k/P) : k = 1 mod 2 exactly when g lies off the cyclic
+    part}, since j^2 = -1 carries the phase 2/P.  The kernel (-1, 1/2) of the
+    map to U(2) lies in it, so the image has order 4m (P/2) / 2 = 4ml.  Each
+    image element is listed by its lift with g = exp(2*pi*i*t) j^flag,
+    t < 1/2: eigenvalue angles +-t on the cyclic part, +-1/4 off it.
 
     Free action requires m odd (>= 3), l even, and gcd(m, l) = 1; invalid
     parameters are rejected through the fixed-point criterion.
@@ -596,18 +469,21 @@ def make_cyclic_semidirect(m: int, l: int) -> QuotientGroup:
     if l < 1:
         raise ConstraintError(f"twist parameter l must be positive, got {l}")
     _require_order(f"cycsemi:{m}:{l}", 4 * m * l)
-    a = DihedralElement(Fraction(1, 2 * m) % 1, 0)
-    x = DihedralElement(ZERO, 1)
-    gens = [(a, ZERO), (x, Fraction(1, 4 * l))]
-    pairs = close_in_su2_x_u1(gens, DihedralElement(ZERO, 0))
-    classes = _classes_from_pairs(pairs)
+    big_p = 4 * l
+    classes = []
+    for k in range(big_p):
+        phase = Fraction(k, big_p)
+        if k % 2:
+            classes.append((_twisted(phase, QUARTER), m))
+        else:
+            classes += [(_twisted(phase, Fraction(j, 2 * m)), 1) for j in range(m)]
     name = f"cycsemi:{m}:{l}"
     group = QuotientGroup(
         name, "cycsemi", 2, classes,
         params={"m": m, "l": l},
         generators=[
             _diag(Fraction(1, 2 * m), Fraction(-1, 2 * m)),
-            _rational_quat_matrix(QUAT_J, Fraction(1, 4 * l)),
+            _rational_quat_matrix(QUAT_J, Fraction(1, big_p)),
         ],
         expect_free=False,
     )
@@ -617,7 +493,6 @@ def make_cyclic_semidirect(m: int, l: int) -> QuotientGroup:
             f"{name}: requires m odd, l even, gcd(m, l)=1; class {report.witness} has eigenvalue 1",
             witness=report.witness,
         )
-    assert group.order == 4 * m * l, (group.order, m, l)
     return group
 
 

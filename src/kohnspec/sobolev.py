@@ -79,9 +79,6 @@ class SobolevConstant:
     plateau: float          # limit of the envelope: 1/(D(n-1))
     value_squared: Fraction
 
-    def __iter__(self):
-        yield from (self.value, (self.p, self.q), self.certified)
-
 
 def c_group(group: QuotientGroup, ceiling: int, convention: int = 2) -> SobolevConstant:
     """Maximum cell constant over nonvanishing invariant bidegrees with

@@ -47,6 +47,10 @@ class TestParseGroupSpec:
         assert g.order == 120 and g.name == "2TxC:5"
         assert parse_group_spec("QxC:3").order == 24
 
+    def test_product_is_built_once(self):
+        # the product constructor is cached like every other constructor
+        assert parse_group_spec("2TxC:5") is parse_group_spec("2TxC:5")
+
     def test_round_trip_canonical_names(self):
         for spec in ["cyclic:5", "bindih:8", "2T", "2IxC:7", "qsemi:3", "cycsemi:3:2", "lens:7:1,2"]:
             g = parse_group_spec(spec)
@@ -210,6 +214,29 @@ class TestDeterminismAndExitCodes:
         assert time.perf_counter() - start < 1.0
         assert (code, out, err) == (1, "", "error: weyl needs --grid <= 4096, got 10000000\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sobolev", "--group", "2T", "--ceiling", "10", "--witness", "1000000000000"],
+         "sobolev needs --witness <= 4096, got 1000000000000"),
+        (["sobolev", "--group", "2T", "--ceiling", "10", "--witness", "4097"],
+         "sobolev needs --witness <= 4096, got 4097"),
+        (["h0dims", "--group", "2T", "--m-max", "1000000000000"],
+         "h0dims needs --m-max <= 4096, got 1000000000000"),
+        (["h0dims", "--group", "2T", "--m-max", "4097"], "h0dims needs --m-max <= 4096, got 4097"),
+    ])
+    def test_rows_above_budget_is_size_limit(self, capsys, argv, message):
+        start = time.perf_counter()
+        code, out, err = capture(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, key, rows", [
+        (["sobolev", "--group", "2T", "--ceiling", "10", "--witness", "4096", "--format", "json"], "witness", 4096),
+        (["h0dims", "--group", "2T", "--m-max", "4096", "--format", "json"], "entries", 4097),
+    ])
+    def test_rows_at_budget_are_printed(self, capsys, argv, key, rows):
+        code, out, _ = capture(capsys, argv)
+        assert code == 0 and len(json.loads(out)[key]) == rows
+
     @pytest.mark.parametrize("lam, k", [(3, 4), (2, 1), (10, 10), (10, 11), (100, 7), (61, 4096), (97, 40)])
     def test_grid_is_the_deduplicated_floor_grid(self, capsys, lam, k):
         code, out, _ = capture(capsys, ["weyl", "--group", "cyclic:4", "--lambda-max", str(lam),
@@ -365,9 +392,9 @@ _COMMANDS = {
     "xi": [("--n", _num(-1, 5)), ("--lambda", _FLOATS)],
     "genfun": [("--group", _SPECS), ("--ceiling", _num(-2, 30))],
     "sobolev": [("--group", _SPECS), ("--ceiling", _num(-1, 40)), ("--convention", _num(1, 4)),
-                ("--witness", _num(-1, 4))],
+                ("--witness", _num(-1, 4) | st.sampled_from(["4096", "4097"]))],
     "oracle-check": [("--group", _SPECS), ("--pq-max", _num(-1, 4))],
-    "h0dims": [("--group", _SPECS), ("--m-max", _num(-2, 8))],
+    "h0dims": [("--group", _SPECS), ("--m-max", _num(-2, 8) | st.sampled_from(["4096", "4097"]))],
 }
 
 

@@ -22,15 +22,9 @@ from kohnspec import (
     make_lens,
     make_product_with_center,
     make_q_semidirect,
+    parse_group_spec,
 )
-from kohnspec.group_catalog import (
-    MAX_ORDER,
-    DihedralElement,
-    QUAT_ONE,
-    ZERO,
-    close_in_su2_x_u1,
-    quat,
-)
+from kohnspec.group_catalog import MAX_ORDER, ZERO
 
 F = Fraction
 
@@ -158,8 +152,8 @@ class TestProductWithCenter:
 
 class TestQSemidirect:
     def test_enumerated_order(self):
-        # ground truth by exact closure: the double-cover lift has order 144 l
-        # and contains the kernel, so the image order is 72 l
+        # the fibre product in SU(2) x U(1) has order 24 * 6l = 144 l and
+        # contains the kernel of the double cover, so the image order is 72 l
         for l in (1, 3):
             g = make_q_semidirect(l)
             assert g.order == 72 * l
@@ -171,19 +165,6 @@ class TestQSemidirect:
     def test_even_l_rejected(self):
         with pytest.raises(ConstraintError):
             make_q_semidirect(2)
-
-    def test_closure_idempotent(self):
-        # regenerating from an enlarged generator set gives the same classes
-        from kohnspec.group_catalog import _classes_from_pairs, from_classes
-
-        g = make_q_semidirect(1)
-        h = quat(F(1, 2), F(1, 2), F(1, 2), F(1, 2))
-        gens = [(quat(0, 1, 0, 0), ZERO), (quat(0, 0, 1, 0), ZERO),
-                (quat(0, 0, 0, 1), ZERO), (h, F(1, 18)),
-                (h.mul(h), F(2, 18) % 1)]
-        pairs = close_in_su2_x_u1(gens, QUAT_ONE)
-        regenerated = from_classes("regen", 2, _classes_from_pairs(pairs), expect_free=True)
-        assert regenerated.class_multiset() == g.class_multiset()
 
 
 class TestCyclicSemidirect:
@@ -203,17 +184,6 @@ class TestCyclicSemidirect:
             make_cyclic_semidirect(3, 6)    # gcd(m, l) > 1
         with pytest.raises(ConstraintError):
             make_cyclic_semidirect(1, 2)    # degenerate abelian case
-
-    def test_closure_idempotent(self):
-        from kohnspec.group_catalog import _classes_from_pairs, from_classes
-
-        g = make_cyclic_semidirect(3, 2)
-        a = DihedralElement(F(1, 6), 0)
-        x = DihedralElement(ZERO, 1)
-        gens = [(a, ZERO), (x, F(1, 8)), (a.mul(a), ZERO), (x.mul(x), F(1, 4))]
-        pairs = close_in_su2_x_u1(gens, DihedralElement(ZERO, 0))
-        regenerated = from_classes("regen", 2, _classes_from_pairs(pairs), expect_free=True)
-        assert regenerated.class_multiset() == g.class_multiset()
 
 
 class TestOrderBudget:
@@ -241,107 +211,6 @@ class TestFreeAction:
         assert not report.free
         assert report.witness.angles == (ZERO, F(1, 3))
 
-    def test_rejected_tetrahedral_twist(self):
-        # tetrahedral-by-scalar analog of the semidirect families: closing
-        # with a quarter-turn phase on a trace-zero element produces a
-        # trace-zero element carrying phase i, whose image has eigenvalues
-        # +1 and -1
-        from kohnspec.group_catalog import _classes_from_pairs
-
-        gens = [(quat(0, 1, 0, 0), ZERO), (quat(0, 0, 1, 0), ZERO),
-                (quat(F(1, 2), F(1, 2), F(1, 2), F(1, 2)), ZERO),
-                (quat(0, 1, 0, 0), F(1, 4))]
-        pairs = close_in_su2_x_u1(gens, QUAT_ONE)
-        bad = from_classes("tet-twist", 2, _classes_from_pairs(pairs))
-        report = check_free_action(bad)
-        assert not report.free
-        assert set(report.witness.angles) == {ZERO, F(1, 2)}
-
-
-def _reference_closure(generators, identity):
-    """The closure as a Fraction worklist: (g, phase) and (-g, phase + 1/2)
-    name one element of U(2), represented by the smaller pair."""
-    def canon(elem, phase):
-        return min((elem, phase), (elem.neg(), (phase + F(1, 2)) % 1))
-
-    start = canon(identity, ZERO)
-    seen = {start}
-    work = [start]
-    while work:
-        elem, phase = work.pop()
-        for g, gphase in generators:
-            nxt = canon(elem.mul(g), (phase + gphase) % 1)
-            if nxt not in seen:
-                seen.add(nxt)
-                work.append(nxt)
-    return sorted(seen)
-
-
-_H = quat(F(1, 2), F(1, 2), F(1, 2), F(1, 2))
-_I, _J, _K = quat(0, 1, 0, 0), quat(0, 0, 1, 0), quat(0, 0, 0, 1)
-
-
-def _cycsemi_generators(m, l):
-    return [(DihedralElement(F(1, 2 * m), 0), ZERO), (DihedralElement(ZERO, 1), F(1, 4 * l))]
-
-
-class TestIntegerClosure:
-    @pytest.mark.parametrize("generators, identity", [
-        *[([(_I, ZERO), (_J, ZERO), (_H, F(1, 18 * l))], QUAT_ONE) for l in (1, 3, 5)],
-        ([(_I, ZERO), (_J, ZERO), (_K, ZERO), (_H, F(1, 18)), (_H.mul(_H), F(2, 18))], QUAT_ONE),
-        ([(_I, ZERO), (_J, ZERO), (_H, ZERO), (_I, F(1, 4))], QUAT_ONE),
-        *[(_cycsemi_generators(m, l), DihedralElement(ZERO, 0)) for m, l in ((3, 2), (5, 2), (3, 4), (7, 6))],
-        ([(DihedralElement(F(1, 6), 0), ZERO), (DihedralElement(ZERO, 1), F(1, 8)),
-          (DihedralElement(F(1, 3), 0), ZERO), (DihedralElement(F(1, 2), 0), F(1, 4))],
-         DihedralElement(ZERO, 0)),
-        # a rational unit that is not Hurwitz, of order 4, and a phase with an odd denominator
-        ([(quat(0, F(3, 5), F(4, 5), 0), F(1, 3))], QUAT_ONE),
-    ])
-    def test_matches_fraction_worklist(self, generators, identity):
-        pairs = close_in_su2_x_u1(generators, identity)
-        assert pairs == _reference_closure(generators, identity)
-        assert all(type(phase) is F for _, phase in pairs)
-
-    def test_infinite_order_generator_raises(self):
-        # 3/5 + 4/5 i has trace 6/5: it generates an infinite group, which a
-        # worklist would enumerate forever
-        from kohnspec.errors import TraceLookupError
-
-        stray = quat(F(3, 5), F(4, 5), 0, 0)
-        with pytest.raises(TraceLookupError, match="6/5"):
-            close_in_su2_x_u1([(_I, ZERO), (stray, ZERO)], QUAT_ONE)
-
-
-class TestExactArithmetic:
-    def test_unit_norm_preserved_under_closure(self):
-        one = F(1)
-        h = quat(F(1, 2), F(1, 2), F(1, 2), F(1, 2))
-        assert h.norm_squared() == one
-        gens = [(quat(0, 1, 0, 0), ZERO), (quat(0, 0, 1, 0), ZERO), (h, F(1, 18))]
-        for elem, _phase in close_in_su2_x_u1(gens, QUAT_ONE):
-            assert elem.norm_squared() == one
-
-    def test_mul_is_the_hamilton_product(self):
-        assert _I.mul(_J) == _K and _J.mul(_I) == _K.neg() and _I.mul(_I) == QUAT_ONE.neg()
-        assert _H.mul(_H) == quat(F(-1, 2), F(1, 2), F(1, 2), F(1, 2))
-        x, y = quat(F(1, 2), F(-1, 3), 0, 2), quat(F(3, 4), -1, F(1, 5), F(2, 7))
-        (a1, b1, c1, d1), (a2, b2, c2, d2) = x, y
-        assert x.mul(y) == (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-                            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-                            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-                            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
-        assert all(type(c) is F for c in x.mul(y))
-
-    def test_trace_lookup_error(self):
-        from kohnspec.errors import TraceLookupError
-        from kohnspec.group_catalog import QuaternionExact
-
-        # norm-1 quaternion with trace 6/5: outside every binary family
-        stray = QuaternionExact(F(3, 5), F(4, 5), F(0), F(0))
-        assert stray.norm_squared() == F(1)
-        with pytest.raises(TraceLookupError):
-            stray.eigen_angle()
-
 
 class TestMatrixAgreement:
     def test_float_closure_matches_exact_enumeration(self):
@@ -354,6 +223,30 @@ class TestMatrixAgreement:
                   make_cyclic_semidirect(5, 4), make_cyclic_semidirect(7, 2),
                   make_product_with_center(make_binary_icosahedral(), 7)):
             assert len(matrix_closure(g)) == g.order
+
+    @pytest.mark.parametrize("spec", [
+        "cyclic:7", "bindih:12", "2T", "2O", "2I", "QxC:3", "2TxC:5", "2IxC:7",
+        "qsemi:1", "qsemi:3", "qsemi:5", "cycsemi:3:2", "cycsemi:5:4", "cycsemi:7:6", "cycsemi:3:8",
+    ])
+    def test_classes_match_generated_elements(self, spec):
+        # the multiset of (trace, det) mod ell over the closure of the
+        # generators equals the class list's.  The check is exact: ell = 1
+        # (mod E) makes reduction injective on E-th roots of unity, and
+        # (trace, det) fixes an unordered pair of eigenvalues
+        from kohnspec.oracle import matrix_closure, modular_image
+
+        group = parse_group_spec(spec)
+        image = modular_image(group)
+        ell = image.ell
+        generated = Counter()
+        for u, _ in matrix_closure(group, image):
+            (a, b), (c, d) = u.tolist()
+            generated[(a + d) % ell, (a * d - b * c) % ell] += 1
+        listed = Counter()
+        for cls in group.classes:
+            z1, z2 = (pow(image.root, int(t * image.E), ell) for t in cls.angles)
+            listed[(z1 + z2) % ell, z1 * z2 % ell] += cls.mult
+        assert generated == listed
 
 
 class TestInvariants:
