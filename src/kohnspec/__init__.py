@@ -36,7 +36,7 @@ from .group_catalog import (
     make_trivial,
 )
 from .invariant_dims import dim_closed_form, dim_invariant, reconcile
-from .oracle import build_space, invariant_dim_bruteforce, matrix_closure, oracle_check, trace_bruteforce
+from .oracle import invariant_dim_bruteforce, matrix_closure, oracle_check
 from .sobolev import c_group, c_pq, c_pq_squared, greens_lower_witness
 from .spectrum import (
     box_eigenvalue,

@@ -1,15 +1,29 @@
-"""Brute-force verification path: explicit harmonic polynomial spaces, the
-group acting through its exact generators, and invariant dimensions as ranks
-over a finite field.
+"""Brute-force verification path: explicit polynomial spaces, the group acting
+through its exact generators, and invariant dimensions as ranks over a finite
+field.
 
 No character theory enters here.  Bidegree-(p, q) polynomials are spanned by
 the N monomials z^a conj(z)^b.  The Laplacian L = 4 sum_i d^2/dz_i dconj(z_i)
 maps them onto bidegree (p-1, q-1), and its kernel, of dimension sphere_dim,
 is the harmonic space.  A group element acts by precomposition with the inverse
 matrix, expanded multinomially on monomials.  The invariant harmonics are the
-common kernel of L and of A_g - I over the generators g, so
+common kernel of L and of A_g - I over the generators g.
 
-    invariant dimension = N - rank [L; A_g - I for each generator g].
+Diagonal generators cut the space down before any elimination:
+
+- A generator whose reduced pair (U, conj U) is diagonal mod ell acts on
+  z^a conj(z)^b by the scalar prod_i conj(u_ii)^a_i * prod_i u_ii^b_i.
+- Every invariant therefore lies in the span W of the monomials on which that
+  scalar is 1 for every diagonal generator.
+- L maps W into W', the weight-one monomials of bidegree (p-1, q-1): z_i
+  conj(z_i) has weight u_ii conj(u_ii) = 1, since U conj(U)^T = I mod ell.
+- So the invariant dimension is |W| - rank [L restricted to W -> W';
+  (A_h - I) restricted to the columns W, for each non-diagonal generator h].
+
+Every catalog family has a diagonal generator: the quaternion i = diag(i, -i)
+(2T, 2O, 2I, qsemi), the cyclic generator (cyclic, lens, bindih, cycsemi) or
+the scalar one (xC:l).  A group with none has W = every monomial, on the same
+code path.
 
 The rank is taken over F_ell, and it is exact:
 
@@ -26,9 +40,10 @@ The rank is taken over F_ell, and it is exact:
   ell, the characteristic-zero invariant dimension d reduced mod ell.
 - ell > _BASIS_LIMIT >= N >= sphere_dim >= d, so that rank is d itself.
 - The harmonic kernel must keep its dimension: rank mod ell of the integer
-  matrix L can only fall below its rank over the rationals, N - sphere_dim.
-  Every cell checks rank_ell(L) = N - sphere_dim and raises ReductionError
-  on a drop.
+  matrix L can only fall below its rank over the rationals, where L is onto
+  bidegree (p-1, q-1).  An onto map that preserves the weights is onto each
+  weight block, so every cell checks that L restricted to W has rank |W'|
+  mod ell and raises ReductionError on a drop.
 - The order check closes the reduced generators mod ell.  Reduction is
   injective on a finite group of order prime to ell, since its kernel has
   ell-power order (Minkowski; Serre, *Bounds for the orders of the finite
@@ -42,14 +57,12 @@ the int64 guard of :mod:`kohnspec.genfun`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import NamedTuple
 
 import numpy as np
 
-from .characters import sphere_dim
 from .errors import ClosureMismatch, ReductionError, SizeLimit
 from .genfun import _factorize, _require_int64
 from .group_catalog import Cyclotomic, QuotientGroup
@@ -60,7 +73,7 @@ _BASIS_LIMIT = 4000
 _WORK_LIMIT = 2 * 10**9
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def monomial_exponents(degree: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Exponent tuples of the degree-d monomials in n variables, in a fixed
     deterministic order."""
@@ -138,52 +151,7 @@ def modular_image(group: QuotientGroup) -> ModularImage:
 # Spaces and actions
 
 
-@dataclass
-class BidegreeSpace:
-    """Monomial model of the bidegree-(p, q) polynomials with the Laplacian
-    down to (p-1, q-1), as an integer matrix."""
-
-    n: int
-    p: int
-    q: int
-    basis: list[tuple[tuple[int, ...], tuple[int, ...]]]
-    laplacian: np.ndarray        # maps (p, q) coefficients to (p-1, q-1)
-
-    @property
-    def kernel_dim(self) -> int:
-        """Dimension of the harmonic kernel: N minus the Laplacian's rank,
-        taken mod the oracle prime of the trivial group."""
-        ell = _prime(1, _BASIS_LIMIT, ())
-        return len(self.basis) - _rank(self.laplacian % ell, ell)[0]
-
-
-def build_space(n: int, p: int, q: int) -> BidegreeSpace:
-    """Monomial basis and sparse-structured Laplacian for bidegree (p, q)."""
-    a_monos = monomial_exponents(p, n)
-    b_monos = monomial_exponents(q, n)
-    size = len(a_monos) * len(b_monos)
-    if size > _BASIS_LIMIT:
-        raise SizeLimit(f"bidegree ({p},{q}) basis of size {size} exceeds {_BASIS_LIMIT}")
-    basis = [(a, b) for a in a_monos for b in b_monos]
-    if p == 0 or q == 0:
-        return BidegreeSpace(n, p, q, basis, np.zeros((0, size), dtype=np.int64))
-    a_prev = monomial_exponents(p - 1, n)
-    b_prev = monomial_exponents(q - 1, n)
-    prev_index = {(a, b): i for i, (a, b) in enumerate((a, b) for a in a_prev for b in b_prev)}
-    lap = np.zeros((len(a_prev) * len(b_prev), size), dtype=np.int64)
-    for col, (a, b) in enumerate(basis):
-        for i in range(n):
-            if a[i] == 0 or b[i] == 0:
-                continue
-            ar = list(a)
-            br = list(b)
-            ar[i] -= 1
-            br[i] -= 1
-            lap[prev_index[(tuple(ar), tuple(br))], col] += 4 * a[i] * b[i]
-    return BidegreeSpace(n, p, q, basis, lap)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _peel(degree: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index maps from degree d - 1 to degree d: for each degree-d monomial a,
     its first variable i and the index of a - e_i; for each degree-(d-1)
@@ -196,6 +164,19 @@ def _peel(degree: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     reduced = [prev_index[a[:i] + (a[i] - 1,) + a[i + 1:]] for a, i in zip(monos, first)]
     up = [[index[b[:j] + (b[j] + 1,) + b[j + 1:]] for j in range(n)] for b in prev]
     return np.array(first), np.array(reduced), np.array(up)
+
+
+@lru_cache(maxsize=64)
+def _lower(degree: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The degree-d exponent vectors as rows, and for each monomial a and
+    variable i the index of a - e_i in degree d - 1 (-1 where a_i = 0)."""
+    exps = np.array(monomial_exponents(degree, n), dtype=np.int64).reshape(-1, n)
+    down = np.full(exps.shape, -1)
+    if degree:
+        up = _peel(degree, n)[2]
+        for i in range(n):
+            down[up[:, i], i] = np.arange(len(up))
+    return exps, down
 
 
 class _SymPowers:
@@ -221,21 +202,81 @@ class _SymPowers:
         return self._mats[degree]
 
 
+class _Weights:
+    """Scalars mod ell by which diag(d) acts on the monomials of each degree:
+    prod_i d_i^a_i, built degree by degree from the peel maps as
+    w(a) = d_i w(a - e_i), i the first variable of a."""
+
+    def __init__(self, d: np.ndarray, ell: int):
+        self.d = d
+        self.ell = ell
+        self._tables = [np.ones(1, dtype=np.int64)]
+
+    def __getitem__(self, degree: int) -> np.ndarray:
+        while len(self._tables) <= degree:
+            first, reduced, _ = _peel(len(self._tables), len(self.d))
+            self._tables.append(self._tables[-1][reduced] * self.d[first] % self.ell)
+        return self._tables[degree]
+
+
 class ElementAction:
     """The action of one group element, given as the pair (U, conj U) mod
-    ell, on every bidegree: precomposition with U^-1 = conj(U)^T."""
+    ell, on every bidegree: precomposition with U^-1 = conj(U)^T.  A
+    diagonal pair scales z^a conj(z)^b by prod conj(u_ii)^a_i * prod u_ii^b_i;
+    weights holds those two factors, and is None for a non-diagonal pair."""
 
     def __init__(self, element: tuple[np.ndarray, np.ndarray], ell: int):
         u, u_bar = element
         self.ell = ell
         self.holo = _SymPowers(u_bar.T, ell)
         self.anti = _SymPowers(u.T, ell)
+        off = ~np.eye(len(u), dtype=bool)
+        self.weights = (None if u[off].any() or u_bar[off].any()
+                        else (_Weights(np.diag(u_bar), ell), _Weights(np.diag(u), ell)))
 
-    def matrix(self, p: int, q: int) -> np.ndarray:
-        """The operator on bidegree-(p, q) coefficient vectors.  The basis is
-        a-major, so the substitution factors as a Kronecker product that
-        expands along rows; coefficient vectors transform by its transpose."""
-        return (np.kron(self.holo[p], self.anti[q]) % self.ell).T
+    def matrix(self, p: int, q: int, cols: np.ndarray | None = None) -> np.ndarray:
+        """The operator on bidegree-(p, q) coefficient vectors, at the given
+        basis columns (all by default).  The basis is a-major, so the
+        substitution is the Kronecker product of the two symmetric powers;
+        coefficient vectors transform by its transpose, whose column (a, b)
+        is the outer product of row a and row b."""
+        holo, anti = self.holo[p], self.anti[q]
+        size = len(holo) * len(anti)
+        a, b = np.divmod(np.arange(size) if cols is None else cols, len(anti))
+        return (holo[a, :, None] * anti[b, None, :]).reshape(len(a), size).T % self.ell
+
+
+def _fixed(actions: list[ElementAction], n: int, p: int, q: int) -> np.ndarray:
+    """Flat indices of the bidegree-(p, q) monomials z^a conj(z)^b of weight
+    one, prod conj(u_ii)^a_i * prod u_ii^b_i = 1, under every diagonal action."""
+    fixed = np.ones((_degree_size(p, n), _degree_size(q, n)), dtype=bool)
+    for a in actions:
+        holo, anti = a.weights
+        fixed &= np.outer(holo[p], anti[q]) % a.ell == 1
+    return np.flatnonzero(fixed)
+
+
+def _laplacian(n: int, p: int, q: int, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The block of L from the flat bidegree-(p, q) indices cols to the flat
+    (p-1, q-1) indices rows, scattered through the index maps of a - e_i and
+    b - e_i.  L sends a column outside rows only if a diagonal generator is
+    not unitary mod ell, which raises ReductionError."""
+    lap = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    if not (p and q):
+        return lap
+    (a_exps, a_down), (b_exps, b_down) = _lower(p, n), _lower(q, n)
+    a, b = np.divmod(cols, len(b_exps))
+    width = _degree_size(q - 1, n)
+    position = np.full(_degree_size(p - 1, n) * width, -1)
+    position[rows] = np.arange(len(rows))
+    coeff = a_exps[a] * b_exps[b]             # a_i b_i for each column and variable i
+    hit = coeff > 0
+    target = position[(a_down[a] * width + b_down[b])[hit]]
+    if (target < 0).any():
+        raise ReductionError(f"L leaves the weight-one monomials at ({p},{q}): "
+                             f"a diagonal generator is not unitary mod ell")
+    lap[target, np.nonzero(hit)[0]] = 4 * coeff[hit]
+    return lap
 
 
 def _rank(M: np.ndarray, ell: int, head: int = 0) -> tuple[int, int]:
@@ -294,30 +335,29 @@ def matrix_closure(group: QuotientGroup, image: ModularImage | None = None) -> l
 
 def invariant_dim_bruteforce(group: QuotientGroup, p: int, q: int,
                              actions: list[ElementAction] | None = None) -> int:
-    """N minus the rank mod ell of the Laplacian stacked over A_g - I for
-    every generator g, after checking the Laplacian's rank."""
+    """|W| minus the rank mod ell of L restricted to W -> W' stacked over
+    A_h - I at the columns W for every non-diagonal generator h, after
+    checking that L is onto W'."""
+    n = group.n
+    size = _degree_size(p, n) * _degree_size(q, n)
+    if size > _BASIS_LIMIT:
+        raise SizeLimit(f"bidegree ({p},{q}) basis of size {size} exceeds {_BASIS_LIMIT}")
     actions = actions or modular_image(group).actions()
     ell = actions[0].ell
-    space = build_space(group.n, p, q)
-    size = len(space.basis)
-    ident = np.eye(size, dtype=np.int64)
-    stacked = np.vstack([space.laplacian % ell] + [(a.matrix(p, q) - ident) % ell for a in actions])
-    rank, lap_rank = _rank(stacked, ell, space.laplacian.shape[0])
-    expected = size - sphere_dim(p, q, group.n)
-    if lap_rank != expected:
+    diagonal = [a for a in actions if a.weights is not None]
+    cols = _fixed(diagonal, n, p, q)
+    rows = _fixed(diagonal, n, p - 1, q - 1) if p and q else cols[:0]
+    unit = np.zeros((size, len(cols)), dtype=np.int64)
+    unit[cols, np.arange(len(cols))] = 1
+    stacked = np.vstack([_laplacian(n, p, q, cols, rows) % ell]
+                        + [(a.matrix(p, q, cols) - unit) % ell for a in actions if a.weights is None])
+    rank, lap_rank = _rank(stacked, ell, len(rows))
+    if lap_rank != len(rows):
         raise ReductionError(
-            f"{group.name}: Laplacian at ({p},{q}) has rank {lap_rank} mod {ell}, expected {expected}"
+            f"{group.name}: Laplacian at ({p},{q}) has rank {lap_rank} mod {ell} on the "
+            f"weight-one monomials, expected {len(rows)}"
         )
-    return size - rank
-
-
-def trace_bruteforce(action: ElementAction, p: int, q: int) -> int:
-    """Trace mod ell of an element's action on the harmonic (p, q) space:
-    the monomial trace at (p, q) minus the one at (p-1, q-1)."""
-    total = int(np.trace(action.holo[p])) * int(np.trace(action.anti[q]))
-    if p >= 1 and q >= 1:
-        total -= int(np.trace(action.holo[p - 1])) * int(np.trace(action.anti[q - 1]))
-    return total % action.ell
+    return len(cols) - rank
 
 
 def _check_budget(group: QuotientGroup, pq_max: int) -> None:

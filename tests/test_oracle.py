@@ -11,7 +11,6 @@ import pytest
 
 from kohnspec import (
     SizeLimit,
-    build_space,
     char_general,
     dim_invariant,
     invariant_dim_bruteforce,
@@ -26,13 +25,15 @@ from kohnspec import (
     make_q_semidirect,
     make_trivial,
     matrix_closure,
+    parse_group_spec,
     sphere_dim,
-    trace_bruteforce,
 )
 from kohnspec import group_catalog as gc
-from kohnspec.errors import ClosureMismatch
+from kohnspec import oracle
+from kohnspec.errors import ClosureMismatch, ReductionError
 from kohnspec.group_catalog import ZERO, QuotientGroup, from_classes
 from kohnspec.oracle import ElementAction, modular_image, monomial_exponents, oracle_check
+from reference import build_space, invariant_dim_reference, trace_bruteforce
 
 
 def _reduce_character(chi, image) -> int:
@@ -136,6 +137,15 @@ class TestMutations:
         rows = oracle_check(bad, 8)
         assert not all(ok for *_, ok in rows)
 
+    def test_wrong_diagonal_generator_is_reported(self):
+        # lens:5:1,1,2 has the order and the exponent of lens:5:1,2,3 and a
+        # diagonal generator too, so only the weight-one monomials differ
+        lens = make_lens(5, (1, 2, 3))
+        bad = QuotientGroup("lens-mutant", "lens", 3, [(c.angles, c.mult) for c in lens.classes],
+                            generators=make_lens(5, (1, 1, 2)).generators)
+        rows = oracle_check(bad, 4)
+        assert next(r for r in rows if not r[4]) == (0, 2, 0, 1, False)
+
 
 class TestBruteForceDims:
     def test_cyclic4_31(self):
@@ -168,6 +178,55 @@ class TestBruteForceDims:
     def test_budget_trips_before_any_matrix(self):
         with pytest.raises(SizeLimit):
             oracle_check(make_binary_icosahedral(), 400)
+
+    def test_size_limit(self):
+        # an n = 4 lens at (12, 12) has 455^2 monomials
+        with pytest.raises(SizeLimit):
+            invariant_dim_bruteforce(make_lens(3, (1, 1, 1, 2)), 12, 12)
+
+    def test_non_unitary_diagonal_generator_raises(self):
+        # diag(2, 1/2) fixes z1 z2 conj(z1 z2), but L sends it to z2 conj(z2)
+        # and z1 conj(z1), of weights 1/4 and 4
+        bad = from_classes("non-unitary", 2, [((ZERO, ZERO), 1)])
+        bad.generators = ((((F(2), ZERO),), ()), ((), ((F(1, 2), ZERO),))),
+        with pytest.raises(ReductionError):
+            invariant_dim_bruteforce(bad, 2, 2)
+
+    def test_group_without_diagonal_generator(self):
+        # 2T generated by j and h: no generator is diagonal, so nothing is
+        # cut away before elimination and the rows are 2T's
+        two_t = make_binary_tetrahedral()
+        g = QuotientGroup("2T-jh", "2T", 2, [(c.angles, c.mult) for c in two_t.classes],
+                          generators=[gc._rational_quat_matrix(gc.QUAT_J), gc._rational_quat_matrix(gc.QUAT_H)])
+        assert all(a.weights is None for a in modular_image(g).actions())
+        rows = oracle_check(g, 6)
+        assert rows == oracle_check(two_t, 6) and all(ok for *_, ok in rows)
+
+    def test_equals_reference(self, all_n2_groups, lens3_groups):
+        # every cell against the full stacked-matrix rank of tests/reference.py
+        grid = [(g, 6) for g in all_n2_groups] + [(g, 4) for g in lens3_groups]
+        grid += [(make_lens(7, (1, 2, 4)), 4), (make_lens(3, (1, 1, 1, 2)), 3)]
+        for g, pq_max in grid:
+            actions = modular_image(g).actions()
+            for p, q, brute, _, _ in oracle_check(g, pq_max):
+                assert brute == invariant_dim_reference(g, p, q, actions), (g.name, p, q)
+
+
+class TestWork:
+    @pytest.mark.parametrize("spec, pq_max, columns", [("lens:5:1,2,3", 6, 184), ("2T", 6, 64), ("qsemi:1", 5, 24)])
+    def test_columns_eliminated(self, monkeypatch, spec, pq_max, columns):
+        # the elimination sees only the monomials the diagonal generators fix;
+        # the full spaces have 924, 210 and 126 columns
+        seen = []
+        rank = oracle._rank
+
+        def counting(M, ell, head=0):
+            seen.append(M.shape[1])
+            return rank(M, ell, head)
+
+        monkeypatch.setattr(oracle, "_rank", counting)
+        assert all(ok for *_, ok in oracle_check(parse_group_spec(spec), pq_max))
+        assert sum(seen) == columns
 
 
 class TestTraces:
