@@ -17,7 +17,7 @@ from .errors import (
     TruncationError,
     UnsupportedFamily,
 )
-from .genfun import dim_h0_polynomial, exponent, fg_coefficients, pg_polynomial, reconstruct_dims
+from .genfun import dim_h0_polynomial, exponent, fg_coefficients, h0_coefficients, pg_polynomial, reconstruct_dims
 from .group_catalog import (
     ConjugacyClass,
     QuotientGroup,
@@ -43,7 +43,7 @@ from .spectrum import (
     compare_spectra,
     counting_function,
     multiplicity,
-    sphere_counting_table,
+    sphere_count,
     weyl_constant,
     weyl_report,
     xi_bound,

@@ -30,7 +30,7 @@ from .errors import (
     TruncationError,
     UnsupportedFamily,
 )
-from .genfun import dim_h0_polynomial, exponent, pg_polynomial
+from .genfun import dim_h0_polynomial, exponent, h0_coefficients, pg_polynomial
 from .group_catalog import QuotientGroup, angle_str
 from .invariant_dims import dim_invariant, dim_triangle
 from .oracle import oracle_check
@@ -327,9 +327,9 @@ def _cmd_oracle_check(args) -> str:
 def _cmd_h0(args) -> str:
     _require_rows("h0dims", "--m-max", args.m_max)
     group = parse_group_spec(args.group)
-    poly = pg_polynomial(group)
-    rows = [[m, dim_h0_polynomial(poly, m)] for m in range(args.m_max + 1)]
-    doc = {"group": group.name, "e": poly.e, "entries": [list(r) for r in rows]}
+    coeffs = h0_coefficients(group)
+    rows = [[m, dim_h0_polynomial(coeffs, m)] for m in range(args.m_max + 1)]
+    doc = {"group": group.name, "e": exponent(group), "entries": [list(r) for r in rows]}
     return _tabular(args, ["m", "dim"], rows, doc)
 
 

@@ -11,7 +11,7 @@ evaluates that expansion cell by cell; the coefficient table here is its
 square case.  Multiplying the series by (z^e - 1)^n (w^e - 1)^n / (1 - zw)
 produces an integer polynomial of degree at most n(e - 1) in each variable,
 from which a closed polynomial formula for the dimensions at bidegree
-(0, m*e) follows.
+(0, m*e) follows; it reads n coefficients of P, found from n cells.
 
 All series arithmetic runs over int64.  Every product is preceded by an
 a-priori magnitude bound, and a bound at or above 2^63 raises Int64Limit, an
@@ -204,10 +204,21 @@ def reconstruct_dims(poly: PGPolynomial, ceiling: int) -> np.ndarray:
     return F
 
 
-def dim_h0_polynomial(poly: PGPolynomial, m: int) -> int:
+def h0_coefficients(group: QuotientGroup) -> list[int]:
+    """c(0, j e), j < n, the coefficients of P that dim_h0_polynomial reads.
+    Row 0 of P is row 0 of F (z^e - 1)^n (w^e - 1)^n, so they need only the
+    n cells (0, k e): c(0, j e) = sum_i (-1)^i C(n, i) dim(0, (j - i) e)."""
+    from .invariant_dims import dim_cells
+
+    n, e = group.n, exponent(group)
+    dims = dim_cells(group, np.zeros(n, dtype=np.int64), e * np.arange(n, dtype=np.int64)).tolist()
+    return [sum((-1) ** i * math.comb(n, i) * dims[j - i] for i in range(j + 1)) for j in range(n)]
+
+
+def dim_h0_polynomial(coeffs: list[int], m: int) -> int:
     """Invariant dimension at bidegree (0, m*e) through the polynomial-in-m
-    formula read off the c(0, j*e) column of P."""
+    formula from the coefficients c(0, j*e), j < n, of h0_coefficients."""
     if m < 0:
         raise ConstraintError("m must be nonnegative")
-    n = poly.group.n
-    return sum(math.comb(m - j + n - 1, n - 1) * poly.c(0, j * poly.e) for j in range(n))
+    n = len(coeffs)
+    return sum(math.comb(m - j + n - 1, n - 1) * c for j, c in enumerate(coeffs))

@@ -11,11 +11,13 @@ quotient of the weighted trace sum by phi(E) |G|: a sum that is not
 divisible, or a quotient outside [0, sphere_dim], raises
 NonIntegralDimension.  No float enters.
 
-For n = 2 a trace is one difference of prefix sums along a progression mod
-E.  For n >= 3 the traces of all rational classes at once are one int64
-matrix product T = M N^T of stacked h-vector tables, read at T[p, q] -
-T[p-1, q-1]; it is formed over bands of the requested cells whose bounding
-boxes hold at most about twice their cells.
+For n = 2 the central orbits trace to (p + q + 1) c_E(k (q - p)), and the
+non-central traces are E-periodic in p and q: they are evaluated at residue
+pairs only, over the E x E square once a request holds E^2 cells and at
+each cell's residues below that.  For n >= 3 the traces of all rational
+classes at once are one int64 matrix product T = M N^T of stacked h-vector
+tables, read at T[p, q] - T[p-1, q-1]; it is formed over bands of the
+requested cells whose bounding boxes hold at most about twice their cells.
 
 dim_cells evaluates whole arrays of cells in one call, dim_triangle every
 cell with p + q <= pq_max, and dim_invariant one cell; no result is
@@ -123,27 +125,35 @@ def _rational_classes(group: QuotientGroup, E: int) -> list[tuple[tuple[int, ...
 
 
 class _ProgressionTraces:
-    """Galois traces of the n = 2 characters, for every rational class of
-    one group.
+    """Galois traces of the n = 2 characters of one group's rational classes.
 
-    For n = 2 the character at a class with integer angles (k1, k2) mod E is
-    the progression sum of zeta^(base + j step), j = 0..p+q, with
-    base = q k2 - p k1 and step = k1 - k2.  The residues mod E fall into
-    gcd(step, E) cycles of r -> r + step, each of length period.  Prefix sums
-    of c_E along each cycle, stored twice over, turn a run starting anywhere
-    into one difference; O(E) integers per distinct step.  A whole period
-    traces to 0 unless step = 0 (period 1)."""
+    The character at a class with integer angles (k1, k2) mod E is the
+    progression sum of zeta^(base + j step), j = 0..p+q, with
+    base = q k2 - p k1 and step = k1 - k2.  A central class (step = 0)
+    traces to (p + q + 1) c_E(k (q - p)); these fold into one vector
+    central[(q - p) mod E].  Otherwise the residues fall into gcd(step, E)
+    cycles of r -> r + step of length period, a whole cycle traces to 0, and
+    adding E to p or q appends whole cycles: the non-central traces are
+    E-periodic in p and q.  At residues p, q < E a run is (p + q + 1) mod
+    period long, one difference of prefix sums along its cycle, stored twice
+    over; O(E) integers per distinct step."""
 
     def __init__(self, group: QuotientGroup, E: int):
         ram = _ramanujan_row(E)
         orbits = _rational_classes(group, E)
-        k = np.array([angles for angles, _ in orbits], dtype=np.int64)
         self.E = E
+        self.central = np.zeros(E, dtype=np.int64)
+        for (k1, k2), mult in orbits:
+            if k1 == k2:
+                self.central += mult * ram[k1 * np.arange(E) % E]
+        moving = [(k, mult) for k, mult in orbits if k[0] != k[1]]
+        k = np.array([angles for angles, _ in moving], dtype=np.int64).reshape(-1, 2)
         self.k1, self.k2 = k[:, :1], k[:, 1:]
-        self.mult = np.array([mult for _, mult in orbits], dtype=np.int64)
+        self.mult = np.array([mult for _, mult in moving], dtype=np.int64)
         steps = ((k[:, 0] - k[:, 1]) % E).tolist()
-        # per distinct step: pos maps a residue to its prefix-sum slot in pre
-        pos_parts, pre_parts, table_of = [], [], {}
+        # per distinct step: pos maps a residue to its prefix-sum slot in pre;
+        # the empty first parts keep both int64 when every orbit is central
+        pos_parts, pre_parts, table_of = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], {}
         for step in dict.fromkeys(steps):
             cycles = math.gcd(step, E)
             period = E // cycles
@@ -153,33 +163,37 @@ class _ProgressionTraces:
             pos = np.empty(E, dtype=np.int64)
             offset = sum(map(len, pre_parts))
             pos[seq[:, :period]] = offset + np.arange(cycles)[:, None] * (2 * period + 1) + np.arange(period)
-            table_of[step] = (E * len(pos_parts), period)
+            table_of[step] = (E * (len(pos_parts) - 1), period)
             pos_parts.append(pos)
             pre_parts.append(pre.ravel())
         self.pos = np.concatenate(pos_parts)
         self.pre = np.concatenate(pre_parts)
-        self.pos_offset = np.array([[table_of[s][0]] for s in steps], dtype=np.int64)
-        self.period = np.array([[table_of[s][1]] for s in steps], dtype=np.int64)
+        self.pos_offset = np.array([table_of[s][0] for s in steps], dtype=np.int64)[:, None]
+        self.period = np.array([table_of[s][1] for s in steps], dtype=np.int64)[:, None]
         self.bound = group.order * _totient(E)
 
-    def weighted_traces(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        length = p + q + 1
-        _require_int64(self.bound * (int(length.max()) + self.E))
+    def noncentral(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Weighted non-central traces at residues 0 <= p, q < E."""
         start = self.pos[self.pos_offset + (q * self.k2 - p * self.k1) % self.E]
-        whole, part = np.divmod(length, self.period)
-        traces = whole * (self.pre[start + self.period] - self.pre[start])
-        traces += self.pre[start + part] - self.pre[start]
-        return self.mult @ traces
+        part = (p + q + 1) % self.period
+        return self.mult @ (self.pre[start + part] - self.pre[start])
 
 
 def _su2_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """W(p, q) = W_nc(p mod E, q mod E) + (p + q + 1) central[(q - p) mod E],
+    with W_nc evaluated once over the E x E square of residues when the
+    request holds at least E^2 cells, else at each cell's own residues."""
     if group._trace_tables is None:
         group._trace_tables = _ProgressionTraces(group, E)
     tables = group._trace_tables
-    block = max(1, _BLOCK_ENTRIES // len(tables.mult))
-    return np.concatenate([
-        tables.weighted_traces(p[i:i + block], q[i:i + block]) for i in range(0, len(p), block)
-    ])
+    _require_int64(tables.bound * (int(p.max()) + int(q.max()) + 1 + E))
+    pr, qr = p % E, q % E
+    square = len(p) >= E * E
+    at_p, at_q = np.divmod(np.arange(E * E), E) if square else (pr, qr)
+    block = max(1, _BLOCK_ENTRIES // max(1, len(tables.mult)))
+    nc = np.concatenate([tables.noncentral(at_p[i:i + block], at_q[i:i + block])
+                         for i in range(0, len(at_p), block)])
+    return (nc[pr * E + qr] if square else nc) + (p + q + 1) * tables.central[(qr - pr) % E]
 
 
 def _require_series_entries(group: QuotientGroup, count: int) -> None:

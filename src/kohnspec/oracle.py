@@ -68,8 +68,8 @@ from .genfun import _factorize, _require_int64
 from .group_catalog import Cyclotomic, QuotientGroup
 
 _BASIS_LIMIT = 4000
-# estimated multiply-adds of one oracle_check, closure plus elimination: the
-# estimate is an upper bound, and 2I at p+q <= 24 (8e8) takes about 2.5 s
+# estimated multiply-adds of one oracle_check, closure plus elimination on the
+# weight blocks, an upper bound: 2I at p+q <= 37 takes about 6.5 s (2 vCPUs)
 _WORK_LIMIT = 2 * 10**9
 
 
@@ -333,20 +333,28 @@ def matrix_closure(group: QuotientGroup, image: ModularImage | None = None) -> l
     return list(elements.values())
 
 
-def invariant_dim_bruteforce(group: QuotientGroup, p: int, q: int,
-                             actions: list[ElementAction] | None = None) -> int:
-    """|W| minus the rank mod ell of L restricted to W -> W' stacked over
-    A_h - I at the columns W for every non-diagonal generator h, after
-    checking that L is onto W'."""
-    n = group.n
+def _weight_block(actions: list[ElementAction], n: int, p: int, q: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """N, W and W' of the cell (p, q): the basis size, refused above
+    _BASIS_LIMIT, and the flat indices of the weight-one monomials of
+    bidegrees (p, q) and (p-1, q-1)."""
     size = _degree_size(p, n) * _degree_size(q, n)
     if size > _BASIS_LIMIT:
         raise SizeLimit(f"bidegree ({p},{q}) basis of size {size} exceeds {_BASIS_LIMIT}")
-    actions = actions or modular_image(group).actions()
-    ell = actions[0].ell
     diagonal = [a for a in actions if a.weights is not None]
     cols = _fixed(diagonal, n, p, q)
-    rows = _fixed(diagonal, n, p - 1, q - 1) if p and q else cols[:0]
+    return size, cols, (_fixed(diagonal, n, p - 1, q - 1) if p and q else cols[:0])
+
+
+def invariant_dim_bruteforce(group: QuotientGroup, p: int, q: int,
+                             actions: list[ElementAction] | None = None,
+                             block: tuple[int, np.ndarray, np.ndarray] | None = None) -> int:
+    """|W| minus the rank mod ell of L restricted to W -> W' stacked over
+    A_h - I at the columns W for every non-diagonal generator h, after
+    checking that L is onto W'; block is the cell's _weight_block if counted."""
+    n = group.n
+    actions = actions or modular_image(group).actions()
+    ell = actions[0].ell
+    size, cols, rows = block or _weight_block(actions, n, p, q)
     unit = np.zeros((size, len(cols)), dtype=np.int64)
     unit[cols, np.arange(len(cols))] = 1
     stacked = np.vstack([_laplacian(n, p, q, cols, rows) % ell]
@@ -360,21 +368,27 @@ def invariant_dim_bruteforce(group: QuotientGroup, p: int, q: int,
     return len(cols) - rank
 
 
-def _check_budget(group: QuotientGroup, pq_max: int) -> None:
-    """Raise SizeLimit before any matrix is built if the closure and the
-    elimination of every cell (rows * N^2 each) would exceed the budget."""
+def _budgeted_blocks(group: QuotientGroup, pq_max: int, actions: list[ElementAction]) -> list[tuple]:
+    """The _weight_block of each cell with p + q <= pq_max, in dim_triangle's
+    order.  SizeLimit before any matrix is built if the closure and the
+    eliminations exceed the budget: a cell stacks |W'| + N rows per
+    non-diagonal generator over |W| columns, so building and eliminating it
+    takes at most rows * |W| (|W| + 1) multiply-adds."""
     n, k = group.n, len(group.generators)
+    moving = sum(a.weights is None for a in actions)
     work = group.order * k * n ** 3
+    blocks = []
     for s in range(pq_max + 1):
         for p in range(s + 1):
-            size = _degree_size(p, n) * _degree_size(s - p, n)
-            rows = _degree_size(p - 1, n) * _degree_size(s - p - 1, n) + k * size
-            work += rows * size * size
+            size, cols, rows = block = _weight_block(actions, n, p, s - p)
+            work += (len(rows) + moving * size) * len(cols) * (len(cols) + 1)
             if work > _WORK_LIMIT:
                 raise SizeLimit(
                     f"oracle check of {group.name} up to p+q={pq_max} needs more than "
                     f"{_WORK_LIMIT} multiply-adds"
                 )
+            blocks.append(block)
+    return blocks
 
 
 def oracle_check(group: QuotientGroup, pq_max: int) -> list[tuple[int, int, int, int, bool]]:
@@ -383,12 +397,12 @@ def oracle_check(group: QuotientGroup, pq_max: int) -> list[tuple[int, int, int,
     Returns rows (p, q, brute, averaged, ok)."""
     from .invariant_dims import dim_triangle
 
-    _check_budget(group, pq_max)
     image = modular_image(group)
-    matrix_closure(group, image)
     actions = image.actions()      # symmetric powers are built once, shared by every cell
+    blocks = _budgeted_blocks(group, pq_max, actions)
+    matrix_closure(group, image)
     rows = []
-    for p, q, averaged in dim_triangle(group, pq_max):
-        brute = invariant_dim_bruteforce(group, p, q, actions)
+    for (p, q, averaged), block in zip(dim_triangle(group, pq_max), blocks):
+        brute = invariant_dim_bruteforce(group, p, q, actions, block)
         rows.append((p, q, brute, averaged, brute == averaged))
     return rows

@@ -19,7 +19,7 @@ import numpy as np
 from .group_catalog import QuotientGroup
 from .errors import ConstraintError, SizeLimit
 from .genfun import _require_int64
-from .invariant_dims import _sphere_dims, dim_cells, require_cells
+from .invariant_dims import dim_cells, require_cells
 
 
 def box_eigenvalue(p: int, q: int, n: int) -> int:
@@ -129,12 +129,6 @@ def counting_function(group: QuotientGroup, lambda_max: int) -> SpectrumTable:
     return SpectrumTable(group, lambda_max, group.n, p, q, dim_cells(group, p, q))
 
 
-def sphere_counting_table(n: int, lambda_max: int) -> SpectrumTable:
-    """Spectrum table of the sphere itself, from the exact sphere dimensions."""
-    p, q = _cells(n, lambda_max)
-    return SpectrumTable(None, lambda_max, n, p, q, _sphere_dims(p, q, n))
-
-
 # ---------------------------------------------------------------------------
 # Exact tail bound
 
@@ -181,14 +175,26 @@ def xi_bound(lam, n: int) -> int:
     return total
 
 
+def sphere_count(lam: int, n: int) -> int:
+    """N_S(lam), the sphere's positive eigenvalues <= lam with multiplicity,
+    exactly.  Row q >= 1 holds the cells p = 0..v - n + 1, v = L // q,
+    L = floor(lam / 2), whose sphere dimensions sum to
+    C(v+1, n) C(q+n-1, n-1) - C(v, n) C(q+n-2, n-1).  Over each of the
+    O(sqrt(L)) runs of constant v the sums over q are hockey-stick
+    differences, which telescope from one run to the next."""
+    L = int(lam) // 2
+    if L > MAX_XI_CUTOFF:
+        raise SizeLimit(f"sphere_count needs lam <= {2 * MAX_XI_CUTOFF}, the cutoff budget")
+    total, below = 0, (1, 0)     # C(q+n-1, n) and C(q+n-2, n) at the run's first q
+    for _, b, v in _floor_runs(L, 1, L // (n - 1)):
+        upto = math.comb(b + n, n), math.comb(b + n - 1, n)
+        total += math.comb(v + 1, n) * (upto[0] - below[0]) - math.comb(v, n) * (upto[1] - below[1])
+        below = upto
+    return total
+
+
 def _within_tail_bound(order: int, n_quotient: int, n_sphere: int, xi: int) -> bool:
     return abs(order * n_quotient - n_sphere) <= order * (order - 1) * xi
-
-
-def tail_bound_holds(group: QuotientGroup, half_cutoff: int,
-                     n_quotient: int, n_sphere: int) -> bool:
-    """Exact integer check of |N_G(2 lam) - N_S(2 lam)/|G|| <= (|G|-1) Xi_lam."""
-    return _within_tail_bound(group.order, n_quotient, n_sphere, xi_bound(half_cutoff, group.n))
 
 
 # ---------------------------------------------------------------------------
@@ -240,28 +246,6 @@ def weyl_constant(n: int) -> float:
     return float((n - 1) * integral / (n * (2 * _PI) ** n * math.factorial(n)))
 
 
-def _weyl_integrand(tau: float, n: int) -> float:
-    if tau == 0.0:
-        return 1.0
-    # one exp of the summed logarithms: e^{-(n-2) tau} alone overflows at
-    # tau = -60 once n >= 14, though the product is small
-    return math.exp(n * math.log(tau / math.sinh(tau)) - (n - 2) * tau)
-
-
-def weyl_integral(n: int) -> float:
-    """I(n) by composite fixed-order Gauss-Legendre quadrature on [-60, 60]:
-    the independent numerical check of weyl_integral_coefficients.  The
-    integrand decays like |tau|^n e^{-2|tau|}."""
-    T = 60
-    nodes, weights = np.polynomial.legendre.leggauss(40)
-    total = 0.0
-    for k in range(-T, T):
-        x = k + 0.5 + 0.5 * nodes
-        vals = [_weyl_integrand(float(t), n) for t in x]
-        total += 0.5 * float(np.dot(weights, vals))
-    return total
-
-
 @dataclass
 class WeylReport:
     group: QuotientGroup
@@ -277,10 +261,6 @@ class WeylReport:
     richardson_limit: float    # two-point fit assuming an O(1/lam) error term
 
 
-def _counts(table: SpectrumTable, grid: list[int]) -> list[int]:
-    return [table.count(lam) for lam in grid]
-
-
 def weyl_report(group: QuotientGroup, grid) -> WeylReport:
     """Counting-function comparison against the sphere over an ascending grid
     of eigenvalue cutoffs."""
@@ -289,10 +269,9 @@ def weyl_report(group: QuotientGroup, grid) -> WeylReport:
         raise ConstraintError("grid must be ascending")
     n = group.n
     lam_max = grid[-1]
-    # each table is read and dropped before the next is built, which keeps
-    # one table alive at a time and halves the report's peak memory
-    n_quot = _counts(counting_function(group, lam_max), grid)
-    n_sph = _counts(sphere_counting_table(n, lam_max), grid)
+    table = counting_function(group, lam_max)
+    n_quot = [table.count(lam) for lam in grid]
+    n_sph = [sphere_count(lam, n) for lam in grid]
     ratios = [ns / ng if ng else math.inf for ns, ng in zip(n_sph, n_quot)]
     xi = [xi_bound(Fraction(lam, 2), n) for lam in grid]
     ok = [_within_tail_bound(group.order, ng, ns, x) for ng, ns, x in zip(n_quot, n_sph, xi)]

@@ -5,10 +5,16 @@ bidegree (p, q), the Laplacian built monomial by monomial, and the actions of
 all generators as N x N matrices.  Production (:mod:`kohnspec.oracle`)
 eliminates only on the monomials the diagonal generators fix; the tests
 compare the two cell by cell.
+
+The sphere's own spectrum table, from the sphere dimensions cell by cell,
+checks the floor-run sum :func:`kohnspec.spectrum.sphere_count`; the
+Gauss-Legendre quadrature checks the exact Weyl integral, and
+tail_bound_holds states the tail bound for a group.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +22,9 @@ import numpy as np
 from kohnspec.characters import sphere_dim
 from kohnspec.errors import ReductionError, SizeLimit
 from kohnspec.group_catalog import QuotientGroup
+from kohnspec.invariant_dims import _sphere_dims
 from kohnspec.oracle import _BASIS_LIMIT, ElementAction, _prime, _rank, modular_image, monomial_exponents
+from kohnspec.spectrum import SpectrumTable, _cells, _within_tail_bound, xi_bound
 
 
 @dataclass
@@ -90,3 +98,37 @@ def trace_bruteforce(action: ElementAction, p: int, q: int) -> int:
     if p >= 1 and q >= 1:
         total -= int(np.trace(action.holo[p - 1])) * int(np.trace(action.anti[q - 1]))
     return total % action.ell
+
+
+def sphere_counting_table(n: int, lambda_max: int) -> SpectrumTable:
+    """Spectrum table of the sphere itself, from the exact sphere dimensions."""
+    p, q = _cells(n, lambda_max)
+    return SpectrumTable(None, lambda_max, n, p, q, _sphere_dims(p, q, n))
+
+
+def tail_bound_holds(group: QuotientGroup, half_cutoff: int,
+                     n_quotient: int, n_sphere: int) -> bool:
+    """Exact integer check of |N_G(2 lam) - N_S(2 lam)/|G|| <= (|G|-1) Xi_lam."""
+    return _within_tail_bound(group.order, n_quotient, n_sphere, xi_bound(half_cutoff, group.n))
+
+
+def _weyl_integrand(tau: float, n: int) -> float:
+    if tau == 0.0:
+        return 1.0
+    # one exp of the summed logarithms: e^{-(n-2) tau} alone overflows at
+    # tau = -60 once n >= 14, though the product is small
+    return math.exp(n * math.log(tau / math.sinh(tau)) - (n - 2) * tau)
+
+
+def weyl_integral(n: int) -> float:
+    """I(n) by composite fixed-order Gauss-Legendre quadrature on [-60, 60]:
+    the independent numerical check of weyl_integral_coefficients.  The
+    integrand decays like |tau|^n e^{-2|tau|}."""
+    T = 60
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    total = 0.0
+    for k in range(-T, T):
+        x = k + 0.5 + 0.5 * nodes
+        vals = [_weyl_integrand(float(t), n) for t in x]
+        total += 0.5 * float(np.dot(weights, vals))
+    return total

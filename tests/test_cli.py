@@ -155,6 +155,12 @@ class TestCommands:
         doc = json.loads(out)
         assert doc["entries"] == [[0, 1], [1, 3], [2, 5], [3, 7]]
 
+    def test_h0dims_reads_n_cells_not_the_square(self, capsys):
+        # the (2ne + 1)^2 square of cyclic:600 is above the cell budget
+        code, out, _ = capture(capsys, ["h0dims", "--group", "cyclic:600", "--m-max", "3", "--format", "json"])
+        assert code == 0
+        assert json.loads(out) == {"group": "cyclic:600", "e": 600, "entries": [[0, 1], [1, 3], [2, 5], [3, 7]]}
+
 
 class TestDeterminismAndExitCodes:
     def test_json_byte_deterministic(self, capsys):

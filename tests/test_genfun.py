@@ -7,6 +7,7 @@ import pytest
 
 from kohnspec import (
     dim_h0_polynomial,
+    h0_coefficients,
     dim_invariant,
     exponent,
     fg_coefficients,
@@ -129,19 +130,24 @@ class TestPolynomialFactor:
 class TestH0Polynomial:
     def test_m0_is_one(self):
         for g in GENFUN_GROUPS:
-            assert dim_h0_polynomial(pg_polynomial(g), 0) == 1
+            assert dim_h0_polynomial(h0_coefficients(g), 0) == 1
+
+    @pytest.mark.parametrize("group", GENFUN_GROUPS, ids=lambda g: g.name)
+    def test_column_is_row_zero_of_p(self, group):
+        poly = pg_polynomial(group)
+        assert h0_coefficients(group) == [poly.c(0, j * poly.e) for j in range(group.n)]
 
     @pytest.mark.parametrize("group", GENFUN_GROUPS, ids=lambda g: g.name)
     def test_agrees_with_averaging(self, group):
-        poly = pg_polynomial(group)
+        coeffs = h0_coefficients(group)
         e = exponent(group)
         for m in range(7):
-            assert dim_h0_polynomial(poly, m) == dim_invariant(group, 0, m * e)
+            assert dim_h0_polynomial(coeffs, m) == dim_invariant(group, 0, m * e)
 
     def test_eventually_positive(self):
         for g in GENFUN_GROUPS:
-            poly = pg_polynomial(g)
-            values = [dim_h0_polynomial(poly, m) for m in range(51)]
+            coeffs = h0_coefficients(g)
+            values = [dim_h0_polynomial(coeffs, m) for m in range(51)]
             threshold = next(M for M in range(51) if all(v >= 1 for v in values[M:]))
             assert threshold <= 10, (g.name, values[:12])
 
@@ -150,8 +156,8 @@ class TestH0Polynomial:
         # of degree at most n - 1
         for g in GENFUN_GROUPS:
             n = g.n
-            poly = pg_polynomial(g)
-            vals = [dim_h0_polynomial(poly, m) for m in range(n + 5)]
+            coeffs = h0_coefficients(g)
+            vals = [dim_h0_polynomial(coeffs, m) for m in range(n + 5)]
             diff = vals
             for _ in range(n):
                 diff = [b - a for a, b in zip(diff, diff[1:])]

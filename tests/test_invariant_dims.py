@@ -29,8 +29,10 @@ from kohnspec import (
     make_product_with_center,
     make_q_semidirect,
     make_trivial,
+    multiplicity,
     reconcile,
     sphere_dim,
+    weyl_report,
 )
 from kohnspec import invariant_dims
 from kohnspec.genfun import _exact_matmul, _h_vectors, _ramanujan_row, _totient, exponent
@@ -387,3 +389,49 @@ class TestRationalClasses:
             for start, stop, lo, hi in runs:
                 qs = q[order][start:stop]
                 assert (qs[-1] - qs[0] + 1) * (hi - lo + 1) <= 2 * (stop - start) + 64
+
+
+# ---------------------------------------------------------------------------
+# The n = 2 residue routes: the non-central traces are E-periodic in p and q
+
+
+@pytest.fixture
+def kernel_points(monkeypatch):
+    """Counts the residue pairs the n = 2 non-central kernel evaluates."""
+    points = []
+    kernel = invariant_dims._ProgressionTraces.noncentral
+
+    def counted(self, p, q):
+        points.append(len(p))
+        return kernel(self, p, q)
+
+    monkeypatch.setattr(invariant_dims._ProgressionTraces, "noncentral", counted)
+    return points
+
+
+class TestResidueRoutes:
+    def test_square_route_matches_cell_route_and_closed_forms(self, all_n2_groups, kernel_points):
+        rng = np.random.default_rng(13)
+        for g in all_n2_groups:
+            E = exponent(g)
+            cells = E * E + E
+            # half the cells far out, so that the periodicity is what joins them
+            p, q = rng.integers(0, 3 * E + 2, (2, cells))
+            p[::2] += 10**6
+            kernel_points.clear()
+            square = dim_cells(g, p, q)
+            assert sum(kernel_points) == E * E, g.name
+            step = max(1, E * E - 1)    # each call below E^2 cells, so at the cells' own residues
+            kernel_points.clear()
+            per_cell = np.concatenate([dim_cells(g, p[i:i + step], q[i:i + step]) for i in range(0, cells, step)])
+            assert sum(kernel_points) == cells, g.name
+            assert np.array_equal(square, per_cell), g.name
+            closed = [dim_closed_form(g, a, b) for a, b in zip(p.tolist(), q.tolist())]
+            assert square.tolist() == closed, g.name
+
+    def test_kernel_runs_at_the_fewer_of_cells_and_residue_pairs(self, kernel_points):
+        weyl_report(make_binary_icosahedral(), [6000])        # 24496 cells, E = 60
+        assert sum(kernel_points) == 60 * 60
+        kernel_points.clear()
+        _, contributors = multiplicity(make_q_semidirect(101), 292)     # E = 3636
+        assert 0 < sum(kernel_points) <= len(contributors)

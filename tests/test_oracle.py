@@ -32,7 +32,15 @@ from kohnspec import group_catalog as gc
 from kohnspec import oracle
 from kohnspec.errors import ClosureMismatch, ReductionError
 from kohnspec.group_catalog import ZERO, QuotientGroup, from_classes
-from kohnspec.oracle import ElementAction, modular_image, monomial_exponents, oracle_check
+from kohnspec.invariant_dims import dim_triangle
+from kohnspec.oracle import (
+    ElementAction,
+    _budgeted_blocks,
+    _weight_block,
+    modular_image,
+    monomial_exponents,
+    oracle_check,
+)
 from reference import build_space, invariant_dim_reference, trace_bruteforce
 
 
@@ -178,6 +186,20 @@ class TestBruteForceDims:
     def test_budget_trips_before_any_matrix(self):
         with pytest.raises(SizeLimit):
             oracle_check(make_binary_icosahedral(), 400)
+
+    def test_budget_prices_the_weight_blocks(self):
+        # the full space priced 2I at p+q = 28 above the bound; its weight
+        # blocks fit, and each block is the one the cell would count itself
+        g = make_binary_icosahedral()
+        actions = modular_image(g).actions()
+        blocks = _budgeted_blocks(g, 28, actions)
+        assert len(blocks) == 29 * 30 // 2
+        for (p, q, _), (size, cols, rows) in zip(dim_triangle(g, 28), blocks):
+            want_size, want_cols, want_rows = _weight_block(actions, g.n, p, q)
+            assert size == want_size == (p + 1) * (q + 1), (p, q)
+            assert np.array_equal(cols, want_cols) and np.array_equal(rows, want_rows), (p, q)
+        with pytest.raises(SizeLimit, match="oracle check of 2I up to p[+]q=40"):
+            _budgeted_blocks(g, 40, actions)
 
     def test_size_limit(self):
         # an n = 4 lens at (12, 12) has 455^2 monomials

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,11 @@ from kohnspec import (
     make_product_with_center,
     make_q_semidirect,
 )
+from kohnspec.genfun import exponent
 from kohnspec.group_catalog import ZERO, from_classes
+from kohnspec.invariant_dims import dim_cells
+
+from conftest import su2_sample, u2_sample
 
 F = Fraction
 
@@ -124,3 +129,19 @@ class TestRandomizedCharacterIdentities:
         a = F(num, den) % 1
         assert 0 <= a < 1
         assert a.denominator >= 1
+
+
+class TestDimCellsRoutes:
+    """dim_cells evaluates the n = 2 non-central traces over the E x E square
+    of residues once a request holds E^2 cells, and at each cell's own
+    residues below that; either way one call equals the single cells."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(group=st.sampled_from([g for g in su2_sample() + u2_sample() if exponent(g) <= 60]),
+           side=st.integers(min_value=-8, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1),
+           reach=st.sampled_from([1, 3, 10**6]))
+    def test_one_call_equals_single_cells(self, group, side, seed, reach):
+        E = exponent(group)
+        p, q = np.random.default_rng(seed).integers(0, reach * E + 1, (2, max(1, E * E + side)))
+        singles = [dim_invariant(group, a, b) for a, b in zip(p.tolist(), q.tolist())]
+        assert dim_cells(group, p, q).tolist() == singles

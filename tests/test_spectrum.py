@@ -25,21 +25,22 @@ from kohnspec import (
     make_q_semidirect,
     make_trivial,
     multiplicity,
-    sphere_counting_table,
+    sphere_count,
     sphere_dim,
     weyl_constant,
     weyl_report,
     xi_bound,
 )
+from kohnspec.errors import SizeLimit
 from kohnspec.invariant_dims import _sphere_dims, dim_cells
 from kohnspec.spectrum import (
     SpectrumEntry,
     eigenvalue_bidegrees,
     sphere_volume,
-    tail_bound_holds,
-    weyl_integral,
     weyl_integral_coefficients,
 )
+
+from reference import sphere_counting_table, tail_bound_holds, weyl_integral
 
 F = Fraction
 
@@ -468,6 +469,26 @@ class TestWeylReport:
         assert len(calls) == 4
         assert rep.xi == [xi_bound(F(lam, 2), 2) for lam in rep.grid]
         assert all(rep.bound_ok)
+
+
+class TestSphereCount:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_floor_runs_match_the_reference_table(self, n):
+        table = sphere_counting_table(n, 5001)
+        lams = [0, 1, 2, 3, 2 * (n - 1) - 1, 2 * (n - 1), 4, 10, 11, 100, 999, 1000, 2001, 4999, 5000]
+        for lam in lams + list(range(0, 200)):
+            assert sphere_count(lam, n) == table.count(lam), (n, lam)
+
+    def test_weyl_report_sphere_counts(self):
+        rep = weyl_report(make_binary_icosahedral(), [2, 101, 1000, 2001])
+        table = sphere_counting_table(2, 2001)
+        assert rep.n_sphere == [table.count(lam) for lam in rep.grid]
+        assert all(type(x) is int for x in rep.n_sphere)
+
+    def test_budget(self):
+        assert sphere_count(2**23, 2) > 0
+        with pytest.raises(SizeLimit):
+            sphere_count(2**23 + 2, 2)
 
 
 class TestCompareSpectra:
