@@ -43,7 +43,6 @@ from .spectrum import (
     compare_spectra,
     counting_function,
     multiplicity,
-    sphere_count,
     weyl_constant,
     weyl_report,
     xi_bound,

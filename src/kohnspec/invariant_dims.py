@@ -186,7 +186,8 @@ def _su2_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -> n
     if group._trace_tables is None:
         group._trace_tables = _ProgressionTraces(group, E)
     tables = group._trace_tables
-    _require_int64(tables.bound * (int(p.max()) + int(q.max()) + 1 + E))
+    # per cell: the central term is bound * (p + q + 1), the non-central below bound * E
+    _require_int64(tables.bound * (int((p + q).max()) + 1 + E))
     pr, qr = p % E, q % E
     square = len(p) >= E * E
     at_p, at_q = np.divmod(np.arange(E * E), E) if square else (pr, qr)

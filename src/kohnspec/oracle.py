@@ -350,7 +350,8 @@ def invariant_dim_bruteforce(group: QuotientGroup, p: int, q: int,
                              block: tuple[int, np.ndarray, np.ndarray] | None = None) -> int:
     """|W| minus the rank mod ell of L restricted to W -> W' stacked over
     A_h - I at the columns W for every non-diagonal generator h, after
-    checking that L is onto W'; block is the cell's _weight_block if counted."""
+    checking that L is onto W'.  block is the cell's _weight_block when the
+    caller has counted it already, as oracle_check's budget has."""
     n = group.n
     actions = actions or modular_image(group).actions()
     ell = actions[0].ell

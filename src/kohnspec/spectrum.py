@@ -19,7 +19,7 @@ import numpy as np
 from .group_catalog import QuotientGroup
 from .errors import ConstraintError, SizeLimit
 from .genfun import _require_int64
-from .invariant_dims import dim_cells, require_cells
+from .invariant_dims import _sphere_dims, dim_cells, require_cells
 
 
 def box_eigenvalue(p: int, q: int, n: int) -> int:
@@ -175,24 +175,6 @@ def xi_bound(lam, n: int) -> int:
     return total
 
 
-def sphere_count(lam: int, n: int) -> int:
-    """N_S(lam), the sphere's positive eigenvalues <= lam with multiplicity,
-    exactly.  Row q >= 1 holds the cells p = 0..v - n + 1, v = L // q,
-    L = floor(lam / 2), whose sphere dimensions sum to
-    C(v+1, n) C(q+n-1, n-1) - C(v, n) C(q+n-2, n-1).  Over each of the
-    O(sqrt(L)) runs of constant v the sums over q are hockey-stick
-    differences, which telescope from one run to the next."""
-    L = int(lam) // 2
-    if L > MAX_XI_CUTOFF:
-        raise SizeLimit(f"sphere_count needs lam <= {2 * MAX_XI_CUTOFF}, the cutoff budget")
-    total, below = 0, (1, 0)     # C(q+n-1, n) and C(q+n-2, n) at the run's first q
-    for _, b, v in _floor_runs(L, 1, L // (n - 1)):
-        upto = math.comb(b + n, n), math.comb(b + n - 1, n)
-        total += math.comb(v + 1, n) * (upto[0] - below[0]) - math.comb(v, n) * (upto[1] - below[1])
-        below = upto
-    return total
-
-
 def _within_tail_bound(order: int, n_quotient: int, n_sphere: int, xi: int) -> bool:
     return abs(order * n_quotient - n_sphere) <= order * (order - 1) * xi
 
@@ -271,7 +253,10 @@ def weyl_report(group: QuotientGroup, grid) -> WeylReport:
     lam_max = grid[-1]
     table = counting_function(group, lam_max)
     n_quot = [table.count(lam) for lam in grid]
-    n_sph = [sphere_count(lam, n) for lam in grid]
+    # the sphere's table on the same sorted cells: no second sort, and each
+    # grid point is one search
+    sphere = SpectrumTable(None, lam_max, n, table._p, table._q, _sphere_dims(table._p, table._q, n))
+    n_sph = [sphere.count(lam) for lam in grid]
     ratios = [ns / ng if ng else math.inf for ns, ng in zip(n_sph, n_quot)]
     xi = [xi_bound(Fraction(lam, 2), n) for lam in grid]
     ok = [_within_tail_bound(group.order, ng, ns, x) for ng, ns, x in zip(n_quot, n_sph, xi)]

@@ -7,9 +7,10 @@ eliminates only on the monomials the diagonal generators fix; the tests
 compare the two cell by cell.
 
 The sphere's own spectrum table, from the sphere dimensions cell by cell,
-checks the floor-run sum :func:`kohnspec.spectrum.sphere_count`; the
-Gauss-Legendre quadrature checks the exact Weyl integral, and
-tail_bound_holds states the tail bound for a group.
+and the closed floor-run sum sphere_count check the sphere counts of
+:func:`kohnspec.spectrum.weyl_report` and each other; the Gauss-Legendre
+quadrature checks the exact Weyl integral, and tail_bound_holds states the
+tail bound for a group.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from kohnspec.errors import ReductionError, SizeLimit
 from kohnspec.group_catalog import QuotientGroup
 from kohnspec.invariant_dims import _sphere_dims
 from kohnspec.oracle import _BASIS_LIMIT, ElementAction, _prime, _rank, modular_image, monomial_exponents
-from kohnspec.spectrum import SpectrumTable, _cells, _within_tail_bound, xi_bound
+from kohnspec.spectrum import SpectrumTable, _cells, _floor_runs, _within_tail_bound, xi_bound
 
 
 @dataclass
@@ -104,6 +105,21 @@ def sphere_counting_table(n: int, lambda_max: int) -> SpectrumTable:
     """Spectrum table of the sphere itself, from the exact sphere dimensions."""
     p, q = _cells(n, lambda_max)
     return SpectrumTable(None, lambda_max, n, p, q, _sphere_dims(p, q, n))
+
+
+def sphere_count(lam: int, n: int) -> int:
+    """N_S(lam), the sphere's positive eigenvalues <= lam with multiplicity,
+    in closed form.  Row q >= 1 holds the cells p = 0..v - n + 1, v = L // q,
+    L = floor(lam / 2), whose sphere dimensions sum to
+    C(v+1, n) C(q+n-1, n-1) - C(v, n) C(q+n-2, n-1).  Over each run of
+    constant v the sums over q are hockey-stick differences."""
+    L = int(lam) // 2
+    total, below = 0, (1, 0)     # C(q+n-1, n) and C(q+n-2, n) at the run's first q
+    for _, b, v in _floor_runs(L, 1, L // (n - 1)):
+        upto = math.comb(b + n, n), math.comb(b + n - 1, n)
+        total += math.comb(v + 1, n) * (upto[0] - below[0]) - math.comb(v, n) * (upto[1] - below[1])
+        below = upto
+    return total
 
 
 def tail_bound_holds(group: QuotientGroup, half_cutoff: int,

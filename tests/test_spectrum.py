@@ -25,7 +25,6 @@ from kohnspec import (
     make_q_semidirect,
     make_trivial,
     multiplicity,
-    sphere_count,
     sphere_dim,
     weyl_constant,
     weyl_report,
@@ -40,7 +39,7 @@ from kohnspec.spectrum import (
     weyl_integral_coefficients,
 )
 
-from reference import sphere_counting_table, tail_bound_holds, weyl_integral
+from reference import sphere_count, sphere_counting_table, tail_bound_holds, weyl_integral
 
 F = Fraction
 
@@ -281,6 +280,11 @@ class TestInt64BoundsPerCell:
         with pytest.raises(Int64Limit):
             dim_cells(g, [0, 30000], [1, 30000])
 
+    def test_n2_trace_bound_reads_each_cells_own_degree(self):
+        # qsemi:101 (|G| phi(E) = 8726400): the contributors' largest p + q is
+        # ~6e11, but p.max() + q.max() ~1.2e12 would have passed 2^63
+        assert multiplicity(make_q_semidirect(101), 1_199_880_000_000)[0] == 49995797261
+
     def test_sphere_dims_bound_each_cell(self):
         from kohnspec.errors import Int64Limit
 
@@ -479,16 +483,14 @@ class TestSphereCount:
         for lam in lams + list(range(0, 200)):
             assert sphere_count(lam, n) == table.count(lam), (n, lam)
 
-    def test_weyl_report_sphere_counts(self):
-        rep = weyl_report(make_binary_icosahedral(), [2, 101, 1000, 2001])
-        table = sphere_counting_table(2, 2001)
-        assert rep.n_sphere == [table.count(lam) for lam in rep.grid]
+    @pytest.mark.parametrize("group", [make_binary_icosahedral(), make_trivial(3), make_lens(5, (1, 2, 3, 4))],
+                             ids=["2I", "trivial3", "lens4"])
+    def test_weyl_report_sphere_counts(self, group):
+        n = group.n
+        grid = sorted({0, 1, 2 * (n - 1) - 1, 2 * (n - 1), 11, 101, 1000, 2001})
+        rep = weyl_report(group, grid)
+        assert rep.n_sphere == [sphere_count(lam, n) for lam in grid]
         assert all(type(x) is int for x in rep.n_sphere)
-
-    def test_budget(self):
-        assert sphere_count(2**23, 2) > 0
-        with pytest.raises(SizeLimit):
-            sphere_count(2**23 + 2, 2)
 
 
 class TestCompareSpectra:
