@@ -1,9 +1,8 @@
 """Spectra of the Kohn Laplacian on quotients of odd spheres by finite
-unitary groups: exact group catalogs, characters, invariant dimensions,
-eigenvalue counting with Weyl-law verification, generating functions,
-Sobolev constants, and a brute-force linear-algebra oracle."""
+unitary groups: exact group catalogs, invariant dimensions, eigenvalue
+counting with Weyl-law verification, generating functions, Sobolev
+constants, and a brute-force linear-algebra oracle."""
 
-from .characters import CharacterValue, admissible_pairs, char_general, sphere_dim
 from .errors import (
     ClosureMismatch,
     ConstraintError,
@@ -17,7 +16,7 @@ from .errors import (
     TruncationError,
     UnsupportedFamily,
 )
-from .genfun import dim_h0_polynomial, exponent, fg_coefficients, h0_coefficients, pg_polynomial, reconstruct_dims
+from .genfun import dim_h0_polynomial, fg_coefficients, h0_coefficients, pg_polynomial, reconstruct_dims
 from .group_catalog import (
     ConjugacyClass,
     QuotientGroup,
@@ -34,6 +33,7 @@ from .group_catalog import (
     make_product_with_center,
     make_q_semidirect,
     make_trivial,
+    parse_group_spec,
 )
 from .invariant_dims import dim_closed_form, dim_invariant, reconcile
 from .oracle import invariant_dim_bruteforce, matrix_closure, oracle_check
@@ -47,6 +47,5 @@ from .spectrum import (
     weyl_report,
     xi_bound,
 )
-from .cli import parse_group_spec
 
 __version__ = "0.1.0"

@@ -16,7 +16,6 @@ import json
 import math
 import sys
 
-from . import group_catalog as gc
 from . import sobolev as sb
 from .errors import (
     ClosureMismatch,
@@ -30,8 +29,8 @@ from .errors import (
     TruncationError,
     UnsupportedFamily,
 )
-from .genfun import dim_h0_polynomial, exponent, h0_coefficients, pg_polynomial
-from .group_catalog import QuotientGroup, angle_str
+from .genfun import dim_h0_polynomial, h0_coefficients, pg_polynomial
+from .group_catalog import CATALOG_FAMILIES, angle_str, parse_group_spec
 from .invariant_dims import dim_invariant, dim_triangle
 from .oracle import oracle_check
 from .spectrum import (
@@ -56,53 +55,6 @@ def _require_rows(command: str, option: str, k: int) -> None:
     MAX_ROWS rows."""
     if k > MAX_ROWS:
         raise SizeLimit(f"{command} needs {option} <= {MAX_ROWS}, got {k}")
-
-
-def parse_group_spec(spec: str) -> QuotientGroup:
-    """Parse a group spec string; the resulting group's name is the canonical
-    form of the spec."""
-    spec = spec.strip()
-    if "xC:" in spec:
-        base_spec, _, l_text = spec.rpartition("xC:")
-        base = parse_group_spec(base_spec)
-        return gc.make_product_with_center(base, _int(l_text, "l"))
-    if spec == "Q":
-        return gc.make_binary_dihedral(2)
-    if spec == "2T":
-        return gc.make_binary_tetrahedral()
-    if spec == "2O":
-        return gc.make_binary_octahedral()
-    if spec == "2I":
-        return gc.make_binary_icosahedral()
-    head, _, rest = spec.partition(":")
-    if head == "cyclic":
-        return gc.make_cyclic(_int(rest, "m"))
-    if head == "lens":
-        m_text, _, qs_text = rest.partition(":")
-        if not qs_text:
-            raise ParseError(f"lens spec needs rotations: lens:m:q1,...,qn (got {spec!r})")
-        qs = [_int(tok, "rotation") for tok in qs_text.split(",")]
-        return gc.make_lens(_int(m_text, "m"), qs)
-    if head == "bindih":
-        order2m = _int(rest, "2m")
-        if order2m % 2 != 0 or order2m < 4:
-            raise ConstraintError(f"bindih parameter is 2m with m >= 2; got {order2m}")
-        return gc.make_binary_dihedral(order2m // 2)
-    if head == "qsemi":
-        return gc.make_q_semidirect(_int(rest, "l"))
-    if head == "cycsemi":
-        m_text, _, l_text = rest.partition(":")
-        if not l_text:
-            raise ParseError(f"cycsemi spec is cycsemi:m:l (got {spec!r})")
-        return gc.make_cyclic_semidirect(_int(m_text, "m"), _int(l_text, "l"))
-    raise ParseError(f"unrecognized group spec {spec!r}")
-
-
-def _int(text: str, label: str) -> int:
-    try:
-        return int(text)
-    except (TypeError, ValueError):
-        raise ParseError(f"expected an integer for {label}, got {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +95,7 @@ def _tabular(args, header: list[str], rows: list[list], doc: dict) -> str:
 def _cmd_catalog(args) -> str:
     if args.action == "list":
         header = ["family", "constraints", "order"]
-        rows = [list(row) for row in gc.CATALOG_FAMILIES]
+        rows = [list(row) for row in CATALOG_FAMILIES]
         doc = {"families": [dict(zip(header, row)) for row in rows]}
         return _tabular(args, header, rows, doc)
     if args.spec is None:
@@ -305,7 +257,7 @@ def _cmd_sobolev(args) -> str:
         witness = sb.greens_lower_witness(group, args.witness, args.convention)
         doc["witness"] = [[m, v] for m, v in witness]
         if args.format != "json":
-            rows += [[f"{v!r}", 0, m * exponent(group), "witness", args.convention] for m, v in witness]
+            rows += [[f"{v!r}", 0, m * group.exponent, "witness", args.convention] for m, v in witness]
     return _tabular(args, header, rows, doc)
 
 
@@ -329,7 +281,7 @@ def _cmd_h0(args) -> str:
     group = parse_group_spec(args.group)
     coeffs = h0_coefficients(group)
     rows = [[m, dim_h0_polynomial(coeffs, m)] for m in range(args.m_max + 1)]
-    doc = {"group": group.name, "e": exponent(group), "entries": [list(r) for r in rows]}
+    doc = {"group": group.name, "e": group.exponent, "entries": [list(r) for r in rows]}
     return _tabular(args, ["m", "dim"], rows, doc)
 
 

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the int64 guard that
+raises one of them."""
 
 from __future__ import annotations
 
@@ -38,6 +39,13 @@ class SizeLimit(KohnspecError):
 class Int64Limit(SizeLimit, OverflowError):
     """An exact integer intermediate could exceed int64: the input is too
     large for the fixed-width exact arithmetic."""
+
+
+def _require_int64(bound: int) -> None:
+    """Raise Int64Limit (an OverflowError and a SizeLimit) unless an a-priori
+    magnitude bound fits int64."""
+    if bound >= 2**63:
+        raise Int64Limit(f"exact integer intermediate may reach {bound}, beyond int64")
 
 
 class ClosureMismatch(KohnspecError):

@@ -12,10 +12,6 @@ square case.  Multiplying the series by (z^e - 1)^n (w^e - 1)^n / (1 - zw)
 produces an integer polynomial of degree at most n(e - 1) in each variable,
 from which a closed polynomial formula for the dimensions at bidegree
 (0, m*e) follows; it reads n coefficients of P, found from n cells.
-
-All series arithmetic runs over int64.  Every product is preceded by an
-a-priori magnitude bound, and a bound at or above 2^63 raises Int64Limit, an
-OverflowError, before the product is formed.
 """
 
 from __future__ import annotations
@@ -25,98 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintError, Int64Limit, NonIntegralDimension, TruncationError
+from .errors import ConstraintError, NonIntegralDimension, TruncationError
 from .group_catalog import QuotientGroup
-
-def exponent(group: QuotientGroup) -> int:
-    """Exponent of the group: lcm of element orders, read off the angle
-    denominators once per group."""
-    if group._exponent is None:
-        group._exponent = math.lcm(*(a.denominator for c in group.classes for a in c.angles))
-    return group._exponent
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _totient(n: int) -> int:
-    out = n
-    for p in _factorize(n):
-        out = out // p * (p - 1)
-    return out
-
-
-def _mobius(n: int) -> int:
-    fac = _factorize(n)
-    if any(e > 1 for e in fac.values()):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
-def _ramanujan_row(E: int) -> np.ndarray:
-    """c_E(r) for r = 0..E-1: the trace of the r-th power of a primitive E-th
-    root of unity down to the rationals.  It depends on r only through
-    g = gcd(r, E), so it is evaluated once per divisor g."""
-    phi_E = _totient(E)
-    by_gcd = {}
-    for g in range(1, E + 1):
-        if E % g == 0:
-            mu = _mobius(E // g)
-            by_gcd[g] = 0 if mu == 0 else mu * (phi_E // _totient(E // g))
-    return np.array([by_gcd[math.gcd(r, E)] for r in range(E)], dtype=np.int64)
-
-
-def _require_int64(bound: int) -> None:
-    """Raise Int64Limit (an OverflowError and a SizeLimit) unless an a-priori
-    magnitude bound fits int64."""
-    if bound >= 2**63:
-        raise Int64Limit(f"exact integer intermediate may reach {bound}, beyond int64")
-
-
-def _magnitude(a: np.ndarray) -> int:
-    return int(np.abs(a).max(initial=0))
-
-
-def _h_vectors(angles_int: list[int], E: int, degree: int) -> np.ndarray:
-    """Rows p = 0..degree: the complete homogeneous sum h_p of the roots of
-    unity with the given integer angles, as exponent-count vectors mod E."""
-    # each entry of row p is at most the row total, C(p + n - 1, n - 1)
-    _require_int64(math.comb(degree + len(angles_int) - 1, len(angles_int) - 1))
-    # folding in a variable with angle a is h'[d] = h[d] + roll(h'[d-1], a);
-    # un-rotating row d by d*a turns that recurrence into a cumulative sum
-    h = np.zeros((degree + 1, E), dtype=np.int64)
-    h[0, 0] = 1
-    d = np.arange(degree + 1)[:, None]
-    r = np.arange(E)
-    for a in angles_int:
-        g = np.cumsum(np.take_along_axis(h, (r + d * a) % E, axis=1), axis=0)
-        h = np.take_along_axis(g, (r - d * a) % E, axis=1)
-    return h
-
-
-def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integer matrix product in int64, formed only after the bound
-    max|a| * max|b| * inner < 2^63 rules out overflow."""
-    _require_int64(_magnitude(a) * _magnitude(b) * a.shape[1])
-    return a @ b
+from .invariant_dims import dim_cells, require_cells
 
 
 def fg_coefficients(group: QuotientGroup, ceiling: int) -> np.ndarray:
     """Series coefficients of F(z, w) for p, q <= ceiling: the invariant
     dimensions on the square of cells, counted against the cell budget and
     evaluated in one engine call."""
-    from .invariant_dims import dim_cells, require_cells
-
     if ceiling < 0:
         raise ConstraintError("ceiling must be nonnegative")
     require_cells((ceiling + 1) ** 2, f"the series square p, q <= {ceiling}")
@@ -144,7 +57,7 @@ def pg_polynomial(group: QuotientGroup, ceiling: int | None = None) -> PGPolynom
     """Compute P by truncated series arithmetic and verify the degree bound:
     any nonzero coefficient beyond n(e - 1) raises TruncationError."""
     n = group.n
-    e = exponent(group)
+    e = group.exponent
     degree = n * (e - 1)
     if ceiling is None:
         ceiling = max(2 * n * e, 24)
@@ -208,9 +121,7 @@ def h0_coefficients(group: QuotientGroup) -> list[int]:
     """c(0, j e), j < n, the coefficients of P that dim_h0_polynomial reads.
     Row 0 of P is row 0 of F (z^e - 1)^n (w^e - 1)^n, so they need only the
     n cells (0, k e): c(0, j e) = sum_i (-1)^i C(n, i) dim(0, (j - i) e)."""
-    from .invariant_dims import dim_cells
-
-    n, e = group.n, exponent(group)
+    n, e = group.n, group.exponent
     dims = dim_cells(group, np.zeros(n, dtype=np.int64), e * np.arange(n, dtype=np.int64)).tolist()
     return [sum((-1) ** i * math.comb(n, i) * dims[j - i] for i in range(j + 1)) for j in range(n)]
 

@@ -39,10 +39,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ConstraintError, NonFreeAction, SizeLimit
+from .errors import ConstraintError, NonFreeAction, ParseError, SizeLimit
 
 Angle = Fraction
 
@@ -53,6 +53,10 @@ QUARTER = Fraction(1, 4)
 # largest group order a constructor builds: each element costs a class
 # tuple, and make_cyclic(10**5) already takes about 1.7 s
 MAX_ORDER = 10**5
+
+# most entries each per-group cache keeps, here and in the engine; a group
+# of order 40000 holds about 15 MB of class tuples
+CACHE_SIZE = 32
 
 # exact generator data: an entry is a sum of c * exp(2*pi*i*t) over its
 # (c, t) terms; a matrix is a tuple of rows of entries
@@ -86,7 +90,9 @@ class FreeActionReport(NamedTuple):
     witness: ConjugacyClass | None
 
 
-def _merge_classes(classes: Iterable[tuple[Sequence[Angle], int]]) -> tuple[ConjugacyClass, ...]:
+def _merge_classes(classes: Iterable[tuple[Sequence[Angle], int]]) -> tuple[tuple[ConjugacyClass, ...], int]:
+    """The merged classes in a fixed order, and the lcm of their angle
+    denominators: the group exponent."""
     counts: Counter[tuple[Angle, ...]] = Counter()
     for angles, mult in classes:
         counts[tuple(angles)] += int(mult)
@@ -94,17 +100,16 @@ def _merge_classes(classes: Iterable[tuple[Sequence[Angle], int]]) -> tuple[Conj
     # denominator, which is much cheaper than comparing Fractions
     den = math.lcm(*(a.denominator for angles in counts for a in angles))
     order = sorted(counts, key=lambda angles: [a.numerator * (den // a.denominator) for a in angles])
-    return tuple(ConjugacyClass(a, counts[a]) for a in order)
+    return tuple(ConjugacyClass(a, counts[a]) for a in order), den
 
 
 class QuotientGroup:
     """A finite subgroup of U(n) given by eigenvalue-angle classes.
 
-    Instances are immutable by convention and safe to share.  The only derived
-    data attached to them, lazily, depends on the group alone: the exponent,
-    the Galois orbits of the classes and the n = 2 trace tables.
-    Equality and hashing are by identity; use :meth:`class_multiset` for
-    structural comparison.
+    Instances are immutable by convention and safe to share; ``exponent``,
+    the lcm of the element orders, is read off the classes once.  Equality
+    and hashing are by identity, so caches may key on a group; use
+    :meth:`class_multiset` for structural comparison.
     """
 
     def __init__(
@@ -122,14 +127,11 @@ class QuotientGroup:
         self.name = name
         self.family = family
         self.n = int(n)
-        self.classes = _merge_classes(classes)
+        self.classes, self.exponent = _merge_classes(classes)
         self.order = sum(c.mult for c in self.classes)
         self.params = dict(params or {})
         self.base = base
         self.generators = tuple(generators or ())
-        self._exponent = None
-        self._orbits = None
-        self._trace_tables = None
 
         if self.n < 2:
             raise ConstraintError("ambient dimension must be at least 2")
@@ -236,34 +238,16 @@ def _quat_matrix(a: Cyclotomic, b: Cyclotomic, c: Cyclotomic, d: Cyclotomic,
     return tuple(tuple(_turn(x, phase) for x in row) for row in rows)
 
 
-class QuaternionExact(NamedTuple):
-    """Quaternion a + bi + cj + dk with rational components."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-
-
-def quat(a, b, c, d) -> QuaternionExact:
-    return QuaternionExact(*map(Fraction, (a, b, c, d)))
-
-
-QUAT_I = quat(0, 1, 0, 0)
-QUAT_J = quat(0, 0, 1, 0)
-QUAT_H = quat(HALF, HALF, HALF, HALF)
-
-
-def _rational_quat_matrix(h: QuaternionExact, phase: Angle = ZERO) -> ExactMatrix:
-    return _quat_matrix(*map(_rational, h), phase=phase)
-
-
+# quaternion components (a, b, c, d) of i, j and h = (1 + i + j + k)/2
+_QI = ((), _rational(1), (), ())
+_QJ = ((), (), _rational(1), ())
+_QH = (_rational(HALF),) * 4
 _HALF_SQRT2 = _cyc((HALF, Fraction(1, 8)), (HALF, Fraction(7, 8)))
 _HALF_PHI = _cyc((HALF, ZERO), (HALF, Fraction(1, 5)), (HALF, Fraction(4, 5)))
 _HALF_INV_PHI = _cyc((HALF, Fraction(1, 5)), (HALF, Fraction(4, 5)))
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def make_cyclic(m: int) -> QuotientGroup:
     """Cyclic subgroup of SU(2) of order m, generated by diag(z, z^-1) with
     z a primitive m-th root of unity."""
@@ -283,7 +267,7 @@ def make_lens(m: int, rotations: Sequence[int]) -> QuotientGroup:
     return _make_lens(int(m), tuple(int(q) for q in rotations))
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def _make_lens(m: int, rotations: tuple[int, ...]) -> QuotientGroup:
     if m < 1:
         raise ConstraintError("lens order m must be >= 1")
@@ -303,7 +287,7 @@ def _make_lens(m: int, rotations: tuple[int, ...]) -> QuotientGroup:
     return QuotientGroup(name, "lens", n, classes, params={"m": m, "rotations": rotations}, generators=[gen])
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def make_binary_dihedral(m: int) -> QuotientGroup:
     """Binary dihedral group of order 4m: the cyclic group of order 2m plus
     2m elements of trace zero.  Requires m >= 2 (m = 1 is cyclic of order 4)."""
@@ -314,11 +298,11 @@ def make_binary_dihedral(m: int) -> QuotientGroup:
         ((angle(j, 2 * m), angle(2 * m - j, 2 * m)), 1) for j in range(2 * m)
     ]
     classes.append(((Fraction(1, 4), Fraction(3, 4)), 2 * m))
-    gens = [_diag(Fraction(1, 2 * m), Fraction(-1, 2 * m)), _rational_quat_matrix(QUAT_J)]
+    gens = [_diag(Fraction(1, 2 * m), Fraction(-1, 2 * m)), _quat_matrix(*_QJ)]
     return QuotientGroup(f"bindih:{2 * m}", "bindih", 2, classes, params={"m": m}, generators=gens)
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def make_binary_tetrahedral() -> QuotientGroup:
     """Binary tetrahedral group: the quaternion group plus the sixteen
     half-integer unit quaternions (traces +-1)."""
@@ -327,11 +311,11 @@ def make_binary_tetrahedral() -> QuotientGroup:
         ((Fraction(1, 6), Fraction(5, 6)), 8),
         ((Fraction(1, 3), Fraction(2, 3)), 8),
     ]
-    gens = [_rational_quat_matrix(QUAT_I), _rational_quat_matrix(QUAT_H)]
+    gens = [_quat_matrix(*_QI), _quat_matrix(*_QH)]
     return QuotientGroup("2T", "2T", 2, classes, generators=gens)
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def make_binary_octahedral() -> QuotientGroup:
     """Binary octahedral group: binary tetrahedral plus 24 elements with
     traces 0 and +-√2."""
@@ -345,7 +329,7 @@ def make_binary_octahedral() -> QuotientGroup:
     return QuotientGroup("2O", "2O", 2, classes, generators=gens)
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def make_binary_icosahedral() -> QuotientGroup:
     """Binary icosahedral group: binary tetrahedral plus the 96 even
     permutations of (0, +-1, +-1/phi, +-phi)/2, phi the golden ratio."""
@@ -364,9 +348,6 @@ def make_binary_icosahedral() -> QuotientGroup:
     return QuotientGroup("2I", "2I", 2, classes, generators=gens)
 
 
-_SU2_FAMILIES = {"cyclic", "bindih", "2T", "2O", "2I"}
-
-
 def _product_constraint(base: QuotientGroup) -> int:
     if base.family == "bindih":
         return 2 * base.params["m"]
@@ -379,7 +360,7 @@ def _product_constraint(base: QuotientGroup) -> int:
     )
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def make_product_with_center(base: QuotientGroup, l: int) -> QuotientGroup:
     """Group generated by an SU(2) binary family and the scalar matrix of
     order l.  Free action requires l odd and coprime to the base constraint
@@ -420,7 +401,7 @@ def _twisted(phase: Angle, theta: Angle) -> tuple[Angle, Angle]:
     return ((phase + theta) % 1, (phase - theta) % 1)
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def make_q_semidirect(l: int) -> QuotientGroup:
     """Image in U(2) of the group generated by the quaternions i and j and
     the order-6 unit h = (1+i+j+k)/2 carrying the scalar phase 1/P, P = 18l.
@@ -444,12 +425,11 @@ def make_q_semidirect(l: int) -> QuotientGroup:
             classes.append((_twisted(phase, Fraction(1, 3)), 4))
         else:
             classes += [(_twisted(phase, HALF), 1), (_twisted(phase, QUARTER), 3)]
-    gens = [_rational_quat_matrix(QUAT_I), _rational_quat_matrix(QUAT_J),
-            _rational_quat_matrix(QUAT_H, Fraction(1, big_p))]
+    gens = [_quat_matrix(*_QI), _quat_matrix(*_QJ), _quat_matrix(*_QH, phase=Fraction(1, big_p))]
     return QuotientGroup(f"qsemi:{l}", "qsemi", 2, classes, params={"l": l}, generators=gens)
 
 
-@cache
+@lru_cache(maxsize=CACHE_SIZE)
 def make_cyclic_semidirect(m: int, l: int) -> QuotientGroup:
     """Image in U(2) of the group generated by the cyclic group of order 2m
     and the trace-zero quaternion j carrying the scalar phase 1/P, P = 4l.
@@ -483,7 +463,7 @@ def make_cyclic_semidirect(m: int, l: int) -> QuotientGroup:
         params={"m": m, "l": l},
         generators=[
             _diag(Fraction(1, 2 * m), Fraction(-1, 2 * m)),
-            _rational_quat_matrix(QUAT_J, Fraction(1, big_p)),
+            _quat_matrix(*_QJ, phase=Fraction(1, big_p)),
         ],
         expect_free=False,
     )
@@ -498,6 +478,57 @@ def make_cyclic_semidirect(m: int, l: int) -> QuotientGroup:
 
 def make_trivial(n: int = 2) -> QuotientGroup:
     return make_cyclic(1) if n == 2 else make_lens(1, tuple([1] * n))
+
+
+# ---------------------------------------------------------------------------
+# Spec strings
+
+
+def parse_group_spec(spec: str) -> QuotientGroup:
+    """Parse a group spec string; the resulting group's name is the canonical
+    form of the spec."""
+    spec = spec.strip()
+    if "xC:" in spec:
+        base_spec, _, l_text = spec.rpartition("xC:")
+        base = parse_group_spec(base_spec)
+        return make_product_with_center(base, _int(l_text, "l"))
+    if spec == "Q":
+        return make_binary_dihedral(2)
+    if spec == "2T":
+        return make_binary_tetrahedral()
+    if spec == "2O":
+        return make_binary_octahedral()
+    if spec == "2I":
+        return make_binary_icosahedral()
+    head, _, rest = spec.partition(":")
+    if head == "cyclic":
+        return make_cyclic(_int(rest, "m"))
+    if head == "lens":
+        m_text, _, qs_text = rest.partition(":")
+        if not qs_text:
+            raise ParseError(f"lens spec needs rotations: lens:m:q1,...,qn (got {spec!r})")
+        qs = [_int(tok, "rotation") for tok in qs_text.split(",")]
+        return make_lens(_int(m_text, "m"), qs)
+    if head == "bindih":
+        order2m = _int(rest, "2m")
+        if order2m % 2 != 0 or order2m < 4:
+            raise ConstraintError(f"bindih parameter is 2m with m >= 2; got {order2m}")
+        return make_binary_dihedral(order2m // 2)
+    if head == "qsemi":
+        return make_q_semidirect(_int(rest, "l"))
+    if head == "cycsemi":
+        m_text, _, l_text = rest.partition(":")
+        if not l_text:
+            raise ParseError(f"cycsemi spec is cycsemi:m:l (got {spec!r})")
+        return make_cyclic_semidirect(_int(m_text, "m"), _int(l_text, "l"))
+    raise ParseError(f"unrecognized group spec {spec!r}")
+
+
+def _int(text: str, label: str) -> int:
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        raise ParseError(f"expected an integer for {label}, got {text!r}") from None
 
 
 CATALOG_FAMILIES = [

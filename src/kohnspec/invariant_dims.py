@@ -9,7 +9,9 @@ have equal traces, so the engine takes one trace per rational class,
 weighted by the orbit's summed multiplicity.  The average is then the exact
 quotient of the weighted trace sum by phi(E) |G|: a sum that is not
 divisible, or a quotient outside [0, sphere_dim], raises
-NonIntegralDimension.  No float enters.
+NonIntegralDimension.  No float enters, and every int64 product is
+preceded by an a-priori magnitude bound that raises Int64Limit, an
+OverflowError, before the product is formed.
 
 For n = 2 the central orbits trace to (p + q + 1) c_E(k (q - p)), and the
 non-central traces are E-periodic in p and q: they are evaluated at residue
@@ -20,10 +22,12 @@ tables, read at T[p, q] - T[p-1, q-1]; it is formed over bands of the
 requested cells whose bounding boxes hold at most about twice their cells.
 
 dim_cells evaluates whole arrays of cells in one call, dim_triangle every
-cell with p + q <= pq_max, and dim_invariant one cell; no result is
-memoised.  Every enumeration of cells counts them against one cell budget
-before it allocates.  dim_closed_form evaluates the per-family
-piecewise formulas; reconcile checks the two against each other.
+cell with p + q <= pq_max, and dim_invariant one cell.  No result is
+memoised; only the Galois orbits and the n = 2 trace tables of the last
+CACHE_SIZE groups are cached.  Every enumeration of cells counts them
+against one cell budget before it allocates.  dim_closed_form evaluates
+the per-family piecewise formulas; reconcile checks the two against each
+other.
 """
 
 from __future__ import annotations
@@ -31,12 +35,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonIntegralDimension, SizeLimit, UnsupportedFamily
-from .genfun import _exact_matmul, _h_vectors, _ramanujan_row, _require_int64, _totient, exponent
-from .group_catalog import QuotientGroup
+from .errors import NonIntegralDimension, SizeLimit, UnsupportedFamily, _require_int64
+from .group_catalog import CACHE_SIZE, QuotientGroup
 
 # int64 entries per transient array while evaluating a block of cells (128 kB)
 _BLOCK_ENTRIES = 1 << 14
@@ -51,6 +55,74 @@ _BAND_SLACK = 64
 # most cells one enumeration may hold: building a spectrum table peaks near
 # 80 bytes per cell, so the budget caps one table near 0.35 GB
 MAX_CELLS = 1 << 22
+
+
+def _factorize(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _totient(n: int) -> int:
+    out = n
+    for p in _factorize(n):
+        out = out // p * (p - 1)
+    return out
+
+
+def _mobius(n: int) -> int:
+    fac = _factorize(n)
+    if any(e > 1 for e in fac.values()):
+        return 0
+    return -1 if len(fac) % 2 else 1
+
+
+def _ramanujan_row(E: int) -> np.ndarray:
+    """c_E(r) for r = 0..E-1: the trace of the r-th power of a primitive E-th
+    root of unity down to the rationals.  It depends on r only through
+    g = gcd(r, E), so it is evaluated once per divisor g."""
+    phi_E = _totient(E)
+    by_gcd = {}
+    for g in range(1, E + 1):
+        if E % g == 0:
+            mu = _mobius(E // g)
+            by_gcd[g] = 0 if mu == 0 else mu * (phi_E // _totient(E // g))
+    return np.array([by_gcd[math.gcd(r, E)] for r in range(E)], dtype=np.int64)
+
+
+def _magnitude(a: np.ndarray) -> int:
+    return int(np.abs(a).max(initial=0))
+
+
+def _h_vectors(angles_int: list[int], E: int, degree: int) -> np.ndarray:
+    """Rows p = 0..degree: the complete homogeneous sum h_p of the roots of
+    unity with the given integer angles, as exponent-count vectors mod E."""
+    # each entry of row p is at most the row total, C(p + n - 1, n - 1)
+    _require_int64(math.comb(degree + len(angles_int) - 1, len(angles_int) - 1))
+    # folding in a variable with angle a is h'[d] = h[d] + roll(h'[d-1], a);
+    # un-rotating row d by d*a turns that recurrence into a cumulative sum
+    h = np.zeros((degree + 1, E), dtype=np.int64)
+    h[0, 0] = 1
+    d = np.arange(degree + 1)[:, None]
+    r = np.arange(E)
+    for a in angles_int:
+        g = np.cumsum(np.take_along_axis(h, (r + d * a) % E, axis=1), axis=0)
+        h = np.take_along_axis(g, (r - d * a) % E, axis=1)
+    return h
+
+
+def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integer matrix product in int64, formed only after the bound
+    max|a| * max|b| * inner < 2^63 rules out overflow."""
+    _require_int64(_magnitude(a) * _magnitude(b) * a.shape[1])
+    return a @ b
 
 
 def require_cells(count: int, what: str) -> None:
@@ -91,9 +163,10 @@ def _sphere_dims(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     return bp * bq - binom(p - 1) * binom(q - 1)
 
 
-def _rational_classes(group: QuotientGroup, E: int) -> list[tuple[tuple[int, ...], int]]:
+@lru_cache(maxsize=CACHE_SIZE)
+def _rational_classes(group: QuotientGroup) -> list[tuple[tuple[int, ...], int]]:
     """The classes by Galois orbit: one (sorted integer angles mod E, summed
-    multiplicity) per orbit, cached on the group.
+    multiplicity) per orbit, E the group exponent.
 
     For j a unit mod the element order d, the angles j k mod d belong to
     g^j, and the Galois trace of chi(g^j) equals that of chi(g): the two
@@ -102,8 +175,7 @@ def _rational_classes(group: QuotientGroup, E: int) -> list[tuple[tuple[int, ...
     sum exactly, whether or not the class set is closed under powers.  Each
     new orbit lists its images once, from the units mod d, so the cost is
     about one dictionary entry per class."""
-    if group._orbits is not None:
-        return group._orbits
+    E = group.exponent
     orbit_of: dict[tuple[int, ...], int] = {}
     orbits: list[list] = []
     units: dict[int, list[int]] = {}
@@ -120,8 +192,7 @@ def _rational_classes(group: QuotientGroup, E: int) -> list[tuple[tuple[int, ...
                 orbit_of[tuple(sorted(j * k // step % d * step for k in key))] = i
             orbits.append([key, 0])
         orbits[i][1] += c.mult
-    group._orbits = [(key, mult) for key, mult in orbits]
-    return group._orbits
+    return [(key, mult) for key, mult in orbits]
 
 
 class _ProgressionTraces:
@@ -138,9 +209,10 @@ class _ProgressionTraces:
     period long, one difference of prefix sums along its cycle, stored twice
     over; O(E) integers per distinct step."""
 
-    def __init__(self, group: QuotientGroup, E: int):
+    def __init__(self, group: QuotientGroup):
+        E = group.exponent
         ram = _ramanujan_row(E)
-        orbits = _rational_classes(group, E)
+        orbits = _rational_classes(group)
         self.E = E
         self.central = np.zeros(E, dtype=np.int64)
         for (k1, k2), mult in orbits:
@@ -179,13 +251,15 @@ class _ProgressionTraces:
         return self.mult @ (self.pre[start + part] - self.pre[start])
 
 
+# the tables of each of the last CACHE_SIZE groups, built once per group
+_trace_tables = lru_cache(maxsize=CACHE_SIZE)(_ProgressionTraces)
+
+
 def _su2_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """W(p, q) = W_nc(p mod E, q mod E) + (p + q + 1) central[(q - p) mod E],
     with W_nc evaluated once over the E x E square of residues when the
     request holds at least E^2 cells, else at each cell's own residues."""
-    if group._trace_tables is None:
-        group._trace_tables = _ProgressionTraces(group, E)
-    tables = group._trace_tables
+    tables = _trace_tables(group)
     # per cell: the central term is bound * (p + q + 1), the non-central below bound * E
     _require_int64(tables.bound * (int((p + q).max()) + 1 + E))
     pr, qr = p % E, q % E
@@ -213,7 +287,7 @@ def _series_tables(group: QuotientGroup, E: int, p_max: int, q_max: int) -> tupl
     x - 1: the zero row 0 makes the (p - 1, q - 1) term vanish at p = 0 or
     q = 0."""
     _require_series_entries(group, E * E)   # before the orbits and CE are built
-    orbits = _rational_classes(group, E)
+    orbits = _rational_classes(group)
     _require_series_entries(group, E * E + len(orbits) * E * (p_max + q_max + 4))
     ram = _ramanujan_row(E)
     residues = np.arange(E)
@@ -298,7 +372,7 @@ def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
     q = np.asarray(q, dtype=np.int64)
     if not len(p):
         return np.zeros(0, dtype=np.int64)
-    E = exponent(group)
+    E = group.exponent
     traces = (_su2_traces if group.n == 2 else _series_traces)(group, E, p, q)
     denom = _totient(E) * group.order
     dims, residue = np.divmod(traces, denom)
@@ -418,7 +492,6 @@ def dim_closed_form(group: QuotientGroup, p: int, q: int) -> int:
 
 @dataclass
 class ReconcileReport:
-    group: QuotientGroup
     pq_ceiling: int
     mismatches: list[tuple[int, int, int, int]]  # (p, q, averaged, closed_form)
 
@@ -434,4 +507,4 @@ def reconcile(group: QuotientGroup, pq_ceiling: int) -> ReconcileReport:
         closed = dim_closed_form(group, p, q)
         if averaged != closed:
             mismatches.append((p, q, averaged, closed))
-    return ReconcileReport(group, pq_ceiling, mismatches)
+    return ReconcileReport(pq_ceiling, mismatches)

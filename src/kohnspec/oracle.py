@@ -51,7 +51,7 @@ The rank is taken over F_ell, and it is exact:
   the generators generate, and it must equal the catalog order.
 
 Every product of residues is below ell^2; the magnitude bound goes through
-the int64 guard of :mod:`kohnspec.genfun`.
+the int64 guard of :mod:`kohnspec.errors`.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ClosureMismatch, ReductionError, SizeLimit
-from .genfun import _factorize, _require_int64
+from .errors import ClosureMismatch, ReductionError, SizeLimit, _require_int64
 from .group_catalog import Cyclotomic, QuotientGroup
+from .invariant_dims import _factorize, dim_triangle
 
 _BASIS_LIMIT = 4000
 # estimated multiply-adds of one oracle_check, closure plus elimination on the
@@ -136,8 +136,7 @@ def modular_image(group: QuotientGroup) -> ModularImage:
     if not group.generators:
         raise ClosureMismatch(f"{group.name} carries no generator matrices")
     terms = [term for g in group.generators for row in g for entry in row for term in entry]
-    E = math.lcm(*(t.denominator for _, t in terms),
-                 *(a.denominator for c in group.classes for a in c.angles))
+    E = math.lcm(group.exponent, *(t.denominator for _, t in terms))
     ell = _prime(E, max(group.order, _BASIS_LIMIT), {c.denominator for c, _ in terms})
     _require_int64(group.n * ell * ell)
     image = ModularImage(ell, E, _root_of_unity(E, ell), ())
@@ -396,8 +395,6 @@ def oracle_check(group: QuotientGroup, pq_max: int) -> list[tuple[int, int, int,
     """Compare brute-force and character-averaged dimensions on a grid.
 
     Returns rows (p, q, brute, averaged, ok)."""
-    from .invariant_dims import dim_triangle
-
     image = modular_image(group)
     actions = image.actions()      # symmetric powers are built once, shared by every cell
     blocks = _budgeted_blocks(group, pq_max, actions)

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ConstraintError
-from .genfun import dim_h0_polynomial, exponent, h0_coefficients
+from .genfun import dim_h0_polynomial, h0_coefficients
 from .group_catalog import QuotientGroup
 from .invariant_dims import dim_cells, triangle_cells
 
@@ -125,6 +125,6 @@ def greens_lower_witness(group: QuotientGroup, m_max: int, convention: int = 2) 
     1/(D(n-1)) from above."""
     if m_max < 1:
         raise ConstraintError("m_max must be at least 1")
-    coeffs, e = h0_coefficients(group), exponent(group)
+    coeffs, e = h0_coefficients(group), group.exponent
     return [(m, c_pq(0, m * e, group.n, convention))
             for m in range(1, m_max + 1) if dim_h0_polynomial(coeffs, m) >= 1]

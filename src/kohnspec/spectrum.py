@@ -17,8 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .group_catalog import QuotientGroup
-from .errors import ConstraintError, SizeLimit
-from .genfun import _require_int64
+from .errors import ConstraintError, SizeLimit, _require_int64
 from .invariant_dims import _sphere_dims, dim_cells, require_cells
 
 
@@ -69,17 +68,14 @@ class SpectrumTable:
     ``eigenvalues`` are the distinct eigenvalues <= lambda_max in ascending
     order and ``mults`` their multiplicities.  An eigenvalue of multiplicity
     zero is kept whenever the sphere has a contributing bidegree space:
-    explicit zeros matter for comparisons.  A ``group`` of None marks the
-    sphere's own table.
+    explicit zeros matter for comparisons.
     """
 
-    def __init__(self, group: QuotientGroup | None, lambda_max, n: int,
-                 p: np.ndarray, q: np.ndarray, dims: np.ndarray):
+    def __init__(self, lambda_max, n: int, p: np.ndarray, q: np.ndarray, dims: np.ndarray):
         """Bucket the cells from _cells, with their dimensions, by eigenvalue."""
         half = q * (p + n - 1)
         starts = np.flatnonzero(np.diff(half, prepend=0))
         _require_int64(len(dims) * int(dims.max(initial=0)))
-        self.group = group
         self.lambda_max = int(lambda_max)
         self.eigenvalues = 2 * half[starts]
         self.mults = np.add.reduceat(dims, starts) if len(starts) else dims
@@ -126,7 +122,7 @@ def _cells(n: int, lambda_max) -> tuple[np.ndarray, np.ndarray]:
 def counting_function(group: QuotientGroup, lambda_max: int) -> SpectrumTable:
     """Assemble the spectrum table for all eigenvalues <= lambda_max."""
     p, q = _cells(group.n, lambda_max)
-    return SpectrumTable(group, lambda_max, group.n, p, q, dim_cells(group, p, q))
+    return SpectrumTable(lambda_max, group.n, p, q, dim_cells(group, p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +226,6 @@ def weyl_constant(n: int) -> float:
 
 @dataclass
 class WeylReport:
-    group: QuotientGroup
     grid: list[int]
     n_quotient: list[int]
     n_sphere: list[int]
@@ -255,7 +250,7 @@ def weyl_report(group: QuotientGroup, grid) -> WeylReport:
     n_quot = [table.count(lam) for lam in grid]
     # the sphere's table on the same sorted cells: no second sort, and each
     # grid point is one search
-    sphere = SpectrumTable(None, lam_max, n, table._p, table._q, _sphere_dims(table._p, table._q, n))
+    sphere = SpectrumTable(lam_max, n, table._p, table._q, _sphere_dims(table._p, table._q, n))
     n_sph = [sphere.count(lam) for lam in grid]
     ratios = [ns / ng if ng else math.inf for ns, ng in zip(n_sph, n_quot)]
     xi = [xi_bound(Fraction(lam, 2), n) for lam in grid]
@@ -270,7 +265,7 @@ def weyl_report(group: QuotientGroup, grid) -> WeylReport:
         richardson = (v2 * l2 - v1 * l1) / (l2 - l1)
     else:
         richardson = empirical
-    return WeylReport(group, grid, n_quot, n_sph, ratios, xi, ok, const, expected, empirical, richardson)
+    return WeylReport(grid, n_quot, n_sph, ratios, xi, ok, const, expected, empirical, richardson)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +274,6 @@ def weyl_report(group: QuotientGroup, grid) -> WeylReport:
 
 @dataclass
 class SpectrumComparison:
-    group_a: QuotientGroup
-    group_b: QuotientGroup
     lambda_max: int
     eigenvalue: int | None     # least distinguishing eigenvalue, None if isospectral
     mult_a: int | None
@@ -297,10 +290,10 @@ def compare_spectra(a: QuotientGroup, b: QuotientGroup, lambda_max: int) -> Spec
     if a.n != b.n:
         raise ConstraintError("groups must act on the same sphere")
     p, q = _cells(a.n, lambda_max)
-    ta = SpectrumTable(a, lambda_max, a.n, p, q, dim_cells(a, p, q))
-    tb = SpectrumTable(b, lambda_max, b.n, p, q, dim_cells(b, p, q))
+    ta = SpectrumTable(lambda_max, a.n, p, q, dim_cells(a, p, q))
+    tb = SpectrumTable(lambda_max, b.n, p, q, dim_cells(b, p, q))
     differ = np.flatnonzero(ta.mults != tb.mults)
     if not len(differ):
-        return SpectrumComparison(a, b, int(lambda_max), None, None, None)
+        return SpectrumComparison(int(lambda_max), None, None, None)
     i = differ[0]
-    return SpectrumComparison(a, b, int(lambda_max), int(ta.eigenvalues[i]), int(ta.mults[i]), int(tb.mults[i]))
+    return SpectrumComparison(int(lambda_max), int(ta.eigenvalues[i]), int(ta.mults[i]), int(tb.mults[i]))

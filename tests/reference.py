@@ -1,5 +1,15 @@
 """Reference implementations that only the tests use.
 
+Exact characters of the harmonic bidegree spaces: the space of bidegree
+(p, q) on the sphere in C^n has a basis indexed by the admissible
+multiindex pairs (alpha, beta), |alpha| = p, |beta| = q, alpha_1 = 0 or
+beta_1 = 0.  A diagonal unitary with eigenvalue angles t acts on the basis
+element of (alpha, beta) by the root of unity with angle (beta - alpha) . t,
+so char_general sums those angles into a formal integer combination of roots
+of unity.  The engine in :mod:`kohnspec.invariant_dims` never builds
+characters; the tests check its dimensions and the oracle's traces against
+these.
+
 The oracle's full stacked-matrix rank lives here: the whole monomial space of
 bidegree (p, q), the Laplacian built monomial by monomial, and the actions of
 all generators as N x N matrices.  Production (:mod:`kohnspec.oracle`)
@@ -16,16 +26,80 @@ tail bound for a group.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from kohnspec.characters import sphere_dim
 from kohnspec.errors import ReductionError, SizeLimit
-from kohnspec.group_catalog import QuotientGroup
+from kohnspec.group_catalog import Angle, QuotientGroup
 from kohnspec.invariant_dims import _sphere_dims
 from kohnspec.oracle import _BASIS_LIMIT, ElementAction, _prime, _rank, modular_image, monomial_exponents
 from kohnspec.spectrum import SpectrumTable, _cells, _floor_runs, _within_tail_bound, xi_bound
+
+
+def sphere_dim(p: int, q: int, n: int) -> int:
+    """Dimension of the bidegree-(p, q) harmonic space on the sphere in C^n."""
+    if p < 0 or q < 0:
+        return 0
+    full = math.comb(p + n - 1, n - 1) * math.comb(q + n - 1, n - 1)
+    lower = math.comb(p + n - 2, n - 1) * math.comb(q + n - 2, n - 1)
+    return full - lower
+
+
+def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def admissible_pairs(p: int, q: int, n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """All (alpha, beta) with |alpha| = p, |beta| = q, alpha_1 = 0 or beta_1 = 0.
+
+    The number of pairs equals ``sphere_dim(p, q, n)``.
+    """
+    betas_all = list(_compositions(q, n))
+    betas_b1_zero = [b for b in betas_all if b[0] == 0]
+    for alpha in _compositions(p, n):
+        betas = betas_all if alpha[0] == 0 else betas_b1_zero
+        for beta in betas:
+            yield alpha, beta
+
+
+@dataclass
+class CharacterValue:
+    """Formal integer combination of roots of unity: angle -> count."""
+
+    terms: dict[Angle, int]
+
+    def __post_init__(self):
+        self.terms = {a: c for a, c in self.terms.items() if c != 0}
+
+    def term_count(self) -> int:
+        return sum(self.terms.values())
+
+    def conjugate(self) -> "CharacterValue":
+        return CharacterValue({(-a) % 1: c for a, c in self.terms.items()})
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CharacterValue):
+            return self.terms == other.terms
+        return NotImplemented
+
+
+def char_general(p: int, q: int, angles: Sequence[Angle]) -> CharacterValue:
+    """Character at an element with the given eigenvalue angles, by direct
+    summation over admissible pairs.  Works in any dimension n = len(angles)."""
+    n = len(angles)
+    counts: Counter[Angle] = Counter()
+    for alpha, beta in admissible_pairs(p, q, n):
+        term = sum((b - a) * t for a, b, t in zip(alpha, beta, angles)) % 1
+        counts[term] += 1
+    return CharacterValue(dict(counts))
 
 
 @dataclass
@@ -104,7 +178,7 @@ def trace_bruteforce(action: ElementAction, p: int, q: int) -> int:
 def sphere_counting_table(n: int, lambda_max: int) -> SpectrumTable:
     """Spectrum table of the sphere itself, from the exact sphere dimensions."""
     p, q = _cells(n, lambda_max)
-    return SpectrumTable(None, lambda_max, n, p, q, _sphere_dims(p, q, n))
+    return SpectrumTable(lambda_max, n, p, q, _sphere_dims(p, q, n))
 
 
 def sphere_count(lam: int, n: int) -> int:

@@ -252,7 +252,7 @@ def test_criterion_8_generating_functions():
     with criterion("8", "generating polynomial degree bound, round trip, h0 formula"):
         for spec in GENFUN_SPECS:
             g = ks.parse_group_spec(spec)
-            e = ks.exponent(g)
+            e = g.exponent
             poly = ks.pg_polynomial(g)   # raises TruncationError beyond n(e-1)
             assert poly.degree == g.n * (e - 1)
             dims = np.array([[ks.dim_invariant(g, p, q) for q in range(25)] for p in range(25)])

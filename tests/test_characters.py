@@ -7,8 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from kohnspec import admissible_pairs, char_general, sphere_dim
-from kohnspec.characters import CharacterValue
+from reference import CharacterValue, admissible_pairs, char_general, sphere_dim
 
 F = Fraction
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import csv
+import graphlib
+import importlib
 import io
 import json
 import os
@@ -444,6 +447,51 @@ def test_cli_import_loads_no_scipy():
     code = "import sys, kohnspec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"
+
+
+def _src_imports() -> dict[str, tuple[set[str], list[int]]]:
+    """Per module of the package: the sibling modules its relative imports
+    name, and the lines of the imports that sit inside a function body."""
+    out = {}
+    for path in sorted(Path(kohnspec.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        siblings, nested = set(), []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                siblings |= {node.module} if node.module else {alias.name for alias in node.names}
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested += [sub.lineno for sub in ast.walk(node) if isinstance(sub, (ast.Import, ast.ImportFrom))]
+        out[path.stem] = (siblings, nested)
+    return out
+
+
+def test_module_graph_is_acyclic():
+    # prepare() raises CycleError on a cycle
+    graph = {name: siblings for name, (siblings, _) in _src_imports().items()}
+    graphlib.TopologicalSorter(graph).prepare()
+
+
+def test_no_import_inside_a_function():
+    assert {name: nested for name, (_, nested) in _src_imports().items() if nested} == {}
+
+
+def test_package_import_leaves_the_cli_unloaded():
+    src = str(Path(kohnspec.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, kohnspec; print([m for m in ('kohnspec.cli', 'argparse') if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+def test_every_cache_is_bounded():
+    # the zero-argument parser cache holds one entry whatever its bound
+    caches = []
+    for name in _src_imports():
+        module = importlib.import_module("kohnspec" if name == "__init__" else f"kohnspec.{name}")
+        caches += [(f"{name}.{attr}", fn.cache_info().maxsize) for attr, fn in vars(module).items()
+                   if hasattr(fn, "cache_info") and fn.__module__ == module.__name__]
+    assert len(caches) >= 12
+    assert [name for name, maxsize in caches if maxsize is None] == ["cli.build_parser"]
 
 
 def test_reproduce_golden_byte_identical(capsys):

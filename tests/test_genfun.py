@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from kohnspec import (
     dim_h0_polynomial,
     h0_coefficients,
     dim_invariant,
-    exponent,
     fg_coefficients,
     make_binary_dihedral,
     make_binary_icosahedral,
@@ -24,7 +25,8 @@ from kohnspec import (
     pg_polynomial,
     reconstruct_dims,
 )
-from kohnspec.genfun import _exact_matmul, _mobius, _ramanujan_row, _totient
+from kohnspec.invariant_dims import _exact_matmul, _mobius, _ramanujan_row, _totient
+from kohnspec.oracle import modular_image
 
 
 GENFUN_GROUPS = [
@@ -75,11 +77,14 @@ class TestExactMatmul:
 
 
 class TestExponent:
-    def test_values(self):
-        assert exponent(make_cyclic(6)) == 6
-        assert exponent(make_binary_dihedral(2)) == 4
-        assert exponent(make_binary_tetrahedral()) == 12
-        assert exponent(make_binary_icosahedral()) == 60
+    def test_values(self, all_n2_groups, lens3_groups):
+        # the lcm of the element orders, and a divisor of the root order the
+        # oracle reduces the generators with
+        for g in all_n2_groups + lens3_groups:
+            assert g.exponent == math.lcm(*g.element_orders()), g.name
+            assert modular_image(g).E % g.exponent == 0, g.name
+        pinned = (make_cyclic(6), make_binary_dihedral(2), make_binary_tetrahedral(), make_binary_icosahedral())
+        assert [g.exponent for g in pinned] == [6, 4, 12, 60]
 
 
 class TestSeriesCoefficients:
@@ -140,7 +145,7 @@ class TestH0Polynomial:
     @pytest.mark.parametrize("group", GENFUN_GROUPS, ids=lambda g: g.name)
     def test_agrees_with_averaging(self, group):
         coeffs = h0_coefficients(group)
-        e = exponent(group)
+        e = group.exponent
         for m in range(7):
             assert dim_h0_polynomial(coeffs, m) == dim_invariant(group, 0, m * e)
 

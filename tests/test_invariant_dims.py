@@ -16,7 +16,6 @@ import pytest
 from kohnspec import (
     NonIntegralDimension,
     UnsupportedFamily,
-    char_general,
     dim_closed_form,
     dim_invariant,
     make_binary_dihedral,
@@ -31,14 +30,16 @@ from kohnspec import (
     make_trivial,
     multiplicity,
     reconcile,
-    sphere_dim,
     weyl_report,
 )
 from kohnspec import invariant_dims
-from kohnspec.genfun import _exact_matmul, _h_vectors, _ramanujan_row, _totient, exponent
 from kohnspec.group_catalog import ZERO, from_classes
 from kohnspec.invariant_dims import (
     _bands,
+    _exact_matmul,
+    _h_vectors,
+    _ramanujan_row,
+    _totient,
     _rational_classes,
     _series_traces,
     _su2_traces,
@@ -51,6 +52,7 @@ from kohnspec.invariant_dims import (
 from kohnspec.spectrum import _cells
 
 from conftest import full_reconcile_sweep
+from reference import char_general, sphere_dim
 
 
 class TestPinnedDimensions:
@@ -309,12 +311,12 @@ def per_class_series_traces(group, E, p, q):
 
 
 def per_class_traces(group, p, q):
-    E = exponent(group)
+    E = group.exponent
     return (per_class_su2_traces if group.n == 2 else per_class_series_traces)(group, E, p, q)
 
 
 def orbit_traces(group, p, q):
-    E = exponent(group)
+    E = group.exponent
     return (_su2_traces if group.n == 2 else _series_traces)(group, E, p, q)
 
 
@@ -340,7 +342,7 @@ def cell_sets(n, seed):
 class TestRationalClasses:
     def test_orbit_engine_matches_per_class_kernels(self, all_n2_groups, lens3_groups):
         for seed, g in enumerate(all_n2_groups + lens3_groups):
-            denom = _totient(exponent(g)) * g.order
+            denom = _totient(g.exponent) * g.order
             for name, (p, q) in cell_sets(g.n, seed).items():
                 expected = per_class_traces(g, p, q)
                 assert np.array_equal(orbit_traces(g, p, q), expected), (g.name, name)
@@ -357,10 +359,10 @@ class TestRationalClasses:
         for g, classes, orbits in [(make_binary_icosahedral(), 10, 7), (make_cyclic_semidirect(3, 2), 16, 7),
                                    (make_lens(5, (1, 2, 3)), 5, 2), (make_lens(7, (1, 2, 4)), 7, 2),
                                    (make_cyclic(12), 12, 6)]:
-            rational = _rational_classes(g, exponent(g))
+            rational = _rational_classes(g)
             assert (len(g.classes), len(rational)) == (classes, orbits), g.name
             assert sum(mult for _, mult in rational) == g.order
-            assert _rational_classes(g, exponent(g)) is rational     # cached on the group
+            assert _rational_classes(g) is rational     # cached per group
 
     def test_classes_not_closed_under_powers(self):
         # {identity, one element of order 5}: its four Galois conjugates are
@@ -368,7 +370,7 @@ class TestRationalClasses:
         for n in (2, 3):
             fake = from_classes(f"not-closed-{n}", n, [((ZERO,) * n, 1), ((F(1, 5),) * n, 1)],
                                 expect_free=True)
-            assert [mult for _, mult in _rational_classes(fake, 5)] == [1, 1]
+            assert [mult for _, mult in _rational_classes(fake)] == [1, 1]
             for name, (p, q) in cell_sets(n, n).items():
                 assert np.array_equal(orbit_traces(fake, p, q), per_class_traces(fake, p, q)), (n, name)
 
@@ -413,7 +415,7 @@ class TestResidueRoutes:
     def test_square_route_matches_cell_route_and_closed_forms(self, all_n2_groups, kernel_points):
         rng = np.random.default_rng(13)
         for g in all_n2_groups:
-            E = exponent(g)
+            E = g.exponent
             cells = E * E + E
             # half the cells far out, so that the periodicity is what joins them
             p, q = rng.integers(0, 3 * E + 2, (2, cells))

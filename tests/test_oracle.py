@@ -11,7 +11,6 @@ import pytest
 
 from kohnspec import (
     SizeLimit,
-    char_general,
     dim_invariant,
     invariant_dim_bruteforce,
     make_binary_dihedral,
@@ -26,7 +25,6 @@ from kohnspec import (
     make_trivial,
     matrix_closure,
     parse_group_spec,
-    sphere_dim,
 )
 from kohnspec import group_catalog as gc
 from kohnspec import oracle
@@ -41,7 +39,7 @@ from kohnspec.oracle import (
     monomial_exponents,
     oracle_check,
 )
-from reference import build_space, invariant_dim_reference, trace_bruteforce
+from reference import build_space, char_general, invariant_dim_reference, sphere_dim, trace_bruteforce
 
 
 def _reduce_character(chi, image) -> int:
@@ -219,7 +217,7 @@ class TestBruteForceDims:
         # cut away before elimination and the rows are 2T's
         two_t = make_binary_tetrahedral()
         g = QuotientGroup("2T-jh", "2T", 2, [(c.angles, c.mult) for c in two_t.classes],
-                          generators=[gc._rational_quat_matrix(gc.QUAT_J), gc._rational_quat_matrix(gc.QUAT_H)])
+                          generators=[gc._quat_matrix(*gc._QJ), gc._quat_matrix(*gc._QH)])
         assert all(a.weights is None for a in modular_image(g).actions())
         rows = oracle_check(g, 6)
         assert rows == oracle_check(two_t, 6) and all(ok for *_, ok in rows)

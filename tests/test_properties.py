@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kohnspec import (
-    char_general,
     check_free_action,
     counting_function,
     dim_invariant,
@@ -24,11 +23,11 @@ from kohnspec import (
     make_product_with_center,
     make_q_semidirect,
 )
-from kohnspec.genfun import exponent
 from kohnspec.group_catalog import ZERO, from_classes
 from kohnspec.invariant_dims import dim_cells
 
 from conftest import su2_sample, u2_sample
+from reference import char_general
 
 F = Fraction
 
@@ -137,11 +136,11 @@ class TestDimCellsRoutes:
     residues below that; either way one call equals the single cells."""
 
     @settings(max_examples=20, deadline=None)
-    @given(group=st.sampled_from([g for g in su2_sample() + u2_sample() if exponent(g) <= 60]),
+    @given(group=st.sampled_from([g for g in su2_sample() + u2_sample() if g.exponent <= 60]),
            side=st.integers(min_value=-8, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1),
            reach=st.sampled_from([1, 3, 10**6]))
     def test_one_call_equals_single_cells(self, group, side, seed, reach):
-        E = exponent(group)
+        E = group.exponent
         p, q = np.random.default_rng(seed).integers(0, reach * E + 1, (2, max(1, E * E + side)))
         singles = [dim_invariant(group, a, b) for a, b in zip(p.tolist(), q.tolist())]
         assert dim_cells(group, p, q).tolist() == singles

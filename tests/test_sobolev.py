@@ -139,12 +139,10 @@ class TestGreensWitness:
             assert values[-1] - 0.5 < 0.1
 
     def test_first_term_definition(self):
-        from kohnspec import exponent
-
         g = make_cyclic_semidirect(3, 2)
         seq = greens_lower_witness(g, 4)
         m0, v0 = seq[0]
-        assert v0 == pytest.approx(c_pq(0, m0 * exponent(g), 2))
+        assert v0 == pytest.approx(c_pq(0, m0 * g.exponent, 2))
 
     def test_bounded_by_group_constant(self):
         g = make_cyclic(4)

@@ -25,7 +25,6 @@ from kohnspec import (
     make_q_semidirect,
     make_trivial,
     multiplicity,
-    sphere_dim,
     weyl_constant,
     weyl_report,
     xi_bound,
@@ -39,7 +38,7 @@ from kohnspec.spectrum import (
     weyl_integral_coefficients,
 )
 
-from reference import sphere_count, sphere_counting_table, tail_bound_holds, weyl_integral
+from reference import sphere_count, sphere_counting_table, sphere_dim, tail_bound_holds, weyl_integral
 
 F = Fraction
 
