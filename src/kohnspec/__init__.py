@@ -20,7 +20,6 @@ from .genfun import dim_h0_polynomial, fg_coefficients, h0_coefficients, pg_poly
 from .group_catalog import (
     ConjugacyClass,
     QuotientGroup,
-    angle,
     check_free_action,
     from_classes,
     make_binary_dihedral,

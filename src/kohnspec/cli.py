@@ -106,7 +106,7 @@ def _cmd_catalog(args) -> str:
         "n": group.n,
         "order": group.order,
         "classes": [
-            {"angles": [angle_str(a) for a in c.angles], "mult": c.mult}
+            {"angles": [angle_str(k, group.exponent) for k in c.angles], "mult": c.mult}
             for c in group.classes
         ],
     }

@@ -1,9 +1,11 @@
 """Catalog of finite unitary groups acting on odd spheres.
 
 Every group is stored as a list of conjugacy-compressed classes: pairs of an
-eigenvalue-angle tuple and a multiplicity.  An angle is a ``Fraction`` t in
-[0, 1) standing for the unit complex number exp(2*pi*i*t); this is the only
-piece of data the character machinery ever needs.
+eigenvalue-angle tuple and a multiplicity.  An angle is an integer k in
+[0, E), E the group exponent, standing for the unit complex number
+exp(2*pi*i*k/E); this is the only piece of data the character machinery ever
+needs.  Each constructor writes its angles over a denominator it knows, and
+the classes are reduced once to the exponent.
 
 Families covered, with their canonical spec strings:
 
@@ -51,11 +53,11 @@ HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 # largest group order a constructor builds: each element costs a class
-# tuple, and make_cyclic(10**5) already takes about 1.7 s
+# tuple, and make_cyclic(10**5) already takes about 0.6 s
 MAX_ORDER = 10**5
 
 # most entries each per-group cache keeps, here and in the engine; a group
-# of order 40000 holds about 15 MB of class tuples
+# of order 40000 holds about 8 MB of class tuples
 CACHE_SIZE = 32
 
 # exact generator data: an entry is a sum of c * exp(2*pi*i*t) over its
@@ -64,13 +66,10 @@ Cyclotomic = tuple[tuple[Fraction, Angle], ...]
 ExactMatrix = tuple[tuple[Cyclotomic, ...], ...]
 
 
-def angle(numerator: int, denominator: int = 1) -> Angle:
-    """Exact angle numerator/denominator, reduced mod one full turn."""
-    return Fraction(numerator, denominator) % 1
-
-
-def angle_str(a: Angle) -> str:
-    return f"{a.numerator}/{a.denominator}"
+def angle_str(k: int, E: int) -> str:
+    """The class angle k over the exponent E as a reduced fraction of a turn."""
+    g = math.gcd(k, E)
+    return f"{k // g}/{E // g}"
 
 
 def _require_order(name: str, order: int) -> None:
@@ -81,7 +80,7 @@ def _require_order(name: str, order: int) -> None:
 
 
 class ConjugacyClass(NamedTuple):
-    angles: tuple[Angle, ...]
+    angles: tuple[int, ...]
     mult: int
 
 
@@ -90,26 +89,24 @@ class FreeActionReport(NamedTuple):
     witness: ConjugacyClass | None
 
 
-def _merge_classes(classes: Iterable[tuple[Sequence[Angle], int]]) -> tuple[tuple[ConjugacyClass, ...], int]:
-    """The merged classes in a fixed order, and the lcm of their angle
-    denominators: the group exponent."""
-    counts: Counter[tuple[Angle, ...]] = Counter()
+def _merge_classes(den: int, classes: Iterable[tuple[Sequence[int], int]]) -> tuple[tuple[ConjugacyClass, ...], int]:
+    """The classes, with angles given as integers over den, merged in a fixed
+    order and reduced to the group exponent, which they return too."""
+    counts: Counter[tuple[int, ...]] = Counter()
     for angles, mult in classes:
-        counts[tuple(angles)] += int(mult)
-    # angle tuples sort as their integer numerators over one common
-    # denominator, which is much cheaper than comparing Fractions
-    den = math.lcm(*(a.denominator for angles in counts for a in angles))
-    order = sorted(counts, key=lambda angles: [a.numerator * (den // a.denominator) for a in angles])
-    return tuple(ConjugacyClass(a, counts[a]) for a in order), den
+        counts[tuple(k % den for k in angles)] += int(mult)
+    g = math.gcd(den, *(k for angles in counts for k in angles))
+    return tuple(ConjugacyClass(tuple(k // g for k in a), counts[a]) for a in sorted(counts)), den // g
 
 
 class QuotientGroup:
-    """A finite subgroup of U(n) given by eigenvalue-angle classes.
+    """A finite subgroup of U(n) given by eigenvalue-angle classes, their
+    angles integers over den.
 
     Instances are immutable by convention and safe to share; ``exponent``,
-    the lcm of the element orders, is read off the classes once.  Equality
-    and hashing are by identity, so caches may key on a group; use
-    :meth:`class_multiset` for structural comparison.
+    the lcm of the element orders, is read off the classes once, and the
+    stored angles are over it.  Equality and hashing are by identity, so
+    caches may key on a group.
     """
 
     def __init__(
@@ -117,7 +114,8 @@ class QuotientGroup:
         name: str,
         family: str,
         n: int,
-        classes: Iterable[tuple[Sequence[Angle], int]],
+        den: int,
+        classes: Iterable[tuple[Sequence[int], int]],
         *,
         params: dict | None = None,
         base: "QuotientGroup | None" = None,
@@ -127,7 +125,9 @@ class QuotientGroup:
         self.name = name
         self.family = family
         self.n = int(n)
-        self.classes, self.exponent = _merge_classes(classes)
+        if den < 1:
+            raise ConstraintError(f"angle denominator must be positive, got {den}")
+        self.classes, self.exponent = _merge_classes(den, classes)
         self.order = sum(c.mult for c in self.classes)
         self.params = dict(params or {})
         self.base = base
@@ -140,37 +140,14 @@ class QuotientGroup:
         for c in self.classes:
             if len(c.angles) != self.n:
                 raise ConstraintError(f"class {c} has {len(c.angles)} angles, expected {self.n}")
-        ident = tuple([ZERO] * self.n)
-        id_mult = sum(c.mult for c in self.classes if c.angles == ident)
+        id_mult = sum(c.mult for c in self.classes if not any(c.angles))
         if id_mult != 1:
             raise ConstraintError(f"identity class must appear with multiplicity 1, got {id_mult}")
         if expect_free:
-            report = check_free_action(self)
-            if not report.free:
-                raise NonFreeAction(
-                    f"group {name} does not act freely: class {report.witness} has eigenvalue 1",
-                    witness=report.witness,
-                )
+            _require_free(self, f"group {name} does not act freely:")
 
     def __repr__(self) -> str:
         return f"QuotientGroup({self.name!r}, n={self.n}, order={self.order}, classes={len(self.classes)})"
-
-    def class_multiset(self) -> Counter:
-        """Multiset of eigenvalue-angle tuples, each sorted within the tuple.
-
-        Canonical structural fingerprint: two groups with equal multisets have
-        identical characters on every bidegree space.
-        """
-        out: Counter = Counter()
-        for c in self.classes:
-            out[tuple(sorted(c.angles))] += c.mult
-        return out
-
-    def element_orders(self) -> Counter:
-        out: Counter = Counter()
-        for c in self.classes:
-            out[math.lcm(*(a.denominator for a in c.angles))] += c.mult
-        return out
 
 
 def check_free_action(group: QuotientGroup) -> FreeActionReport:
@@ -179,25 +156,39 @@ def check_free_action(group: QuotientGroup) -> FreeActionReport:
     Fixed points of a unitary matrix on the sphere are exactly its
     eigenvalue-1 eigenvectors, so this is the free-action criterion.
     """
-    ident = tuple([ZERO] * group.n)
     for c in group.classes:
-        if c.angles == ident:
-            continue
-        if any(a == ZERO for a in c.angles):
+        if any(c.angles) and not all(c.angles):
             return FreeActionReport(False, c)
     return FreeActionReport(True, None)
+
+
+def _require_free(group: QuotientGroup, reason: str) -> None:
+    """Raise NonFreeAction, naming the witness class's angles, unless the
+    group acts freely."""
+    report = check_free_action(group)
+    if not report.free:
+        angles = ", ".join(angle_str(k, group.exponent) for k in report.witness.angles)
+        raise NonFreeAction(f"{reason} class ({angles}) has eigenvalue 1", witness=report.witness)
 
 
 def from_classes(
     name: str,
     n: int,
-    classes: Iterable[tuple[Sequence[Angle], int]],
+    den: int,
+    classes: Iterable[tuple[Sequence[int], int]],
     *,
     expect_free: bool = False,
 ) -> QuotientGroup:
-    """Escape-hatch constructor from a raw class list (used by tests to build
-    groups that fail the free-action criterion)."""
-    return QuotientGroup(name, "custom", n, classes, expect_free=expect_free)
+    """Escape-hatch constructor from a raw class list, angles over den (used
+    by tests to build groups that fail the free-action criterion)."""
+    return QuotientGroup(name, "custom", n, den, classes, expect_free=expect_free)
+
+
+def _classes_over(group: QuotientGroup, den: int) -> list[tuple[tuple[int, ...], int]]:
+    """The group's classes with their angles over den, a multiple of its
+    exponent."""
+    s = den // group.exponent
+    return [(tuple(k * s for k in c.angles), c.mult) for c in group.classes]
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +245,9 @@ def make_cyclic(m: int) -> QuotientGroup:
     if m < 1:
         raise ConstraintError("cyclic order m must be >= 1")
     _require_order(f"cyclic:{m}", m)
-    classes = [((angle(j, m), angle(m - j, m)), 1) for j in range(m)]
+    classes = [((j, -j), 1) for j in range(m)]
     gen = _diag(Fraction(1, m), Fraction(-1, m))
-    return QuotientGroup(f"cyclic:{m}", "cyclic", 2, classes, params={"m": m}, generators=[gen])
+    return QuotientGroup(f"cyclic:{m}", "cyclic", 2, m, classes, params={"m": m}, generators=[gen])
 
 
 def make_lens(m: int, rotations: Sequence[int]) -> QuotientGroup:
@@ -282,9 +273,9 @@ def _make_lens(m: int, rotations: tuple[int, ...]) -> QuotientGroup:
                 f"rotation exponent {q} shares the factor {math.gcd(q, m)} with {m}; "
                 f"the generator has a fixed point on the sphere"
             )
-    classes = [(tuple(angle(j * q, m) for q in rotations), 1) for j in range(m)]
+    classes = [(tuple(j * q for q in rotations), 1) for j in range(m)]
     gen = _diag(*(Fraction(q, m) for q in rotations))
-    return QuotientGroup(name, "lens", n, classes, params={"m": m, "rotations": rotations}, generators=[gen])
+    return QuotientGroup(name, "lens", n, m, classes, params={"m": m}, generators=[gen])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -294,58 +285,53 @@ def make_binary_dihedral(m: int) -> QuotientGroup:
     if m < 2:
         raise ConstraintError("binary dihedral requires m >= 2")
     _require_order(f"bindih:{2 * m}", 4 * m)
-    classes: list[tuple[tuple[Angle, Angle], int]] = [
-        ((angle(j, 2 * m), angle(2 * m - j, 2 * m)), 1) for j in range(2 * m)
-    ]
-    classes.append(((Fraction(1, 4), Fraction(3, 4)), 2 * m))
+    # angles over 4m: j/2m on the cyclic part, 1/4 and 3/4 off it
+    classes = [((2 * j, -2 * j), 1) for j in range(2 * m)] + [((m, 3 * m), 2 * m)]
     gens = [_diag(Fraction(1, 2 * m), Fraction(-1, 2 * m)), _quat_matrix(*_QJ)]
-    return QuotientGroup(f"bindih:{2 * m}", "bindih", 2, classes, params={"m": m}, generators=gens)
+    return QuotientGroup(f"bindih:{2 * m}", "bindih", 2, 4 * m, classes, params={"m": m}, generators=gens)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def make_binary_tetrahedral() -> QuotientGroup:
     """Binary tetrahedral group: the quaternion group plus the sixteen
     half-integer unit quaternions (traces +-1)."""
-    classes = [(c.angles, c.mult) for c in make_binary_dihedral(2).classes]
-    classes += [
-        ((Fraction(1, 6), Fraction(5, 6)), 8),
-        ((Fraction(1, 3), Fraction(2, 3)), 8),
-    ]
+    classes = _classes_over(make_binary_dihedral(2), 12)
+    classes += [((2, 10), 8), ((4, 8), 8)]   # angles 1/6, 5/6 and 1/3, 2/3
     gens = [_quat_matrix(*_QI), _quat_matrix(*_QH)]
-    return QuotientGroup("2T", "2T", 2, classes, generators=gens)
+    return QuotientGroup("2T", "2T", 2, 12, classes, generators=gens)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def make_binary_octahedral() -> QuotientGroup:
     """Binary octahedral group: binary tetrahedral plus 24 elements with
     traces 0 and +-√2."""
-    classes = [(c.angles, c.mult) for c in make_binary_tetrahedral().classes]
+    classes = _classes_over(make_binary_tetrahedral(), 24)
     classes += [
-        ((Fraction(1, 4), Fraction(3, 4)), 12),
-        ((Fraction(1, 8), Fraction(7, 8)), 6),
-        ((Fraction(3, 8), Fraction(5, 8)), 6),
+        ((6, 18), 12),   # angles 1/4, 3/4
+        ((3, 21), 6),    # 1/8, 7/8
+        ((9, 15), 6),    # 3/8, 5/8
     ]
     gens = [*make_binary_tetrahedral().generators, _quat_matrix(_HALF_SQRT2, _HALF_SQRT2, (), ())]
-    return QuotientGroup("2O", "2O", 2, classes, generators=gens)
+    return QuotientGroup("2O", "2O", 2, 24, classes, generators=gens)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def make_binary_icosahedral() -> QuotientGroup:
     """Binary icosahedral group: binary tetrahedral plus the 96 even
     permutations of (0, +-1, +-1/phi, +-phi)/2, phi the golden ratio."""
-    classes = [(c.angles, c.mult) for c in make_binary_tetrahedral().classes]
+    classes = _classes_over(make_binary_tetrahedral(), 60)
     classes += [
-        ((Fraction(1, 4), Fraction(3, 4)), 24),   # real part 0
-        ((Fraction(1, 6), Fraction(5, 6)), 12),   # real part +1/2
-        ((Fraction(1, 3), Fraction(2, 3)), 12),   # real part -1/2
-        ((Fraction(1, 5), Fraction(4, 5)), 12),   # real part +1/(2 phi)
-        ((Fraction(3, 10), Fraction(7, 10)), 12),  # real part -1/(2 phi)
-        ((Fraction(1, 10), Fraction(9, 10)), 12),  # real part +phi/2
-        ((Fraction(2, 5), Fraction(3, 5)), 12),   # real part -phi/2
+        ((15, 45), 24),  # angles 1/4, 3/4: real part 0
+        ((10, 50), 12),  # 1/6, 5/6: real part +1/2
+        ((20, 40), 12),  # 1/3, 2/3: real part -1/2
+        ((12, 48), 12),  # 1/5, 4/5: real part +1/(2 phi)
+        ((18, 42), 12),  # 3/10, 7/10: real part -1/(2 phi)
+        ((6, 54), 12),   # 1/10, 9/10: real part +phi/2
+        ((24, 36), 12),  # 2/5, 3/5: real part -phi/2
     ]
     gens = [*make_binary_tetrahedral().generators,
             _quat_matrix(_HALF_PHI, _HALF_INV_PHI, _rational(HALF), ())]
-    return QuotientGroup("2I", "2I", 2, classes, generators=gens)
+    return QuotientGroup("2I", "2I", 2, 60, classes, generators=gens)
 
 
 def _product_constraint(base: QuotientGroup) -> int:
@@ -369,25 +355,15 @@ def make_product_with_center(base: QuotientGroup, l: int) -> QuotientGroup:
     if l < 1 or l % 2 == 0:
         raise ConstraintError(f"scalar order l must be odd and positive, got {l}")
     _require_order(f"{base.name}xC:{l}", base.order * l)
-    classes = []
-    for c in base.classes:
-        for j in range(l):
-            shift = angle(j, l)
-            classes.append((tuple((a + shift) % 1 for a in c.angles), c.mult))
+    den = math.lcm(base.exponent, l)
+    shifts = range(0, den, den // l)
+    classes = [(tuple(k + s for k in angles), mult)
+               for angles, mult in _classes_over(base, den) for s in shifts]
     name = f"{base.name}xC:{l}"
     gens = [*base.generators, _diag(Fraction(1, l), Fraction(1, l))]
-    group = QuotientGroup(
-        name, "product", 2, classes,
-        params={"l": l, "constraint": constraint},
-        base=base, generators=gens, expect_free=False,
-    )
-    report = check_free_action(group)
-    if not report.free:
-        raise NonFreeAction(
-            f"{name}: scalar order l={l} must be coprime to {constraint}; "
-            f"class {report.witness} has eigenvalue 1",
-            witness=report.witness,
-        )
+    group = QuotientGroup(name, "product", 2, den, classes, params={"l": l},
+                          base=base, generators=gens, expect_free=False)
+    _require_free(group, f"{name}: scalar order l={l} must be coprime to {constraint};")
     return group
 
 
@@ -395,10 +371,10 @@ def make_product_with_center(base: QuotientGroup, l: int) -> QuotientGroup:
 # Twisted families: fibre products of an SU(2) family with scalar phases
 
 
-def _twisted(phase: Angle, theta: Angle) -> tuple[Angle, Angle]:
+def _twisted(phase: int, theta: int) -> tuple[int, int]:
     """Eigenvalue angles of exp(2*pi*i*phase) times an SU(2) element whose
-    eigenvalue angles are +-theta."""
-    return ((phase + theta) % 1, (phase - theta) % 1)
+    eigenvalue angles are +-theta, all over one denominator."""
+    return (phase + theta, phase - theta)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -418,15 +394,15 @@ def make_q_semidirect(l: int) -> QuotientGroup:
         raise ConstraintError(f"twist parameter l must be odd and positive, got {l}")
     _require_order(f"qsemi:{l}", 72 * l)
     big_p = 18 * l
+    # angles over 2P = 36l: the phase k/P is 2k, and 1/3, 1/2, 1/4 are 12l, 18l, 9l
     classes = []
     for k in range(big_p):
-        phase = Fraction(k, big_p)
         if k % 3:
-            classes.append((_twisted(phase, Fraction(1, 3)), 4))
+            classes.append((_twisted(2 * k, 12 * l), 4))
         else:
-            classes += [(_twisted(phase, HALF), 1), (_twisted(phase, QUARTER), 3)]
+            classes += [(_twisted(2 * k, 18 * l), 1), (_twisted(2 * k, 9 * l), 3)]
     gens = [_quat_matrix(*_QI), _quat_matrix(*_QJ), _quat_matrix(*_QH, phase=Fraction(1, big_p))]
-    return QuotientGroup(f"qsemi:{l}", "qsemi", 2, classes, params={"l": l}, generators=gens)
+    return QuotientGroup(f"qsemi:{l}", "qsemi", 2, 2 * big_p, classes, params={"l": l}, generators=gens)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -450,16 +426,18 @@ def make_cyclic_semidirect(m: int, l: int) -> QuotientGroup:
         raise ConstraintError(f"twist parameter l must be positive, got {l}")
     _require_order(f"cycsemi:{m}:{l}", 4 * m * l)
     big_p = 4 * l
+    # angles over lcm(P, 2m): the phase k/P and the angle j/2m
+    den = math.lcm(big_p, 2 * m)
+    phase, theta = den // big_p, den // (2 * m)
     classes = []
     for k in range(big_p):
-        phase = Fraction(k, big_p)
         if k % 2:
-            classes.append((_twisted(phase, QUARTER), m))
+            classes.append((_twisted(k * phase, den // 4), m))
         else:
-            classes += [(_twisted(phase, Fraction(j, 2 * m)), 1) for j in range(m)]
+            classes += [(_twisted(k * phase, j * theta), 1) for j in range(m)]
     name = f"cycsemi:{m}:{l}"
     group = QuotientGroup(
-        name, "cycsemi", 2, classes,
+        name, "cycsemi", 2, den, classes,
         params={"m": m, "l": l},
         generators=[
             _diag(Fraction(1, 2 * m), Fraction(-1, 2 * m)),
@@ -467,12 +445,7 @@ def make_cyclic_semidirect(m: int, l: int) -> QuotientGroup:
         ],
         expect_free=False,
     )
-    report = check_free_action(group)
-    if not report.free:
-        raise NonFreeAction(
-            f"{name}: requires m odd, l even, gcd(m, l)=1; class {report.witness} has eigenvalue 1",
-            witness=report.witness,
-        )
+    _require_free(group, f"{name}: requires m odd, l even, gcd(m, l)=1;")
     return group
 
 

@@ -180,10 +180,10 @@ def _rational_classes(group: QuotientGroup) -> list[tuple[tuple[int, ...], int]]
     orbits: list[list] = []
     units: dict[int, list[int]] = {}
     for c in group.classes:
-        key = tuple(sorted(a.numerator * (E // a.denominator) % E for a in c.angles))
+        key = tuple(sorted(c.angles))
         i = orbit_of.get(key)
         if i is None:
-            d = math.lcm(*(a.denominator for a in c.angles))
+            d = E // math.gcd(E, *key)
             if d not in units:
                 units[d] = [j for j in range(1, d + 1) if math.gcd(j, d) == 1]
             step = E // d

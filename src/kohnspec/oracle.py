@@ -28,8 +28,8 @@ code path.
 The rank is taken over F_ell, and it is exact:
 
 - Every generator entry is a rational combination of E-th roots of unity, E
-  the lcm of the angle denominators of the generators and of the classes
-  (so every eigenvalue and every character value reduces too).  For a
+  the lcm of the angle denominators of the generators and of the group
+  exponent (so every eigenvalue and every character value reduces too).  For a
   prime ell = 1 (mod E) dividing no coefficient denominator, zeta_E -> r,
   r a primitive E-th root of unity mod ell, maps those entries into F_ell.
   Conjugation is zeta -> zeta^-1, applied before reduction.

@@ -244,6 +244,8 @@ def weyl_report(group: QuotientGroup, grid) -> WeylReport:
     grid = [int(x) for x in grid]
     if grid != sorted(grid):
         raise ConstraintError("grid must be ascending")
+    if not grid or grid[-1] < 1:
+        raise ConstraintError("grid must end at a cutoff >= 1")
     n = group.n
     lam_max = grid[-1]
     table = counting_function(group, lam_max)
@@ -258,7 +260,8 @@ def weyl_report(group: QuotientGroup, grid) -> WeylReport:
     const = weyl_constant(n)
     expected = const * sphere_volume(n) / group.order
     empirical = n_quot[-1] / lam_max**n
-    if len(grid) >= 2 and grid[-2] != lam_max:
+    # the two-point fit needs a second positive cutoff
+    if len(grid) >= 2 and 1 <= grid[-2] != lam_max:
         l1, l2 = grid[-2], grid[-1]
         v1 = n_quot[-2] / l1**n
         v2 = n_quot[-1] / l2**n

@@ -8,7 +8,10 @@ element of (alpha, beta) by the root of unity with angle (beta - alpha) . t,
 so char_general sums those angles into a formal integer combination of roots
 of unity.  The engine in :mod:`kohnspec.invariant_dims` never builds
 characters; the tests check its dimensions and the oracle's traces against
-these.
+these.  fraction_angles reads a class's integer angles k over the group
+exponent E as the Fractions k/E of a turn that char_general takes, and
+class_multiset and element_orders are the structural fingerprints built on
+them.
 
 The oracle's full stacked-matrix rank lives here: the whole monomial space of
 bidegree (p, q), the Laplacian built monomial by monomial, and the actions of
@@ -28,15 +31,41 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from kohnspec.errors import ReductionError, SizeLimit
-from kohnspec.group_catalog import Angle, QuotientGroup
+from kohnspec.group_catalog import Angle, ConjugacyClass, QuotientGroup
 from kohnspec.invariant_dims import _sphere_dims
 from kohnspec.oracle import _BASIS_LIMIT, ElementAction, _prime, _rank, modular_image, monomial_exponents
 from kohnspec.spectrum import SpectrumTable, _cells, _floor_runs, _within_tail_bound, xi_bound
+
+
+def fraction_angles(group: QuotientGroup, c: ConjugacyClass) -> tuple[Fraction, ...]:
+    """The class's angles as Fractions k/E of a turn, E the group exponent."""
+    return tuple(Fraction(k, group.exponent) for k in c.angles)
+
+
+def class_multiset(group: QuotientGroup) -> Counter:
+    """Multiset of eigenvalue-angle tuples, each sorted within the tuple.
+
+    Canonical structural fingerprint: two groups with equal multisets have
+    identical characters on every bidegree space.
+    """
+    out: Counter = Counter()
+    for c in group.classes:
+        out[tuple(sorted(fraction_angles(group, c)))] += c.mult
+    return out
+
+
+def element_orders(group: QuotientGroup) -> Counter:
+    """Multiset of element orders: each class's lcm of angle denominators."""
+    out: Counter = Counter()
+    for c in group.classes:
+        out[math.lcm(*(a.denominator for a in fraction_angles(group, c)))] += c.mult
+    return out
 
 
 def sphere_dim(p: int, q: int, n: int) -> int:

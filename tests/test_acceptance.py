@@ -25,7 +25,7 @@ from kohnspec.spectrum import (
 )
 
 from conftest import full_reconcile_sweep
-from reference import sphere_counting_table, tail_bound_holds, weyl_integral
+from reference import fraction_angles, sphere_counting_table, tail_bound_holds, weyl_integral
 
 
 @contextmanager
@@ -300,7 +300,7 @@ def test_criterion_10_property_suites():
                   ["cyclic:4", "bindih:4", "bindih:6", "2T", "2O", "2I", "QxC:3", "qsemi:1", "cycsemi:3:2"]]
         # parity vanishing
         for g in groups:
-            if any(c.angles == minus for c in g.classes):
+            if any(fraction_angles(g, c) == minus for c in g.classes):
                 for s in range(1, 14, 2):
                     for p in range(s + 1):
                         assert ks.dim_invariant(g, p, s - p) == 0

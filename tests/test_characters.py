@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from reference import CharacterValue, admissible_pairs, char_general, sphere_dim
+from reference import CharacterValue, admissible_pairs, char_general, fraction_angles, sphere_dim
 
 F = Fraction
 
@@ -98,8 +98,9 @@ class TestSymmetries:
     def test_pq_swap_on_su2_classes(self, su2_groups):
         for g in su2_groups[:6]:
             for c in g.classes[:4]:
-                assert char_general(1, 2, c.angles) == char_general(2, 1, c.angles)
-                assert char_general(0, 4, c.angles) == char_general(4, 0, c.angles)
+                angles = fraction_angles(g, c)
+                assert char_general(1, 2, angles) == char_general(2, 1, angles)
+                assert char_general(0, 4, angles) == char_general(4, 0, angles)
 
     def test_value_consistency(self):
         chi = CharacterValue({F(1, 3): 2, F(2, 3): 2, F(0): 1, F(1, 2): 0})

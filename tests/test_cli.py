@@ -182,6 +182,11 @@ class TestDeterminismAndExitCodes:
         assert code == 1
         assert "30" in err
 
+    def test_free_action_witness_named_by_its_angles(self, capsys):
+        code, out, err = capture(capsys, ["dims", "--group", "2TxC:3"])
+        assert (code, out) == (1, "")
+        assert err == "error: 2TxC:3: scalar order l=3 must be coprime to 6; class (0/1, 1/3) has eigenvalue 1\n"
+
     def test_parse_error_exit_1(self, capsys):
         code, _, err = capture(capsys, ["multiplicity", "--group", "nope:1", "--lambda", "4"])
         assert code == 1

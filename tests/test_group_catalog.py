@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -25,12 +27,13 @@ from kohnspec import (
     parse_group_spec,
 )
 from kohnspec.group_catalog import MAX_ORDER, ZERO
+from reference import class_multiset, element_orders, fraction_angles
 
 F = Fraction
 
 
 def expanded_multiset(group) -> Counter:
-    return group.class_multiset()
+    return class_multiset(group)
 
 
 class TestCyclic:
@@ -41,7 +44,7 @@ class TestCyclic:
 
     def test_order_four_classes(self):
         g = make_cyclic(4)
-        pairs = [c.angles for c in g.classes]
+        pairs = [fraction_angles(g, c) for c in g.classes]
         assert len(pairs) == 4
         assert set(pairs) == {
             (F(0), F(0)), (F(1, 4), F(3, 4)), (F(1, 2), F(1, 2)), (F(3, 4), F(1, 4)),
@@ -49,7 +52,7 @@ class TestCyclic:
 
     def test_order_two_is_center(self):
         g = make_cyclic(2)
-        assert [c.angles for c in g.classes] == [(F(0), F(0)), (F(1, 2), F(1, 2))]
+        assert [fraction_angles(g, c) for c in g.classes] == [(F(0), F(0)), (F(1, 2), F(1, 2))]
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ConstraintError):
@@ -67,7 +70,7 @@ class TestLens:
     def test_generator_angles(self):
         g = make_lens(5, (1, 2))
         assert g.order == 5
-        assert (F(1, 5), F(2, 5)) in {c.angles for c in g.classes}
+        assert (F(1, 5), F(2, 5)) in {fraction_angles(g, c) for c in g.classes}
 
     def test_noncoprime_rejected(self):
         with pytest.raises(NonFreeAction):
@@ -121,7 +124,7 @@ class TestExceptional:
         assert ms[(F(1, 4), F(3, 4))] == 30
 
     def test_element_orders_icosahedral(self):
-        orders = make_binary_icosahedral().element_orders()
+        orders = element_orders(make_binary_icosahedral())
         assert orders == Counter({1: 1, 2: 1, 4: 30, 6: 20, 3: 20, 10: 24, 5: 24})
 
 
@@ -200,16 +203,30 @@ class TestOrderBudget:
             build()
 
 
+class TestClassMemory:
+    def test_cyclic_classes_kept_per_class(self):
+        # two small ints and a multiplicity per class: about 200 bytes kept,
+        # where Fraction angles kept 350
+        build = make_cyclic.__wrapped__
+        tracemalloc.start()
+        try:
+            g = build(20000)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept / len(g.classes) <= 256
+
+
 class TestFreeAction:
     def test_catalog_groups_free(self, all_n2_groups):
         for g in all_n2_groups:
             assert check_free_action(g).free, g.name
 
     def test_eigenvalue_one_witness(self):
-        g = from_classes("diag(1,zeta3)", 2, [((ZERO, ZERO), 1), ((ZERO, F(1, 3)), 1), ((ZERO, F(2, 3)), 1)])
+        g = from_classes("diag(1,zeta3)", 2, 3, [((0, 0), 1), ((0, 1), 1), ((0, 2), 1)])
         report = check_free_action(g)
         assert not report.free
-        assert report.witness.angles == (ZERO, F(1, 3))
+        assert fraction_angles(g, report.witness) == (ZERO, F(1, 3))
 
 
 class TestMatrixAgreement:
@@ -244,7 +261,7 @@ class TestMatrixAgreement:
             generated[(a + d) % ell, (a * d - b * c) % ell] += 1
         listed = Counter()
         for cls in group.classes:
-            z1, z2 = (pow(image.root, int(t * image.E), ell) for t in cls.angles)
+            z1, z2 = (pow(image.root, int(t * image.E), ell) for t in fraction_angles(group, cls))
             listed[(z1 + z2) % ell, z1 * z2 % ell] += cls.mult
         assert generated == listed
 
@@ -257,7 +274,17 @@ class TestInvariants:
     def test_su2_determinant_one(self, su2_groups):
         for g in su2_groups:
             for c in g.classes:
-                assert (c.angles[0] + c.angles[1]) % 1 == 0, (g.name, c)
+                assert sum(fraction_angles(g, c)) % 1 == 0, (g.name, c)
+
+    def test_angles_are_integers_over_the_exponent(self, all_n2_groups, lens3_groups):
+        # each angle k in [0, E) stands for exp(2 pi i k / E), and the
+        # angles share no factor with E: the exponent is the least common
+        # denominator
+        for g in all_n2_groups + lens3_groups:
+            E = g.exponent
+            angles = [k for c in g.classes for k in c.angles]
+            assert all(type(k) is int and 0 <= k < E for k in angles), g.name
+            assert math.gcd(E, *angles) == 1, g.name
 
     def test_identity_class_unique(self, all_n2_groups):
         for g in all_n2_groups:

@@ -39,7 +39,7 @@ from kohnspec.oracle import (
     monomial_exponents,
     oracle_check,
 )
-from reference import build_space, char_general, invariant_dim_reference, sphere_dim, trace_bruteforce
+from reference import build_space, char_general, fraction_angles, invariant_dim_reference, sphere_dim, trace_bruteforce
 
 
 def _reduce_character(chi, image) -> int:
@@ -97,14 +97,14 @@ class TestMatrixClosure:
 
     def test_mismatch_detected(self):
         # corrupt group: catalog says order 1 but the generator diag(z8, z8^-1) has order 8
-        bad = from_classes("corrupt", 2, [((ZERO, ZERO), 1)])
+        bad = from_classes("corrupt", 2, 1, [((0, 0), 1)])
         z8, z8_inv = ((F(1), F(1, 8)),), ((F(1), F(7, 8)),)
         bad.generators = (((z8, ()), ((), z8_inv)),)
         with pytest.raises(ClosureMismatch):
             matrix_closure(bad)
 
     def test_missing_generators(self):
-        bare = from_classes("bare", 2, [((ZERO, ZERO), 1)])
+        bare = from_classes("bare", 2, 1, [((0, 0), 1)])
         with pytest.raises(ClosureMismatch):
             matrix_closure(bare)
 
@@ -112,7 +112,7 @@ class TestMatrixClosure:
 def _icosahedral_with(generator) -> QuotientGroup:
     """2I's class list with its last generator replaced."""
     g = make_binary_icosahedral()
-    return QuotientGroup("2I-mutant", "2I", 2, [(c.angles, c.mult) for c in g.classes],
+    return QuotientGroup("2I-mutant", "2I", 2, g.exponent, [(c.angles, c.mult) for c in g.classes],
                          generators=[*g.generators[:-1], generator])
 
 
@@ -138,7 +138,8 @@ class TestMutations:
 
     def test_generators_of_another_group_are_reported(self):
         # bindih:60 also has order 120, so only the ranks can tell
-        bad = QuotientGroup("2I-mutant", "2I", 2, [(c.angles, c.mult) for c in make_binary_icosahedral().classes],
+        two_i = make_binary_icosahedral()
+        bad = QuotientGroup("2I-mutant", "2I", 2, two_i.exponent, [(c.angles, c.mult) for c in two_i.classes],
                             generators=make_binary_dihedral(30).generators)
         rows = oracle_check(bad, 8)
         assert not all(ok for *_, ok in rows)
@@ -147,7 +148,7 @@ class TestMutations:
         # lens:5:1,1,2 has the order and the exponent of lens:5:1,2,3 and a
         # diagonal generator too, so only the weight-one monomials differ
         lens = make_lens(5, (1, 2, 3))
-        bad = QuotientGroup("lens-mutant", "lens", 3, [(c.angles, c.mult) for c in lens.classes],
+        bad = QuotientGroup("lens-mutant", "lens", 3, lens.exponent, [(c.angles, c.mult) for c in lens.classes],
                             generators=make_lens(5, (1, 1, 2)).generators)
         rows = oracle_check(bad, 4)
         assert next(r for r in rows if not r[4]) == (0, 2, 0, 1, False)
@@ -207,7 +208,7 @@ class TestBruteForceDims:
     def test_non_unitary_diagonal_generator_raises(self):
         # diag(2, 1/2) fixes z1 z2 conj(z1 z2), but L sends it to z2 conj(z2)
         # and z1 conj(z1), of weights 1/4 and 4
-        bad = from_classes("non-unitary", 2, [((ZERO, ZERO), 1)])
+        bad = from_classes("non-unitary", 2, 1, [((0, 0), 1)])
         bad.generators = ((((F(2), ZERO),), ()), ((), ((F(1, 2), ZERO),))),
         with pytest.raises(ReductionError):
             invariant_dim_bruteforce(bad, 2, 2)
@@ -216,7 +217,7 @@ class TestBruteForceDims:
         # 2T generated by j and h: no generator is diagonal, so nothing is
         # cut away before elimination and the rows are 2T's
         two_t = make_binary_tetrahedral()
-        g = QuotientGroup("2T-jh", "2T", 2, [(c.angles, c.mult) for c in two_t.classes],
+        g = QuotientGroup("2T-jh", "2T", 2, two_t.exponent, [(c.angles, c.mult) for c in two_t.classes],
                           generators=[gc._quat_matrix(*gc._QJ), gc._quat_matrix(*gc._QH)])
         assert all(a.weights is None for a in modular_image(g).actions())
         rows = oracle_check(g, 6)
@@ -268,7 +269,7 @@ class TestTraces:
                     brute = Counter(trace_bruteforce(a, p, q) for a in actions)
                     averaged = Counter()
                     for c in g.classes:
-                        averaged[_reduce_character(char_general(p, q, c.angles), image)] += c.mult
+                        averaged[_reduce_character(char_general(p, q, fraction_angles(g, c)), image)] += c.mult
                     assert brute == averaged, (g.name, p, q)
 
 

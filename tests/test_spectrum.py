@@ -29,7 +29,7 @@ from kohnspec import (
     weyl_report,
     xi_bound,
 )
-from kohnspec.errors import SizeLimit
+from kohnspec.errors import ConstraintError, SizeLimit
 from kohnspec.invariant_dims import _sphere_dims, dim_cells
 from kohnspec.spectrum import (
     SpectrumEntry,
@@ -472,6 +472,17 @@ class TestWeylReport:
         assert len(calls) == 4
         assert rep.xi == [xi_bound(F(lam, 2), 2) for lam in rep.grid]
         assert all(rep.bound_ok)
+
+    @pytest.mark.parametrize("grid", [[], [0], [-4, 0]])
+    def test_grid_without_a_positive_end_is_refused(self, grid):
+        # the limits divide by the last cutoff to the n-th power
+        with pytest.raises(ConstraintError, match="grid must end at a cutoff >= 1"):
+            weyl_report(make_binary_tetrahedral(), grid)
+
+    @pytest.mark.parametrize("grid", [[0, 2], [-3, 40], [0, 0, 60]])
+    def test_fit_below_one_falls_back_to_one_point(self, grid):
+        rep = weyl_report(make_binary_tetrahedral(), grid)
+        assert rep.richardson_limit == rep.empirical_limit == rep.n_quotient[-1] / grid[-1] ** 2
 
 
 class TestSphereCount:
