@@ -133,6 +133,11 @@ def counting_function(group: QuotientGroup, lambda_max: int) -> SpectrumTable:
 # table within the cell budget
 MAX_XI_CUTOFF = 1 << 22
 
+# most decimal digits xi_bound returns: Python converts no longer int to a
+# string by default, so a larger bound could not be printed
+MAX_XI_DIGITS = 4300
+_XI_CEILING = 10**MAX_XI_DIGITS
+
 
 def _floor_runs(L: int, lo: int, hi: int):
     """(a, b, L // a) for the maximal runs a..b within lo..hi (lo >= 1) on
@@ -155,7 +160,9 @@ def xi_bound(lam, n: int) -> int:
     value); floor(lam/m) = L // m for integer m.  Both sums run over the
     O(sqrt(L)) runs of constant L // m, each summing its binomials by the
     hockey-stick identity.  Both index ranges empty gives 0 (the bound is
-    only used asymptotically).
+    only used asymptotically).  A bound of more than MAX_XI_DIGITS digits
+    raises SizeLimit: before the sums when their term k = 1 already has
+    them, else once the total does.
     """
     lam = Fraction(lam)
     if n < 2:
@@ -163,12 +170,20 @@ def xi_bound(lam, n: int) -> int:
     if lam > MAX_XI_CUTOFF:
         raise SizeLimit(f"xi_bound needs lam <= {MAX_XI_CUTOFF}, the cutoff budget")
     L = lam.numerator // lam.denominator
+    _require_xi_digits((n - 1) * math.comb(max(L, 0), n - 1), n, L)
     total = 0
     for a, b, v in _floor_runs(L, n - 1, L):
         total += (math.comb(b, n - 1) - math.comb(a - 1, n - 1)) * math.comb(v + n - 2, n - 1)
     for a, b, v in _floor_runs(L, 1, L // (n - 1)):
         total += (math.comb(b + n - 1, n - 1) - math.comb(a + n - 2, n - 1)) * math.comb(v, n - 1)
+    _require_xi_digits(total, n, L)
     return total
+
+
+def _require_xi_digits(value: int, n: int, L: int) -> None:
+    if value >= _XI_CEILING:
+        raise SizeLimit(f"xi_bound at n = {n}, floor(lam) = {L} has more than {MAX_XI_DIGITS} digits, "
+                        f"the digit budget")
 
 
 def _within_tail_bound(order: int, n_quotient: int, n_sphere: int, xi: int) -> bool:

@@ -211,6 +211,19 @@ class TestDeterminismAndExitCodes:
         assert out == ""
         assert err == f"error: xi needs a finite --lambda, got {float(lam)}\n"
 
+    def test_xi_prints_up_to_its_digit_budget(self, capsys):
+        # 4300 digits, the most Python converts an int to a string by default
+        code, out, err = capture(capsys, ["xi", "--n", "1294", "--lambda", "1005281", "--format", "json"])
+        assert (code, err) == (0, "")
+        assert len(str(json.loads(out)["xi"])) == 4300
+
+    def test_xi_past_its_digit_budget_is_user_error(self, capsys):
+        # 4301 digits; the sums' term k = 1 has 4300, so the exact total trips the budget
+        code, out, err = capture(capsys, ["xi", "--n", "1294", "--lambda", "1005282", "--format", "json"])
+        assert (code, out) == (1, "")
+        assert err == ("error: xi_bound at n = 1294, floor(lam) = 1005282 has more than 4300 digits, "
+                       "the digit budget\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["weyl", "--group", "2T", "--lambda-max", "100", "--grid", "0"], "weyl needs --grid >= 1, got 0"),
         (["weyl", "--group", "2T", "--lambda-max", "100", "--grid", "-2"], "weyl needs --grid >= 1, got -2"),
@@ -297,6 +310,10 @@ class TestDeterminismAndExitCodes:
         (["oracle-check", "--group", "cyclic:100000000", "--pq-max", "1"],
          "cyclic:100000000 has order 100000000, above the budget of 100000"),
         (["xi", "--n", "2", "--lambda", "1e300"], "xi_bound needs lam <= 4194304, the cutoff budget"),
+        (["xi", "--n", "1300", "--lambda", "1000000"],
+         "xi_bound at n = 1300, floor(lam) = 1000000 has more than 4300 digits, the digit budget"),
+        (["xi", "--n", "3000", "--lambda", "4000000", "--format", "json"],
+         "xi_bound at n = 3000, floor(lam) = 4000000 has more than 4300 digits, the digit budget"),
         (["weyl", "--group", "2I", "--lambda-max", "1000000000000"],
          "the spectrum up to lambda 1000000000000 needs at least 500000000000 cells, "
          "above the budget of 4194304"),

@@ -34,6 +34,7 @@ from kohnspec import (
 from kohnspec import invariant_dims
 from kohnspec.group_catalog import from_classes
 from kohnspec.invariant_dims import (
+    _ProgressionTraces,
     _bands,
     _exact_matmul,
     _h_vectors,
@@ -42,6 +43,7 @@ from kohnspec.invariant_dims import (
     _rational_classes,
     _series_traces,
     _su2_traces,
+    _trace_tables,
     closed_form_cyclic,
     closed_form_q_semidirect,
     dim_cells,
@@ -340,7 +342,10 @@ def cell_sets(n, seed):
 
 class TestRationalClasses:
     def test_orbit_engine_matches_per_class_kernels(self, all_n2_groups, lens3_groups):
-        for seed, g in enumerate(all_n2_groups + lens3_groups):
+        # U(2) lens groups where the inverse of step / c mod E / c is not a
+        # unit mod E: 2 of 3 non-central orbits in lens:12:1,5, all 4 in lens:30:1,7
+        lifted = [make_lens(12, (1, 5)), make_lens(30, (1, 7))]
+        for seed, g in enumerate(all_n2_groups + lifted + lens3_groups):
             denom = _totient(g.exponent) * g.order
             for name, (p, q) in cell_sets(g.n, seed).items():
                 expected = per_class_traces(g, p, q)
@@ -408,6 +413,32 @@ def kernel_points(monkeypatch):
 
     monkeypatch.setattr(invariant_dims._ProgressionTraces, "noncentral", counted)
     return points
+
+
+class TestPrefixRows:
+    def test_rows_difference_to_the_ramanujan_sums(self):
+        # one class (c, 0) per divisor c < E: each twists to step c and reads row F_c
+        for E in list(range(1, 121)) + [3636]:
+            divisors = [c for c in range(1, E) if E % c == 0]
+            fake = from_classes(f"divisors-{E}", 2, E, [((0, 0), 1)] + [((c, 0), 1) for c in divisors])
+            tables = _ProgressionTraces(fake)
+            ram, r = _ramanujan_row(E), np.arange(E)
+            seen = []
+            for k1, k2, offset in zip(tables.k1.ravel().tolist(), tables.k2.ravel().tolist(),
+                                      tables.offset.ravel().tolist()):
+                c = (k1 - k2) % E
+                F = tables.F[offset:offset + E]
+                assert np.array_equal(F[(r + c) % E] - F[r], ram), (E, c)
+                seen.append(c)
+            assert sorted(seen) == divisors and tables.F.size == E * len(divisors), E
+
+    def test_tables_hold_a_row_per_distinct_divisor(self):
+        g = make_cyclic(40000)
+        E = g.exponent
+        rows = {math.gcd(k1 - k2, E) for (k1, k2), _ in _rational_classes(g) if k1 != k2}
+        tables = _trace_tables(g)
+        assert (tables.F.size, tables.central.size) == (E * len(rows), E)
+        assert len(rows) == 29      # 9.6 MB with central
 
 
 class TestResidueRoutes:
