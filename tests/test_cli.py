@@ -310,10 +310,6 @@ class TestDeterminismAndExitCodes:
         (["oracle-check", "--group", "cyclic:100000000", "--pq-max", "1"],
          "cyclic:100000000 has order 100000000, above the budget of 100000"),
         (["xi", "--n", "2", "--lambda", "1e300"], "xi_bound needs lam <= 4194304, the cutoff budget"),
-        (["xi", "--n", "1300", "--lambda", "1000000"],
-         "xi_bound at n = 1300, floor(lam) = 1000000 has more than 4300 digits, the digit budget"),
-        (["xi", "--n", "3000", "--lambda", "4000000", "--format", "json"],
-         "xi_bound at n = 3000, floor(lam) = 4000000 has more than 4300 digits, the digit budget"),
         (["weyl", "--group", "2I", "--lambda-max", "1000000000000"],
          "the spectrum up to lambda 1000000000000 needs at least 500000000000 cells, "
          "above the budget of 4194304"),
@@ -327,6 +323,10 @@ class TestDeterminismAndExitCodes:
         (["genfun", "--group", "cyclic:4", "--ceiling", "1000000"],
          "the series square p, q <= 1000000 needs at least 1000002000001 cells, "
          "above the budget of 4194304"),
+        (["xi", "--n", "1300", "--lambda", "1000000"],
+         "xi_bound at n = 1300, floor(lam) = 1000000 has more than 4300 digits, the digit budget"),
+        (["xi", "--n", "3000", "--lambda", "4000000", "--format", "json"],
+         "xi_bound at n = 3000, floor(lam) = 4000000 has more than 4300 digits, the digit budget"),
     ])
     def test_budgets_trip_before_allocation(self, capsys, argv, message):
         start = time.perf_counter()
