@@ -15,6 +15,7 @@ from .errors import (
     SizeLimit,
     TruncationError,
     UnsupportedFamily,
+    UserError,
 )
 from .genfun import dim_h0_polynomial, fg_coefficients, h0_coefficients, pg_polynomial, reconstruct_dims
 from .group_catalog import (

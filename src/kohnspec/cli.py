@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Every subcommand emits either a human table (default), RFC-4180 CSV, or JSON
-with a fixed key order, so reproduction scripts can be one-liners.  Exit
-codes: 0 success, 1 user error (bad input, family constraint or size
-budget), 2 internal invariant violation.
+with a fixed key order, so reproduction scripts can be one-liners.  A
+subcommand returns its (header, rows, JSON document), and :func:`run`
+renders it in the requested format.  Exit codes: 0 success, 1 for a
+``UserError`` (bad input, family constraint or size budget), 2 for any
+other ``KohnspecError`` (an internal invariant violation).
 """
 
 from __future__ import annotations
@@ -17,18 +19,7 @@ import math
 import sys
 
 from . import sobolev as sb
-from .errors import (
-    ClosureMismatch,
-    ConstraintError,
-    KohnspecError,
-    NonFreeAction,
-    NonIntegralDimension,
-    ParseError,
-    ReductionError,
-    SizeLimit,
-    TruncationError,
-    UnsupportedFamily,
-)
+from .errors import KohnspecError, ParseError, SizeLimit, UserError
 from .genfun import dim_h0_polynomial, h0_coefficients, pg_polynomial
 from .group_catalog import CATALOG_FAMILIES, angle_str, parse_group_spec
 from .invariant_dims import dim_invariant, dim_triangle
@@ -40,9 +31,6 @@ from .spectrum import (
     weyl_report,
     xi_bound,
 )
-
-_USER_ERRORS = (ParseError, ConstraintError, NonFreeAction, UnsupportedFamily, SizeLimit)
-_INTERNAL_ERRORS = (NonIntegralDimension, TruncationError, ClosureMismatch, ReductionError)
 
 # most rows a row-count option may ask for: each weyl grid point costs an
 # xi_bound and a counting lookup, each sobolev witness or h0dims row one
@@ -80,24 +68,24 @@ def _emit_table(header: list[str], rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tabular(args, header: list[str], rows: list[list], doc: dict) -> str:
-    if args.format == "json":
+def _render(fmt: str, header: list[str], rows: list[list], doc: dict) -> str:
+    if fmt == "json":
         return _emit_json(doc)
-    if args.format == "csv":
+    if fmt == "csv":
         return _emit_csv(header, rows)
     return _emit_table(header, rows)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (header, rows, doc) for run to render, or, where
+# its output has a shape of its own, the finished text
 
 
-def _cmd_catalog(args) -> str:
+def _cmd_catalog(args) -> tuple | str:
     if args.action == "list":
         header = ["family", "constraints", "order"]
         rows = [list(row) for row in CATALOG_FAMILIES]
-        doc = {"families": [dict(zip(header, row)) for row in rows]}
-        return _tabular(args, header, rows, doc)
+        return header, rows, {"families": [dict(zip(header, row)) for row in rows]}
     if args.spec is None:
         raise ParseError("catalog show needs a group spec")
     group = parse_group_spec(args.spec)
@@ -113,20 +101,20 @@ def _cmd_catalog(args) -> str:
     return _emit_json(doc)
 
 
-def _cmd_dims(args) -> str:
+def _cmd_dims(args) -> tuple:
     group = parse_group_spec(args.group)
     if args.pq_max is None:
         if args.p is None or args.q is None:
             raise ParseError("dims needs either --p and --q, or --pq-max")
         d = dim_invariant(group, args.p, args.q)
         doc = {"group": group.name, "p": args.p, "q": args.q, "dim": d}
-        return _tabular(args, ["p", "q", "dim"], [[args.p, args.q, d]], doc)
+        return ["p", "q", "dim"], [[args.p, args.q, d]], doc
     rows = [list(cell) for cell in dim_triangle(group, args.pq_max)]
     doc = {"group": group.name, "pq_max": args.pq_max, "entries": [list(r) for r in rows]}
-    return _tabular(args, ["p", "q", "dim"], rows, doc)
+    return ["p", "q", "dim"], rows, doc
 
 
-def _cmd_spectrum(args) -> str:
+def _cmd_spectrum(args) -> tuple:
     group = parse_group_spec(args.group)
     table = counting_function(group, args.lambda_max)
     entries = table.entries
@@ -140,10 +128,10 @@ def _cmd_spectrum(args) -> str:
             for e in entries
         ],
     }
-    return _tabular(args, ["lambda", "mult", "contributors"], rows, doc)
+    return ["lambda", "mult", "contributors"], rows, doc
 
 
-def _cmd_multiplicity(args) -> str:
+def _cmd_multiplicity(args) -> tuple:
     group = parse_group_spec(args.group)
     mult, contributors = multiplicity(group, getattr(args, "lambda"))
     doc = {
@@ -153,7 +141,7 @@ def _cmd_multiplicity(args) -> str:
         "contributors": [[p, q] for p, q in contributors],
     }
     rows = [[getattr(args, "lambda"), mult, " ".join(f"({p},{q})" for p, q in contributors)]]
-    return _tabular(args, ["lambda", "mult", "contributors"], rows, doc)
+    return ["lambda", "mult", "contributors"], rows, doc
 
 
 def _cmd_compare(args) -> str:
@@ -209,23 +197,22 @@ def _cmd_weyl(args) -> str:
         "empirical_limit": rep.empirical_limit,
         "richardson_limit": rep.richardson_limit,
     }
-    out = _tabular(args, ["lambda", "N_quotient", "N_sphere", "ratio", "xi", "bound_ok"], rows, doc)
+    out = _render(args.format, ["lambda", "N_quotient", "N_sphere", "ratio", "xi", "bound_ok"], rows, doc)
     if args.format == "table":
         out += (f"weyl constant C = {rep.weyl_constant!r}; expected limit {rep.expected_limit:.8f}; "
                 f"empirical {rep.empirical_limit:.8f}; extrapolated {rep.richardson_limit:.8f}\n")
     return out
 
 
-def _cmd_xi(args) -> str:
+def _cmd_xi(args) -> tuple:
     lam = getattr(args, "lambda")
     if not math.isfinite(lam):
         raise ParseError(f"xi needs a finite --lambda, got {lam}")
     val = xi_bound(lam, args.n)
-    doc = {"n": args.n, "lambda": lam, "xi": val}
-    return _tabular(args, ["n", "lambda", "xi"], [[args.n, lam, val]], doc)
+    return ["n", "lambda", "xi"], [[args.n, lam, val]], {"n": args.n, "lambda": lam, "xi": val}
 
 
-def _cmd_genfun(args) -> str:
+def _cmd_genfun(args) -> tuple:
     if args.ceiling is not None and args.ceiling < 0:
         raise ParseError(f"genfun needs --ceiling >= 0, got {args.ceiling}")
     group = parse_group_spec(args.group)
@@ -236,11 +223,10 @@ def _cmd_genfun(args) -> str:
         for b in range(poly.degree + 1)
         if poly.coeffs[a, b] != 0
     ]
-    doc = {"e": poly.e, "degree": poly.degree, "coeffs": coeffs}
-    return _tabular(args, ["a", "b", "c_ab"], coeffs, doc)
+    return ["a", "b", "c_ab"], coeffs, {"e": poly.e, "degree": poly.degree, "coeffs": coeffs}
 
 
-def _cmd_sobolev(args) -> str:
+def _cmd_sobolev(args) -> tuple:
     _require_rows("sobolev", "--witness", args.witness)
     group = parse_group_spec(args.group)
     const = sb.c_group(group, args.ceiling, args.convention)
@@ -256,12 +242,11 @@ def _cmd_sobolev(args) -> str:
     if args.witness:
         witness = sb.greens_lower_witness(group, args.witness, args.convention)
         doc["witness"] = [[m, v] for m, v in witness]
-        if args.format != "json":
-            rows += [[f"{v!r}", 0, m * group.exponent, "witness", args.convention] for m, v in witness]
-    return _tabular(args, header, rows, doc)
+        rows += [[f"{v!r}", 0, m * group.exponent, "witness", args.convention] for m, v in witness]
+    return header, rows, doc
 
 
-def _cmd_oracle_check(args) -> str:
+def _cmd_oracle_check(args) -> tuple:
     if args.pq_max < 0:
         raise ParseError(f"oracle-check needs --pq-max >= 0, got {args.pq_max}")
     group = parse_group_spec(args.group)
@@ -273,16 +258,15 @@ def _cmd_oracle_check(args) -> str:
         "all_ok": all(ok for *_, ok in rows),
     }
     out_rows = [[p, q, bf, av, "ok" if ok else "MISMATCH"] for p, q, bf, av, ok in rows]
-    return _tabular(args, ["p", "q", "bruteforce", "averaged", "status"], out_rows, doc)
+    return ["p", "q", "bruteforce", "averaged", "status"], out_rows, doc
 
 
-def _cmd_h0(args) -> str:
+def _cmd_h0(args) -> tuple:
     _require_rows("h0dims", "--m-max", args.m_max)
     group = parse_group_spec(args.group)
     coeffs = h0_coefficients(group)
     rows = [[m, dim_h0_polynomial(coeffs, m)] for m in range(args.m_max + 1)]
-    doc = {"group": group.name, "e": group.exponent, "entries": [list(r) for r in rows]}
-    return _tabular(args, ["m", "dim"], rows, doc)
+    return ["m", "dim"], rows, {"group": group.name, "e": group.exponent, "entries": [list(r) for r in rows]}
 
 
 @functools.cache
@@ -295,13 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=["table", "csv", "json"], default="table")
-
     p = sub.add_parser("catalog", help="list families or show a group's classes")
     p.add_argument("action", choices=["list", "show"])
     p.add_argument("spec", nargs="?")
-    add_format(p)
     p.set_defaults(func=_cmd_catalog)
 
     p = sub.add_parser("dims", help="invariant dimensions")
@@ -309,45 +289,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--pq-max", dest="pq_max", type=int)
-    add_format(p)
     p.set_defaults(func=_cmd_dims)
 
     p = sub.add_parser("spectrum", help="eigenvalue table up to a cutoff")
     p.add_argument("--group", required=True)
     p.add_argument("--lambda-max", dest="lambda_max", type=int, required=True)
-    add_format(p)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("multiplicity", help="multiplicity of one eigenvalue")
     p.add_argument("--group", required=True)
     p.add_argument("--lambda", type=int, required=True)
-    add_format(p)
     p.set_defaults(func=_cmd_multiplicity)
 
     p = sub.add_parser("compare", help="first distinguishing eigenvalue of two groups")
     p.add_argument("--group-a", dest="group_a", required=True)
     p.add_argument("--group-b", dest="group_b", required=True)
     p.add_argument("--lambda-max", dest="lambda_max", type=int, required=True)
-    add_format(p)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("weyl", help="counting-function comparison against the sphere")
     p.add_argument("--group", required=True)
     p.add_argument("--lambda-max", dest="lambda_max", type=int, required=True)
     p.add_argument("--grid", type=int, default=4, help="number of grid points")
-    add_format(p)
     p.set_defaults(func=_cmd_weyl)
 
     p = sub.add_parser("xi", help="exact counting tail bound")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lambda", type=float, required=True)
-    add_format(p)
     p.set_defaults(func=_cmd_xi)
 
     p = sub.add_parser("genfun", help="quotient generating polynomial coefficients")
     p.add_argument("--group", required=True)
     p.add_argument("--ceiling", type=int, default=None)
-    add_format(p)
     p.set_defaults(func=_cmd_genfun)
 
     p = sub.add_parser("sobolev", help="Sobolev constant of the complex Green's operator")
@@ -355,21 +328,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ceiling", type=int, required=True)
     p.add_argument("--convention", type=int, choices=[2, 4], default=2)
     p.add_argument("--witness", type=int, default=0, help="also emit the first m_max witness values")
-    add_format(p)
     p.set_defaults(func=_cmd_sobolev)
 
     p = sub.add_parser("oracle-check", help="brute-force vs averaged dimensions")
     p.add_argument("--group", required=True)
     p.add_argument("--pq-max", dest="pq_max", type=int, required=True)
-    add_format(p)
     p.set_defaults(func=_cmd_oracle_check)
 
     p = sub.add_parser("h0dims", help="dimensions at bidegree (0, m*e) via the generating polynomial")
     p.add_argument("--group", required=True)
     p.add_argument("--m-max", dest="m_max", type=int, required=True)
-    add_format(p)
     p.set_defaults(func=_cmd_h0)
 
+    # added last, so --format closes every subcommand's --help
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     return parser
 
 
@@ -379,18 +352,21 @@ def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         out = args.func(args)
-        sys.stdout.write(out if out.endswith("\n") else out + "\n")
-    except _USER_ERRORS as exc:
+    except UserError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _INTERNAL_ERRORS as exc:
+    except KohnspecError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2
-    except KohnspecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if not isinstance(out, str):
+        out = _render(args.format, *out)
+    sys.stdout.write(out if out.endswith("\n") else out + "\n")
     return 0
 
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

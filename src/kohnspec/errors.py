@@ -5,16 +5,22 @@ from __future__ import annotations
 
 
 class KohnspecError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.  One that is not a
+    UserError signals a bug in the package."""
 
 
-class ConstraintError(KohnspecError, ValueError):
+class UserError(KohnspecError):
+    """The request itself is at fault: bad input, a family constraint or a
+    size budget.  The CLI exits 1 on these and 2 on any other KohnspecError."""
+
+
+class ConstraintError(UserError, ValueError):
     """A family constructor or computation was called with parameters outside
     its constraints (e.g. an even twist order where an odd one is required).
     Also a ``ValueError``, so callers that catch that keep working."""
 
 
-class NonFreeAction(KohnspecError):
+class NonFreeAction(UserError):
     """The requested group does not act freely on the sphere: some
     non-identity element has eigenvalue 1."""
 
@@ -28,11 +34,11 @@ class NonIntegralDimension(KohnspecError):
     the group catalog or in character evaluation, never a user error."""
 
 
-class UnsupportedFamily(KohnspecError):
+class UnsupportedFamily(UserError):
     """No closed-form dimension formula is available for this family."""
 
 
-class SizeLimit(KohnspecError):
+class SizeLimit(UserError):
     """A computation was requested beyond its size budget."""
 
 
@@ -63,5 +69,5 @@ class TruncationError(KohnspecError):
     proven degree bound."""
 
 
-class ParseError(KohnspecError):
+class ParseError(UserError):
     """A group spec string could not be parsed."""

@@ -261,13 +261,17 @@ def _su2_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -> n
     tables = _trace_tables(group)
     # per cell: the central term is bound * (p + q + 1), the non-central below bound * E
     _require_int64(tables.bound * (int((p + q).max()) + 1 + E))
-    pr, qr = p % E, q % E
+    # residues as x - E (x // E), as in _ProgressionTraces._at
+    pr, qr = p - p // E * E, q - q // E * E
     square = len(p) >= E * E
-    at_p, at_q = np.divmod(np.arange(E * E), E) if square else (pr, qr)
+    residues = np.arange(E)
+    at_p, at_q = (np.repeat(residues, E), np.tile(residues, E)) if square else (pr, qr)
     block = max(1, _BLOCK_ENTRIES // max(1, len(tables.mult)))
     nc = np.concatenate([tables.noncentral(at_p[i:i + block], at_q[i:i + block])
                          for i in range(0, len(at_p), block)])
-    return (nc[pr * E + qr] if square else nc) + (p + q + 1) * tables.central[(qr - pr) % E]
+    # qr - pr lies in (-E, E), and numpy reads a negative index from the end:
+    # central[qr - pr] is central[(q - p) mod E]
+    return (nc[pr * E + qr] if square else nc) + (p + q + 1) * tables.central[qr - pr]
 
 
 def _require_series_entries(group: QuotientGroup, count: int) -> None:
@@ -374,8 +378,8 @@ def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
     E = group.exponent
     traces = (_su2_traces if group.n == 2 else _series_traces)(group, E, p, q)
     denom = _totient(E) * group.order
-    dims, residue = np.divmod(traces, denom)
-    bad = np.flatnonzero((residue != 0) | (dims < 0) | (dims > _sphere_dims(p, q, group.n)))
+    dims = traces // denom
+    bad = np.flatnonzero((traces != dims * denom) | (dims < 0) | (dims > _sphere_dims(p, q, group.n)))
     if len(bad):
         i = bad[0]
         raise NonIntegralDimension(

@@ -153,16 +153,18 @@ def _floor_runs(L: int, lo: int, hi: int):
 def xi_bound(lam, n: int) -> int:
     """Exact big-integer tail bound controlling |N_G - N_S/|G|| at cutoff 2*lam:
 
-        sum_{m = n-1}^{L} C(m-1, n-2) C(L//m + n-2, n-1)
-          + sum_{k = 1}^{L//(n-1)} C(k+n-2, n-2) C(L//k, n-1),   L = floor(lam).
+        sum_{m = n-1}^{L} C(m-1, n-2) [C(v+n-2, n-1) + C(v+n-1, n-1) - 1],
+        v = L // m,   L = floor(lam).
 
-    lam may be an int, a Fraction or a float (taken at its exact binary
-    value); floor(lam/m) = L // m for integer m.  Both sums run over the
-    O(sqrt(L)) runs of constant L // m, each summing its binomials by the
-    hockey-stick identity.  Both index ranges empty gives 0 (the bound is
-    only used asymptotically).  A bound of more than MAX_XI_DIGITS digits
-    raises SizeLimit: before the sums when their term k = 1 already has
-    them, else once the total does.
+    That is the sum over the lattice points m >= n-1, k >= 0 under the
+    hyperbola m*k <= L of the bound's two double sums, the inner sum over k
+    taken by the hockey-stick identity.  lam may be an int, a Fraction or a
+    float (taken at its exact binary value); floor(lam/m) = L // m for
+    integer m.  The sum runs over the O(sqrt(L)) runs of constant L // m,
+    each summing C(m-1, n-2) by the hockey stick again.  An empty range
+    gives 0 (the bound is only used asymptotically).  A bound of more than
+    MAX_XI_DIGITS digits raises SizeLimit: before the sum when its part
+    (n-1) C(L, n-1) from k = 1 already has them, else once the total does.
     """
     lam = Fraction(lam)
     if n < 2:
@@ -173,9 +175,8 @@ def xi_bound(lam, n: int) -> int:
     _require_xi_digits((n - 1) * math.comb(max(L, 0), n - 1), n, L)
     total = 0
     for a, b, v in _floor_runs(L, n - 1, L):
-        total += (math.comb(b, n - 1) - math.comb(a - 1, n - 1)) * math.comb(v + n - 2, n - 1)
-    for a, b, v in _floor_runs(L, 1, L // (n - 1)):
-        total += (math.comb(b + n - 1, n - 1) - math.comb(a + n - 2, n - 1)) * math.comb(v, n - 1)
+        total += ((math.comb(b, n - 1) - math.comb(a - 1, n - 1))
+                  * (math.comb(v + n - 2, n - 1) + math.comb(v + n - 1, n - 1) - 1))
     _require_xi_digits(total, n, L)
     return total
 

@@ -21,10 +21,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kohnspec
-from kohnspec import ConstraintError, NonFreeAction, ParseError, parse_group_spec
+from kohnspec import ConstraintError, NonFreeAction, ParseError, errors, parse_group_spec
 from kohnspec.cli import build_parser, run
 
 REPRODUCE_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "reproduce_golden.json"
+CLI_GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+ERROR_CLASSES = sorted((cls for cls in vars(errors).values()
+                        if isinstance(cls, type) and issubclass(cls, errors.KohnspecError)),
+                       key=lambda cls: cls.__name__)
 
 
 def capture(capsys, argv):
@@ -342,16 +346,22 @@ class TestDeterminismAndExitCodes:
         assert code in (0, 1)
         assert (out == "") == (code == 1) and err.count("\n") == code
 
-    def test_internal_violation_exit_2(self, capsys, monkeypatch):
-        from kohnspec.errors import NonIntegralDimension
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_exit_code_follows_the_error_type(self, capsys, monkeypatch, cls):
+        # the bad requests are UserErrors; every other KohnspecError is a bug
+        user = {"UserError", "ConstraintError", "Int64Limit", "NonFreeAction", "ParseError", "SizeLimit",
+                "UnsupportedFamily"}
+        assert issubclass(cls, errors.UserError) == (cls.__name__ in user)
 
         def boom(*args, **kwargs):
-            raise NonIntegralDimension("synthetic failure")
+            raise cls("synthetic failure")
 
         monkeypatch.setattr("kohnspec.cli.dim_invariant", boom)
-        code, _, err = capture(capsys, ["dims", "--group", "cyclic:3", "--p", "1", "--q", "1"])
-        assert code == 2
-        assert "invariant violation" in err
+        code, out, err = capture(capsys, ["dims", "--group", "cyclic:3", "--p", "1", "--q", "1"])
+        if cls.__name__ in user:
+            assert (code, out, err) == (1, "", "error: synthetic failure\n")
+        else:
+            assert (code, out, err) == (2, "", "internal invariant violation: synthetic failure\n")
 
 
 class TestSharedParser:
@@ -463,12 +473,23 @@ def test_fuzzed_argv_exits_cleanly(argv):
         json.loads(out.getvalue())
 
 
-def test_cli_import_loads_no_scipy():
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this checkout's kohnspec."""
     src = str(Path(kohnspec.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_loads_no_scipy():
     code = "import sys, kohnspec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    assert _python("-c", code).stdout == "[]\n"
+
+
+def test_python_m_runs_the_cli():
+    done = _python("-m", "kohnspec.cli", "xi", "--n", "2", "--lambda", "2", "--format", "json")
+    assert (done.returncode, json.loads(done.stdout)["xi"], done.stderr) == (0, 6, "")
+    done = _python("-m", "kohnspec.cli", "multiplicity", "--group", "cyclic:0", "--lambda", "4")
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: cyclic order m must be >= 1\n")
 
 
 def _src_imports() -> dict[str, tuple[set[str], list[int]]]:
@@ -498,11 +519,8 @@ def test_no_import_inside_a_function():
 
 
 def test_package_import_leaves_the_cli_unloaded():
-    src = str(Path(kohnspec.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, kohnspec; print([m for m in ('kohnspec.cli', 'argparse') if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout == "[]\n"
+    assert _python("-c", code).stdout == "[]\n"
 
 
 def test_every_cache_is_bounded():
@@ -526,9 +544,23 @@ def test_reproduce_golden_byte_identical(capsys):
 
 def test_table_goldens_byte_identical(capsys):
     # spectrum, weyl, compare and sobolev above the reproduce cutoffs, in every
-    # format, against stdout recorded before the tables became arrays
-    golden = Path(__file__).resolve().parent / "data" / "cli_golden.json"
-    for entry in json.loads(golden.read_text())["commands"]:
+    # format, against stdout recorded before the tables became arrays; then
+    # every other subcommand in every format
+    for entry in json.loads(CLI_GOLDEN.read_text())["commands"]:
         code, out, err = capture(capsys, entry["argv"])
         assert (code, err) == (0, ""), entry["argv"]
         assert out == entry["stdout"], entry["argv"]
+
+
+def test_help_goldens_byte_identical(capsys, monkeypatch):
+    # the root and every subcommand --help, at 80 columns
+    golden = json.loads(CLI_GOLDEN.read_text())
+    if "%d.%d" % sys.version_info[:2] != golden["help_python"]:
+        pytest.skip(f"--help recorded with Python {golden['help_python']}, whose argparse layout may differ")
+    monkeypatch.setenv("COLUMNS", "80")
+    assert len(golden["help"]) == 12      # the root and 11 subcommands
+    for entry in golden["help"]:
+        with pytest.raises(SystemExit) as exc:
+            run(entry["argv"])
+        assert exc.value.code == 0
+        assert capsys.readouterr() == (entry["stdout"], ""), entry["argv"]

@@ -366,7 +366,7 @@ class TestXiBound:
 
     def test_blocked_sum_matches_loop(self):
         large = [65537, 100_000, F(199_999, 2), F(700_001, 7), 99_999.75, 12_345.5]
-        for n in (2, 3, 4):
+        for n in (2, 3, 4, 5, 6, 7, 8):
             for lam in list(range(0, 300)) + large:
                 assert xi_bound(lam, n) == loop_xi_bound(lam, n), (lam, n)
 
