@@ -4,7 +4,7 @@ The invariant dimension at bidegree (p, q) is the class-weighted average of
 the character of the harmonic space over the group.  Each character value is
 an integer combination of E-th roots of unity, E the group exponent; the
 engine replaces it by its Galois trace down to the rationals, an integer sum
-of Ramanujan sums c_E.  Classes in one Galois orbit (g and g^j, j a unit)
+of Ramanujan sums.  Classes in one Galois orbit (g and g^j, j a unit)
 have equal traces, so the engine takes one trace per rational class,
 weighted by the orbit's summed multiplicity.  The average is then the exact
 quotient of the weighted trace sum by phi(E) |G|: a sum that is not
@@ -17,10 +17,12 @@ For n = 2 the central orbits trace to (p + q + 1) c_E(k (q - p)), the others
 to differences of prefix-sum rows of c_E, E int64 per distinct divisor of E.
 The traces are E-periodic in p and q: they are evaluated at residue pairs
 only, over the E x E square once a request holds E^2 cells and at each
-cell's residues below that.  For n >= 3 the traces of all rational
-classes at once are one int64 matrix product T = M N^T of stacked h-vector
-tables, read at T[p, q] - T[p-1, q-1]; it is formed over bands of the
-requested cells whose bounding boxes hold at most about twice their cells.
+cell's residues below that.  For n >= 3 each orbit of element order o is
+traced in its own field Q(zeta_o), by Ramanujan's divisor sum for c_o: the
+traces of all rational classes at once are one int64 matrix product
+T = (G w) G^T of a table of h-vectors summed into d residues, d | o, read
+at T[p, q] - T[p-1, q-1]; it is formed over bands of the requested cells
+whose bounding boxes hold at most about twice their cells.
 
 dim_cells evaluates whole arrays of cells in one call, dim_triangle every
 cell with p + q <= pq_max, and dim_invariant one cell.  No result is
@@ -35,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -46,8 +47,8 @@ from .group_catalog import CACHE_SIZE, QuotientGroup
 # int64 entries per transient array while evaluating a block of cells (128 kB)
 _BLOCK_ENTRIES = 1 << 14
 
-# most int64 entries the n >= 3 kernel's tables may hold, the E x E
-# Ramanujan matrix and the stacked h-vector rows together (128 MB)
+# most int64 entries the n >= 3 kernel may hold at once, its folded h-vector
+# table and one orbit's h-vectors together (128 MB)
 MAX_SERIES_ENTRIES = 1 << 24
 
 # a band of cells may compute this many entries beyond twice its cells
@@ -85,21 +86,22 @@ def _mobius(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
+def _ramanujan_divisors(o: int) -> list[tuple[int, int]]:
+    """(d, mu(o / d)) for each divisor d of o with o / d squarefree: the
+    Ramanujan sum c_o(r) is the sum of mu(o / d) d over those d that divide r."""
+    out = [(o, 1)]
+    for prime in _factorize(o):
+        out += [(d // prime, -mu) for d, mu in out]
+    return out
+
+
 def _ramanujan_row(E: int) -> np.ndarray:
     """c_E(r) for r = 0..E-1: the trace of the r-th power of a primitive E-th
-    root of unity down to the rationals.  It depends on r only through
-    g = gcd(r, E), so it is evaluated once per divisor g."""
-    phi_E = _totient(E)
-    by_gcd = {}
-    for g in range(1, E + 1):
-        if E % g == 0:
-            mu = _mobius(E // g)
-            by_gcd[g] = 0 if mu == 0 else mu * (phi_E // _totient(E // g))
-    return np.array([by_gcd[math.gcd(r, E)] for r in range(E)], dtype=np.int64)
-
-
-def _magnitude(a: np.ndarray) -> int:
-    return int(np.abs(a).max(initial=0))
+    root of unity down to the rationals, one strided sum per divisor."""
+    row = np.zeros(E, dtype=np.int64)
+    for d, mu in _ramanujan_divisors(E):
+        row[::d] += mu * d
+    return row
 
 
 def _h_vectors(angles_int: list[int], E: int, degree: int) -> np.ndarray:
@@ -117,13 +119,6 @@ def _h_vectors(angles_int: list[int], E: int, degree: int) -> np.ndarray:
         g = np.cumsum(np.take_along_axis(h, (r + d * a) % E, axis=1), axis=0)
         h = np.take_along_axis(g, (r - d * a) % E, axis=1)
     return h
-
-
-def _exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integer matrix product in int64, formed only after the bound
-    max|a| * max|b| * inner < 2^63 rules out overflow."""
-    _require_int64(_magnitude(a) * _magnitude(b) * a.shape[1])
-    return a @ b
 
 
 def require_cells(count: int, what: str) -> None:
@@ -151,17 +146,20 @@ def _sphere_dims(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
         for i in range(1, n):
             out = out * (x + i) // i
         return out
-    bp_max, bq_max = (math.comb(int(x.max(initial=0)) + n - 1, n - 1) for x in (p, q))
-    if bp_max * bq_max < 2**63:
-        return binom(p) * binom(q) - binom(p - 1) * binom(q - 1)
-    # the joint bound pairs the largest p with the largest q, which no cell
-    # may do: bound binom's last step, then each cell's own product
-    _require_int64(max(bp_max, bq_max) * (n - 1))
+    # no cell need pair the largest p with the largest q: bound binom's last
+    # step, (n - 1) C(x + n - 1, n - 1) at the largest x, then each cell's product
+    _require_int64(max(math.comb(int(x.max(initial=0)) + n - 1, n - 1) for x in (p, q)) * (n - 1))
     bp, bq = binom(p), binom(q)
-    over = np.flatnonzero(bp > (2**63 - 1) // np.maximum(bq, 1))
+    # only a cell whose bp the largest bq would carry past 2^63 needs its own check
+    near = np.flatnonzero(bp > (2**63 - 1) // max(int(bq.max(initial=0)), 1))
+    over = near[bp[near] > (2**63 - 1) // np.maximum(bq[near], 1)]
     if len(over):
         _require_int64(int(bp[over[0]]) * int(bq[over[0]]))
-    return bp * bq - binom(p - 1) * binom(q - 1)
+    # in place, and bq freed first: a table may hold millions of cells
+    bp *= bq
+    del bq
+    bp -= binom(p - 1) * binom(q - 1)
+    return bp
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -274,41 +272,35 @@ def _su2_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -> n
     return (nc[pr * E + qr] if square else nc) + (p + q + 1) * tables.central[qr - pr]
 
 
-def _require_series_entries(group: QuotientGroup, count: int) -> None:
-    """Raise SizeLimit before allocation if the n >= 3 tables of count int64
-    entries exceed their budget."""
-    if count > MAX_SERIES_ENTRIES:
-        raise SizeLimit(f"the series tables of {group.name} need at least {count} int64 entries, "
+def _series_tables(group: QuotientGroup, E: int, degree: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """The folded h-vector table G, its column weights w and its blocks'
+    summed |weight|.  An orbit of element order o has angles (E / o) a and
+    an h-vector over Z/o; the trace of h_p(conj g) h_q(g) down from
+    Q(zeta_E) is phi(E) / phi(o) times the sum of mu(o / d) d
+    <h_p mod d, h_q mod d> over _ramanujan_divisors(o), h mod d summing h
+    into d residues.  So the orbit, of summed multiplicity m, holds a block
+    h mod d of weight m (phi(E) / phi(o)) mu(o / d) d per d.  Row x stands
+    for degree x - 1: the zero row 0 makes the (p - 1, q - 1) term vanish at
+    p = 0 or q = 0.  The table and one orbit's h-vectors are counted against
+    the budget before either is allocated."""
+    orbits = [(key, E // math.gcd(E, *key), mult) for key, mult in _rational_classes(group)]
+    width = sum(d for _, o, _ in orbits for d, _ in _ramanujan_divisors(o))
+    entries = (degree + 2) * width + (degree + 1) * max(o for _, o, _ in orbits)
+    if entries > MAX_SERIES_ENTRIES:
+        raise SizeLimit(f"the series table of {group.name} needs at least {entries} int64 entries, "
                         f"above the budget of {MAX_SERIES_ENTRIES}")
-
-
-def _series_tables(group: QuotientGroup, E: int, p_max: int, q_max: int) -> tuple[np.ndarray, ...]:
-    """The stacked tables M, rows w h_p(conj g) CE, and N, rows h_q(g), with
-    one block of E columns per rational class of weight w and
-    CE[r1, r2] = c_E(r1 + r2), and per row of each the largest magnitude of
-    h_p(conj g) CE and of h_q(g) over the classes.  Row x stands for degree
-    x - 1: the zero row 0 makes the (p - 1, q - 1) term vanish at p = 0 or
-    q = 0."""
-    _require_series_entries(group, E * E)   # before the orbits and CE are built
-    orbits = _rational_classes(group)
-    _require_series_entries(group, E * E + len(orbits) * E * (p_max + q_max + 4))
-    ram = _ramanujan_row(E)
-    residues = np.arange(E)
-    CE = ram[np.add.outer(residues, residues) % E]
-    H = np.stack([_h_vectors(list(ks), E, max(p_max, q_max)) for ks, _ in orbits])
-    # the rows of conj g are those of g with every residue r read at -r
-    AC = _exact_matmul(H[:, :p_max + 1, -residues % E].reshape(-1, E), CE)
-    B = H[:, :q_max + 1]
-    ac_rows = np.zeros(p_max + 2, dtype=np.int64)
-    ac_rows[1:] = np.abs(AC).reshape(len(orbits), p_max + 1, E).max(axis=(0, 2))
-    b_rows = np.zeros(q_max + 2, dtype=np.int64)
-    b_rows[1:] = B.max(axis=(0, 2))     # h-vector entries are counts, never negative
-    M = np.zeros((p_max + 2, len(orbits), E), dtype=np.int64)
-    M[1:] = AC.reshape(len(orbits), p_max + 1, E).transpose(1, 0, 2)
-    M *= np.array([mult for _, mult in orbits], dtype=np.int64)[:, None]
-    N = np.zeros((q_max + 2, len(orbits), E), dtype=np.int64)
-    N[1:] = B.transpose(1, 0, 2)
-    return M.reshape(p_max + 2, -1), N.reshape(q_max + 2, -1), ac_rows, b_rows
+    G = np.zeros((degree + 2, width), dtype=np.int64)
+    w = np.empty(width, dtype=np.int64)
+    col = abs_weight = 0
+    for key, o, mult in orbits:
+        h = _h_vectors([k * o // E for k in key], o, degree)
+        for d, mu in _ramanujan_divisors(o):
+            G[1:, col:col + d] = h.reshape(degree + 1, o // d, d).sum(axis=1)
+            weight = mult * (_totient(E) // _totient(o)) * mu * d
+            w[col:col + d] = weight
+            abs_weight += abs(weight)
+            col += d
+    return G, w, abs_weight
 
 
 def _bands(p: np.ndarray, q: np.ndarray):
@@ -341,28 +333,31 @@ def _bands(p: np.ndarray, q: np.ndarray):
 
 def _series_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Weighted traces from the h-vector series.  The character is
-    h_p(conj g) h_q(g) - h_(p-1)(conj g) h_(q-1)(g), and the trace of a
-    product of exponent-count vectors a, b is a . CE . b; so T = M N^T sums
+    h_p(conj g) h_q(g) - h_(p-1)(conj g) h_(q-1)(g), so T = (G w) G^T sums
     the weighted traces of the first product over the rational classes, and
     cell (p, q) reads T[p, q] - T[p-1, q-1].  T is formed one band of cells
     at a time, in chunks of rows q near _BLOCK_ENTRIES entries, once the
     band's own rows bound every entry it reads below 2^63."""
-    M, N, ac_rows, b_rows = _series_tables(group, E, int(p.max()), int(q.max()))
+    G, w, abs_weight = _series_tables(group, E, int(max(p.max(), q.max())))
+    row_max = G.max(axis=1)
     order = np.argsort(q, kind="stable")
     ps, qs = p[order], q[order]
     traces = np.empty(len(p), dtype=np.int64)
     for start, stop, lo, hi in _bands(ps, qs):
         q_lo, q_hi = int(qs[start]), int(qs[stop - 1])
-        # the band reads M rows lo .. hi + 1 and N rows q_lo .. q_hi + 1
-        _require_int64(2 * group.order * int(ac_rows[lo:hi + 2].max())
-                       * int(b_rows[q_lo:q_hi + 2].max()) * E)
-        cols = M[lo:hi + 2].T       # columns p = lo - 1 .. hi
+        # the band reads rows lo .. hi + 1 as p, q_lo .. q_hi + 1 as q.  Each block of
+        # the row of degree x sums to its C(x + n - 1, n - 1) monomials, so G[p] |w| is
+        # at most that count at x = hi times abs_weight, and no partial sum of
+        # (G[q] w) . G[p] exceeds it times max G[q]
+        _require_int64(2 * math.comb(hi + group.n - 1, group.n - 1) * abs_weight
+                       * int(row_max[q_lo:q_hi + 2].max()))
+        cols = G[lo:hi + 2].T       # columns p = lo - 1 .. hi
         step = max(1, _BLOCK_ENTRIES // (hi - lo + 2))
         for q0 in range(q_lo, q_hi + 1, step):
             i, j = start + np.searchsorted(qs[start:stop], [q0, q0 + step])
             if i == j:
                 continue
-            T = N[q0:min(q0 + step, q_hi + 1) + 1] @ cols      # rows q = q0 - 1 .. min(q0 + step - 1, q_hi)
+            T = (G[q0:min(q0 + step, q_hi + 1) + 1] * w) @ cols      # rows q = q0 - 1 .. min(q0 + step - 1, q_hi)
             r, c = qs[i:j] - q0, ps[i:j] - lo
             traces[order[i:j]] = T[r + 1, c + 1] - T[r, c]
     return traces
@@ -444,26 +439,30 @@ def closed_form_icosahedral(p: int, q: int) -> int:
     return (closed_form_tetrahedral(p, q) + _sign_mod4(s) + c6 + c10) // 5
 
 
+def _whole(total: int, parts: int, what: str) -> int:
+    """total / parts, raising NonIntegralDimension when it is not an integer."""
+    dim, rest = divmod(total, parts)
+    if rest:
+        raise NonIntegralDimension(f"{what}: the closed form is {total}/{parts}, not an integer")
+    return dim
+
+
 def closed_form_q_semidirect(l: int, p: int, q: int) -> int:
     d = q - p
-    first = Fraction(closed_form_binary_dihedral(2, p, q), 3) if d % (6 * l) == 0 else Fraction(0)
+    first = 2 * closed_form_binary_dihedral(2, p, q) if d % (6 * l) == 0 else 0
     r = d % (18 * l)
     twist = 2 if r == 0 else (-1 if r in (6 * l, 12 * l) else 0)
     s = p + q
     bump = 2 if s % 6 == 0 else (-2 if s % 6 == 4 else 0)
-    total = first + Fraction(twist * bump, 6)
-    assert total.denominator == 1
-    return int(total)
+    return _whole(first + twist * bump, 6, f"qsemi:{l} at (p,q)=({p},{q})")
 
 
 def closed_form_cyclic_semidirect(m: int, l: int, p: int, q: int) -> int:
     d = q - p
-    first = Fraction(closed_form_cyclic(2 * m, p, q), 2) if d % (2 * l) == 0 else Fraction(0)
+    first = closed_form_cyclic(2 * m, p, q) if d % (2 * l) == 0 else 0
     r = d % (4 * l)
     twist = 1 if r == 0 else (-1 if r == 2 * l else 0)
-    total = first + Fraction(twist * _sign_mod4(p + q), 2)
-    assert total.denominator == 1
-    return int(total)
+    return _whole(first + twist * _sign_mod4(p + q), 2, f"cycsemi:{m}:{l} at (p,q)=({p},{q})")
 
 
 def dim_closed_form(group: QuotientGroup, p: int, q: int) -> int:

@@ -11,7 +11,8 @@ characters; the tests check its dimensions and the oracle's traces against
 these.  fraction_angles reads a class's integer angles k over the group
 exponent E as the Fractions k/E of a turn that char_general takes, and
 class_multiset and element_orders are the structural fingerprints built on
-them.
+them.  exact_matmul is the overflow-guarded int64 product of the per-class
+E x E Ramanujan kernel that the n >= 3 engine is checked against.
 
 The oracle's full stacked-matrix rank lives here: the whole monomial space of
 bidegree (p, q), the Laplacian built monomial by monomial, and the actions of
@@ -36,7 +37,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from kohnspec.errors import ReductionError, SizeLimit
+from kohnspec.errors import ReductionError, SizeLimit, _require_int64
 from kohnspec.group_catalog import Angle, ConjugacyClass, QuotientGroup
 from kohnspec.invariant_dims import _sphere_dims
 from kohnspec.oracle import _BASIS_LIMIT, ElementAction, _prime, _rank, modular_image, monomial_exponents
@@ -75,6 +76,13 @@ def sphere_dim(p: int, q: int, n: int) -> int:
     full = math.comb(p + n - 1, n - 1) * math.comb(q + n - 1, n - 1)
     lower = math.comb(p + n - 2, n - 1) * math.comb(q + n - 2, n - 1)
     return full - lower
+
+
+def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integer matrix product in int64, formed only after the bound
+    max|a| * max|b| * inner < 2^63 rules out overflow."""
+    _require_int64(int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * a.shape[1])
+    return a @ b
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -319,8 +319,8 @@ class TestDeterminismAndExitCodes:
          "above the budget of 4194304"),
         (["sobolev", "--group", "2T", "--ceiling", "100000"],
          "the triangle p + q <= 100000 needs at least 5000150001 cells, above the budget of 4194304"),
-        (["dims", "--group", "lens:4097:1,2,3", "--p", "1", "--q", "1"],
-         "the series tables of lens:4097:1,2,3 need at least 16785409 int64 entries, "
+        (["multiplicity", "--group", "lens:5:1,2,3", "--lambda", "4398046511104"],
+         "the series table of lens:5:1,2,3 needs at least 26388279066619 int64 entries, "
          "above the budget of 16777216"),
         (["multiplicity", "--group", "2T", "--lambda", "4398046511106"],
          "eigenvalue 4398046511106 is above the budget of 4398046511104"),
@@ -337,6 +337,15 @@ class TestDeterminismAndExitCodes:
         code, out, err = capture(capsys, argv)
         assert time.perf_counter() - start < 1.0
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_n3_exponent_past_4096_matches_the_oracle(self, capsys):
+        # the n >= 3 budget counts folded h-vectors, with no E x E term
+        code, out, err = capture(capsys, ["dims", "--group", "lens:4097:1,2,3", "--p", "1", "--q", "1"])
+        assert (code, out, err) == (0, "p  q  dim\n1  1  2\n", "")
+        code, out, err = capture(capsys, ["dims", "--group", "lens:4097:1,2,3", "--pq-max", "4", "--format", "json"])
+        rows = kohnspec.oracle_check(parse_group_spec("lens:4097:1,2,3"), 4)
+        assert all(ok for *_, ok in rows)
+        assert (code, err) == (0, "") and json.loads(out)["entries"] == [[p, q, brute] for p, q, brute, *_ in rows]
 
     @pytest.mark.parametrize("group", ["2T", "cyclic:7", "lens:5:1,2,3", "lens:3:1,1,1,2"])
     def test_large_eigenvalue_multiplicity_is_fast(self, capsys, group):
@@ -506,6 +515,13 @@ def _src_imports() -> dict[str, tuple[set[str], list[int]]]:
                 nested += [sub.lineno for sub in ast.walk(node) if isinstance(sub, (ast.Import, ast.ImportFrom))]
         out[path.stem] = (siblings, nested)
     return out
+
+
+def test_no_assert_in_src():
+    # python -O strips assert statements, so the package checks by raising
+    found = {path.stem: [node.lineno for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+             for path in sorted(Path(kohnspec.__file__).resolve().parent.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_module_graph_is_acyclic():

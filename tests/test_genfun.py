@@ -25,7 +25,7 @@ from kohnspec import (
     pg_polynomial,
     reconstruct_dims,
 )
-from kohnspec.invariant_dims import _exact_matmul, _mobius, _ramanujan_row, _totient
+from kohnspec.invariant_dims import _mobius, _ramanujan_row, _totient
 from kohnspec.oracle import modular_image
 from reference import element_orders
 
@@ -59,22 +59,6 @@ class TestNumberTheoryHelpers:
         for E in (2, 3, 8, 12):
             assert int(_ramanujan_row(E).sum()) == 0
         assert _ramanujan_row(12)[0] == _totient(12)
-
-
-class TestExactMatmul:
-    def test_small_product_is_exact(self):
-        a = np.array([[2**20, -3], [5, 7]], dtype=np.int64)
-        b = np.array([[2**20, 1], [2, -1]], dtype=np.int64)
-        assert _exact_matmul(a, b).tolist() == [[2**40 - 6, 2**20 + 3], [5 * 2**20 + 14, -2]]
-
-    def test_bound_trips_before_the_product(self):
-        # max|a| max|b| inner = 2^31 * 2^31 * 2 = 2^63: the int64 product
-        # would wrap, so the bound must raise first
-        a = np.full((1, 2), 2**31, dtype=np.int64)
-        b = np.full((2, 1), 2**31, dtype=np.int64)
-        with pytest.raises(OverflowError):
-            _exact_matmul(a, b)
-        assert _exact_matmul(a[:, :1], b[:1]).tolist() == [[2**62]]
 
 
 class TestExponent:

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kohnspec import (
     NonIntegralDimension,
@@ -36,7 +38,6 @@ from kohnspec.group_catalog import from_classes
 from kohnspec.invariant_dims import (
     _ProgressionTraces,
     _bands,
-    _exact_matmul,
     _h_vectors,
     _ramanujan_row,
     _totient,
@@ -53,7 +54,7 @@ from kohnspec.invariant_dims import (
 from kohnspec.spectrum import _cells
 
 from conftest import full_reconcile_sweep
-from reference import char_general, fraction_angles, sphere_dim
+from reference import char_general, exact_matmul, fraction_angles, sphere_dim
 
 
 class TestPinnedDimensions:
@@ -305,7 +306,7 @@ def per_class_series_traces(group, E, p, q):
     out = np.zeros(len(p), dtype=np.int64)
     for cls in group.classes:
         ks = [int(a * E) % E for a in fraction_angles(group, cls)]
-        AC = np.vstack([_exact_matmul(_h_vectors([-k % E for k in ks], E, int(p.max())), CE), zero])
+        AC = np.vstack([exact_matmul(_h_vectors([-k % E for k in ks], E, int(p.max())), CE), zero])
         B = np.vstack([_h_vectors(ks, E, int(q.max())), zero])
         out += cls.mult * (AC[p] * B[q] - AC[p - 1] * B[q - 1]).sum(axis=1)
     return out
@@ -377,6 +378,21 @@ class TestRationalClasses:
             assert [mult for _, mult in _rational_classes(fake)] == [1, 1]
             for name, (p, q) in cell_sets(n, n).items():
                 assert np.array_equal(orbit_traces(fake, p, q), per_class_traces(fake, p, q)), (n, name)
+
+    @settings(max_examples=25, deadline=None)
+    @given(m=st.sampled_from([m for m in range(4, 61) if any(m % k == 0 for k in range(2, m))]),
+           n=st.sampled_from([3, 4]), data=st.data())
+    def test_series_matches_the_per_class_reference(self, m, n, data):
+        # composite exponents, squarefree (6, 30, ...), prime powers (8, 49, ...)
+        # and mixed (12, 60, ...): orbits of several orders o, each traced in Q(zeta_o)
+        units = [r for r in range(1, m) if math.gcd(r, m) == 1]
+        g = make_lens(m, data.draw(st.lists(st.sampled_from(units), min_size=n, max_size=n)))
+        sets = cell_sets(n, data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        p, q = sets[data.draw(st.sampled_from(sorted(sets)))]
+        denom = _totient(g.exponent) * g.order
+        dims, rest = np.divmod(per_class_traces(g, p, q), denom)
+        assert not rest.any(), g.name
+        assert np.array_equal(dim_cells(g, p, q), dims), g.name
 
     def test_bands_bound_their_boxes(self):
         def bands(p, q):

@@ -293,6 +293,8 @@ class TestInt64BoundsPerCell:
             assert _sphere_dims(p, q, n).tolist() == [sphere_dim(a, b, n) for a, b in zip(p, q)]
         with pytest.raises(Int64Limit):
             _sphere_dims(np.array([1, 4 * 10**9]), np.array([1, 4 * 10**9]), 2)
+        with pytest.raises(Int64Limit):     # C(p + 2, 2) fits, binom's last step (p + 1)(p + 2) does not
+            _sphere_dims(np.array([3_100_000_000]), np.array([0]), 3)
         with pytest.raises(Int64Limit):     # C(p + 4, 4) alone passes 2^63
             _sphere_dims(np.array([3 * 10**5, 1]), np.array([1, 3 * 10**5]), 5)
 
