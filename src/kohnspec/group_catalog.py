@@ -28,12 +28,14 @@ angle t whose SU(2) part has eigenvalue angles +-theta has the class
 (t + theta, t - theta); each image element is listed once, by one of its two
 lifts.
 
-Every family also stores exact generator matrices, which only the brute-force
-oracle reads.  An entry is a finite sum of c * exp(2*pi*i*t) with c a
-``Fraction`` and t an angle, held as a tuple of (c, t) terms.  The irrational
-quaternion components of 2O and 2I are such sums too: cos(pi/4) =
-(z8 + z8^-1)/2, phi/2 = (1 + z5 + z5^4)/2 and 1/(2 phi) = (z5 + z5^4)/2, with
-zk = exp(2*pi*i/k) and phi the golden ratio.
+Every family also passes a builder of exact generator matrices, which only
+the brute-force oracle reads: ``QuotientGroup.generators`` runs it on first
+read, so building a group does no exact arithmetic.  An entry is a finite
+sum of c * exp(2*pi*i*t) with c a ``Fraction`` and t an angle, held as a
+tuple of (c, t) terms.  The irrational quaternion components of 2O and 2I
+are such sums too: cos(pi/4) = (z8 + z8^-1)/2, phi/2 = (1 + z5 + z5^4)/2
+and 1/(2 phi) = (z5 + z5^4)/2, with zk = exp(2*pi*i/k) and phi the golden
+ratio.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property, lru_cache
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import ConstraintError, NonFreeAction, ParseError, SizeLimit
 
@@ -106,7 +108,8 @@ class QuotientGroup:
     Instances are immutable by convention and safe to share; ``exponent``,
     the lcm of the element orders, is read off the classes once, and the
     stored angles are over it.  Equality and hashing are by identity, so
-    caches may key on a group.
+    caches may key on a group.  ``generators`` is a sequence of exact
+    matrices or a zero-argument builder of one.
     """
 
     def __init__(
@@ -119,7 +122,7 @@ class QuotientGroup:
         *,
         params: dict | None = None,
         base: "QuotientGroup | None" = None,
-        generators: Sequence[ExactMatrix] | None = None,
+        generators: Sequence[ExactMatrix] | Callable[[], Sequence[ExactMatrix]] = (),
         expect_free: bool = True,
     ):
         self.name = name
@@ -131,7 +134,7 @@ class QuotientGroup:
         self.order = sum(c.mult for c in self.classes)
         self.params = dict(params or {})
         self.base = base
-        self.generators = tuple(generators or ())
+        self._generators = generators
 
         if self.n < 2:
             raise ConstraintError("ambient dimension must be at least 2")
@@ -145,6 +148,11 @@ class QuotientGroup:
             raise ConstraintError(f"identity class must appear with multiplicity 1, got {id_mult}")
         if expect_free:
             _require_free(self, f"group {name} does not act freely:")
+
+    @cached_property
+    def generators(self) -> tuple[ExactMatrix, ...]:
+        """The exact generator matrices, built on first read."""
+        return tuple(self._generators() if callable(self._generators) else self._generators)
 
     def __repr__(self) -> str:
         return f"QuotientGroup({self.name!r}, n={self.n}, order={self.order}, classes={len(self.classes)})"
@@ -246,8 +254,8 @@ def make_cyclic(m: int) -> QuotientGroup:
         raise ConstraintError("cyclic order m must be >= 1")
     _require_order(f"cyclic:{m}", m)
     classes = [((j, -j), 1) for j in range(m)]
-    gen = _diag(Fraction(1, m), Fraction(-1, m))
-    return QuotientGroup(f"cyclic:{m}", "cyclic", 2, m, classes, params={"m": m}, generators=[gen])
+    return QuotientGroup(f"cyclic:{m}", "cyclic", 2, m, classes, params={"m": m},
+                         generators=lambda: [_diag(Fraction(1, m), Fraction(-1, m))])
 
 
 def make_lens(m: int, rotations: Sequence[int]) -> QuotientGroup:
@@ -274,8 +282,8 @@ def _make_lens(m: int, rotations: tuple[int, ...]) -> QuotientGroup:
                 f"the generator has a fixed point on the sphere"
             )
     classes = [(tuple(j * q for q in rotations), 1) for j in range(m)]
-    gen = _diag(*(Fraction(q, m) for q in rotations))
-    return QuotientGroup(name, "lens", n, m, classes, params={"m": m}, generators=[gen])
+    return QuotientGroup(name, "lens", n, m, classes, params={"m": m},
+                         generators=lambda: [_diag(*(Fraction(q, m) for q in rotations))])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -287,8 +295,8 @@ def make_binary_dihedral(m: int) -> QuotientGroup:
     _require_order(f"bindih:{2 * m}", 4 * m)
     # angles over 4m: j/2m on the cyclic part, 1/4 and 3/4 off it
     classes = [((2 * j, -2 * j), 1) for j in range(2 * m)] + [((m, 3 * m), 2 * m)]
-    gens = [_diag(Fraction(1, 2 * m), Fraction(-1, 2 * m)), _quat_matrix(*_QJ)]
-    return QuotientGroup(f"bindih:{2 * m}", "bindih", 2, 4 * m, classes, params={"m": m}, generators=gens)
+    return QuotientGroup(f"bindih:{2 * m}", "bindih", 2, 4 * m, classes, params={"m": m},
+                         generators=lambda: [_diag(Fraction(1, 2 * m), Fraction(-1, 2 * m)), _quat_matrix(*_QJ)])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -297,8 +305,7 @@ def make_binary_tetrahedral() -> QuotientGroup:
     half-integer unit quaternions (traces +-1)."""
     classes = _classes_over(make_binary_dihedral(2), 12)
     classes += [((2, 10), 8), ((4, 8), 8)]   # angles 1/6, 5/6 and 1/3, 2/3
-    gens = [_quat_matrix(*_QI), _quat_matrix(*_QH)]
-    return QuotientGroup("2T", "2T", 2, 12, classes, generators=gens)
+    return QuotientGroup("2T", "2T", 2, 12, classes, generators=lambda: [_quat_matrix(*_QI), _quat_matrix(*_QH)])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -311,8 +318,8 @@ def make_binary_octahedral() -> QuotientGroup:
         ((3, 21), 6),    # 1/8, 7/8
         ((9, 15), 6),    # 3/8, 5/8
     ]
-    gens = [*make_binary_tetrahedral().generators, _quat_matrix(_HALF_SQRT2, _HALF_SQRT2, (), ())]
-    return QuotientGroup("2O", "2O", 2, 24, classes, generators=gens)
+    return QuotientGroup("2O", "2O", 2, 24, classes, generators=lambda: [
+        *make_binary_tetrahedral().generators, _quat_matrix(_HALF_SQRT2, _HALF_SQRT2, (), ())])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -329,9 +336,8 @@ def make_binary_icosahedral() -> QuotientGroup:
         ((6, 54), 12),   # 1/10, 9/10: real part +phi/2
         ((24, 36), 12),  # 2/5, 3/5: real part -phi/2
     ]
-    gens = [*make_binary_tetrahedral().generators,
-            _quat_matrix(_HALF_PHI, _HALF_INV_PHI, _rational(HALF), ())]
-    return QuotientGroup("2I", "2I", 2, 60, classes, generators=gens)
+    return QuotientGroup("2I", "2I", 2, 60, classes, generators=lambda: [
+        *make_binary_tetrahedral().generators, _quat_matrix(_HALF_PHI, _HALF_INV_PHI, _rational(HALF), ())])
 
 
 def _product_constraint(base: QuotientGroup) -> int:
@@ -360,9 +366,8 @@ def make_product_with_center(base: QuotientGroup, l: int) -> QuotientGroup:
     classes = [(tuple(k + s for k in angles), mult)
                for angles, mult in _classes_over(base, den) for s in shifts]
     name = f"{base.name}xC:{l}"
-    gens = [*base.generators, _diag(Fraction(1, l), Fraction(1, l))]
-    group = QuotientGroup(name, "product", 2, den, classes, params={"l": l},
-                          base=base, generators=gens, expect_free=False)
+    group = QuotientGroup(name, "product", 2, den, classes, params={"l": l}, base=base, expect_free=False,
+                          generators=lambda: [*base.generators, _diag(Fraction(1, l), Fraction(1, l))])
     _require_free(group, f"{name}: scalar order l={l} must be coprime to {constraint};")
     return group
 
@@ -401,8 +406,8 @@ def make_q_semidirect(l: int) -> QuotientGroup:
             classes.append((_twisted(2 * k, 12 * l), 4))
         else:
             classes += [(_twisted(2 * k, 18 * l), 1), (_twisted(2 * k, 9 * l), 3)]
-    gens = [_quat_matrix(*_QI), _quat_matrix(*_QJ), _quat_matrix(*_QH, phase=Fraction(1, big_p))]
-    return QuotientGroup(f"qsemi:{l}", "qsemi", 2, 2 * big_p, classes, params={"l": l}, generators=gens)
+    return QuotientGroup(f"qsemi:{l}", "qsemi", 2, 2 * big_p, classes, params={"l": l}, generators=lambda: [
+        _quat_matrix(*_QI), _quat_matrix(*_QJ), _quat_matrix(*_QH, phase=Fraction(1, big_p))])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -439,7 +444,7 @@ def make_cyclic_semidirect(m: int, l: int) -> QuotientGroup:
     group = QuotientGroup(
         name, "cycsemi", 2, den, classes,
         params={"m": m, "l": l},
-        generators=[
+        generators=lambda: [
             _diag(Fraction(1, 2 * m), Fraction(-1, 2 * m)),
             _quat_matrix(*_QJ, phase=Fraction(1, big_p)),
         ],

@@ -55,7 +55,9 @@ MAX_SERIES_ENTRIES = 1 << 24
 _BAND_SLACK = 64
 
 # most cells one enumeration may hold: building a spectrum table peaks near
-# 80 bytes per cell, so the budget caps one table near 0.35 GB
+# 65 bytes per cell (tracemalloc, 2I at lambda 4e5, counting_function and
+# weyl_report alike; 74 for lens:5:1,2,3, in the n >= 3 kernel), so the
+# budget caps one table near 0.3 GB
 MAX_CELLS = 1 << 22
 
 
@@ -77,13 +79,6 @@ def _totient(n: int) -> int:
     for p in _factorize(n):
         out = out // p * (p - 1)
     return out
-
-
-def _mobius(n: int) -> int:
-    fac = _factorize(n)
-    if any(e > 1 for e in fac.values()):
-        return 0
-    return -1 if len(fac) % 2 else 1
 
 
 def _ramanujan_divisors(o: int) -> list[tuple[int, int]]:
@@ -142,8 +137,8 @@ def _sphere_dims(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
     """sphere_dim elementwise: C(p+n-1, n-1) C(q+n-1, n-1) minus the same at
     (p-1, q-1)."""
     def binom(x):   # C(x + n - 1, n - 1), exact at every step, 0 at x = -1
-        out = np.ones_like(x)
-        for i in range(1, n):
+        out = x + 1
+        for i in range(2, n):
             out = out * (x + i) // i
         return out
     # no cell need pair the largest p with the largest q: bound binom's last

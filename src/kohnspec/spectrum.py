@@ -63,48 +63,51 @@ class SpectrumEntry:
 
 
 class SpectrumTable:
-    """Sorted positive spectrum up to a cutoff, held as arrays.
+    """Positive spectrum up to a cutoff, held as one slot per half-eigenvalue.
 
-    ``eigenvalues`` are the distinct eigenvalues <= lambda_max in ascending
-    order and ``mults`` their multiplicities.  An eigenvalue of multiplicity
-    zero is kept whenever the sphere has a contributing bidegree space:
-    explicit zeros matter for comparisons.
+    ``slots[h]`` is the multiplicity of the eigenvalue 2h, for 2h <=
+    lambda_max, and 0 where no bidegree space contributes.  ``entries`` keeps
+    an eigenvalue of multiplicity zero whenever the sphere has a contributing
+    bidegree space: explicit zeros matter for comparisons.
     """
 
     def __init__(self, lambda_max, n: int, p: np.ndarray, q: np.ndarray, dims: np.ndarray):
-        """Bucket the cells from _cells, with their dimensions, by eigenvalue."""
-        half = q * (p + n - 1)
-        starts = np.flatnonzero(np.diff(half, prepend=0))
+        """Sum the dimensions of the cells from _cells into the slots of their
+        half-eigenvalues q(p + n - 1); no cell is sorted."""
         _require_int64(len(dims) * int(dims.max(initial=0)))
         self.lambda_max = int(lambda_max)
-        self.eigenvalues = 2 * half[starts]
-        self.mults = np.add.reduceat(dims, starts) if len(starts) else dims
-        self._cumulative = np.cumsum(self.mults)
-        self._p, self._q, self._starts = p, q, starts
+        self.slots = np.zeros(max(self.lambda_max // 2, 0) + 1, dtype=np.int64)
+        np.add.at(self.slots, q * (p + n - 1), dims)
+        self._cumulative = np.cumsum(self.slots)
+        self._n, self._p, self._q = n, p, q
 
     def count(self, lam: float) -> int:
         """N(lam): number of positive eigenvalues <= lam, with multiplicity."""
-        if lam >= self.lambda_max:
-            i = len(self.eigenvalues)
-        else:   # the eigenvalues are integers, so lam counts as its floor
-            i = int(np.searchsorted(self.eigenvalues, math.floor(lam), side="right"))
-        return int(self._cumulative[i - 1]) if i else 0
+        # the eigenvalues are even integers, so lam counts as its floor
+        h = len(self.slots) - 1 if lam >= self.lambda_max else math.floor(lam) // 2
+        return int(self._cumulative[h]) if h >= 0 else 0
 
     @property
     def entries(self) -> list[SpectrumEntry]:
-        """One entry per eigenvalue with its contributing bidegrees by
-        ascending q, built afresh on each read."""
-        p, q = self._p.tolist(), self._q.tolist()
-        bounds = self._starts.tolist() + [len(p)]
+        """One entry per eigenvalue with a contributing bidegree, in ascending
+        order, its contributors by ascending q: one stable sort of the q-major
+        cells by eigenvalue, done afresh on each read."""
+        half = self._q * (self._p + self._n - 1)
+        order = np.argsort(half, kind="stable")
+        half = half[order]
+        starts = np.flatnonzero(np.diff(half, prepend=0))
+        heads = half[starts]
+        p, q = self._p[order].tolist(), self._q[order].tolist()
+        bounds = starts.tolist() + [len(p)]
         return [
-            SpectrumEntry(lam, mult, list(zip(p[a:b], q[a:b])))
-            for lam, mult, a, b in zip(self.eigenvalues.tolist(), self.mults.tolist(), bounds, bounds[1:])
+            SpectrumEntry(2 * h, mult, list(zip(p[a:b], q[a:b])))
+            for h, mult, a, b in zip(heads.tolist(), self.slots[heads].tolist(), bounds, bounds[1:])
         ]
 
 
 def _cells(n: int, lambda_max) -> tuple[np.ndarray, np.ndarray]:
     """Every bidegree (p, q), q >= 1, with eigenvalue 2q(p + n - 1) <= lambda_max,
-    sorted by eigenvalue and then by q."""
+    row by row: by ascending q and then p."""
     half_max = int(lambda_max) // 2
     what = f"the spectrum up to lambda {lambda_max}"
     # the q = 1 row alone holds half_max - n + 2 cells: refuse a cutoff that
@@ -114,9 +117,7 @@ def _cells(n: int, lambda_max) -> tuple[np.ndarray, np.ndarray]:
     width = half_max // q - (n - 1) + 1
     require_cells(int(width.sum()), what)
     q = np.repeat(q, width)
-    p = np.arange(len(q)) - np.repeat(np.cumsum(width) - width, width)
-    order = np.lexsort((q, q * (p + n - 1)))
-    return p[order], q[order]
+    return np.arange(len(q)) - np.repeat(np.cumsum(width) - width, width), q
 
 
 def counting_function(group: QuotientGroup, lambda_max: int) -> SpectrumTable:
@@ -266,8 +267,8 @@ def weyl_report(group: QuotientGroup, grid) -> WeylReport:
     lam_max = grid[-1]
     table = counting_function(group, lam_max)
     n_quot = [table.count(lam) for lam in grid]
-    # the sphere's table on the same sorted cells: no second sort, and each
-    # grid point is one search
+    # the sphere's table on the same cells, so each grid point reads the
+    # same slot of both cumulative sums
     sphere = SpectrumTable(lam_max, n, table._p, table._q, _sphere_dims(table._p, table._q, n))
     n_sph = [sphere.count(lam) for lam in grid]
     ratios = [ns / ng if ng else math.inf for ns, ng in zip(n_sph, n_quot)]
@@ -305,14 +306,14 @@ class SpectrumComparison:
 
 def compare_spectra(a: QuotientGroup, b: QuotientGroup, lambda_max: int) -> SpectrumComparison:
     """Least eigenvalue <= lambda_max whose multiplicities differ: the first
-    differing entry of the two counting tables, which share one set of cells."""
+    differing slot of the two counting tables, which share one set of cells."""
     if a.n != b.n:
         raise ConstraintError("groups must act on the same sphere")
     p, q = _cells(a.n, lambda_max)
     ta = SpectrumTable(lambda_max, a.n, p, q, dim_cells(a, p, q))
     tb = SpectrumTable(lambda_max, b.n, p, q, dim_cells(b, p, q))
-    differ = np.flatnonzero(ta.mults != tb.mults)
+    differ = np.flatnonzero(ta.slots != tb.slots)
     if not len(differ):
         return SpectrumComparison(int(lambda_max), None, None, None)
-    i = differ[0]
-    return SpectrumComparison(int(lambda_max), int(ta.eigenvalues[i]), int(ta.mults[i]), int(tb.mults[i]))
+    h = int(differ[0])
+    return SpectrumComparison(int(lambda_max), 2 * h, int(ta.slots[h]), int(tb.slots[h]))

@@ -12,7 +12,8 @@ these.  fraction_angles reads a class's integer angles k over the group
 exponent E as the Fractions k/E of a turn that char_general takes, and
 class_multiset and element_orders are the structural fingerprints built on
 them.  exact_matmul is the overflow-guarded int64 product of the per-class
-E x E Ramanujan kernel that the n >= 3 engine is checked against.
+E x E Ramanujan kernel that the n >= 3 engine is checked against, and
+mobius, by trial division, checks the engine's Ramanujan divisor signs.
 
 The oracle's full stacked-matrix rank lives here: the whole monomial space of
 bidegree (p, q), the Laplacian built monomial by monomial, and the actions of
@@ -42,6 +43,19 @@ from kohnspec.group_catalog import Angle, ConjugacyClass, QuotientGroup
 from kohnspec.invariant_dims import _sphere_dims
 from kohnspec.oracle import _BASIS_LIMIT, ElementAction, _prime, _rank, modular_image, monomial_exponents
 from kohnspec.spectrum import SpectrumTable, _cells, _floor_runs, _within_tail_bound, xi_bound
+
+
+def mobius(n: int) -> int:
+    """The Moebius function by trial division."""
+    out, d = 1, 2
+    while n > 1:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return out
 
 
 def fraction_angles(group: QuotientGroup, c: ConjugacyClass) -> tuple[Fraction, ...]:

@@ -25,9 +25,9 @@ from kohnspec import (
     pg_polynomial,
     reconstruct_dims,
 )
-from kohnspec.invariant_dims import _mobius, _ramanujan_row, _totient
+from kohnspec.invariant_dims import _ramanujan_divisors, _ramanujan_row, _totient
 from kohnspec.oracle import modular_image
-from reference import element_orders
+from reference import element_orders, mobius
 
 
 GENFUN_GROUPS = [
@@ -51,8 +51,12 @@ class TestNumberTheoryHelpers:
     def test_totient(self):
         assert [_totient(k) for k in (1, 2, 6, 12, 60)] == [1, 1, 2, 4, 16]
 
-    def test_mobius(self):
-        assert [_mobius(k) for k in (1, 2, 4, 6, 30)] == [1, -1, 0, 1, -1]
+    def test_ramanujan_divisors(self):
+        # each divisor d of o with mu(o/d) != 0, paired with mu(o/d)
+        assert [mobius(k) for k in (1, 2, 4, 6, 30)] == [1, -1, 0, 1, -1]
+        for o in range(1, 61):
+            want = sorted((d, mobius(o // d)) for d in range(1, o + 1) if o % d == 0 and mobius(o // d))
+            assert sorted(_ramanujan_divisors(o)) == want, o
 
     def test_ramanujan_row_sums(self):
         # row sums over one period vanish for E > 1 (geometric cancellation)

@@ -13,7 +13,9 @@ from kohnspec import (
     ConstraintError,
     NonFreeAction,
     SizeLimit,
+    c_group,
     check_free_action,
+    counting_function,
     from_classes,
     make_binary_dihedral,
     make_binary_icosahedral,
@@ -24,8 +26,11 @@ from kohnspec import (
     make_lens,
     make_product_with_center,
     make_q_semidirect,
+    oracle_check,
     parse_group_spec,
+    weyl_report,
 )
+from kohnspec import group_catalog
 from kohnspec.group_catalog import MAX_ORDER, ZERO
 from reference import class_multiset, element_orders, fraction_angles
 
@@ -264,6 +269,36 @@ class TestMatrixAgreement:
             z1, z2 = (pow(image.root, int(t * image.E), ell) for t in fraction_angles(group, cls))
             listed[(z1 + z2) % ell, z1 * z2 % ell] += cls.mult
         assert generated == listed
+
+
+LAZY_SPECS = ["cyclic:8", "lens:5:1,2,3", "bindih:12", "2T", "2O", "2I", "2IxC:7", "qsemi:1", "cycsemi:3:2"]
+
+
+class TestLazyGenerators:
+    """Exact generator matrices are built on the first read of .generators,
+    which only the oracle does."""
+
+    def test_counting_builds_no_exact_entries(self, monkeypatch):
+        def refuse(*terms):
+            raise AssertionError("an exact generator entry was built")
+
+        for fn in vars(group_catalog).values():
+            if getattr(fn, "__name__", "").lstrip("_").startswith("make_") and hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+        monkeypatch.setattr(group_catalog, "_cyc", refuse)
+        groups = [parse_group_spec(spec) for spec in LAZY_SPECS]
+        for g in groups:
+            counting_function(g, 120)
+            weyl_report(g, [60, 120])
+            c_group(g, 12)
+        monkeypatch.undo()
+        two_i = groups[LAZY_SPECS.index("2I")]
+        assert all(ok for *_, ok in oracle_check(two_i, 4))
+
+    @pytest.mark.parametrize("spec", LAZY_SPECS)
+    def test_generators_are_the_builders(self, spec):
+        g = parse_group_spec(spec)
+        assert g.generators and g.generators == tuple(g._generators())
 
 
 class TestInvariants:

@@ -54,7 +54,7 @@ from kohnspec.invariant_dims import (
 from kohnspec.spectrum import _cells
 
 from conftest import full_reconcile_sweep
-from reference import char_general, exact_matmul, fraction_angles, sphere_dim
+from reference import char_general, exact_matmul, fraction_angles, mobius, sphere_dim
 
 
 class TestPinnedDimensions:
@@ -161,21 +161,9 @@ class TestReconcile:
             assert reconcile(g, 36).ok, g.name
 
 
-def _mobius(n: int) -> int:
-    out, d = 1, 2
-    while n > 1:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            out = -out
-        d += 1
-    return out
-
-
 def _ramanujan(E: int, r: int) -> int:
     """c_E(r), the trace of zeta_E^r down to Q: sum of d mu(E/d) over d | (r, E)."""
-    return sum(d * _mobius(E // d) for d in range(1, E + 1) if E % d == 0 and r % d == 0)
+    return sum(d * mobius(E // d) for d in range(1, E + 1) if E % d == 0 and r % d == 0)
 
 
 def traced_average(group, p: int, q: int) -> int:

@@ -33,6 +33,7 @@ from kohnspec.errors import ConstraintError, SizeLimit
 from kohnspec.invariant_dims import _sphere_dims, dim_cells
 from kohnspec.spectrum import (
     SpectrumEntry,
+    _cells,
     eigenvalue_bidegrees,
     sphere_volume,
     weyl_integral_coefficients,
@@ -326,6 +327,15 @@ class TestArrayTable:
         p, q = reference_cells(n, lam_max)
         entries = reference_entries(n, p, q, _sphere_dims(p, q, n))
         self.assert_matches(sphere_counting_table(n, lam_max), entries, lam_max)
+
+    @pytest.mark.parametrize("n, lam_max", [(2, 240), (3, 160), (4, 100)])
+    def test_cells_are_q_major(self, n, lam_max):
+        # row by row, unsorted by eigenvalue: the table sorts only for entries
+        p, q = _cells(n, lam_max)
+        assert (p.dtype, q.dtype) == (np.int64, np.int64)
+        assert np.all(np.diff(q) >= 0) and np.all((np.diff(p) == 1) | (np.diff(q) == 1))
+        ref = reference_cells(n, lam_max)
+        assert sorted(zip(p.tolist(), q.tolist())) == sorted(zip(*(a.tolist() for a in ref)))
 
     def test_empty_table(self):
         for table in (counting_function(make_lens(5, (1, 2, 3)), 3), sphere_counting_table(3, 3)):
