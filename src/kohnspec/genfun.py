@@ -27,14 +27,14 @@ from .invariant_dims import dim_cells, require_cells
 
 
 def fg_coefficients(group: QuotientGroup, ceiling: int) -> np.ndarray:
-    """Series coefficients of F(z, w) for p, q <= ceiling: the invariant
-    dimensions on the square of cells, counted against the cell budget and
-    evaluated in one engine call."""
+    """Series coefficients F[p, q] of F(z, w) for p, q <= ceiling: the
+    invariant dimensions on the square, counted against the cell budget and
+    evaluated in one engine call row by row in q, then transposed."""
     if ceiling < 0:
         raise ConstraintError("ceiling must be nonnegative")
     require_cells((ceiling + 1) ** 2, f"the series square p, q <= {ceiling}")
-    p, q = np.indices((ceiling + 1, ceiling + 1), dtype=np.int64)
-    return dim_cells(group, p.ravel(), q.ravel()).reshape(p.shape)
+    q, p = np.indices((ceiling + 1, ceiling + 1), dtype=np.int64)
+    return dim_cells(group, p.ravel(), q.ravel()).reshape(p.shape).T
 
 
 @dataclass

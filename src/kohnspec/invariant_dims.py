@@ -9,9 +9,9 @@ have equal traces, so the engine takes one trace per rational class,
 weighted by the orbit's summed multiplicity.  The average is then the exact
 quotient of the weighted trace sum by phi(E) |G|: a sum that is not
 divisible, or a quotient outside [0, sphere_dim], raises
-NonIntegralDimension.  No float enters, and every int64 product is
-preceded by an a-priori magnitude bound that raises Int64Limit, an
-OverflowError, before the product is formed.
+NonIntegralDimension; sphere_dim is Folland's product form.  No float
+enters, and every int64 product is preceded by a magnitude bound, a priori
+or per cell, that raises Int64Limit, an OverflowError, before it is formed.
 
 For n = 2 the central orbits trace to (p + q + 1) c_E(k (q - p)), the others
 to differences of prefix-sum rows of c_E, E int64 per distinct divisor of E.
@@ -20,9 +20,10 @@ only, over the E x E square once a request holds E^2 cells and at each
 cell's residues below that.  For n >= 3 each orbit of element order o is
 traced in its own field Q(zeta_o), by Ramanujan's divisor sum for c_o: the
 traces of all rational classes at once are one int64 matrix product
-T = (G w) G^T of a table of h-vectors summed into d residues, d | o, read
-at T[p, q] - T[p-1, q-1]; it is formed over bands of the requested cells
-whose bounding boxes hold at most about twice their cells.
+T = (G w) G^T of a table of h-vectors summed into d residues, d | o,
+formed over bands of the requested cells whose bounding boxes hold at most
+about twice their cells; cells, sorted by q only if they are not already,
+read T[p, q] - T[p-1, q-1] in one flat gather per chunk of a band.
 
 dim_cells evaluates whole arrays of cells in one call, dim_triangle every
 cell with p + q <= pq_max, and dim_invariant one cell.  No result is
@@ -55,37 +56,34 @@ MAX_SERIES_ENTRIES = 1 << 24
 _BAND_SLACK = 64
 
 # most cells one enumeration may hold: building a spectrum table peaks near
-# 65 bytes per cell (tracemalloc, 2I at lambda 4e5, counting_function and
-# weyl_report alike; 74 for lens:5:1,2,3, in the n >= 3 kernel), so the
-# budget caps one table near 0.3 GB
+# 64 bytes per cell (tracemalloc, 2I at lambda 4e5, counting_function and
+# weyl_report alike; 58 for lens:5:1,2,3 at lambda 4e5), so the budget caps
+# one table near 0.3 GB
 MAX_CELLS = 1 << 22
 
 
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
+def _primes(n: int) -> list[int]:
+    """The distinct prime divisors of n, ascending."""
+    out, d = [], 2
     while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
         d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    return out + [n] * (n > 1)
 
 
 def _totient(n: int) -> int:
-    out = n
-    for p in _factorize(n):
-        out = out // p * (p - 1)
-    return out
+    primes = _primes(n)
+    return n // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
 def _ramanujan_divisors(o: int) -> list[tuple[int, int]]:
     """(d, mu(o / d)) for each divisor d of o with o / d squarefree: the
     Ramanujan sum c_o(r) is the sum of mu(o / d) d over those d that divide r."""
     out = [(o, 1)]
-    for prime in _factorize(o):
+    for prime in _primes(o):
         out += [(d // prime, -mu) for d, mu in out]
     return out
 
@@ -134,27 +132,39 @@ def triangle_cells(pq_max: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sphere_dims(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
-    """sphere_dim elementwise: C(p+n-1, n-1) C(q+n-1, n-1) minus the same at
-    (p-1, q-1)."""
-    def binom(x):   # C(x + n - 1, n - 1), exact at every step, 0 at x = -1
-        out = x + 1
-        for i in range(2, n):
-            out = out * (x + i) // i
-        return out
-    # no cell need pair the largest p with the largest q: bound binom's last
-    # step, (n - 1) C(x + n - 1, n - 1) at the largest x, then each cell's product
-    _require_int64(max(math.comb(int(x.max(initial=0)) + n - 1, n - 1) for x in (p, q)) * (n - 1))
-    bp, bq = binom(p), binom(q)
-    # only a cell whose bp the largest bq would carry past 2^63 needs its own check
-    near = np.flatnonzero(bp > (2**63 - 1) // max(int(bq.max(initial=0)), 1))
-    over = near[bp[near] > (2**63 - 1) // np.maximum(bq[near], 1)]
-    if len(over):
-        _require_int64(int(bp[over[0]]) * int(bq[over[0]]))
-    # in place, and bq freed first: a table may hold millions of cells
-    bp *= bq
-    del bq
-    bp -= binom(p - 1) * binom(q - 1)
-    return bp
+    """sphere_dim elementwise, in Folland's product form (p + q + n - 1)
+    C(p + n - 2, n - 2) C(q + n - 2, n - 2) / (n - 1).  Int64Limit is raised
+    only where that product passes 2^63: a priori on the axis of the largest
+    p or q, else for a cell whose dimension, taken in Python integers, does."""
+    top = 2**63 - 1
+    def exact(cells):   # these cells' dimensions in Python integers, checked
+        dims = [(a + b + n - 1) * math.comb(a + n - 2, n - 2) * math.comb(b + n - 2, n - 2) // (n - 1)
+                for a, b in zip(p[cells].tolist(), q[cells].tolist())]
+        _require_int64(max(dims, default=0))
+        return dims
+    def times(x, y):    # x *= y, zeroing first the cells whose product passes 2^63, returned
+        near = np.flatnonzero(x > top // int(y.max(initial=1)))     # no other cell can
+        over = near[x[near] > top // y[near]]
+        x[over] = 0
+        x *= y
+        return over
+    # the product at (x, 0), x the largest p or q, bounds every step below and
+    # every cell at x; no cell need pair the largest p with the largest q
+    x = max(int(p.max(initial=0)), int(q.max(initial=0)))
+    _require_int64((x + n - 1) * math.comb(x + n - 2, n - 2))
+    if 2 * x + n - 1 > top:     # only then can p + q + n - 1 wrap
+        exact(np.flatnonzero(p > top - (n - 1) - q))
+    s = p + q + (n - 1)
+    if n == 2:
+        return s
+    a, b = p + 1, q + 1     # C(x + n - 2, n - 2) at x = p and q, exact at every step
+    for i in range(2, n - 1):
+        a, b = a * (p + i) // i, b * (q + i) // i
+    # a b past 2^63 puts the dimension past it too, so exact raises there
+    over = np.concatenate([times(a, b), times(a, s)])
+    a //= n - 1
+    a[over] = exact(over)
+    return a
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -332,29 +342,29 @@ def _series_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -
     the weighted traces of the first product over the rational classes, and
     cell (p, q) reads T[p, q] - T[p-1, q-1].  T is formed one band of cells
     at a time, in chunks of rows q near _BLOCK_ENTRIES entries, once the
-    band's own rows bound every entry it reads below 2^63."""
+    band's own rows bound every entry it reads below 2^63; a chunk reads its
+    cells, sorted by q unless they already are, in one flat gather."""
     G, w, abs_weight = _series_tables(group, E, int(max(p.max(), q.max())))
-    row_max = G.max(axis=1)
-    order = np.argsort(q, kind="stable")
-    ps, qs = p[order], q[order]
+    order = None if (q[1:] >= q[:-1]).all() else np.argsort(q, kind="stable")
+    p, q = (p, q) if order is None else (p[order], q[order])
     traces = np.empty(len(p), dtype=np.int64)
-    for start, stop, lo, hi in _bands(ps, qs):
-        q_lo, q_hi = int(qs[start]), int(qs[stop - 1])
-        # the band reads rows lo .. hi + 1 as p, q_lo .. q_hi + 1 as q.  Each block of
-        # the row of degree x sums to its C(x + n - 1, n - 1) monomials, so G[p] |w| is
-        # at most that count at x = hi times abs_weight, and no partial sum of
-        # (G[q] w) . G[p] exceeds it times max G[q]
+    for start, stop, lo, hi in _bands(p, q):
+        q_lo, q_hi = int(q[start]), int(q[stop - 1])
+        # the band reads rows lo .. hi + 1 as p, q_lo .. q_hi + 1 as q.  Each block of the row
+        # of degree x sums to its C(x + n - 1, n - 1) monomials, so G[p] |w| is at most that
+        # count at x = hi times abs_weight, and no partial sum of (G[q] w) . G[p] exceeds it times max G[q]
         _require_int64(2 * math.comb(hi + group.n - 1, group.n - 1) * abs_weight
-                       * int(row_max[q_lo:q_hi + 2].max()))
+                       * int(G[q_lo:q_hi + 2].max()))
         cols = G[lo:hi + 2].T       # columns p = lo - 1 .. hi
-        step = max(1, _BLOCK_ENTRIES // (hi - lo + 2))
+        width = hi - lo + 1
+        step = max(1, _BLOCK_ENTRIES // (width + 1))
         for q0 in range(q_lo, q_hi + 1, step):
-            i, j = start + np.searchsorted(qs[start:stop], [q0, q0 + step])
+            i, j = start + np.searchsorted(q[start:stop], [q0, q0 + step])
             if i == j:
                 continue
             T = (G[q0:min(q0 + step, q_hi + 1) + 1] * w) @ cols      # rows q = q0 - 1 .. min(q0 + step - 1, q_hi)
-            r, c = qs[i:j] - q0, ps[i:j] - lo
-            traces[order[i:j]] = T[r + 1, c + 1] - T[r, c]
+            D = T[1:, 1:] - T[:-1, :-1]     # D[q - q0, p - lo] is cell (p, q)'s T[p, q] - T[p-1, q-1]
+            traces[slice(i, j) if order is None else order[i:j]] = D.ravel()[(q[i:j] - q0) * width + (p[i:j] - lo)]
     return traces
 
 

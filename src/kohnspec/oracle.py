@@ -65,7 +65,7 @@ import numpy as np
 
 from .errors import ClosureMismatch, ReductionError, SizeLimit, _require_int64
 from .group_catalog import Cyclotomic, QuotientGroup
-from .invariant_dims import _factorize, dim_triangle
+from .invariant_dims import _primes, dim_triangle
 
 _BASIS_LIMIT = 4000
 # estimated multiply-adds of one oracle_check, closure plus elimination on the
@@ -110,7 +110,7 @@ def _prime(E: int, floor: int, denominators) -> int:
 def _root_of_unity(E: int, ell: int) -> int:
     """A primitive E-th root of unity mod ell, for E dividing ell - 1."""
     candidates = (pow(x, (ell - 1) // E, ell) for x in range(2, ell))
-    return next(r for r in candidates if all(pow(r, E // f, ell) != 1 for f in _factorize(E)))
+    return next(r for r in candidates if all(pow(r, E // f, ell) != 1 for f in _primes(E)))
 
 
 class ModularImage(NamedTuple):

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import kohnspec
 from kohnspec import ConstraintError, NonFreeAction, ParseError, errors, parse_group_spec
 from kohnspec.cli import build_parser, run
+from kohnspec.invariant_dims import closed_form_cyclic
 
 REPRODUCE_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "reproduce_golden.json"
 CLI_GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
@@ -298,10 +299,18 @@ class TestDeterminismAndExitCodes:
             run(["dims", "--group", "cyclic:3", "--p", "1", "--q", "1"])
 
     def test_int64_limit_is_user_error(self, capsys):
-        code, out, err = capture(capsys, ["dims", "--group", "cyclic:3", "--p", "4000000000",
-                                          "--q", "4000000000"])
+        code, out, err = capture(capsys, ["dims", "--group", "qsemi:101", "--p", "600000000000",
+                                          "--q", "600000000000"])
         assert (code, out) == (1, "")
         assert err.startswith("error: exact integer intermediate") and err.count("\n") == 1
+
+    def test_large_cell_within_int64_is_answered(self, capsys):
+        # its sphere dimension 8e9 + 1 fits int64, though C(p + 1, 1) C(q + 1, 1) does not
+        code, out, _ = capture(capsys, ["dims", "--group", "cyclic:3", "--p", "4000000000",
+                                        "--q", "4000000000", "--format", "json"])
+        assert code == 0
+        assert json.loads(out) == {"group": "cyclic:3", "p": 4000000000, "q": 4000000000, "dim": 2666666667}
+        assert closed_form_cyclic(3, 4 * 10**9, 4 * 10**9) == 2666666667
 
     def test_oracle_budget_trips_fast(self, capsys):
         start = time.perf_counter()

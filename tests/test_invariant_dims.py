@@ -19,6 +19,7 @@ from kohnspec import (
     UnsupportedFamily,
     dim_closed_form,
     dim_invariant,
+    fg_coefficients,
     make_binary_dihedral,
     make_binary_icosahedral,
     make_binary_octahedral,
@@ -311,11 +312,12 @@ def orbit_traces(group, p, q):
 
 
 def cell_sets(n, seed):
-    """Named cell sets: square, triangle, hyperbola, scattered, unsorted,
-    duplicated and single."""
+    """Named cell sets: square (p-major and q-major), triangle, hyperbola,
+    scattered, unsorted, duplicated and single."""
     rng = np.random.default_rng(seed)
     p, q = np.indices((25, 25), dtype=np.int64)
     square = (p.ravel(), q.ravel())
+    q_major = (q.ravel(), p.ravel())
     tri = triangle_cells(30)
     hyper = _cells(n, 400)
     scattered = (rng.integers(0, 60, 200), rng.integers(0, 60, 200))
@@ -323,7 +325,7 @@ def cell_sets(n, seed):
     pick = rng.integers(0, len(hyper[0]), 150)
     dup = (np.concatenate([hyper[0][pick], hyper[0][pick[:40]]]), np.concatenate([hyper[1][pick], hyper[1][pick[:40]]]))
     return {
-        "square": square, "triangle": tri, "hyperbola": hyper, "scattered": scattered,
+        "square": square, "q-major square": q_major, "triangle": tri, "hyperbola": hyper, "scattered": scattered,
         "unsorted": (tri[0][perm], tri[1][perm]), "duplicated": dup,
         "single": (np.array([17]), np.array([4])),
     }
@@ -399,6 +401,48 @@ class TestRationalClasses:
             for start, stop, lo, hi in runs:
                 qs = q[order][start:stop]
                 assert (qs[-1] - qs[0] + 1) * (hi - lo + 1) <= 2 * (stop - start) + 64
+
+
+class CountingNumpy:
+    """numpy for one module, counting its argsort calls."""
+
+    def __init__(self):
+        self.argsorts = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def argsort(self, *args, **kwargs):
+        self.argsorts += 1
+        return np.argsort(*args, **kwargs)
+
+
+class TestSortFreeSeries:
+    def test_q_major_requests_are_not_sorted(self, lens3_groups, monkeypatch):
+        counting = CountingNumpy()
+        monkeypatch.setattr(invariant_dims, "np", counting)
+        for g in lens3_groups:
+            sets = cell_sets(g.n, 3)
+            h0 = (np.zeros(g.n, dtype=np.int64), g.exponent * np.arange(g.n, dtype=np.int64))
+            for name, (p, q) in [*((k, sets[k]) for k in ("q-major square", "hyperbola", "single")), ("h0", h0)]:
+                dim_cells(g, p, q)
+                assert counting.argsorts == 0, (g.name, name)
+            dim_cells(g, *sets["triangle"])     # not q-major: one sort
+            assert counting.argsorts == 1, g.name
+            counting.argsorts = 0
+
+    def test_shuffled_cells_give_the_same_dims(self, lens3_groups):
+        rng = np.random.default_rng(11)
+        for g in lens3_groups:
+            for name, (p, q) in cell_sets(g.n, 5).items():
+                perm = rng.permutation(len(p))
+                assert np.array_equal(dim_cells(g, p[perm], q[perm]), dim_cells(g, p, q)[perm]), (g.name, name)
+
+    def test_fg_coefficients_is_the_p_major_square(self, lens3_groups):
+        for g in lens3_groups:
+            p, q = np.indices((41, 41), dtype=np.int64)
+            F = fg_coefficients(g, 40)
+            assert np.array_equal(F, dim_cells(g, p.ravel(), q.ravel()).reshape(p.shape)), g.name
 
 
 # ---------------------------------------------------------------------------

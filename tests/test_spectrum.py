@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -292,12 +293,67 @@ class TestInt64BoundsPerCell:
         for n, big in ((2, 5 * 10**11), (3, 10**6)):
             p, q = np.array([big, 0, 3]), np.array([1, big, 4])
             assert _sphere_dims(p, q, n).tolist() == [sphere_dim(a, b, n) for a, b in zip(p, q)]
-        with pytest.raises(Int64Limit):
-            _sphere_dims(np.array([1, 4 * 10**9]), np.array([1, 4 * 10**9]), 2)
-        with pytest.raises(Int64Limit):     # C(p + 2, 2) fits, binom's last step (p + 1)(p + 2) does not
+        assert _sphere_dims(np.array([1, 4 * 10**9]), np.array([1, 4 * 10**9]), 2).tolist() == [3, 8000000001]
+        with pytest.raises(Int64Limit):     # C(p + 2, 2) fits, the product (p + 2)(p + 1) on its axis does not
             _sphere_dims(np.array([3_100_000_000]), np.array([0]), 3)
         with pytest.raises(Int64Limit):     # C(p + 4, 4) alone passes 2^63
             _sphere_dims(np.array([3 * 10**5, 1]), np.array([1, 3 * 10**5]), 5)
+
+
+def sphere_product(p, q, n):
+    """(p + q + n - 1) C(p + n - 2, n - 2) C(q + n - 2, n - 2), (n - 1) times the sphere dimension."""
+    return (p + q + n - 1) * math.comb(p + n - 2, n - 2) * math.comb(q + n - 2, n - 2)
+
+
+def largest_fitting(n, q):
+    """The largest p whose product with q stays below 2^63."""
+    lo, hi = 0, 2**63
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if sphere_product(mid, q, n) < 2**63 else (lo, mid - 1)
+    return lo
+
+
+class TestSphereProductForm:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_reference_below_the_bound(self, n):
+        rng = random.Random(n)
+        top = largest_fitting(n, 0)
+        cells = []
+        while len(cells) < 300:
+            p, q = rng.randint(0, top), rng.choice([rng.randint(0, 9), rng.randint(0, top)])
+            if sphere_product(p, q, n) < 2**63:
+                cells.append((q, p) if rng.random() < 0.5 else (p, q))
+        p, q = np.array(cells).T
+        assert _sphere_dims(p, q, n).tolist() == [sphere_dim(a, b, n) for a, b in cells]
+
+    def test_n4_cells_on_either_axis(self):
+        # the largest p and the largest q, never in one cell: a bound pairing them would refuse these
+        dims = _sphere_dims(np.array([2 * 10**6, 0]), np.array([0, 2 * 10**6]), 4)
+        assert dims.tolist() == [1333337333337000001] * 2 == [sphere_dim(2 * 10**6, 0, 4)] * 2
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_raises_only_past_the_product_bound(self, n):
+        from kohnspec.errors import Int64Limit
+
+        for q in (0, 1, 2, 7):
+            edge = largest_fitting(n, q)
+            for p in {min(x, 2**63 - 1) for x in (edge - 1, edge, edge + 1, edge + 2, 2 * edge)}:
+                for cell in ((p, q), (q, p)):
+                    try:
+                        got = _sphere_dims(*np.array([cell], dtype=np.int64).T, n).tolist()
+                    except Int64Limit:
+                        assert sphere_product(*cell, n) >= 2**63, cell
+                    else:
+                        assert got == [sphere_dim(*cell, n)], cell
+
+    def test_cells_past_the_product_answer_when_their_dimension_fits(self):
+        # (2.3e9, 1) at n = 3: the product passes 2^63, its half does not, and neither
+        # does the difference form C(p + 2, 2) C(q + 2, 2) - C(p + 1, 2) C(q + 1, 2)
+        cells = [(2_300_000_000, 1), (1, 2_300_000_000), (5, 7)]
+        assert all(sphere_product(p, q, 3) >= 2**63 for p, q in cells[:2])
+        p, q = np.array(cells).T
+        assert _sphere_dims(p, q, 3).tolist() == [sphere_dim(a, b, 3) for a, b in cells]
 
 
 class TestArrayTable:
