@@ -173,11 +173,8 @@ def _cmd_weyl(args) -> str:
     if k < 1:
         raise ParseError(f"weyl needs --grid >= 1, got {k}")
     _require_rows("weyl", "--grid", k)
-    # the distinct values of floor(L*i/k), i = 1..k: consecutive values differ
-    # by at least 1 when k <= L, and by 0 or 1 (from 0 up to L) when k > L
     top = args.lambda_max
-    grid = [top * i // k for i in range(1, k + 1)] if k <= top else list(range(top + 1))
-    rep = weyl_report(group, grid)
+    rep = weyl_report(group, sorted({top * i // k for i in range(1, k + 1)}))
     rows = [
         [lam, ng, ns, f"{r:.6f}", xi, ok]
         for lam, ng, ns, r, xi, ok in zip(rep.grid, rep.n_quotient, rep.n_sphere, rep.ratios, rep.xi, rep.bound_ok)

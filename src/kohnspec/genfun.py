@@ -53,6 +53,24 @@ class PGPolynomial:
         return 0
 
 
+def _times_binomial(x: np.ndarray, e: int, n: int) -> np.ndarray:
+    """Multiply by (t^e - 1)^n along axis 0, truncated at the array's end
+    (e < len(x)): n factors, each new[a] = x[a - e] - x[a]."""
+    for _ in range(n):
+        x = np.concatenate((-x[:e], x[:-e] - x[e:]))
+    return x
+
+
+def _over_binomial(x: np.ndarray, e: int, n: int) -> np.ndarray:
+    """Divide by (1 - t^e)^n along axis 0: n running sums over the rows of
+    each residue class mod e, the rows padded to a multiple of e and grouped
+    by one reshape."""
+    y = np.pad(x, ((0, -len(x) % e), (0, 0))).reshape(-1, e, x.shape[1])
+    for _ in range(n):
+        y = y.cumsum(axis=0)
+    return y.reshape(-1, x.shape[1])[: len(x)]
+
+
 def pg_polynomial(group: QuotientGroup, ceiling: int | None = None) -> PGPolynomial:
     """Compute P by truncated series arithmetic and verify the degree bound:
     any nonzero coefficient beyond n(e - 1) raises TruncationError."""
@@ -65,18 +83,9 @@ def pg_polynomial(group: QuotientGroup, ceiling: int | None = None) -> PGPolynom
     F = fg_coefficients(group, ceiling)
     size = ceiling + 1
 
-    # multiply by (z^e - 1)^n (w^e - 1)^n
-    G1 = np.zeros((size, size), dtype=np.int64)
-    shifts = [(j, math.comb(n, j) * (-1) ** (n - j)) for j in range(n + 1)]
-    for jz, cz in shifts:
-        for jw, cw in shifts:
-            dz, dw = jz * e, jw * e
-            if dz >= size or dw >= size:
-                continue
-            G1[dz:, dw:] += cz * cw * F[: size - dz, : size - dw]
-
-    # divide by (1 - zw): running sums down the diagonals
-    P = G1.copy()
+    # multiply by (z^e - 1)^n (w^e - 1)^n, then divide by (1 - zw): running
+    # sums down the diagonals
+    P = _times_binomial(_times_binomial(F.T, e, n).T, e, n)
     for a in range(1, size):
         P[a, 1:] += P[a - 1, :-1]
 
@@ -96,7 +105,7 @@ def pg_polynomial(group: QuotientGroup, ceiling: int | None = None) -> PGPolynom
 def reconstruct_dims(poly: PGPolynomial, ceiling: int) -> np.ndarray:
     """Round trip: recover the F series from P by multiplying back with
     (1 - zw) / ((z^e - 1)^n (w^e - 1)^n).  The two sign flips cancel, leaving
-    products of nonnegative binomial series."""
+    n running sums per residue class along each axis."""
     n = poly.group.n
     e = poly.e
     size = ceiling + 1
@@ -105,16 +114,7 @@ def reconstruct_dims(poly: PGPolynomial, ceiling: int) -> np.ndarray:
     padded[:d, :d] = poly.coeffs[:d, :d]
     U = padded.copy()
     U[1:, 1:] -= padded[:-1, :-1]
-
-    F = np.zeros((size, size), dtype=np.int64)
-    coeff = [math.comb(k + n - 1, n - 1) for k in range(size // e + 1)]
-    for jz, cz in enumerate(coeff):
-        for jw, cw in enumerate(coeff):
-            dz, dw = jz * e, jw * e
-            if dz >= size or dw >= size:
-                continue
-            F[dz:, dw:] += cz * cw * U[: size - dz, : size - dw]
-    return F
+    return _over_binomial(_over_binomial(U.T, e, n).T, e, n)
 
 
 def h0_coefficients(group: QuotientGroup) -> list[int]:

@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonIntegralDimension, SizeLimit, UnsupportedFamily, _require_int64
+from .errors import Int64Limit, NonIntegralDimension, SizeLimit, UnsupportedFamily, _require_int64
 from .group_catalog import CACHE_SIZE, QuotientGroup
 
 # int64 entries per transient array while evaluating a block of cells (128 kB)
@@ -262,8 +262,12 @@ def _su2_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -> n
     W_nc one difference of F per non-central orbit, taken over the E x E
     square of residues once the request holds E^2 cells, else per cell."""
     tables = _trace_tables(group)
+    # p, q >= 0: their int64 sum wraps past 2^63 - 1 exactly where it turns negative
+    pq = p + q
+    if pq.min() < 0:
+        raise Int64Limit("exact integer intermediate p + q may reach 2^63, beyond int64")
     # per cell: the central term is bound * (p + q + 1), the non-central below bound * E
-    _require_int64(tables.bound * (int((p + q).max()) + 1 + E))
+    _require_int64(tables.bound * (int(pq.max()) + 1 + E))
     # residues as x - E (x // E), as in _ProgressionTraces._at
     pr, qr = p - p // E * E, q - q // E * E
     square = len(p) >= E * E
@@ -274,7 +278,7 @@ def _su2_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -> n
                          for i in range(0, len(at_p), block)])
     # qr - pr lies in (-E, E), and numpy reads a negative index from the end:
     # central[qr - pr] is central[(q - p) mod E]
-    return (nc[pr * E + qr] if square else nc) + (p + q + 1) * tables.central[qr - pr]
+    return (nc[pr * E + qr] if square else nc) + (pq + 1) * tables.central[qr - pr]
 
 
 def _series_tables(group: QuotientGroup, E: int, degree: int) -> tuple[np.ndarray, np.ndarray, int]:

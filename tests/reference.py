@@ -14,6 +14,9 @@ class_multiset and element_orders are the structural fingerprints built on
 them.  exact_matmul is the overflow-guarded int64 product of the per-class
 E x E Ramanujan kernel that the n >= 3 engine is checked against, and
 mobius, by trial division, checks the engine's Ramanujan divisor signs.
+pg_expansion and reconstruct_expansion expand (z^e - 1)^n (w^e - 1)^n and
+its inverse series term by term, one shifted 2-D block per pair of binomial
+terms; genfun's one-axis operators are checked against them.
 
 The oracle's full stacked-matrix rank lives here: the whole monomial space of
 bidegree (p, q), the Laplacian built monomial by monomial, and the actions of
@@ -39,6 +42,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from kohnspec.errors import ReductionError, SizeLimit, _require_int64
+from kohnspec.genfun import PGPolynomial
 from kohnspec.group_catalog import Angle, ConjugacyClass, QuotientGroup
 from kohnspec.invariant_dims import _sphere_dims
 from kohnspec.oracle import _BASIS_LIMIT, ElementAction, _prime, _rank, modular_image, monomial_exponents
@@ -97,6 +101,45 @@ def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     max|a| * max|b| * inner < 2^63 rules out overflow."""
     _require_int64(int(np.abs(a).max(initial=0)) * int(np.abs(b).max(initial=0)) * a.shape[1])
     return a @ b
+
+
+def pg_expansion(F: np.ndarray, n: int, e: int) -> np.ndarray:
+    """P = F (z^e - 1)^n (w^e - 1)^n / (1 - zw) on F's square by the binomial
+    expansion: one shifted copy of F per pair of terms C(n, j) (-1)^(n - j)
+    z^(j e), then running sums down the diagonals."""
+    size = len(F)
+    P = np.zeros((size, size), dtype=np.int64)
+    shifts = [(j, math.comb(n, j) * (-1) ** (n - j)) for j in range(n + 1)]
+    for jz, cz in shifts:
+        for jw, cw in shifts:
+            dz, dw = jz * e, jw * e
+            if dz >= size or dw >= size:
+                continue
+            P[dz:, dw:] += cz * cw * F[: size - dz, : size - dw]
+    for a in range(1, size):
+        P[a, 1:] += P[a - 1, :-1]
+    return P
+
+
+def reconstruct_expansion(poly: PGPolynomial, ceiling: int) -> np.ndarray:
+    """F = (1 - zw) P / ((1 - z^e)^n (1 - w^e)^n) on the square p, q <=
+    ceiling by the binomial series: one shifted copy of (1 - zw) P per pair
+    of terms C(k + n - 1, n - 1) z^(k e)."""
+    n, e, size = poly.group.n, poly.e, ceiling + 1
+    padded = np.zeros((size, size), dtype=np.int64)
+    d = min(size, poly.degree + 1)
+    padded[:d, :d] = poly.coeffs[:d, :d]
+    U = padded.copy()
+    U[1:, 1:] -= padded[:-1, :-1]
+    F = np.zeros((size, size), dtype=np.int64)
+    coeff = [math.comb(k + n - 1, n - 1) for k in range(size // e + 1)]
+    for jz, cz in enumerate(coeff):
+        for jw, cw in enumerate(coeff):
+            dz, dw = jz * e, jw * e
+            if dz >= size or dw >= size:
+                continue
+            F[dz:, dw:] += cz * cw * U[: size - dz, : size - dw]
+    return F
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

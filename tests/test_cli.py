@@ -299,10 +299,11 @@ class TestDeterminismAndExitCodes:
             run(["dims", "--group", "cyclic:3", "--p", "1", "--q", "1"])
 
     def test_int64_limit_is_user_error(self, capsys):
-        code, out, err = capture(capsys, ["dims", "--group", "qsemi:101", "--p", "600000000000",
-                                          "--q", "600000000000"])
-        assert (code, out) == (1, "")
-        assert err.startswith("error: exact integer intermediate") and err.count("\n") == 1
+        # the second cell's p + q wraps in int64
+        for group, pq in (("qsemi:101", "600000000000"), ("cyclic:3", "5000000000000000000")):
+            code, out, err = capture(capsys, ["dims", "--group", group, "--p", pq, "--q", pq])
+            assert (code, out) == (1, ""), group
+            assert err.startswith("error: exact integer intermediate") and err.count("\n") == 1, group
 
     def test_large_cell_within_int64_is_answered(self, capsys):
         # its sphere dimension 8e9 + 1 fits int64, though C(p + 1, 1) C(q + 1, 1) does not

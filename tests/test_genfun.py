@@ -22,12 +22,13 @@ from kohnspec import (
     make_product_with_center,
     make_q_semidirect,
     make_trivial,
+    parse_group_spec,
     pg_polynomial,
     reconstruct_dims,
 )
 from kohnspec.invariant_dims import _ramanujan_divisors, _ramanujan_row, _totient
 from kohnspec.oracle import modular_image
-from reference import element_orders, mobius
+from reference import element_orders, mobius, pg_expansion, reconstruct_expansion
 
 
 GENFUN_GROUPS = [
@@ -119,6 +120,23 @@ class TestPolynomialFactor:
     def test_coefficients_integral(self):
         poly = pg_polynomial(make_binary_tetrahedral())
         assert poly.coeffs.dtype == np.int64
+
+    def test_operators_match_the_binomial_expansions(self, all_n2_groups, lens3_groups):
+        for g in all_n2_groups + lens3_groups:
+            poly = pg_polynomial(g)
+            # pg_polynomial's default ceiling
+            P = pg_expansion(fg_coefficients(g, max(2 * g.n * poly.e, 24)), g.n, poly.e)
+            d = poly.degree + 1
+            assert np.array_equal(P[:d, :d], poly.coeffs), g.name
+            assert np.count_nonzero(P) == np.count_nonzero(poly.coeffs), g.name
+            c = 2 * poly.degree + 5
+            assert np.array_equal(reconstruct_dims(poly, c), reconstruct_expansion(poly, c)), g.name
+
+    @pytest.mark.parametrize("spec, ceiling", [("cyclic:1", 200), ("cyclic:2", 200), ("lens:1:1,1,1", 150)])
+    def test_roundtrip_at_small_exponents(self, spec, ceiling):
+        # e = 1 or 2: the binomial series has (ceiling / e + 1)^2 pairs of terms
+        g = parse_group_spec(spec)
+        assert np.array_equal(reconstruct_dims(pg_polynomial(g), ceiling), fg_coefficients(g, ceiling))
 
 
 class TestH0Polynomial:

@@ -31,7 +31,7 @@ from kohnspec import (
     xi_bound,
 )
 from kohnspec.errors import ConstraintError, SizeLimit
-from kohnspec.invariant_dims import _sphere_dims, dim_cells
+from kohnspec.invariant_dims import _sphere_dims, _su2_traces, dim_cells
 from kohnspec.spectrum import (
     SpectrumEntry,
     _cells,
@@ -285,6 +285,13 @@ class TestInt64BoundsPerCell:
         # qsemi:101 (|G| phi(E) = 8726400): the contributors' largest p + q is
         # ~6e11, but p.max() + q.max() ~1.2e12 would have passed 2^63
         assert multiplicity(make_q_semidirect(101), 1_199_880_000_000)[0] == 49995797261
+
+    def test_n2_trace_refuses_a_cell_whose_degree_wraps(self):
+        from kohnspec.errors import Int64Limit
+
+        # p + q = 10^19 wraps in int64, so a bound read from max(p + q) alone would pass it
+        with pytest.raises(Int64Limit):
+            _su2_traces(make_cyclic(3), 3, np.array([0, 5 * 10**18]), np.array([0, 5 * 10**18]))
 
     def test_sphere_dims_bound_each_cell(self):
         from kohnspec.errors import Int64Limit
