@@ -15,9 +15,11 @@ or per cell, that raises Int64Limit, an OverflowError, before it is formed.
 
 For n = 2 the central orbits trace to (p + q + 1) c_E(k (q - p)), the others
 to differences of prefix-sum rows of c_E, E int64 per distinct divisor of E.
-The traces are E-periodic in p and q: they are evaluated at residue pairs
-only, over the E x E square once a request holds E^2 cells and at each
-cell's residues below that.  For n >= 3 each orbit of element order o is
+The non-central traces are E-periodic in p and q, so every dimension is
+base[p mod E, q mod E] + (p // E + q // E) step[(q - p) mod E]: the period
+table, traced once at the E^2 residue pairs and checked there in place of
+every cell.  A request of at least E^2 cells reads it; a smaller one is
+traced at each cell's residues.  For n >= 3 each orbit of element order o is
 traced in its own field Q(zeta_o), by Ramanujan's divisor sum for c_o: the
 traces of all rational classes at once are one int64 matrix product
 T = (G w) G^T of a table of h-vectors summed into d residues, d | o,
@@ -28,17 +30,20 @@ read T[p, q] - T[p-1, q-1] in one flat gather per chunk of a band.
 dim_cells evaluates whole arrays of cells in one call, dim_triangle every
 cell with p + q <= pq_max, and dim_invariant one cell.  No result is
 memoised; only the Galois orbits and the n = 2 trace tables of the last
-CACHE_SIZE groups are cached.  Every enumeration of cells counts them
-against one cell budget before it allocates.  dim_closed_form evaluates
-the per-family piecewise formulas; reconcile checks the two against each
-other.
+CACHE_SIZE groups are cached, and the n = 2 period tables of at most as
+many groups and MAX_PERIOD_CACHE_BYTES together.  Every enumeration of
+cells counts them against one cell budget before it allocates.
+dim_closed_form evaluates the per-family piecewise formulas; reconcile
+checks the two against each other.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -259,26 +264,133 @@ _trace_tables = lru_cache(maxsize=CACHE_SIZE)(_ProgressionTraces)
 
 def _su2_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """W(p, q) = W_nc(p mod E, q mod E) + (p + q + 1) central[(q - p) mod E],
-    W_nc one difference of F per non-central orbit, taken over the E x E
-    square of residues once the request holds E^2 cells, else per cell."""
+    W_nc one difference of F per non-central orbit, at each cell's residues."""
     tables = _trace_tables(group)
+    pq = _su2_degrees(p, q, tables.bound, E)
+    # residues as x - E (x // E), as in _ProgressionTraces._at
+    pr, qr = p - p // E * E, q - q // E * E
+    block = max(1, _BLOCK_ENTRIES // max(1, len(tables.mult)))
+    nc = np.concatenate([tables.noncentral(pr[i:i + block], qr[i:i + block]) for i in range(0, len(p), block)])
+    # qr - pr lies in (-E, E), and numpy reads a negative index from the end:
+    # central[qr - pr] is central[(q - p) mod E]
+    return nc + (pq + 1) * tables.central[qr - pr]
+
+
+def _su2_degrees(p: np.ndarray, q: np.ndarray, bound: int, E: int) -> np.ndarray:
+    """p + q, after the n = 2 int64 guard: per cell the central trace is
+    bound (p + q + 1) at most and the non-central below bound E, bound =
+    phi(E) |G|.  Both routes of dim_cells take it, so they refuse the same
+    cells."""
     # p, q >= 0: their int64 sum wraps past 2^63 - 1 exactly where it turns negative
     pq = p + q
     if pq.min() < 0:
         raise Int64Limit("exact integer intermediate p + q may reach 2^63, beyond int64")
-    # per cell: the central term is bound * (p + q + 1), the non-central below bound * E
-    _require_int64(tables.bound * (int(pq.max()) + 1 + E))
-    # residues as x - E (x // E), as in _ProgressionTraces._at
-    pr, qr = p - p // E * E, q - q // E * E
-    square = len(p) >= E * E
-    residues = np.arange(E)
-    at_p, at_q = (np.repeat(residues, E), np.tile(residues, E)) if square else (pr, qr)
-    block = max(1, _BLOCK_ENTRIES // max(1, len(tables.mult)))
-    nc = np.concatenate([tables.noncentral(at_p[i:i + block], at_q[i:i + block])
-                         for i in range(0, len(at_p), block)])
-    # qr - pr lies in (-E, E), and numpy reads a negative index from the end:
-    # central[qr - pr] is central[(q - p) mod E]
-    return (nc[pr * E + qr] if square else nc) + (pq + 1) * tables.central[qr - pr]
+    _require_int64(bound * (int(pq.max()) + 1 + E))
+    return pq
+
+
+# most bytes the cached period tables hold together: a table is E^2 + E
+# int64 within the cell budget, so this is two of the largest (64 MB);
+# building one adds its traces and the checks' temporaries, about four times
+# the table at its peak (137 MB at E = 2039, tracemalloc)
+MAX_PERIOD_CACHE_BYTES = 16 * MAX_CELLS
+
+
+class PeriodTable(NamedTuple):
+    """The n = 2 dimensions of one group over one period:
+    dim(p, q) = base[p mod E, q mod E] + (p // E + q // E) step[(q - p) mod E]."""
+
+    E: int
+    base: np.ndarray    # (E, E) int64: the dimensions at the residue cells
+    step: np.ndarray    # (E,) int64: the increase per period of p or of q
+
+    @property
+    def nbytes(self) -> int:
+        return self.base.nbytes + self.step.nbytes
+
+    def dims(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """Dimensions at cells p, q >= 0 by lookup; p + q must fit int64."""
+        E = self.E
+        a, b = p // E, q // E
+        pr, qr = p - a * E, q - b * E
+        # qr - pr lies in (-E, E): a negative index reads step[(q - p) mod E]
+        return self.base.ravel()[pr * E + qr] + (a + b) * self.step[qr - pr]
+
+
+def _period_from_traces(name: str, E: int, denom: int, W: np.ndarray, central: np.ndarray) -> PeriodTable:
+    """The period table from the weighted traces W on the residue square and
+    the central vector, after the four checks that stand for the per-cell
+    gates of dim_cells at every cell p, q >= 0.
+
+    Write p = a E + pr and q = b E + qr, residues pr, qr < E, and k = a + b.
+    Then p + q + 1 = (pr + qr + 1) + k E and (q - p) mod E = (qr - pr) mod E,
+    so W(p, q) = W[pr, qr] + k E central[r], r = (qr - pr) mod E.  If
+    (1) denom divides W on the square and (2) denom divides E central, then
+    dim(p, q) = base[pr, qr] + k step[r] with base = W / denom and
+    step = E central / denom: the dimension and the sphere dimension
+    pr + qr + 1 + k E are both affine in k, with slopes step and E.  So
+    (3) 0 <= base <= pr + qr + 1 and (4) 0 <= step <= E give
+    0 <= dim <= sphere dim at every k >= 0.  Conversely the gates at k = 0
+    are (1) and (3); at k = 1 they give denom | W[pr, qr] + E central[r],
+    hence (2), every r arising as (qr - pr) mod E; and an affine function of
+    k that stays within [0, pr + qr + 1 + k E] for every k >= 0 has a slope
+    in [0, E], which is (4).  Any failure raises NonIntegralDimension."""
+    base = W // denom
+    stepped = E * central
+    step = stepped // denom
+    r = np.arange(E)
+    sphere = r[:, None] + r + 1
+    failures = [
+        (W != base * denom, lambda i: f"weighted trace sum {W.flat[i]} at residues {divmod(i, E)} is not "
+                                      f"divisible by {denom}"),
+        (stepped != step * denom, lambda i: f"the period increment {E} * {central[i]} at (q - p) mod {E} = {i} "
+                                            f"is not divisible by {denom}"),
+        ((base < 0) | (base > sphere), lambda i: f"the dimension {base.flat[i]} at residues {divmod(i, E)} is "
+                                                 f"outside [0, sphere dim]"),
+        ((step < 0) | (step > E), lambda i: f"the period increment {step[i]} at (q - p) mod {E} = {i} is "
+                                            f"outside [0, {E}]"),
+    ]
+    for bad, what in failures:
+        i = np.flatnonzero(bad)
+        if len(i):
+            raise NonIntegralDimension(f"{name}: {what(int(i[0]))}")
+    return PeriodTable(E, base, step)
+
+
+# the period tables of the most recently used n = 2 groups, oldest first:
+# at most CACHE_SIZE of them and MAX_PERIOD_CACHE_BYTES together
+_period_tables: OrderedDict[QuotientGroup, PeriodTable] = OrderedDict()
+
+
+def period_route(group: QuotientGroup, cells: int) -> bool:
+    """Whether a request of this many cells reads the period table: n = 2,
+    at least E^2 cells, and E^2 + E entries within the cell budget (E <= 2047)."""
+    E = group.exponent
+    return group.n == 2 and cells >= E * E and E * E + E <= MAX_CELLS
+
+
+def period_table(group: QuotientGroup, cells: int) -> PeriodTable | None:
+    """The group's period table, cached, for a request of this many cells,
+    or None where period_route says the cells are traced one by one.  It is
+    built once from the traces at the E^2 residue cells; a failed check
+    raises and caches nothing."""
+    if not period_route(group, cells):
+        return None
+    E = group.exponent
+    table = _period_tables.pop(group, None)
+    if table is None:
+        # the residue pair (p, q) is cell p E + q of the square, traced a block of rows at a time
+        W = np.empty(E * E, dtype=np.int64)
+        block = E * max(1, _BLOCK_ENTRIES // E)
+        for i in range(0, E * E, block):
+            p = np.arange(i, min(i + block, E * E)) // E
+            W[i:i + len(p)] = _su2_traces(group, E, p, np.arange(len(p)) - (p - i // E) * E)
+        table = _period_from_traces(group.name, E, _totient(E) * group.order, W.reshape(E, E),
+                                    _trace_tables(group).central)
+    _period_tables[group] = table
+    while len(_period_tables) > CACHE_SIZE or sum(t.nbytes for t in _period_tables.values()) > MAX_PERIOD_CACHE_BYTES:
+        _period_tables.popitem(last=False)
+    return table
 
 
 def _series_tables(group: QuotientGroup, E: int, degree: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -374,14 +486,20 @@ def _series_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -
 
 def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
     """Invariant dimensions at the cells (p[i], q[i]), all nonnegative, in one
-    exact evaluation; transient memory stays at a few MB per block of cells."""
+    exact evaluation; transient memory stays at a few MB per block of cells.
+    An n = 2 request of at least E^2 cells reads the period table, if the
+    group's fits the budget (period_route); every other request is traced
+    and gated cell by cell."""
     p = np.asarray(p, dtype=np.int64)
     q = np.asarray(q, dtype=np.int64)
     if not len(p):
         return np.zeros(0, dtype=np.int64)
     E = group.exponent
-    traces = (_su2_traces if group.n == 2 else _series_traces)(group, E, p, q)
     denom = _totient(E) * group.order
+    if (table := period_table(group, len(p))) is not None:
+        _su2_degrees(p, q, denom, E)
+        return table.dims(p, q)
+    traces = (_su2_traces if group.n == 2 else _series_traces)(group, E, p, q)
     dims = traces // denom
     bad = np.flatnonzero((traces != dims * denom) | (dims < 0) | (dims > _sphere_dims(p, q, group.n)))
     if len(bad):

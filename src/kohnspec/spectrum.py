@@ -6,6 +6,11 @@ contributing bidegree spaces.  The counting function N(lam) is compared
 against the sphere count divided by the group order, with the exact
 binomial-sum tail bound, and against the Weyl constant, an exact polynomial
 in pi rounded once.
+
+Spectrum tables sum the dimensions of every cell under the hyperbola; they
+serve listings, comparisons and n >= 3.  For n = 2, weyl_report counts from
+the group's period table by Dirichlet's hyperbola method, O(sqrt(lam)) line
+sums per cutoff and no cell, and the sphere from the sphere's own table.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 
 from .group_catalog import QuotientGroup
 from .errors import ConstraintError, SizeLimit, _require_int64
-from .invariant_dims import _sphere_dims, dim_cells, require_cells
+from .invariant_dims import PeriodTable, _sphere_dims, dim_cells, period_route, period_table, require_cells
 
 
 def box_eigenvalue(p: int, q: int, n: int) -> int:
@@ -116,14 +121,112 @@ def _cells(n: int, lambda_max) -> tuple[np.ndarray, np.ndarray]:
     q = np.arange(1, half_max // (n - 1) + 1, dtype=np.int64)
     width = half_max // q - (n - 1) + 1
     require_cells(int(width.sum()), what)
-    q = np.repeat(q, width)
-    return np.arange(len(q)) - np.repeat(np.cumsum(width) - width, width), q
+    return _ranges(width, 0), np.repeat(q, width)
+
+
+def _ranges(lengths: np.ndarray, first: int) -> np.ndarray:
+    """The ranges first .. first + length - 1, concatenated."""
+    return np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths) + first
 
 
 def counting_function(group: QuotientGroup, lambda_max: int) -> SpectrumTable:
     """Assemble the spectrum table for all eigenvalues <= lambda_max."""
     p, q = _cells(group.n, lambda_max)
     return SpectrumTable(lambda_max, group.n, p, q, dim_cells(group, p, q))
+
+
+# ---------------------------------------------------------------------------
+# Counting by the hyperbola method, n = 2
+
+# the sphere's own period table: dim(p, q) = 1 + (p + q) 1 = p + q + 1
+_SPHERE_PERIOD = PeriodTable(1, np.ones((1, 1), dtype=np.int64), np.ones(1, dtype=np.int64))
+
+# row and column sums period_counts evaluates per block of cutoffs: a few
+# hundred kB per transient array
+_COUNT_BLOCK = 1 << 14
+
+
+def _line_sums(base: np.ndarray, step: np.ndarray):
+    """sums(y, K): the sum over x = 0..K-1 of base[x mod E, y mod E] +
+    (x // E + y // E) step[(y - x) mod E], elementwise over arrays y, K >= 0.
+    With K = A E + R and y = b E + yr, the A whole periods give A times
+    the column sum of base and S (A (A - 1) / 2 + A b), S the sum of step;
+    the last R terms one prefix of base's column yr and (A + b) times one
+    cyclic window of step, a difference of one prefix of step taken twice."""
+    E = len(step)
+    prefix = np.zeros((E, E + 1), dtype=np.int64)
+    np.cumsum(base.T, axis=1, out=prefix[:, 1:])
+    whole = prefix[:, E].copy()
+    prefix = prefix.ravel()
+    window = np.zeros(2 * E + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([step, step]), out=window[1:])
+    S = int(step.sum())
+
+    def sums(y: np.ndarray, K: np.ndarray) -> np.ndarray:
+        b = y // E
+        yr = y - b * E
+        A = K // E
+        R = K - A * E
+        end = yr + (E + 1)
+        return (A * whole[yr] + prefix[yr * (E + 1) + R] + S * (A * (A - 1 + 2 * b) // 2)
+                + (A + b) * (window[end] - window[end - R]))
+    return sums
+
+
+def _hyperbola_cells(L: int) -> int:
+    """The number of cells q(p + 1) <= L, q >= 1: the sum of L // q over
+    q = 1..L, one product per run of equal floors."""
+    return sum((b - a + 1) * v for a, b, v in _floor_runs(L, 1, L))
+
+
+def period_counts(tables: list[PeriodTable], grid) -> list[list[int]]:
+    """N(lam) for n = 2 groups with these period tables, one list per table,
+    at each integer cutoff of grid, by Dirichlet's hyperbola method.  With
+    L = lam // 2 and s = isqrt(L), the cells q(p + 1) <= L are the rows
+    q = 1..s, p + 1 <= L // q, and the columns p + 1 <= M = L // (s + 1),
+    q = s + 1..L // (p + 1): each row is one line sum of a table along p,
+    each column a difference of two along q, so a cutoff costs s + 2 M <=
+    3 sqrt(L) line sums per table.  They are evaluated for blocks of
+    cutoffs at once, and the tables share the blocks' rows and columns."""
+    half = [max(int(lam), 0) // 2 for lam in grid]
+    top = max(half, default=0)
+    # N and every partial sum below are at most about 2 L^2 per cutoff
+    _require_int64(len(half) * 4 * (top + 1) * (top + 1 + max(t.E for t in tables)))
+    # along q the roles of the axes swap, and step[(q - p) mod E] is read backwards
+    sums = [(_line_sums(t.base, t.step), _line_sums(t.base.T, t.step[-np.arange(t.E)])) for t in tables]
+    counts = [[] for _ in tables]
+    lo = 0
+    while lo < len(half):
+        # the rows q = 1..s and the columns p = 0..M-1 of each cutoff in the block, cutoff by cutoff
+        rows, cols, L, size = [], [], [], 0
+        for x in half[lo:]:
+            if rows and size > _COUNT_BLOCK:
+                break
+            s = math.isqrt(x)
+            rows.append(s)
+            cols.append(x // (s + 1))
+            L.append(x)
+            size += s + 2 * cols[-1]
+        lo += len(L)
+        rows, cols, L = (np.array(v, dtype=np.int64) for v in (rows, cols, L))
+        q = _ranges(rows, 1)
+        row_K = np.repeat(L, rows) // q
+        p = _ranges(cols, 0)
+        # each column reads the prefixes up to q = L // (p + 1) and q = s
+        col_K = np.concatenate([np.repeat(L, cols) // (p + 1) + 1, np.repeat(rows + 1, cols)])
+        p = np.concatenate([p, p])
+        for (along_p, along_q), out in zip(sums, counts):
+            by_col = along_q(p, col_K)
+            by_col = by_col[:len(p) // 2] - by_col[len(p) // 2:]
+            out += (_segment_sums(along_p(q, row_K), rows) + _segment_sums(by_col, cols)).tolist()
+    return counts
+
+
+def _segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The sums of consecutive segments of values of the given lengths."""
+    ends = np.cumsum(lengths)
+    total = np.concatenate([[0], np.cumsum(values)])
+    return total[ends] - total[ends - lengths]
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +368,29 @@ def weyl_report(group: QuotientGroup, grid) -> WeylReport:
         raise ConstraintError("grid must end at a cutoff >= 1")
     n = group.n
     lam_max = grid[-1]
-    table = counting_function(group, lam_max)
-    n_quot = [table.count(lam) for lam in grid]
-    # the sphere's table on the same cells, so each grid point reads the
-    # same slot of both cumulative sums
-    sphere = SpectrumTable(lam_max, n, table._p, table._q, _sphere_dims(table._p, table._q, n))
-    n_sph = [sphere.count(lam) for lam in grid]
-    ratios = [ns / ng if ng else math.inf for ns, ng in zip(n_sph, n_quot)]
+    # an n = 2 group counts from its period table by the rule dim_cells
+    # follows; the hyperbola holds at least L cells, so counting it up to
+    # L = E^2 decides the rule.  The cell route refuses a cutoff past the
+    # cell budget before xi_bound is called, the table route, which has no
+    # such budget, only after, by xi_bound's own cutoff budget, and before
+    # it builds the table
+    E = group.exponent
+    cells = _hyperbola_cells(min(lam_max // 2, E * E)) if n == 2 else 0
+    tabled = period_route(group, cells)
+    if not tabled:
+        table = counting_function(group, lam_max)
+        n_quot = [table.count(lam) for lam in grid]
     xi = [xi_bound(Fraction(lam, 2), n) for lam in grid]
+    if tabled:
+        n_quot, n_sph = period_counts([period_table(group, cells), _SPHERE_PERIOD], grid)
+    elif n == 2:
+        [n_sph] = period_counts([_SPHERE_PERIOD], grid)
+    else:
+        # the sphere's table on the same cells, so each grid point reads the
+        # same slot of both cumulative sums
+        sphere = SpectrumTable(lam_max, n, table._p, table._q, _sphere_dims(table._p, table._q, n))
+        n_sph = [sphere.count(lam) for lam in grid]
+    ratios = [ns / ng if ng else math.inf for ns, ng in zip(n_sph, n_quot)]
     ok = [_within_tail_bound(group.order, ng, ns, x) for ng, ns, x in zip(n_quot, n_sph, xi)]
     const = weyl_constant(n)
     expected = const * sphere_volume(n) / group.order

@@ -20,6 +20,11 @@ from kohnspec import (
 )
 
 
+# the groups of the Weyl-law criteria, and the twisted U(2) groups counted beside them
+WEYL_GROUP_SPECS = ["cyclic:4", "Q", "2T", "2O", "2I", "cycsemi:3:2"]
+TWISTED_SPECS = ["QxC:3", "2TxC:5", "2IxC:7", "qsemi:1", "qsemi:5", "cycsemi:5:2"]
+
+
 def su2_sample():
     """Representative SU(2)-family groups."""
     groups = [make_cyclic(m) for m in (1, 2, 3, 4, 5, 6, 8, 12)]

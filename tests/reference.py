@@ -26,9 +26,10 @@ compare the two cell by cell.
 
 The sphere's own spectrum table, from the sphere dimensions cell by cell,
 and the closed floor-run sum sphere_count check the sphere counts of
-:func:`kohnspec.spectrum.weyl_report` and each other; the Gauss-Legendre
-quadrature checks the exact Weyl integral, and tail_bound_holds states the
-tail bound for a group.
+:func:`kohnspec.spectrum.weyl_report` and each other; weyl_report_cells is
+the report counted cell by cell, as weyl_report counts a group without a
+period table; the Gauss-Legendre quadrature checks the exact Weyl integral,
+and tail_bound_holds states the tail bound for a group.
 """
 
 from __future__ import annotations
@@ -46,7 +47,17 @@ from kohnspec.genfun import PGPolynomial
 from kohnspec.group_catalog import Angle, ConjugacyClass, QuotientGroup
 from kohnspec.invariant_dims import _sphere_dims
 from kohnspec.oracle import _BASIS_LIMIT, ElementAction, _prime, _rank, modular_image, monomial_exponents
-from kohnspec.spectrum import SpectrumTable, _cells, _floor_runs, _within_tail_bound, xi_bound
+from kohnspec.spectrum import (
+    SpectrumTable,
+    WeylReport,
+    _cells,
+    _floor_runs,
+    _within_tail_bound,
+    counting_function,
+    sphere_volume,
+    weyl_constant,
+    xi_bound,
+)
 
 
 def mobius(n: int) -> int:
@@ -288,6 +299,26 @@ def sphere_count(lam: int, n: int) -> int:
         total += math.comb(v + 1, n) * (upto[0] - below[0]) - math.comb(v, n) * (upto[1] - below[1])
         below = upto
     return total
+
+
+def weyl_report_cells(group: QuotientGroup, grid: list[int]) -> WeylReport:
+    """weyl_report with both counts read from spectrum tables: the group's
+    counting table and the sphere's table on the same cells."""
+    n, lam_max = group.n, grid[-1]
+    table = counting_function(group, lam_max)
+    sphere = SpectrumTable(lam_max, n, table._p, table._q, _sphere_dims(table._p, table._q, n))
+    n_quot = [table.count(lam) for lam in grid]
+    n_sph = [sphere.count(lam) for lam in grid]
+    xi = [xi_bound(Fraction(lam, 2), n) for lam in grid]
+    const = weyl_constant(n)
+    empirical = n_quot[-1] / lam_max**n
+    richardson = empirical
+    if len(grid) >= 2 and 1 <= grid[-2] != lam_max:
+        l1, l2 = grid[-2], grid[-1]
+        richardson = (n_quot[-1] / l2**n * l2 - n_quot[-2] / l1**n * l1) / (l2 - l1)
+    return WeylReport(grid, n_quot, n_sph, [ns / ng if ng else math.inf for ns, ng in zip(n_sph, n_quot)], xi,
+                      [_within_tail_bound(group.order, ng, ns, x) for ng, ns, x in zip(n_quot, n_sph, xi)],
+                      const, const * sphere_volume(n) / group.order, empirical, richardson)
 
 
 def tail_bound_holds(group: QuotientGroup, half_cutoff: int,

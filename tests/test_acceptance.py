@@ -24,7 +24,7 @@ from kohnspec.spectrum import (
     weyl_integral_coefficients,
 )
 
-from conftest import full_reconcile_sweep
+from conftest import WEYL_GROUP_SPECS, full_reconcile_sweep
 from reference import fraction_angles, sphere_counting_table, tail_bound_holds, weyl_integral
 
 
@@ -42,7 +42,6 @@ def criterion(num: str, name: str, cap_seconds: float | None = None):
         assert dt < cap_seconds, f"criterion {num} exceeded its {cap_seconds}s budget: {dt:.1f}s"
 
 
-WEYL_GROUP_SPECS = ["cyclic:4", "Q", "2T", "2O", "2I", "cycsemi:3:2"]
 WEYL_GRID = (250, 500, 1000, 2000)
 
 _tables_cache: dict = {}

@@ -324,8 +324,8 @@ class TestDeterminismAndExitCodes:
         (["oracle-check", "--group", "cyclic:100000000", "--pq-max", "1"],
          "cyclic:100000000 has order 100000000, above the budget of 100000"),
         (["xi", "--n", "2", "--lambda", "1e300"], "xi_bound needs lam <= 4194304, the cutoff budget"),
-        (["weyl", "--group", "2I", "--lambda-max", "1000000000000"],
-         "the spectrum up to lambda 1000000000000 needs at least 500000000000 cells, "
+        (["weyl", "--group", "lens:5:1,2,3", "--lambda-max", "1000000000000"],
+         "the spectrum up to lambda 1000000000000 needs at least 499999999999 cells, "
          "above the budget of 4194304"),
         (["sobolev", "--group", "2T", "--ceiling", "100000"],
          "the triangle p + q <= 100000 needs at least 5000150001 cells, above the budget of 4194304"),
@@ -341,12 +341,24 @@ class TestDeterminismAndExitCodes:
          "xi_bound at n = 1300, floor(lam) = 1000000 has more than 4300 digits, the digit budget"),
         (["xi", "--n", "3000", "--lambda", "4000000", "--format", "json"],
          "xi_bound at n = 3000, floor(lam) = 4000000 has more than 4300 digits, the digit budget"),
+        # an n = 2 group counts from its period table, with no cell budget: xi's cutoff refuses it first
+        (["weyl", "--group", "2I", "--lambda-max", "1000000000000"], "xi_bound needs lam <= 4194304, the cutoff budget"),
     ])
     def test_budgets_trip_before_allocation(self, capsys, argv, message):
         start = time.perf_counter()
         code, out, err = capture(capsys, argv)
         assert time.perf_counter() - start < 1.0
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_n2_weyl_reaches_the_xi_cutoff(self, capsys):
+        # about 6e7 cells under the hyperbola, 15 times the cell budget, and none is enumerated
+        start = time.perf_counter()
+        code, out, err = capture(capsys, ["weyl", "--group", "2I", "--lambda-max", "8000000", "--grid", "4",
+                                          "--format", "json"])
+        assert time.perf_counter() - start < 1.0
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["grid"] == [2000000, 4000000, 6000000, 8000000] and all(doc["bound_ok"])
 
     def test_n3_exponent_past_4096_matches_the_oracle(self, capsys):
         # the n >= 3 budget counts folded h-vectors, with no E x E term

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from kohnspec import (
     NonIntegralDimension,
+    SizeLimit,
     UnsupportedFamily,
     dim_closed_form,
     dim_invariant,
@@ -37,8 +38,10 @@ from kohnspec import (
 from kohnspec import invariant_dims
 from kohnspec.group_catalog import from_classes
 from kohnspec.invariant_dims import (
+    PeriodTable,
     _ProgressionTraces,
     _bands,
+    _period_from_traces,
     _h_vectors,
     _ramanujan_row,
     _totient,
@@ -50,6 +53,7 @@ from kohnspec.invariant_dims import (
     closed_form_q_semidirect,
     dim_cells,
     dim_triangle,
+    period_table,
     triangle_cells,
 )
 from kohnspec.spectrum import _cells
@@ -451,7 +455,9 @@ class TestSortFreeSeries:
 
 @pytest.fixture
 def kernel_points(monkeypatch):
-    """Counts the residue pairs the n = 2 non-central kernel evaluates."""
+    """Counts the residue pairs the n = 2 non-central kernel evaluates, from
+    an empty period-table cache, so that no table built earlier hides them."""
+    invariant_dims._period_tables.clear()
     points = []
     kernel = invariant_dims._ProgressionTraces.noncentral
 
@@ -490,7 +496,7 @@ class TestPrefixRows:
 
 
 class TestResidueRoutes:
-    def test_square_route_matches_cell_route_and_closed_forms(self, all_n2_groups, kernel_points):
+    def test_square_route_matches_cell_route_and_closed_forms(self, all_n2_groups, kernel_points, monkeypatch):
         rng = np.random.default_rng(13)
         for g in all_n2_groups:
             E = g.exponent
@@ -503,11 +509,24 @@ class TestResidueRoutes:
             assert sum(kernel_points) == E * E, g.name
             step = max(1, E * E - 1)    # each call below E^2 cells, so at the cells' own residues
             kernel_points.clear()
-            per_cell = np.concatenate([dim_cells(g, p[i:i + step], q[i:i + step]) for i in range(0, cells, step)])
+            with monkeypatch.context() as no_table:
+                if E == 1:      # no request is below E^2 = 1 cell: trace one cell at a time without the table
+                    no_table.setattr(invariant_dims, "period_table", lambda group, cells: None)
+                per_cell = np.concatenate([dim_cells(g, p[i:i + step], q[i:i + step]) for i in range(0, cells, step)])
             assert sum(kernel_points) == cells, g.name
             assert np.array_equal(square, per_cell), g.name
             closed = [dim_closed_form(g, a, b) for a, b in zip(p.tolist(), q.tolist())]
             assert square.tolist() == closed, g.name
+            assert np.array_equal(period_table(g, cells).dims(p, q), square), g.name
+
+    def test_table_is_read_from_E_squared_cells(self, kernel_points):
+        g = make_binary_icosahedral()       # E = 60
+        p, q = triangle_cells(90)
+        dims = dim_cells(g, p[:3599], q[:3599])
+        assert sum(kernel_points) == 3599 and not invariant_dims._period_tables
+        kernel_points.clear()
+        assert np.array_equal(dim_cells(g, p[:3600], q[:3600])[:3599], dims)
+        assert sum(kernel_points) == 3600 and g in invariant_dims._period_tables
 
     def test_kernel_runs_at_the_fewer_of_cells_and_residue_pairs(self, kernel_points):
         weyl_report(make_binary_icosahedral(), [6000])        # 24496 cells, E = 60
@@ -515,3 +534,112 @@ class TestResidueRoutes:
         kernel_points.clear()
         _, contributors = multiplicity(make_q_semidirect(101), 292)     # E = 3636
         assert 0 < sum(kernel_points) <= len(contributors)
+
+
+# ---------------------------------------------------------------------------
+# The n = 2 period table: dim(p, q) = base[p mod E, q mod E] + (p // E + q // E) step[(q - p) mod E]
+
+
+def not_a_group():
+    """The identity and one scalar of order 3: not closed under products."""
+    return from_classes("not-a-group-2", 2, 3, [((0, 0), 1), ((1, 1), 1)], expect_free=True)
+
+
+class TestPeriodGates:
+    # E = 2, phi(E) |G| = 4: W is 4 times the sphere dimension pr + qr + 1,
+    # and central 4 gives the sphere's own increment step = E
+    E, denom = 2, 4
+    sphere = np.add.outer(np.arange(2), np.arange(2)) + 1
+
+    def test_sphere_traces_pass(self):
+        table = _period_from_traces("sphere", self.E, self.denom, 4 * self.sphere, np.array([4, 4]))
+        assert table.base.tolist() == self.sphere.tolist() and table.step.tolist() == [2, 2]
+
+    @pytest.mark.parametrize("cell, value, central, match", [
+        ((0, 1), 9, [4, 4], "weighted trace sum 9 at residues \\(0, 1\\) is not divisible by 4"),
+        (None, 0, [4, 3], "period increment 2 \\* 3 at \\(q - p\\) mod 2 = 1 is not divisible by 4"),
+        ((1, 1), 16, [4, 4], "dimension 4 at residues \\(1, 1\\) is outside \\[0, sphere dim\\]"),
+        ((0, 0), -4, [4, 4], "dimension -1 at residues \\(0, 0\\) is outside"),
+        (None, 0, [8, 4], "period increment 4 at \\(q - p\\) mod 2 = 0 is outside \\[0, 2\\]"),
+        (None, 0, [4, -2], "period increment -1 at \\(q - p\\) mod 2 = 1 is outside"),
+    ])
+    def test_each_condition_fails_alone(self, cell, value, central, match):
+        # each input breaks one of: phi(E)|G| divides W, divides E central,
+        # 0 <= base <= pr + qr + 1, 0 <= step <= E
+        W = 4 * self.sphere
+        if cell:
+            W[cell] = value
+        with pytest.raises(NonIntegralDimension, match=match):
+            _period_from_traces("fake", self.E, self.denom, W, np.array(central))
+
+    def test_non_group_classes_raise_on_the_table(self):
+        # each cell (3, 3j) passes the per-cell checks; a request of E^2 = 9 of
+        # them reads the table, which covers every residue pair, and raises
+        g = not_a_group()
+        p, q = np.full(9, 3), np.arange(9) * 3
+        assert [dim_invariant(g, a, b) for a, b in zip(p.tolist(), q.tolist())] == list(range(4, 29, 3))
+        with pytest.raises(NonIntegralDimension, match="not-a-group-2: weighted trace sum"):
+            dim_cells(g, p, q)
+        with pytest.raises(NonIntegralDimension, match="not-a-group-2: weighted trace sum"):
+            weyl_report(g, [40])
+        assert g not in invariant_dims._period_tables      # a failed table is not cached
+
+    def test_class_sets_fail_the_first_and_third_checks(self):
+        # weighted class sets, not groups, with non-integral averages or
+        # dimensions below zero at some residue pair
+        for den, classes, match in [(2, [((0, 0), 1), ((0, 1), 2)], "weighted trace sum"),
+                                    (2, [((0, 0), 1), ((0, 1), 1), ((1, 1), -1)], "outside \\[0, sphere dim\\]")]:
+            g = from_classes(f"weighted-{den}", 2, den, classes)
+            with pytest.raises(NonIntegralDimension, match=match):
+                period_table(g, den * den)
+
+
+class TestPeriodCache:
+    def test_tables_are_reused(self, kernel_points):
+        g = make_binary_icosahedral()
+        table = period_table(g, 60 * 60)
+        assert sum(kernel_points) == 60 * 60
+        assert period_table(g, 10**6) is table and sum(kernel_points) == 60 * 60
+        assert table.nbytes == 8 * (60 * 60 + 60)
+
+    def test_cache_is_bounded_in_bytes(self, monkeypatch):
+        # room for two tables of 2IxC:7 (E = 420, 1.4 MB each) but not three
+        invariant_dims._period_tables.clear()
+        monkeypatch.setattr(invariant_dims, "MAX_PERIOD_CACHE_BYTES", 3 * 8 * (420 * 420 + 420) - 1)
+        groups = [from_classes(f"2IxC:7 copy {i}", 2, 420, [(c.angles, c.mult) for c in
+                                                            make_product_with_center(make_binary_icosahedral(), 7).classes])
+                  for i in range(3)]
+        for i, g in enumerate(groups):
+            period_table(g, 420 * 420)
+            assert list(invariant_dims._period_tables)[-1] is g
+        assert list(invariant_dims._period_tables) == groups[1:]
+        invariant_dims._period_tables.clear()
+
+    def test_cache_is_bounded_in_count(self):
+        invariant_dims._period_tables.clear()
+        for m in range(1, 2 * invariant_dims.CACHE_SIZE + 1):
+            period_table(make_cyclic(m), m * m)
+        assert len(invariant_dims._period_tables) == invariant_dims.CACHE_SIZE
+        invariant_dims._period_tables.clear()
+
+    def test_weyl_refuses_past_the_xi_cutoff_before_building(self, kernel_points):
+        # cyclic:2047 has the largest table within budget; lambda = 10^12 is
+        # refused by xi_bound before any residue pair is traced
+        with pytest.raises(SizeLimit, match="xi_bound needs lam <= 4194304"):
+            weyl_report(make_cyclic(2047), [10**12])
+        assert sum(kernel_points) == 0 and not invariant_dims._period_tables
+
+    def test_over_budget_exponent_keeps_the_cell_route(self, kernel_points, monkeypatch):
+        # E^2 + E = 13223136 entries of qsemi:101 (E = 3636) exceed the cell
+        # budget, so no request reads a table, however many cells it holds
+        assert not invariant_dims.period_route(make_q_semidirect(101), 10**12)
+        assert period_table(make_lens(5, (1, 2, 3)), 10**12) is None       # n = 3
+        # a cell budget below 2I's E^2 + E = 3660: a request of E^2 cells or
+        # more is traced cell by cell
+        monkeypatch.setattr(invariant_dims, "MAX_CELLS", 60 * 60 + 60 - 1)
+        g = make_binary_icosahedral()
+        assert period_table(g, 10**12) is None
+        p, q = triangle_cells(84)       # 3655 cells
+        assert dim_cells(g, p, q).tolist() == [dim_closed_form(g, a, b) for a, b in zip(p.tolist(), q.tolist())]
+        assert sum(kernel_points) == len(p)
+        assert isinstance(period_table(make_cyclic(4), 16), PeriodTable)     # E = 4 fits

@@ -131,9 +131,9 @@ class TestRandomizedCharacterIdentities:
 
 
 class TestDimCellsRoutes:
-    """dim_cells evaluates the n = 2 non-central traces over the E x E square
-    of residues once a request holds E^2 cells, and at each cell's own
-    residues below that; either way one call equals the single cells."""
+    """dim_cells reads the n = 2 period table once a request holds E^2
+    cells, and traces each cell at its own residues below that; either way
+    one call equals the single cells."""
 
     @settings(max_examples=20, deadline=None)
     @given(group=st.sampled_from([g for g in su2_sample() + u2_sample() if g.exponent <= 60]),

@@ -31,16 +31,27 @@ from kohnspec import (
     xi_bound,
 )
 from kohnspec.errors import ConstraintError, SizeLimit
-from kohnspec.invariant_dims import _sphere_dims, _su2_traces, dim_cells
+from kohnspec.group_catalog import parse_group_spec
+from kohnspec.invariant_dims import MAX_CELLS, _sphere_dims, _su2_traces, dim_cells, period_table
 from kohnspec.spectrum import (
+    _SPHERE_PERIOD,
     SpectrumEntry,
     _cells,
     eigenvalue_bidegrees,
+    period_counts,
     sphere_volume,
     weyl_integral_coefficients,
 )
 
-from reference import sphere_count, sphere_counting_table, sphere_dim, tail_bound_holds, weyl_integral
+from conftest import TWISTED_SPECS, WEYL_GROUP_SPECS
+from reference import (
+    sphere_count,
+    sphere_counting_table,
+    sphere_dim,
+    tail_bound_holds,
+    weyl_integral,
+    weyl_report_cells,
+)
 
 F = Fraction
 
@@ -613,3 +624,51 @@ class TestCompareSpectra:
         assert (ma, mb) == (54, 36)
         assert ma == (2 * r - 1) // 4 + r // 4
         assert mb == (2 * r - 1) // 6 + r // 6
+
+
+# ---------------------------------------------------------------------------
+# n = 2 counts from the period table, by the hyperbola method
+
+COUNT_SPECS = WEYL_GROUP_SPECS + TWISTED_SPECS + ["lens:7:1,3", "cyclic:5"]
+
+
+def rows_of_cells(L, most):
+    """The cells q(p + 1) <= L, q >= 1, as q-major chunks of whole rows q,
+    each chunk holding at most `most` cells plus one row."""
+    width = L // np.arange(1, L + 1)
+    ends = np.cumsum(width)
+    starts = np.flatnonzero(np.diff(ends // most, prepend=-1))
+    for a, b in zip(starts.tolist(), starts[1:].tolist() + [L]):
+        w = width[a:b]
+        q = np.repeat(np.arange(a + 1, b + 1), w)
+        yield np.arange(len(q)) - np.repeat(np.cumsum(w) - w, w), q
+
+
+class TestPeriodCounts:
+    @pytest.mark.parametrize("spec", COUNT_SPECS)
+    def test_floor_runs_match_the_counting_table(self, spec):
+        g = parse_group_spec(spec)
+        table = counting_function(g, 8000)
+        grid = list(range(-3, 401)) + list(range(401, 8001, 97)) + [7999, 8000]
+        assert period_counts([period_table(g, g.exponent ** 2)], grid) == [[table.count(lam) for lam in grid]]
+
+    @pytest.mark.parametrize("spec", COUNT_SPECS)
+    def test_weyl_report_matches_the_cell_route(self, spec):
+        g = parse_group_spec(spec)
+        for grid in ([250, 500, 1000, 2000], [8000 * i // 24 for i in range(1, 25)], [0, 3, 2 * g.exponent ** 2]):
+            assert weyl_report(g, grid) == weyl_report_cells(g, grid), grid
+
+    def test_sphere_table_gives_the_closed_sphere_count(self):
+        lams = list(range(-2, 300)) + [4999, 5000, 10**6, 8 * 10**6 + 1]
+        assert period_counts([_SPHERE_PERIOD], lams) == [[sphere_count(lam, 2) for lam in lams]]
+
+    @pytest.mark.parametrize("spec", ["2I", "cycsemi:3:2"])
+    def test_counts_past_the_cell_budget(self, spec):
+        # lambda = 10^6 holds about 7e6 cells, which counting_function refuses:
+        # sum dim_cells over chunks of whole rows instead, each below the budget
+        g = parse_group_spec(spec)
+        with pytest.raises(SizeLimit):
+            counting_function(g, 10**6)
+        total = sum(int(dim_cells(g, p, q).sum()) for p, q in rows_of_cells(5 * 10**5, MAX_CELLS // 4))
+        assert period_counts([period_table(g, g.exponent ** 2)], [10**6]) == [[total]]
+        assert weyl_report(g, [10**6]).n_quotient == [total]
