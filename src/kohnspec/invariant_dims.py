@@ -16,16 +16,18 @@ or per cell, that raises Int64Limit, an OverflowError, before it is formed.
 For n = 2 the central orbits trace to (p + q + 1) c_E(k (q - p)), the others
 to differences of prefix-sum rows of c_E, E int64 per distinct divisor of E.
 The non-central traces are E-periodic in p and q, so every dimension is
-base[p mod E, q mod E] + (p // E + q // E) step[(q - p) mod E]: the period
-table, traced once at the E^2 residue pairs and checked there in place of
-every cell.  A request of at least E^2 cells reads it; a smaller one is
-traced at each cell's residues.  For n >= 3 each orbit of element order o is
-traced in its own field Q(zeta_o), by Ramanujan's divisor sum for c_o: the
-traces of all rational classes at once are one int64 matrix product
-T = (G w) G^T of a table of h-vectors summed into d residues, d | o,
-formed over bands of the requested cells whose bounding boxes hold at most
-about twice their cells; cells, sorted by q only if they are not already,
-read T[p, q] - T[p-1, q-1] in one flat gather per chunk of a band.
+base[p mod E, q mod E] + (p // E + q // E) step[(q - p) mod E], at most the
+sphere's p + q + 1, the only n = 2 quantity bounded per cell.  base and step
+are traced at residue pairs and checked there in place of every cell with
+those residues: at all E^2 pairs once per group for the period table, which
+a request of at least E^2 cells reads, or else at the request's own
+residues.  For n >= 3 each orbit of element order o is traced in its own
+field Q(zeta_o), by Ramanujan's divisor sum for c_o: the traces of all
+rational classes at once are one int64 matrix product T = (G w) G^T of a
+table of h-vectors summed into d residues, d | o, formed over bands of the
+requested cells whose bounding boxes hold at most about twice their cells;
+cells, sorted by q only if they are not already, read T[p, q] - T[p-1, q-1]
+in one flat gather per chunk of a band.
 
 dim_cells evaluates whole arrays of cells in one call, dim_triangle every
 cell with p + q <= pq_max, and dim_invariant one cell.  No result is
@@ -222,8 +224,11 @@ class _ProgressionTraces:
 
     def __init__(self, group: QuotientGroup):
         E = group.exponent
-        ram = _ramanujan_row(E)
         orbits = _rational_classes(group)
+        # at residues p, q < E every intermediate of a class's trace is below 2 E phi(E),
+        # so the weighted traces stay below 3 E phi(E) |G|, |G| the summed |multiplicity|
+        _require_int64(3 * E * _totient(E) * sum(abs(mult) for _, mult in orbits))
+        ram = _ramanujan_row(E)
         self.E = E
         self.central = np.zeros(E, dtype=np.int64)
         moving, row_of = [], {}
@@ -243,7 +248,6 @@ class _ProgressionTraces:
         self.F = F.ravel()
         k = np.array(moving, dtype=np.int64).reshape(-1, 4)
         self.k1, self.k2, self.offset, self.mult = k[:, :1], k[:, 1:2], k[:, 2:3], k[:, 3]
-        self.bound = group.order * _totient(E)
 
     def _at(self, x: np.ndarray) -> np.ndarray:
         """F at x mod E in each orbit's row, overwriting x; x - E (x // E) is
@@ -262,37 +266,66 @@ class _ProgressionTraces:
 _trace_tables = lru_cache(maxsize=CACHE_SIZE)(_ProgressionTraces)
 
 
-def _su2_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """W(p, q) = W_nc(p mod E, q mod E) + (p + q + 1) central[(q - p) mod E],
-    W_nc one difference of F per non-central orbit, at each cell's residues."""
-    tables = _trace_tables(group)
-    pq = _su2_degrees(p, q, tables.bound, E)
-    # residues as x - E (x // E), as in _ProgressionTraces._at
-    pr, qr = p - p // E * E, q - q // E * E
+def _su2_traces(tables: _ProgressionTraces, pr: np.ndarray, qr: np.ndarray) -> np.ndarray:
+    """W at residues 0 <= pr, qr < E: the non-central traces, a block of
+    cells at a time, plus (pr + qr + 1) central[(qr - pr) mod E]."""
     block = max(1, _BLOCK_ENTRIES // max(1, len(tables.mult)))
-    nc = np.concatenate([tables.noncentral(pr[i:i + block], qr[i:i + block]) for i in range(0, len(p), block)])
-    # qr - pr lies in (-E, E), and numpy reads a negative index from the end:
-    # central[qr - pr] is central[(q - p) mod E]
-    return nc + (pq + 1) * tables.central[qr - pr]
+    nc = np.concatenate([tables.noncentral(pr[i:i + block], qr[i:i + block]) for i in range(0, len(pr), block)])
+    # qr - pr lies in (-E, E), and numpy reads a negative index from the end
+    return nc + (pr + qr + 1) * tables.central[qr - pr]
 
 
-def _su2_degrees(p: np.ndarray, q: np.ndarray, bound: int, E: int) -> np.ndarray:
-    """p + q, after the n = 2 int64 guard: per cell the central trace is
-    bound (p + q + 1) at most and the non-central below bound E, bound =
-    phi(E) |G|.  Both routes of dim_cells take it, so they refuse the same
-    cells."""
-    # p, q >= 0: their int64 sum wraps past 2^63 - 1 exactly where it turns negative
-    pq = p + q
-    if pq.min() < 0:
-        raise Int64Limit("exact integer intermediate p + q may reach 2^63, beyond int64")
-    _require_int64(bound * (int(pq.max()) + 1 + E))
-    return pq
+def _period_from_traces(name: str, E: int, denom: int, W: np.ndarray, central: np.ndarray,
+                        pr: np.ndarray, qr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """base = W / denom at the residue pairs (pr[i], qr[i]) and the period
+    increments step = E central / denom, after four checks at those residues
+    that stand for the per-cell gates at every cell with those residues.
+
+    Write p = a E + pr and q = b E + qr, residues pr, qr < E, and k = a + b.
+    Then p + q + 1 = (pr + qr + 1) + k E and (q - p) mod E = (qr - pr) mod E
+    = r, so W(p, q) = W(pr, qr) + k E central[r].  If (1) denom divides
+    W(pr, qr) and (2) denom divides E central[r], then dim(p, q) =
+    base + k step[r]: the dimension and the sphere dimension
+    pr + qr + 1 + k E are both affine in k, with slopes step[r] and E.  So
+    (3) 0 <= base <= pr + qr + 1 and (4) 0 <= step[r] <= E give
+    0 <= dim <= sphere dim at every k >= 0.  Conversely the gates at k = 0
+    are (1) and (3); at k = 1 they give denom | W(pr, qr) + E central[r],
+    hence (2); and an affine function of k that stays within
+    [0, pr + qr + 1 + k E] for every k >= 0 has a slope in [0, E], which is
+    (4).  Any failure raises NonIntegralDimension, at the first pair in the
+    given order that fails the first check that fails."""
+    base = W // denom
+    stepped = E * central
+    step = stepped // denom
+    r = qr - pr     # in (-E, E): a negative index reads [(qr - pr) mod E]
+    def at(i):
+        return int(pr[i]), int(qr[i])
+    failures = [
+        (W != base * denom, lambda i: f"weighted trace sum {W[i]} at residues {at(i)} is not divisible by {denom}"),
+        ((stepped != step * denom)[r], lambda i: f"the period increment {E} * {central[r[i]]} at (q - p) mod {E} = "
+                                                 f"{r[i] % E} is not divisible by {denom}"),
+        ((base < 0) | (base > pr + qr + 1), lambda i: f"the dimension {base[i]} at residues {at(i)} is outside "
+                                                      f"[0, sphere dim]"),
+        (((step < 0) | (step > E))[r], lambda i: f"the period increment {step[r[i]]} at (q - p) mod {E} = "
+                                                 f"{r[i] % E} is outside [0, {E}]"),
+    ]
+    for bad, what in failures:
+        i = int(bad.argmax())       # the first failing pair, if any fails
+        if bad[i]:
+            raise NonIntegralDimension(f"{name}: {what(i)}")
+    return base, step
+
+
+def _residue_dims(group: QuotientGroup, pr: np.ndarray, qr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """base at the residue pairs and the step vector, traced and checked there."""
+    E = group.exponent
+    tables = _trace_tables(group)
+    return _period_from_traces(group.name, E, _totient(E) * group.order, _su2_traces(tables, pr, qr),
+                               tables.central, pr, qr)
 
 
 # most bytes the cached period tables hold together: a table is E^2 + E
-# int64 within the cell budget, so this is two of the largest (64 MB);
-# building one adds its traces and the checks' temporaries, about four times
-# the table at its peak (137 MB at E = 2039, tracemalloc)
+# int64 within the cell budget, so this is two of the largest (64 MB)
 MAX_PERIOD_CACHE_BYTES = 16 * MAX_CELLS
 
 
@@ -307,54 +340,6 @@ class PeriodTable(NamedTuple):
     @property
     def nbytes(self) -> int:
         return self.base.nbytes + self.step.nbytes
-
-    def dims(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-        """Dimensions at cells p, q >= 0 by lookup; p + q must fit int64."""
-        E = self.E
-        a, b = p // E, q // E
-        pr, qr = p - a * E, q - b * E
-        # qr - pr lies in (-E, E): a negative index reads step[(q - p) mod E]
-        return self.base.ravel()[pr * E + qr] + (a + b) * self.step[qr - pr]
-
-
-def _period_from_traces(name: str, E: int, denom: int, W: np.ndarray, central: np.ndarray) -> PeriodTable:
-    """The period table from the weighted traces W on the residue square and
-    the central vector, after the four checks that stand for the per-cell
-    gates of dim_cells at every cell p, q >= 0.
-
-    Write p = a E + pr and q = b E + qr, residues pr, qr < E, and k = a + b.
-    Then p + q + 1 = (pr + qr + 1) + k E and (q - p) mod E = (qr - pr) mod E,
-    so W(p, q) = W[pr, qr] + k E central[r], r = (qr - pr) mod E.  If
-    (1) denom divides W on the square and (2) denom divides E central, then
-    dim(p, q) = base[pr, qr] + k step[r] with base = W / denom and
-    step = E central / denom: the dimension and the sphere dimension
-    pr + qr + 1 + k E are both affine in k, with slopes step and E.  So
-    (3) 0 <= base <= pr + qr + 1 and (4) 0 <= step <= E give
-    0 <= dim <= sphere dim at every k >= 0.  Conversely the gates at k = 0
-    are (1) and (3); at k = 1 they give denom | W[pr, qr] + E central[r],
-    hence (2), every r arising as (qr - pr) mod E; and an affine function of
-    k that stays within [0, pr + qr + 1 + k E] for every k >= 0 has a slope
-    in [0, E], which is (4).  Any failure raises NonIntegralDimension."""
-    base = W // denom
-    stepped = E * central
-    step = stepped // denom
-    r = np.arange(E)
-    sphere = r[:, None] + r + 1
-    failures = [
-        (W != base * denom, lambda i: f"weighted trace sum {W.flat[i]} at residues {divmod(i, E)} is not "
-                                      f"divisible by {denom}"),
-        (stepped != step * denom, lambda i: f"the period increment {E} * {central[i]} at (q - p) mod {E} = {i} "
-                                            f"is not divisible by {denom}"),
-        ((base < 0) | (base > sphere), lambda i: f"the dimension {base.flat[i]} at residues {divmod(i, E)} is "
-                                                 f"outside [0, sphere dim]"),
-        ((step < 0) | (step > E), lambda i: f"the period increment {step[i]} at (q - p) mod {E} = {i} is "
-                                            f"outside [0, {E}]"),
-    ]
-    for bad, what in failures:
-        i = np.flatnonzero(bad)
-        if len(i):
-            raise NonIntegralDimension(f"{name}: {what(int(i[0]))}")
-    return PeriodTable(E, base, step)
 
 
 # the period tables of the most recently used n = 2 groups, oldest first:
@@ -372,21 +357,21 @@ def period_route(group: QuotientGroup, cells: int) -> bool:
 def period_table(group: QuotientGroup, cells: int) -> PeriodTable | None:
     """The group's period table, cached, for a request of this many cells,
     or None where period_route says the cells are traced one by one.  It is
-    built once from the traces at the E^2 residue cells; a failed check
-    raises and caches nothing."""
+    traced and checked over the E^2 residue pairs a block of rows at a time,
+    so building it holds little beyond the table; a failed check raises and
+    caches nothing."""
     if not period_route(group, cells):
         return None
     E = group.exponent
     table = _period_tables.pop(group, None)
     if table is None:
-        # the residue pair (p, q) is cell p E + q of the square, traced a block of rows at a time
-        W = np.empty(E * E, dtype=np.int64)
-        block = E * max(1, _BLOCK_ENTRIES // E)
+        base = np.empty(E * E, dtype=np.int64)
+        block = E * max(1, _BLOCK_ENTRIES // E)     # whole rows; the residue pair (pr, qr) is entry pr E + qr
         for i in range(0, E * E, block):
-            p = np.arange(i, min(i + block, E * E)) // E
-            W[i:i + len(p)] = _su2_traces(group, E, p, np.arange(len(p)) - (p - i // E) * E)
-        table = _period_from_traces(group.name, E, _totient(E) * group.order, W.reshape(E, E),
-                                    _trace_tables(group).central)
+            pairs = np.arange(i, min(i + block, E * E))
+            pr = pairs // E
+            base[i:i + len(pairs)], step = _residue_dims(group, pr, pairs - pr * E)
+        table = PeriodTable(E, base.reshape(E, E), step)
     _period_tables[group] = table
     while len(_period_tables) > CACHE_SIZE or sum(t.nbytes for t in _period_tables.values()) > MAX_PERIOD_CACHE_BYTES:
         _period_tables.popitem(last=False)
@@ -487,19 +472,28 @@ def _series_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -
 def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
     """Invariant dimensions at the cells (p[i], q[i]), all nonnegative, in one
     exact evaluation; transient memory stays at a few MB per block of cells.
-    An n = 2 request of at least E^2 cells reads the period table, if the
-    group's fits the budget (period_route); every other request is traced
-    and gated cell by cell."""
+    For n = 2 each is base + (p // E + q // E) step[(q - p) mod E], base and
+    step read from the period table where period_route allows, else traced
+    and checked at the request's own residues; for n >= 3 each cell is
+    traced and gated."""
     p = np.asarray(p, dtype=np.int64)
     q = np.asarray(q, dtype=np.int64)
     if not len(p):
         return np.zeros(0, dtype=np.int64)
     E = group.exponent
+    if group.n == 2:
+        # p, q >= 0: every dimension is at most the sphere's p + q + 1, which
+        # fits int64 exactly where p <= 2^63 - 2 - q
+        if (p > 2**63 - 2 - q).any():
+            raise Int64Limit("exact integer intermediate p + q + 1 may reach 2^63, beyond int64")
+        a, b = p // E, q // E
+        pr, qr = p - a * E, q - b * E
+        table = period_table(group, len(p))
+        base, step = _residue_dims(group, pr, qr) if table is None else (table.base.ravel()[pr * E + qr], table.step)
+        # qr - pr lies in (-E, E): a negative index reads step[(q - p) mod E]
+        return base + (a + b) * step[qr - pr]
     denom = _totient(E) * group.order
-    if (table := period_table(group, len(p))) is not None:
-        _su2_degrees(p, q, denom, E)
-        return table.dims(p, q)
-    traces = (_su2_traces if group.n == 2 else _series_traces)(group, E, p, q)
+    traces = _series_traces(group, E, p, q)
     dims = traces // denom
     bad = np.flatnonzero((traces != dims * denom) | (dims < 0) | (dims > _sphere_dims(p, q, group.n)))
     if len(bad):

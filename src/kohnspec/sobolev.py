@@ -100,18 +100,20 @@ def c_group(group: QuotientGroup, ceiling: int, convention: int = 2) -> SobolevC
     key = (q * (p + n - 1)) * (ceiling + 1) + p
     key[(q < 1) | (dims == 0)] = _NO_CELL
     line_best = np.minimum.reduceat(key, np.arange(ceiling + 1) * np.arange(1, ceiling + 2) // 2)
-    best: tuple[Fraction, tuple[int, int]] | None = None
+    # the lines' squared constants (1 + mu) / den, compared by cross-multiplying
+    best: tuple[int, int, tuple[int, int]] | None = None
     for s, k in enumerate(line_best.tolist()):
         if k == _NO_CELL:
             continue
         p = k % (ceiling + 1)
         cell = (p, s - p)
-        sq = c_pq_squared(p, s - p, n, convention)
-        if best is None or sq > best[0] or (sq == best[0] and cell < best[1]):
-            best = (sq, cell)
+        num, den = 1 + laplace_eigenvalue(s, n), (convention * (s - p) * (p + n - 1)) ** 2
+        if best is None or (order := num * best[1] - best[0] * den) > 0 or (order == 0 and cell < best[2]):
+            best = (num, den, cell)
     if best is None:
         raise ConstraintError(f"{group.name}: no nonvanishing bidegree with q >= 1 below ceiling {ceiling}")
-    best_sq, (p, q) = best
+    p, q = best[2]
+    best_sq = c_pq_squared(p, q, n, convention)
     value = c_pq(p, q, n, convention)
     env = envelope(ceiling, n, convention)
     plateau = 1.0 / (convention * (n - 1))

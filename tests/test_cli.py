@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 import kohnspec
 from kohnspec import ConstraintError, NonFreeAction, ParseError, errors, parse_group_spec
 from kohnspec.cli import build_parser, run
-from kohnspec.invariant_dims import closed_form_cyclic
+from kohnspec.invariant_dims import closed_form_cyclic, closed_form_icosahedral, closed_form_q_semidirect
 
 REPRODUCE_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "reproduce_golden.json"
 CLI_GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
@@ -299,19 +299,24 @@ class TestDeterminismAndExitCodes:
             run(["dims", "--group", "cyclic:3", "--p", "1", "--q", "1"])
 
     def test_int64_limit_is_user_error(self, capsys):
-        # the second cell's p + q wraps in int64
-        for group, pq in (("qsemi:101", "600000000000"), ("cyclic:3", "5000000000000000000")):
-            code, out, err = capture(capsys, ["dims", "--group", group, "--p", pq, "--q", pq])
-            assert (code, out) == (1, ""), group
-            assert err.startswith("error: exact integer intermediate") and err.count("\n") == 1, group
+        # p + q = 10^19 wraps in int64
+        pq = "5000000000000000000"
+        code, out, err = capture(capsys, ["dims", "--group", "cyclic:3", "--p", pq, "--q", pq])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: exact integer intermediate") and err.count("\n") == 1
 
     def test_large_cell_within_int64_is_answered(self, capsys):
-        # its sphere dimension 8e9 + 1 fits int64, though C(p + 1, 1) C(q + 1, 1) does not
-        code, out, _ = capture(capsys, ["dims", "--group", "cyclic:3", "--p", "4000000000",
-                                        "--q", "4000000000", "--format", "json"])
-        assert code == 0
-        assert json.loads(out) == {"group": "cyclic:3", "p": 4000000000, "q": 4000000000, "dim": 2666666667}
-        assert closed_form_cyclic(3, 4 * 10**9, 4 * 10**9) == 2666666667
+        for group, p, q, dim, closed in [
+            # its sphere dimension 8e9 + 1 fits int64, though C(p + 1, 1) C(q + 1, 1) does not
+            ("cyclic:3", 4 * 10**9, 4 * 10**9, 2666666667, closed_form_cyclic(3, 4 * 10**9, 4 * 10**9)),
+            # phi(E) |G| (p + q) passes 2^63, the dimension and its sphere dimension do not
+            ("qsemi:101", 6 * 10**11, 6 * 10**11, 100000000001, closed_form_q_semidirect(101, 6 * 10**11, 6 * 10**11)),
+            ("2I", 4 * 10**18, 6 * 10**17, 76666666666666667, closed_form_icosahedral(4 * 10**18, 6 * 10**17)),
+        ]:
+            code, out, _ = capture(capsys, ["dims", "--group", group, "--p", str(p), "--q", str(q), "--format", "json"])
+            assert code == 0, group
+            assert json.loads(out) == {"group": group, "p": p, "q": q, "dim": dim}
+            assert closed == dim, group
 
     def test_oracle_budget_trips_fast(self, capsys):
         start = time.perf_counter()
@@ -369,12 +374,14 @@ class TestDeterminismAndExitCodes:
         assert all(ok for *_, ok in rows)
         assert (code, err) == (0, "") and json.loads(out)["entries"] == [[p, q, brute] for p, q, brute, *_ in rows]
 
-    @pytest.mark.parametrize("group", ["2T", "cyclic:7", "lens:5:1,2,3", "lens:3:1,1,1,2"])
+    @pytest.mark.parametrize("group", ["2T", "cyclic:7", "lens:5:1,2,3", "lens:3:1,1,1,2", "qsemi:101"])
     def test_large_eigenvalue_multiplicity_is_fast(self, capsys, group):
+        # the n = 2 contributors reach p + q = 2^41, within int64 however
+        # large phi(E) |G| is (8726400 for qsemi:101)
         start = time.perf_counter()
-        code, out, err = capture(capsys, ["multiplicity", "--group", group, "--lambda", "1000000000000"])
+        code, out, err = capture(capsys, ["multiplicity", "--group", group, "--lambda", str(2**42)])
         assert time.perf_counter() - start < 1.0
-        assert code in (0, 1)
+        assert code in ((0,) if group == "qsemi:101" else (0, 1))
         assert (out == "") == (code == 1) and err.count("\n") == code
 
     @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)

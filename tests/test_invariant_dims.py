@@ -8,6 +8,7 @@ every closed form on the full parameter grid.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,8 +312,15 @@ def per_class_traces(group, p, q):
 
 
 def orbit_traces(group, p, q):
+    """The engine's traces at the cells: for n = 2 the kernel's traces at
+    the residues plus k E central[r], k = p // E + q // E, r = (q - p) mod E."""
     E = group.exponent
-    return (_su2_traces if group.n == 2 else _series_traces)(group, E, p, q)
+    if group.n != 2:
+        return _series_traces(group, E, p, q)
+    tables = _trace_tables(group)
+    a, b = p // E, q // E
+    pr, qr = p - a * E, q - b * E
+    return _su2_traces(tables, pr, qr) + (a + b) * E * tables.central[(qr - pr) % E]
 
 
 def cell_sets(n, seed):
@@ -517,7 +525,6 @@ class TestResidueRoutes:
             assert np.array_equal(square, per_cell), g.name
             closed = [dim_closed_form(g, a, b) for a, b in zip(p.tolist(), q.tolist())]
             assert square.tolist() == closed, g.name
-            assert np.array_equal(period_table(g, cells).dims(p, q), square), g.name
 
     def test_table_is_read_from_E_squared_cells(self, kernel_points):
         g = make_binary_icosahedral()       # E = 60
@@ -546,14 +553,17 @@ def not_a_group():
 
 
 class TestPeriodGates:
-    # E = 2, phi(E) |G| = 4: W is 4 times the sphere dimension pr + qr + 1,
-    # and central 4 gives the sphere's own increment step = E
+    # E = 2, phi(E) |G| = 4: at the residue pairs (pr, qr) of the square W is
+    # 4 times the sphere dimension pr + qr + 1, and central 4 gives the
+    # sphere's own increment step = E
     E, denom = 2, 4
-    sphere = np.add.outer(np.arange(2), np.arange(2)) + 1
+    pr, qr = np.divmod(np.arange(4), 2)
+    sphere = pr + qr + 1
 
     def test_sphere_traces_pass(self):
-        table = _period_from_traces("sphere", self.E, self.denom, 4 * self.sphere, np.array([4, 4]))
-        assert table.base.tolist() == self.sphere.tolist() and table.step.tolist() == [2, 2]
+        base, step = _period_from_traces("sphere", self.E, self.denom, 4 * self.sphere, np.array([4, 4]),
+                                         self.pr, self.qr)
+        assert base.tolist() == self.sphere.tolist() and step.tolist() == [2, 2]
 
     @pytest.mark.parametrize("cell, value, central, match", [
         ((0, 1), 9, [4, 4], "weighted trace sum 9 at residues \\(0, 1\\) is not divisible by 4"),
@@ -568,16 +578,20 @@ class TestPeriodGates:
         # 0 <= base <= pr + qr + 1, 0 <= step <= E
         W = 4 * self.sphere
         if cell:
-            W[cell] = value
+            W[2 * cell[0] + cell[1]] = value
         with pytest.raises(NonIntegralDimension, match=match):
-            _period_from_traces("fake", self.E, self.denom, W, np.array(central))
+            _period_from_traces("fake", self.E, self.denom, W, np.array(central), self.pr, self.qr)
 
     def test_non_group_classes_raise_on_the_table(self):
-        # each cell (3, 3j) passes the per-cell checks; a request of E^2 = 9 of
-        # them reads the table, which covers every residue pair, and raises
+        # each cell (3, 3j) passes the checks at its residues, where r = 0,
+        # though central[1] fails the second; a request of E^2 = 9 of them
+        # reads the table, which covers every residue pair, and raises
         g = not_a_group()
         p, q = np.full(9, 3), np.arange(9) * 3
         assert [dim_invariant(g, a, b) for a, b in zip(p.tolist(), q.tolist())] == list(range(4, 29, 3))
+        # (3, 4) reads residues (0, 1), where the first check fails
+        with pytest.raises(NonIntegralDimension, match="not-a-group-2: weighted trace sum 2 at residues \\(0, 1\\)"):
+            dim_invariant(g, 3, 4)
         with pytest.raises(NonIntegralDimension, match="not-a-group-2: weighted trace sum"):
             dim_cells(g, p, q)
         with pytest.raises(NonIntegralDimension, match="not-a-group-2: weighted trace sum"):
@@ -592,6 +606,9 @@ class TestPeriodGates:
             g = from_classes(f"weighted-{den}", 2, den, classes)
             with pytest.raises(NonIntegralDimension, match=match):
                 period_table(g, den * den)
+            # below E^2 cells the request is checked at its own residues, here every pair but (0, 0)
+            with pytest.raises(NonIntegralDimension, match=match):
+                dim_cells(g, [10**6 + 1, 10**17, 1], [1, 10**17 + 1, 10**9])
 
 
 class TestPeriodCache:
@@ -614,6 +631,21 @@ class TestPeriodCache:
             assert list(invariant_dims._period_tables)[-1] is g
         assert list(invariant_dims._period_tables) == groups[1:]
         invariant_dims._period_tables.clear()
+
+    def test_building_a_table_peaks_near_its_size(self):
+        # the square is traced and checked a block of rows at a time, so
+        # building 2IxC:7's table (E = 420) holds little beyond the table
+        g = make_product_with_center(make_binary_icosahedral(), 7)
+        invariant_dims._period_tables.clear()
+        _trace_tables(g)
+        tracemalloc.start()
+        try:
+            table = period_table(g, 420 * 420)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        invariant_dims._period_tables.clear()
+        assert peak <= 5 * table.nbytes, (peak, table.nbytes)
 
     def test_cache_is_bounded_in_count(self):
         invariant_dims._period_tables.clear()

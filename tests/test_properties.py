@@ -138,9 +138,10 @@ class TestDimCellsRoutes:
     @settings(max_examples=20, deadline=None)
     @given(group=st.sampled_from([g for g in su2_sample() + u2_sample() if g.exponent <= 60]),
            side=st.integers(min_value=-8, max_value=8), seed=st.integers(min_value=0, max_value=2**32 - 1),
-           reach=st.sampled_from([1, 3, 10**6]))
+           reach=st.sampled_from([1, 3, 10**6, 10**17]))
     def test_one_call_equals_single_cells(self, group, side, seed, reach):
+        # up to reach periods of p and of q, within p + q + 1 < 2^63
         E = group.exponent
-        p, q = np.random.default_rng(seed).integers(0, reach * E + 1, (2, max(1, E * E + side)))
+        p, q = np.random.default_rng(seed).integers(0, min(reach * E, 2**62 - 1) + 1, (2, max(1, E * E + side)))
         singles = [dim_invariant(group, a, b) for a, b in zip(p.tolist(), q.tolist())]
         assert dim_cells(group, p, q).tolist() == singles

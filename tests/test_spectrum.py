@@ -32,7 +32,7 @@ from kohnspec import (
 )
 from kohnspec.errors import ConstraintError, SizeLimit
 from kohnspec.group_catalog import parse_group_spec
-from kohnspec.invariant_dims import MAX_CELLS, _sphere_dims, _su2_traces, dim_cells, period_table
+from kohnspec.invariant_dims import MAX_CELLS, _sphere_dims, dim_cells, period_table
 from kohnspec.spectrum import (
     _SPHERE_PERIOD,
     SpectrumEntry,
@@ -293,8 +293,8 @@ class TestInt64BoundsPerCell:
             dim_cells(g, [0, 30000], [1, 30000])
 
     def test_n2_trace_bound_reads_each_cells_own_degree(self):
-        # qsemi:101 (|G| phi(E) = 8726400): the contributors' largest p + q is
-        # ~6e11, but p.max() + q.max() ~1.2e12 would have passed 2^63
+        # qsemi:101: the contributors' largest p + q is ~6e11, while
+        # p.max() + q.max() ~1.2e12; either is far below the n = 2 limit p + q + 1 < 2^63
         assert multiplicity(make_q_semidirect(101), 1_199_880_000_000)[0] == 49995797261
 
     def test_n2_trace_refuses_a_cell_whose_degree_wraps(self):
@@ -302,7 +302,16 @@ class TestInt64BoundsPerCell:
 
         # p + q = 10^19 wraps in int64, so a bound read from max(p + q) alone would pass it
         with pytest.raises(Int64Limit):
-            _su2_traces(make_cyclic(3), 3, np.array([0, 5 * 10**18]), np.array([0, 5 * 10**18]))
+            dim_cells(make_cyclic(3), np.array([0, 5 * 10**18]), np.array([0, 5 * 10**18]))
+
+    def test_n2_limit_is_the_sphere_dimension(self):
+        from kohnspec.errors import Int64Limit
+
+        # cyclic:1 leaves every harmonic invariant: dim = p + q + 1, at most 2^63 - 1
+        g = make_cyclic(1)
+        assert dim_invariant(g, 2**62, 2**62 - 2) == 2**63 - 1
+        with pytest.raises(Int64Limit):
+            dim_invariant(g, 2**62, 2**62 - 1)
 
     def test_sphere_dims_bound_each_cell(self):
         from kohnspec.errors import Int64Limit
