@@ -33,7 +33,8 @@ from .spectrum import (
 )
 
 # most rows a row-count option may ask for: each weyl grid point costs an
-# xi_bound and a counting lookup, each sobolev witness or h0dims row one
+# xi_bound and a counting lookup (for n >= 3 also a floor-run sphere count,
+# about as dear as the xi_bound), each sobolev witness or h0dims row one
 # evaluation of the generating polynomial
 MAX_ROWS = 2**12
 

@@ -31,9 +31,10 @@ in one flat gather per chunk of a band.
 
 dim_cells evaluates whole arrays of cells in one call, dim_triangle every
 cell with p + q <= pq_max, and dim_invariant one cell.  No result is
-memoised; only the Galois orbits and the n = 2 trace tables of the last
-CACHE_SIZE groups are cached, and the n = 2 period tables of at most as
-many groups and MAX_PERIOD_CACHE_BYTES together.  Every enumeration of
+memoised; only the Galois orbits of the last CACHE_SIZE groups are cached,
+the n = 2 trace tables of at most as many groups and MAX_TRACE_CACHE_BYTES
+together, and the n = 2 period tables of at most as many groups and
+MAX_PERIOD_CACHE_BYTES together.  Every enumeration of
 cells counts them against one cell budget before it allocates.
 dim_closed_form evaluates the per-family piecewise formulas; reconcile
 checks the two against each other.
@@ -230,6 +231,7 @@ class _ProgressionTraces:
         _require_int64(3 * E * _totient(E) * sum(abs(mult) for _, mult in orbits))
         ram = _ramanujan_row(E)
         self.E = E
+        self.denom = _totient(E) * group.order
         self.central = np.zeros(E, dtype=np.int64)
         moving, row_of = [], {}
         for (k1, k2), mult in orbits:
@@ -248,6 +250,7 @@ class _ProgressionTraces:
         self.F = F.ravel()
         k = np.array(moving, dtype=np.int64).reshape(-1, 4)
         self.k1, self.k2, self.offset, self.mult = k[:, :1], k[:, 1:2], k[:, 2:3], k[:, 3]
+        self.nbytes = self.F.nbytes + self.central.nbytes + k.nbytes
 
     def _at(self, x: np.ndarray) -> np.ndarray:
         """F at x mod E in each orbit's row, overwriting x; x - E (x // E) is
@@ -261,23 +264,45 @@ class _ProgressionTraces:
         return self.mult @ (self._at((q + 1) * self.k1 - (p + 1) * self.k2) - self._at(q * self.k2 - p * self.k1))
 
 
-# the tables of each of the last CACHE_SIZE groups, built once per group:
-# bounded in count, not in bytes (a row of E int64 per divisor of E at most)
-_trace_tables = lru_cache(maxsize=CACHE_SIZE)(_ProgressionTraces)
+# most bytes the cached trace tables hold together: cyclic:83160's 64 MB
+# fit, cyclic:98280's 75 MB are built again on every request
+MAX_TRACE_CACHE_BYTES = 16 * MAX_CELLS
+
+# the n = 2 trace tables of the most recently used groups, oldest first
+_trace_cache: OrderedDict[QuotientGroup, _ProgressionTraces] = OrderedDict()
 
 
-def _su2_traces(tables: _ProgressionTraces, pr: np.ndarray, qr: np.ndarray) -> np.ndarray:
-    """W at residues 0 <= pr, qr < E: the non-central traces, a block of
-    cells at a time, plus (pr + qr + 1) central[(qr - pr) mod E]."""
+def _cached(cache: OrderedDict, group: QuotientGroup, build, max_bytes: int):
+    """cache[group], moved to the newest end, or else build(group), added
+    there; then the oldest entries are dropped until at most CACHE_SIZE
+    remain and they hold at most max_bytes together.  An entry larger than
+    that is returned but not kept."""
+    if group in cache:
+        cache.move_to_end(group)
+        return cache[group]
+    value = cache[group] = build(group)
+    while len(cache) > CACHE_SIZE or sum(v.nbytes for v in cache.values()) > max_bytes:
+        cache.popitem(last=False)
+    return value
+
+
+def _trace_tables(group: QuotientGroup) -> _ProgressionTraces:
+    """The group's trace tables, kept for reuse within MAX_TRACE_CACHE_BYTES."""
+    return _cached(_trace_cache, group, _ProgressionTraces, MAX_TRACE_CACHE_BYTES)
+
+
+def _su2_traces(tables: _ProgressionTraces, pr: np.ndarray, qr: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """W at residues 0 <= pr, qr < E, r = qr - pr: the non-central traces, a
+    block of cells at a time, plus (pr + qr + 1) central[(qr - pr) mod E]."""
     block = max(1, _BLOCK_ENTRIES // max(1, len(tables.mult)))
     nc = np.concatenate([tables.noncentral(pr[i:i + block], qr[i:i + block]) for i in range(0, len(pr), block)])
-    # qr - pr lies in (-E, E), and numpy reads a negative index from the end
-    return nc + (pr + qr + 1) * tables.central[qr - pr]
+    # r lies in (-E, E), and numpy reads a negative index from the end
+    return nc + (pr + qr + 1) * tables.central[r]
 
 
 def _period_from_traces(name: str, E: int, denom: int, W: np.ndarray, central: np.ndarray,
-                        pr: np.ndarray, qr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """base = W / denom at the residue pairs (pr[i], qr[i]) and the period
+                        pr: np.ndarray, qr: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """base = W / denom at the residue pairs (pr[i], qr[i]), r = qr - pr, and the period
     increments step = E central / denom, after four checks at those residues
     that stand for the per-cell gates at every cell with those residues.
 
@@ -297,17 +322,18 @@ def _period_from_traces(name: str, E: int, denom: int, W: np.ndarray, central: n
     base = W // denom
     stepped = E * central
     step = stepped // denom
-    r = qr - pr     # in (-E, E): a negative index reads [(qr - pr) mod E]
     def at(i):
         return int(pr[i]), int(qr[i])
+    def by_pair(bad):   # a check on step, read at each pair's r (in (-E, E)) only if it fails somewhere
+        return bad[r] if bad.any() else bad[:1]
     failures = [
         (W != base * denom, lambda i: f"weighted trace sum {W[i]} at residues {at(i)} is not divisible by {denom}"),
-        ((stepped != step * denom)[r], lambda i: f"the period increment {E} * {central[r[i]]} at (q - p) mod {E} = "
-                                                 f"{r[i] % E} is not divisible by {denom}"),
+        (by_pair(stepped != step * denom), lambda i: f"the period increment {E} * {central[r[i]]} at "
+                                                     f"(q - p) mod {E} = {r[i] % E} is not divisible by {denom}"),
         ((base < 0) | (base > pr + qr + 1), lambda i: f"the dimension {base[i]} at residues {at(i)} is outside "
                                                       f"[0, sphere dim]"),
-        (((step < 0) | (step > E))[r], lambda i: f"the period increment {step[r[i]]} at (q - p) mod {E} = "
-                                                 f"{r[i] % E} is outside [0, {E}]"),
+        (by_pair((step < 0) | (step > E)), lambda i: f"the period increment {step[r[i]]} at (q - p) mod {E} = "
+                                                     f"{r[i] % E} is outside [0, {E}]"),
     ]
     for bad, what in failures:
         i = int(bad.argmax())       # the first failing pair, if any fails
@@ -316,12 +342,12 @@ def _period_from_traces(name: str, E: int, denom: int, W: np.ndarray, central: n
     return base, step
 
 
-def _residue_dims(group: QuotientGroup, pr: np.ndarray, qr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """base at the residue pairs and the step vector, traced and checked there."""
-    E = group.exponent
+def _residue_dims(group: QuotientGroup, pr: np.ndarray, qr: np.ndarray,
+                  r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """base at the residue pairs, r = qr - pr, and the step vector, traced and checked there."""
     tables = _trace_tables(group)
-    return _period_from_traces(group.name, E, _totient(E) * group.order, _su2_traces(tables, pr, qr),
-                               tables.central, pr, qr)
+    return _period_from_traces(group.name, tables.E, tables.denom, _su2_traces(tables, pr, qr, r),
+                               tables.central, pr, qr, r)
 
 
 # most bytes the cached period tables hold together: a table is E^2 + E
@@ -362,20 +388,19 @@ def period_table(group: QuotientGroup, cells: int) -> PeriodTable | None:
     caches nothing."""
     if not period_route(group, cells):
         return None
+    return _cached(_period_tables, group, _build_period_table, MAX_PERIOD_CACHE_BYTES)
+
+
+def _build_period_table(group: QuotientGroup) -> PeriodTable:
     E = group.exponent
-    table = _period_tables.pop(group, None)
-    if table is None:
-        base = np.empty(E * E, dtype=np.int64)
-        block = E * max(1, _BLOCK_ENTRIES // E)     # whole rows; the residue pair (pr, qr) is entry pr E + qr
-        for i in range(0, E * E, block):
-            pairs = np.arange(i, min(i + block, E * E))
-            pr = pairs // E
-            base[i:i + len(pairs)], step = _residue_dims(group, pr, pairs - pr * E)
-        table = PeriodTable(E, base.reshape(E, E), step)
-    _period_tables[group] = table
-    while len(_period_tables) > CACHE_SIZE or sum(t.nbytes for t in _period_tables.values()) > MAX_PERIOD_CACHE_BYTES:
-        _period_tables.popitem(last=False)
-    return table
+    base = np.empty(E * E, dtype=np.int64)
+    block = E * max(1, _BLOCK_ENTRIES // E)     # whole rows; the residue pair (pr, qr) is entry pr E + qr
+    for i in range(0, E * E, block):
+        pairs = np.arange(i, min(i + block, E * E))
+        pr = pairs // E
+        qr = pairs - pr * E
+        base[i:i + len(pairs)], step = _residue_dims(group, pr, qr, qr - pr)
+    return PeriodTable(E, base.reshape(E, E), step)
 
 
 def _series_tables(group: QuotientGroup, E: int, degree: int) -> tuple[np.ndarray, np.ndarray, int]:
@@ -488,10 +513,11 @@ def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
             raise Int64Limit("exact integer intermediate p + q + 1 may reach 2^63, beyond int64")
         a, b = p // E, q // E
         pr, qr = p - a * E, q - b * E
+        r = qr - pr     # in (-E, E): a negative index reads step[(q - p) mod E]
         table = period_table(group, len(p))
-        base, step = _residue_dims(group, pr, qr) if table is None else (table.base.ravel()[pr * E + qr], table.step)
-        # qr - pr lies in (-E, E): a negative index reads step[(q - p) mod E]
-        return base + (a + b) * step[qr - pr]
+        base, step = (_residue_dims(group, pr, qr, r) if table is None
+                      else (table.base.ravel()[pr * E + qr], table.step))
+        return base + (a + b) * step[r]
     denom = _totient(E) * group.order
     traces = _series_traces(group, E, p, q)
     dims = traces // denom

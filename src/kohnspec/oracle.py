@@ -2,12 +2,15 @@
 through its exact generators, and invariant dimensions as ranks over a finite
 field.
 
-No character theory enters here.  Bidegree-(p, q) polynomials are spanned by
-the N monomials z^a conj(z)^b.  The Laplacian L = 4 sum_i d^2/dz_i dconj(z_i)
-maps them onto bidegree (p-1, q-1), and its kernel, of dimension sphere_dim,
-is the harmonic space.  A group element acts by precomposition with the inverse
-matrix, expanded multinomially on monomials.  The invariant harmonics are the
-common kernel of L and of A_g - I over the generators g.
+No character theory enters here.  Bidegree-(p, q) polynomials P(p, q) are
+spanned by the N monomials z^a conj(z)^b.  A group element acts by
+precomposition with the inverse matrix, expanded multinomially on monomials.
+For unitary G, P(p, q) = H(p, q) + |z|^2 P(p-1, q-1) as G-modules (Folland,
+*The tangential Cauchy-Riemann complex on spheres*, Trans. AMS 1972), H the
+harmonics, so the invariant harmonic dimension is d_P(p, q) - d_P(p-1, q-1),
+d_P the invariant dimension of all of P, and d_P(p, q) where p or q is 0.
+Both sides depend on the group only up to conjugacy in GL(n), and a finite
+group is conjugate to a unitary one, so the split needs no check of its own.
 
 Diagonal generators cut the space down before any elimination:
 
@@ -15,10 +18,9 @@ Diagonal generators cut the space down before any elimination:
   z^a conj(z)^b by the scalar prod_i conj(u_ii)^a_i * prod_i u_ii^b_i.
 - Every invariant therefore lies in the span W of the monomials on which that
   scalar is 1 for every diagonal generator.
-- L maps W into W', the weight-one monomials of bidegree (p-1, q-1): z_i
-  conj(z_i) has weight u_ii conj(u_ii) = 1, since U conj(U)^T = I mod ell.
-- So the invariant dimension is |W| - rank [L restricted to W -> W';
-  (A_h - I) restricted to the columns W, for each non-diagonal generator h].
+- So d_P(p, q) is |W| - rank [(A_h - I) restricted to the columns W, for
+  each non-diagonal generator h], and |W| itself when there is no such h
+  (every lens and cyclic group) or W is empty: no matrix is built.
 
 Every catalog family has a diagonal generator: the quaternion i = diag(i, -i)
 (2T, 2O, 2I, qsemi), the cyclic generator (cyclic, lens, bindih, cycsemi) or
@@ -33,17 +35,12 @@ The rank is taken over F_ell, and it is exact:
   prime ell = 1 (mod E) dividing no coefficient denominator, zeta_E -> r,
   r a primitive E-th root of unity mod ell, maps those entries into F_ell.
   Conjugation is zeta -> zeta^-1, applied before reduction.
-- ell > |G| (Maschke): |G| is a unit mod ell, so the group average is an
-  idempotent over the ring of the entries, and reduced mod ell it is still
-  the idempotent whose image is the common fixed space of the reduced
-  generators.  On the harmonic kernel its rank mod ell equals its trace mod
-  ell, the characteristic-zero invariant dimension d reduced mod ell.
-- ell > _BASIS_LIMIT >= N >= sphere_dim >= d, so that rank is d itself.
-- The harmonic kernel must keep its dimension: rank mod ell of the integer
-  matrix L can only fall below its rank over the rationals, where L is onto
-  bidegree (p-1, q-1).  An onto map that preserves the weights is onto each
-  weight block, so every cell checks that L restricted to W has rank |W'|
-  mod ell and raises ReductionError on a drop.
+- ell > |G| (Maschke): |G| is a unit mod ell, so the group average on
+  P(p, q) is an idempotent over the ring of the entries, and reduced mod ell
+  it is still the idempotent whose image is the common fixed space of the
+  reduced generators.  Its rank mod ell equals its trace mod ell, the
+  characteristic-zero invariant dimension d_P reduced mod ell.
+- ell > _BASIS_LIMIT >= N >= d_P, so that rank is d_P itself.
 - The order check closes the reduced generators mod ell.  Reduction is
   injective on a finite group of order prime to ell, since its kernel has
   ell-power order (Minkowski; Serre, *Bounds for the orders of the finite
@@ -63,13 +60,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ClosureMismatch, ReductionError, SizeLimit, _require_int64
+from .errors import ClosureMismatch, SizeLimit, _require_int64
 from .group_catalog import Cyclotomic, QuotientGroup
 from .invariant_dims import _primes, dim_triangle
 
 _BASIS_LIMIT = 4000
 # estimated multiply-adds of one oracle_check, closure plus elimination on the
-# weight blocks, an upper bound: 2I at p+q <= 37 takes about 6.5 s (2 vCPUs)
+# weight blocks, an upper bound: 2I at p+q <= 39 takes about 6.8 s (2 vCPUs)
 _WORK_LIMIT = 2 * 10**9
 
 
@@ -165,19 +162,6 @@ def _peel(degree: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array(first), np.array(reduced), np.array(up)
 
 
-@lru_cache(maxsize=64)
-def _lower(degree: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The degree-d exponent vectors as rows, and for each monomial a and
-    variable i the index of a - e_i in degree d - 1 (-1 where a_i = 0)."""
-    exps = np.array(monomial_exponents(degree, n), dtype=np.int64).reshape(-1, n)
-    down = np.full(exps.shape, -1)
-    if degree:
-        up = _peel(degree, n)[2]
-        for i in range(n):
-            down[up[:, i], i] = np.arange(len(up))
-    return exps, down
-
-
 class _SymPowers:
     """Matrices of z^a -> (h z)^a mod ell on monomial bases, built degree by
     degree: peel one variable off each monomial and multiply the
@@ -245,47 +229,10 @@ class ElementAction:
         return (holo[a, :, None] * anti[b, None, :]).reshape(len(a), size).T % self.ell
 
 
-def _fixed(actions: list[ElementAction], n: int, p: int, q: int) -> np.ndarray:
-    """Flat indices of the bidegree-(p, q) monomials z^a conj(z)^b of weight
-    one, prod conj(u_ii)^a_i * prod u_ii^b_i = 1, under every diagonal action."""
-    fixed = np.ones((_degree_size(p, n), _degree_size(q, n)), dtype=bool)
-    for a in actions:
-        holo, anti = a.weights
-        fixed &= np.outer(holo[p], anti[q]) % a.ell == 1
-    return np.flatnonzero(fixed)
-
-
-def _laplacian(n: int, p: int, q: int, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The block of L from the flat bidegree-(p, q) indices cols to the flat
-    (p-1, q-1) indices rows, scattered through the index maps of a - e_i and
-    b - e_i.  L sends a column outside rows only if a diagonal generator is
-    not unitary mod ell, which raises ReductionError."""
-    lap = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    if not (p and q):
-        return lap
-    (a_exps, a_down), (b_exps, b_down) = _lower(p, n), _lower(q, n)
-    a, b = np.divmod(cols, len(b_exps))
-    width = _degree_size(q - 1, n)
-    position = np.full(_degree_size(p - 1, n) * width, -1)
-    position[rows] = np.arange(len(rows))
-    coeff = a_exps[a] * b_exps[b]             # a_i b_i for each column and variable i
-    hit = coeff > 0
-    target = position[(a_down[a] * width + b_down[b])[hit]]
-    if (target < 0).any():
-        raise ReductionError(f"L leaves the weight-one monomials at ({p},{q}): "
-                             f"a diagonal generator is not unitary mod ell")
-    lap[target, np.nonzero(hit)[0]] = 4 * coeff[hit]
-    return lap
-
-
-def _rank(M: np.ndarray, ell: int, head: int = 0) -> tuple[int, int]:
-    """Ranks mod ell of M and of its first head rows, overwriting M.
-
-    Gaussian elimination column by column.  Each pivot is the lowest free row
-    with a nonzero entry, and only the free rows below it with a nonzero
-    entry are updated, so head rows only ever combine with head rows."""
+def _rank(M: np.ndarray, ell: int) -> int:
+    """Rank mod ell of M, overwriting M: Gaussian elimination column by column."""
     free = np.ones(M.shape[0], dtype=bool)
-    rank = head_rank = 0
+    rank = 0
     for c in range(M.shape[1]):
         rows = np.flatnonzero(free & (M[:, c] != 0))
         if rows.size == 0:
@@ -293,11 +240,10 @@ def _rank(M: np.ndarray, ell: int, head: int = 0) -> tuple[int, int]:
         r, rest = rows[0], rows[1:]
         free[r] = False
         rank += 1
-        head_rank += r < head
         if rest.size:
             factor = M[rest, c] * pow(int(M[r, c]), -1, ell) % ell
             M[rest, c:] = (M[rest, c:] - np.outer(factor, M[r, c:])) % ell
-    return rank, head_rank
+    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -332,56 +278,63 @@ def matrix_closure(group: QuotientGroup, image: ModularImage | None = None) -> l
     return list(elements.values())
 
 
-def _weight_block(actions: list[ElementAction], n: int, p: int, q: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """N, W and W' of the cell (p, q): the basis size, refused above
-    _BASIS_LIMIT, and the flat indices of the weight-one monomials of
-    bidegrees (p, q) and (p-1, q-1)."""
+def _weight_block(actions: list[ElementAction], n: int, p: int, q: int) -> tuple[int, np.ndarray]:
+    """N and W of the cell (p, q): the basis size, refused above _BASIS_LIMIT,
+    and the flat indices of the monomials z^a conj(z)^b of weight one,
+    prod conj(u_ii)^a_i * prod u_ii^b_i = 1, under every diagonal action."""
     size = _degree_size(p, n) * _degree_size(q, n)
     if size > _BASIS_LIMIT:
         raise SizeLimit(f"bidegree ({p},{q}) basis of size {size} exceeds {_BASIS_LIMIT}")
-    diagonal = [a for a in actions if a.weights is not None]
-    cols = _fixed(diagonal, n, p, q)
-    return size, cols, (_fixed(diagonal, n, p - 1, q - 1) if p and q else cols[:0])
+    fixed = np.ones((_degree_size(p, n), _degree_size(q, n)), dtype=bool)
+    for a in actions:
+        if a.weights is not None:
+            holo, anti = a.weights
+            fixed &= np.outer(holo[p], anti[q]) % a.ell == 1
+    return size, np.flatnonzero(fixed)
+
+
+def _poly_dim(actions: list[ElementAction], n: int, p: int, q: int,
+              block: tuple[int, np.ndarray] | None = None) -> int:
+    """d_P(p, q): |W| minus the rank mod ell of A_h - I at the columns W,
+    stacked over the non-diagonal generators h; no matrix where there is
+    none or W is empty.  block is the cell's _weight_block when the caller
+    has counted it already, as oracle_check's budget has."""
+    _, cols = block or _weight_block(actions, n, p, q)
+    moving = [a for a in actions if a.weights is None]
+    if not (moving and len(cols)):
+        return len(cols)
+    ell = actions[0].ell
+    unit = cols, np.arange(len(cols))      # the entries of I at the columns W
+    stacked = []
+    for a in moving:
+        m = a.matrix(p, q, cols)
+        m[unit] = (m[unit] - 1) % ell
+        stacked.append(m)
+    return len(cols) - _rank(np.vstack(stacked), ell)
 
 
 def invariant_dim_bruteforce(group: QuotientGroup, p: int, q: int,
-                             actions: list[ElementAction] | None = None,
-                             block: tuple[int, np.ndarray, np.ndarray] | None = None) -> int:
-    """|W| minus the rank mod ell of L restricted to W -> W' stacked over
-    A_h - I at the columns W for every non-diagonal generator h, after
-    checking that L is onto W'.  block is the cell's _weight_block when the
-    caller has counted it already, as oracle_check's budget has."""
-    n = group.n
+                             actions: list[ElementAction] | None = None) -> int:
+    """The invariant harmonic dimension at (p, q), d_P(p, q) - d_P(p-1, q-1)."""
     actions = actions or modular_image(group).actions()
-    ell = actions[0].ell
-    size, cols, rows = block or _weight_block(actions, n, p, q)
-    unit = np.zeros((size, len(cols)), dtype=np.int64)
-    unit[cols, np.arange(len(cols))] = 1
-    stacked = np.vstack([_laplacian(n, p, q, cols, rows) % ell]
-                        + [(a.matrix(p, q, cols) - unit) % ell for a in actions if a.weights is None])
-    rank, lap_rank = _rank(stacked, ell, len(rows))
-    if lap_rank != len(rows):
-        raise ReductionError(
-            f"{group.name}: Laplacian at ({p},{q}) has rank {lap_rank} mod {ell} on the "
-            f"weight-one monomials, expected {len(rows)}"
-        )
-    return len(cols) - rank
+    lower = _poly_dim(actions, group.n, p - 1, q - 1) if p and q else 0
+    return _poly_dim(actions, group.n, p, q) - lower
 
 
 def _budgeted_blocks(group: QuotientGroup, pq_max: int, actions: list[ElementAction]) -> list[tuple]:
     """The _weight_block of each cell with p + q <= pq_max, in dim_triangle's
     order.  SizeLimit before any matrix is built if the closure and the
-    eliminations exceed the budget: a cell stacks |W'| + N rows per
-    non-diagonal generator over |W| columns, so building and eliminating it
-    takes at most rows * |W| (|W| + 1) multiply-adds."""
+    eliminations exceed the budget: a cell stacks N rows per non-diagonal
+    generator over |W| columns, so building and eliminating it takes at most
+    moving N |W| (|W| + 1) multiply-adds."""
     n, k = group.n, len(group.generators)
     moving = sum(a.weights is None for a in actions)
     work = group.order * k * n ** 3
     blocks = []
     for s in range(pq_max + 1):
         for p in range(s + 1):
-            size, cols, rows = block = _weight_block(actions, n, p, s - p)
-            work += (len(rows) + moving * size) * len(cols) * (len(cols) + 1)
+            size, cols = block = _weight_block(actions, n, p, s - p)
+            work += moving * size * len(cols) * (len(cols) + 1)
             if work > _WORK_LIMIT:
                 raise SizeLimit(
                     f"oracle check of {group.name} up to p+q={pq_max} needs more than "
@@ -393,14 +346,17 @@ def _budgeted_blocks(group: QuotientGroup, pq_max: int, actions: list[ElementAct
 
 def oracle_check(group: QuotientGroup, pq_max: int) -> list[tuple[int, int, int, int, bool]]:
     """Compare brute-force and character-averaged dimensions on a grid.
+    d_P is found once per cell; the cell (p-1, q-1) lies 2(p + q) places
+    earlier in dim_triangle's order.
 
     Returns rows (p, q, brute, averaged, ok)."""
     image = modular_image(group)
     actions = image.actions()      # symmetric powers are built once, shared by every cell
     blocks = _budgeted_blocks(group, pq_max, actions)
     matrix_closure(group, image)
-    rows = []
-    for (p, q, averaged), block in zip(dim_triangle(group, pq_max), blocks):
-        brute = invariant_dim_bruteforce(group, p, q, actions, block)
+    rows, d_P = [], []
+    for i, ((p, q, averaged), block) in enumerate(zip(dim_triangle(group, pq_max), blocks)):
+        d_P.append(_poly_dim(actions, group.n, p, q, block))
+        brute = d_P[i] - (d_P[i - 2 * (p + q)] if p and q else 0)
         rows.append((p, q, brute, averaged, brute == averaged))
     return rows

@@ -10,7 +10,8 @@ in pi rounded once.
 Spectrum tables sum the dimensions of every cell under the hyperbola; they
 serve listings, comparisons and n >= 3.  For n = 2, weyl_report counts from
 the group's period table by Dirichlet's hyperbola method, O(sqrt(lam)) line
-sums per cutoff and no cell, and the sphere from the sphere's own table.
+sums per cutoff and no cell, and the sphere from the sphere's own table; for
+n >= 3 it counts the sphere by one closed floor-run sum per cutoff.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .group_catalog import QuotientGroup
 from .errors import ConstraintError, SizeLimit, _require_int64
-from .invariant_dims import PeriodTable, _sphere_dims, dim_cells, period_route, period_table, require_cells
+from .invariant_dims import PeriodTable, dim_cells, period_route, period_table, require_cells
 
 
 def box_eigenvalue(p: int, q: int, n: int) -> int:
@@ -254,6 +255,21 @@ def _floor_runs(L: int, lo: int, hi: int):
         a = b + 1
 
 
+def sphere_count(lam: int, n: int) -> int:
+    """N_S(lam), the sphere's positive eigenvalues <= lam with multiplicity,
+    in closed form.  Row q >= 1 holds the cells p = 0..v - n + 1, v = L // q,
+    L = floor(lam / 2), whose sphere dimensions sum to
+    C(v+1, n) C(q+n-1, n-1) - C(v, n) C(q+n-2, n-1).  Over each run of
+    constant v the sums over q are hockey-stick differences."""
+    L = int(lam) // 2
+    total, below = 0, (1, 0)     # C(q+n-1, n) and C(q+n-2, n) at the run's first q
+    for _, b, v in _floor_runs(L, 1, L // (n - 1)):
+        upto = math.comb(b + n, n), math.comb(b + n - 1, n)
+        total += math.comb(v + 1, n) * (upto[0] - below[0]) - math.comb(v, n) * (upto[1] - below[1])
+        below = upto
+    return total
+
+
 def xi_bound(lam, n: int) -> int:
     """Exact big-integer tail bound controlling |N_G - N_S/|G|| at cutoff 2*lam:
 
@@ -386,10 +402,7 @@ def weyl_report(group: QuotientGroup, grid) -> WeylReport:
     elif n == 2:
         [n_sph] = period_counts([_SPHERE_PERIOD], grid)
     else:
-        # the sphere's table on the same cells, so each grid point reads the
-        # same slot of both cumulative sums
-        sphere = SpectrumTable(lam_max, n, table._p, table._q, _sphere_dims(table._p, table._q, n))
-        n_sph = [sphere.count(lam) for lam in grid]
+        n_sph = [sphere_count(lam, n) for lam in grid]
     ratios = [ns / ng if ng else math.inf for ns, ng in zip(n_sph, n_quot)]
     ok = [_within_tail_bound(group.order, ng, ns, x) for ng, ns, x in zip(n_quot, n_sph, xi)]
     const = weyl_constant(n)

@@ -18,15 +18,17 @@ pg_expansion and reconstruct_expansion expand (z^e - 1)^n (w^e - 1)^n and
 its inverse series term by term, one shifted 2-D block per pair of binomial
 terms; genfun's one-axis operators are checked against them.
 
-The oracle's full stacked-matrix rank lives here: the whole monomial space of
-bidegree (p, q), the Laplacian built monomial by monomial, and the actions of
-all generators as N x N matrices.  Production (:mod:`kohnspec.oracle`)
-eliminates only on the monomials the diagonal generators fix; the tests
-compare the two cell by cell.
+The oracle's independent reference lives here: the harmonic space as the
+kernel of the Laplacian, built monomial by monomial on the whole monomial
+space of bidegree (p, q), stacked over the actions of all generators as
+N x N matrices.  Production (:mod:`kohnspec.oracle`) takes no Laplacian: it
+differences the invariant dimensions of all polynomials of bidegrees (p, q)
+and (p-1, q-1), each eliminated only on the monomials the diagonal
+generators fix; the tests compare the two cell by cell.
 
 The sphere's own spectrum table, from the sphere dimensions cell by cell,
-and the closed floor-run sum sphere_count check the sphere counts of
-:func:`kohnspec.spectrum.weyl_report` and each other; weyl_report_cells is
+checks the sphere counts of :func:`kohnspec.spectrum.weyl_report` and its
+closed floor-run sum :func:`kohnspec.spectrum.sphere_count`; weyl_report_cells is
 the report counted cell by cell, as weyl_report counts a group without a
 period table; the Gauss-Legendre quadrature checks the exact Weyl integral,
 and tail_bound_holds states the tail bound for a group.
@@ -51,7 +53,6 @@ from kohnspec.spectrum import (
     SpectrumTable,
     WeylReport,
     _cells,
-    _floor_runs,
     _within_tail_bound,
     counting_function,
     sphere_volume,
@@ -223,7 +224,7 @@ class BidegreeSpace:
         """Dimension of the harmonic kernel: N minus the Laplacian's rank,
         taken mod the oracle prime of the trivial group."""
         ell = _prime(1, _BASIS_LIMIT, ())
-        return len(self.basis) - _rank(self.laplacian % ell, ell)[0]
+        return len(self.basis) - _rank(self.laplacian % ell, ell)
 
 
 def build_space(n: int, p: int, q: int) -> BidegreeSpace:
@@ -255,20 +256,20 @@ def build_space(n: int, p: int, q: int) -> BidegreeSpace:
 def invariant_dim_reference(group: QuotientGroup, p: int, q: int,
                             actions: list[ElementAction] | None = None) -> int:
     """N minus the rank mod ell of the Laplacian stacked over A_g - I for
-    every generator g, after checking the Laplacian's rank."""
+    every generator g, after checking the Laplacian's own rank."""
     actions = actions or modular_image(group).actions()
     ell = actions[0].ell
     space = build_space(group.n, p, q)
     size = len(space.basis)
-    ident = np.eye(size, dtype=np.int64)
-    stacked = np.vstack([space.laplacian % ell] + [(a.matrix(p, q) - ident) % ell for a in actions])
-    rank, lap_rank = _rank(stacked, ell, space.laplacian.shape[0])
+    lap_rank = _rank(space.laplacian % ell, ell)
     expected = size - sphere_dim(p, q, group.n)
     if lap_rank != expected:
         raise ReductionError(
             f"{group.name}: Laplacian at ({p},{q}) has rank {lap_rank} mod {ell}, expected {expected}"
         )
-    return size - rank
+    ident = np.eye(size, dtype=np.int64)
+    stacked = np.vstack([space.laplacian % ell] + [(a.matrix(p, q) - ident) % ell for a in actions])
+    return size - _rank(stacked, ell)
 
 
 def trace_bruteforce(action: ElementAction, p: int, q: int) -> int:
@@ -284,21 +285,6 @@ def sphere_counting_table(n: int, lambda_max: int) -> SpectrumTable:
     """Spectrum table of the sphere itself, from the exact sphere dimensions."""
     p, q = _cells(n, lambda_max)
     return SpectrumTable(lambda_max, n, p, q, _sphere_dims(p, q, n))
-
-
-def sphere_count(lam: int, n: int) -> int:
-    """N_S(lam), the sphere's positive eigenvalues <= lam with multiplicity,
-    in closed form.  Row q >= 1 holds the cells p = 0..v - n + 1, v = L // q,
-    L = floor(lam / 2), whose sphere dimensions sum to
-    C(v+1, n) C(q+n-1, n-1) - C(v, n) C(q+n-2, n-1).  Over each run of
-    constant v the sums over q are hockey-stick differences."""
-    L = int(lam) // 2
-    total, below = 0, (1, 0)     # C(q+n-1, n) and C(q+n-2, n) at the run's first q
-    for _, b, v in _floor_runs(L, 1, L // (n - 1)):
-        upto = math.comb(b + n, n), math.comb(b + n - 1, n)
-        total += math.comb(v + 1, n) * (upto[0] - below[0]) - math.comb(v, n) * (upto[1] - below[1])
-        below = upto
-    return total
 
 
 def weyl_report_cells(group: QuotientGroup, grid: list[int]) -> WeylReport:

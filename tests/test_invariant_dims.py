@@ -320,7 +320,7 @@ def orbit_traces(group, p, q):
     tables = _trace_tables(group)
     a, b = p // E, q // E
     pr, qr = p - a * E, q - b * E
-    return _su2_traces(tables, pr, qr) + (a + b) * E * tables.central[(qr - pr) % E]
+    return _su2_traces(tables, pr, qr, qr - pr) + (a + b) * E * tables.central[(qr - pr) % E]
 
 
 def cell_sets(n, seed):
@@ -562,7 +562,7 @@ class TestPeriodGates:
 
     def test_sphere_traces_pass(self):
         base, step = _period_from_traces("sphere", self.E, self.denom, 4 * self.sphere, np.array([4, 4]),
-                                         self.pr, self.qr)
+                                         self.pr, self.qr, self.qr - self.pr)
         assert base.tolist() == self.sphere.tolist() and step.tolist() == [2, 2]
 
     @pytest.mark.parametrize("cell, value, central, match", [
@@ -580,7 +580,7 @@ class TestPeriodGates:
         if cell:
             W[2 * cell[0] + cell[1]] = value
         with pytest.raises(NonIntegralDimension, match=match):
-            _period_from_traces("fake", self.E, self.denom, W, np.array(central), self.pr, self.qr)
+            _period_from_traces("fake", self.E, self.denom, W, np.array(central), self.pr, self.qr, self.qr - self.pr)
 
     def test_non_group_classes_raise_on_the_table(self):
         # each cell (3, 3j) passes the checks at its residues, where r = 0,
@@ -631,6 +631,24 @@ class TestPeriodCache:
             assert list(invariant_dims._period_tables)[-1] is g
         assert list(invariant_dims._period_tables) == groups[1:]
         invariant_dims._period_tables.clear()
+
+    def test_trace_tables_are_bounded_in_bytes(self, monkeypatch):
+        # room for two of 2I's trace tables but not three; with room for
+        # none, a table is built for each request and not kept
+        invariant_dims._trace_cache.clear()
+        classes = [(c.angles, c.mult) for c in make_binary_icosahedral().classes]
+        groups = [from_classes(f"2I copy {i}", 2, 60, classes) for i in range(3)]
+        size = _trace_tables(groups[0]).nbytes
+        monkeypatch.setattr(invariant_dims, "MAX_TRACE_CACHE_BYTES", 3 * size - 1)
+        for g in groups:
+            assert _trace_tables(g).nbytes == size
+            assert list(invariant_dims._trace_cache)[-1] is g
+        assert list(invariant_dims._trace_cache) == groups[1:]
+        monkeypatch.setattr(invariant_dims, "MAX_TRACE_CACHE_BYTES", size - 1)
+        g = make_binary_icosahedral()
+        assert _trace_tables(g) is not _trace_tables(g) and not invariant_dims._trace_cache
+        assert dim_cells(g, [6, 60], [6, 0]).tolist() == [dim_closed_form(g, 6, 6), dim_closed_form(g, 60, 0)]
+        invariant_dims._trace_cache.clear()
 
     def test_building_a_table_peaks_near_its_size(self):
         # the square is traced and checked a block of rows at a time, so
