@@ -11,7 +11,6 @@ from .errors import (
     NonFreeAction,
     NonIntegralDimension,
     ParseError,
-    ReductionError,
     SizeLimit,
     TruncationError,
     UnsupportedFamily,

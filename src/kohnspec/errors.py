@@ -59,11 +59,6 @@ class ClosureMismatch(KohnspecError):
     differs from the catalog order."""
 
 
-class ReductionError(KohnspecError):
-    """Reduction mod the oracle's prime lost rank: the Laplacian's rank mod
-    the prime fell below its rank over the rationals."""
-
-
 class TruncationError(KohnspecError):
     """A generating-function polynomial had nonzero coefficients beyond its
     proven degree bound."""

@@ -9,9 +9,9 @@ have equal traces, so the engine takes one trace per rational class,
 weighted by the orbit's summed multiplicity.  The average is then the exact
 quotient of the weighted trace sum by phi(E) |G|: a sum that is not
 divisible, or a quotient outside [0, sphere_dim], raises
-NonIntegralDimension; sphere_dim is Folland's product form.  No float
-enters, and every int64 product is preceded by a magnitude bound, a priori
-or per cell, that raises Int64Limit, an OverflowError, before it is formed.
+NonIntegralDimension.  No float enters, and every int64 product is bounded
+first, by a check that raises Int64Limit, an OverflowError, or by one such
+check already passed (dim_cells proves this of the n >= 3 sphere gate).
 
 For n = 2 the central orbits trace to (p + q + 1) c_E(k (q - p)), the others
 to differences of prefix-sum rows of c_E, E int64 per distinct divisor of E.
@@ -137,42 +137,6 @@ def triangle_cells(pq_max: int) -> tuple[np.ndarray, np.ndarray]:
     s = np.repeat(np.arange(lines, dtype=np.int64), np.arange(1, lines + 1))
     p = np.arange(len(s), dtype=np.int64) - s * (s + 1) // 2
     return p, s - p
-
-
-def _sphere_dims(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
-    """sphere_dim elementwise, in Folland's product form (p + q + n - 1)
-    C(p + n - 2, n - 2) C(q + n - 2, n - 2) / (n - 1).  Int64Limit is raised
-    only where that product passes 2^63: a priori on the axis of the largest
-    p or q, else for a cell whose dimension, taken in Python integers, does."""
-    top = 2**63 - 1
-    def exact(cells):   # these cells' dimensions in Python integers, checked
-        dims = [(a + b + n - 1) * math.comb(a + n - 2, n - 2) * math.comb(b + n - 2, n - 2) // (n - 1)
-                for a, b in zip(p[cells].tolist(), q[cells].tolist())]
-        _require_int64(max(dims, default=0))
-        return dims
-    def times(x, y):    # x *= y, zeroing first the cells whose product passes 2^63, returned
-        near = np.flatnonzero(x > top // int(y.max(initial=1)))     # no other cell can
-        over = near[x[near] > top // y[near]]
-        x[over] = 0
-        x *= y
-        return over
-    # the product at (x, 0), x the largest p or q, bounds every step below and
-    # every cell at x; no cell need pair the largest p with the largest q
-    x = max(int(p.max(initial=0)), int(q.max(initial=0)))
-    _require_int64((x + n - 1) * math.comb(x + n - 2, n - 2))
-    if 2 * x + n - 1 > top:     # only then can p + q + n - 1 wrap
-        exact(np.flatnonzero(p > top - (n - 1) - q))
-    s = p + q + (n - 1)
-    if n == 2:
-        return s
-    a, b = p + 1, q + 1     # C(x + n - 2, n - 2) at x = p and q, exact at every step
-    for i in range(2, n - 1):
-        a, b = a * (p + i) // i, b * (q + i) // i
-    # a b past 2^63 puts the dimension past it too, so exact raises there
-    over = np.concatenate([times(a, b), times(a, s)])
-    a //= n - 1
-    a[over] = exact(over)
-    return a
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -499,8 +463,17 @@ def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
     exact evaluation; transient memory stays at a few MB per block of cells.
     For n = 2 each is base + (p // E + q // E) step[(q - p) mod E], base and
     step read from the period table where period_route allows, else traced
-    and checked at the request's own residues; for n >= 3 each cell is
-    traced and gated."""
+    and checked at the request's own residues.  For n >= 3 each cell is
+    traced and gated against the sphere dimension C_p C_q - C_(p-1) C_(q-1)
+    of Folland's split P(p, q) = H(p, q) + |z|^2 P(p - 1, q - 1), read from
+    one row C[x + 1] = C_x = C(x + n - 1, n - 1), the degree-x monomial
+    count, and C[0] = 0, as the identity's column of the series table holds it.
+
+    That gate needs no int64 guard: each band of _series_traces passed
+    2 C_hi |w| max G[q_lo : q_hi + 2] < 2^63, hi its largest p; the identity
+    orbit adds phi(E) >= 1 to |w|, and its column of G makes that max at
+    least C_(q_hi), so C_p C_q < 2^62 at each of the band's cells.  C's
+    largest entry was guarded by _h_vectors, so its sums cannot wrap."""
     p = np.asarray(p, dtype=np.int64)
     q = np.asarray(q, dtype=np.int64)
     if not len(p):
@@ -521,7 +494,17 @@ def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
     denom = _totient(E) * group.order
     traces = _series_traces(group, E, p, q)
     dims = traces // denom
-    bad = np.flatnonzero((traces != dims * denom) | (dims < 0) | (dims > _sphere_dims(p, q, group.n)))
+    # n - 1 cumulative sums of [0, 1, 1, ...] give C[x + 1] = C(x + n - 1, n - 1)
+    C = np.ones(int(max(p.max(), q.max())) + 2, dtype=np.int64)
+    C[0] = 0
+    for _ in range(group.n - 1):
+        np.cumsum(C, out=C)
+    sphere = np.take(C[1:], p)
+    sphere *= np.take(C[1:], q)
+    lower = np.take(C, p)
+    lower *= np.take(C, q)
+    sphere -= lower
+    bad = np.flatnonzero((traces != dims * denom) | (dims < 0) | (dims > sphere))
     if len(bad):
         i = bad[0]
         raise NonIntegralDimension(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .group_catalog import QuotientGroup
 from .errors import ConstraintError, SizeLimit, _require_int64
-from .invariant_dims import PeriodTable, dim_cells, period_route, period_table, require_cells
+from .invariant_dims import _BLOCK_ENTRIES, PeriodTable, dim_cells, period_route, period_table, require_cells
 
 
 def box_eigenvalue(p: int, q: int, n: int) -> int:
@@ -142,10 +142,6 @@ def counting_function(group: QuotientGroup, lambda_max: int) -> SpectrumTable:
 # the sphere's own period table: dim(p, q) = 1 + (p + q) 1 = p + q + 1
 _SPHERE_PERIOD = PeriodTable(1, np.ones((1, 1), dtype=np.int64), np.ones(1, dtype=np.int64))
 
-# row and column sums period_counts evaluates per block of cutoffs: a few
-# hundred kB per transient array
-_COUNT_BLOCK = 1 << 14
-
 
 def _line_sums(base: np.ndarray, step: np.ndarray):
     """sums(y, K): the sum over x = 0..K-1 of base[x mod E, y mod E] +
@@ -201,7 +197,7 @@ def period_counts(tables: list[PeriodTable], grid) -> list[list[int]]:
         # the rows q = 1..s and the columns p = 0..M-1 of each cutoff in the block, cutoff by cutoff
         rows, cols, L, size = [], [], [], 0
         for x in half[lo:]:
-            if rows and size > _COUNT_BLOCK:
+            if rows and size > _BLOCK_ENTRIES:
                 break
             s = math.isqrt(x)
             rows.append(s)

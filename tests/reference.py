@@ -21,13 +21,16 @@ terms; genfun's one-axis operators are checked against them.
 The oracle's independent reference lives here: the harmonic space as the
 kernel of the Laplacian, built monomial by monomial on the whole monomial
 space of bidegree (p, q), stacked over the actions of all generators as
-N x N matrices.  Production (:mod:`kohnspec.oracle`) takes no Laplacian: it
-differences the invariant dimensions of all polynomials of bidegrees (p, q)
-and (p-1, q-1), each eliminated only on the monomials the diagonal
-generators fix; the tests compare the two cell by cell.
+N x N matrices; ReductionError, raised only here, flags a Laplacian whose
+rank mod the prime falls short.  Production (:mod:`kohnspec.oracle`) takes
+no Laplacian: it differences the invariant dimensions of all polynomials of
+bidegrees (p, q) and (p-1, q-1), each eliminated only on the monomials the
+diagonal generators fix; the tests compare the two cell by cell.
 
-The sphere's own spectrum table, from the sphere dimensions cell by cell,
-checks the sphere counts of :func:`kohnspec.spectrum.weyl_report` and its
+sphere_dim is the sphere dimension as a difference of monomial counts, in
+Python integers; sphere_dims is Folland's product form in int64, apart from
+the engine's difference form.  The sphere's own spectrum table, from
+sphere_dims cell by cell, checks the sphere counts of :func:`kohnspec.spectrum.weyl_report` and its
 closed floor-run sum :func:`kohnspec.spectrum.sphere_count`; weyl_report_cells is
 the report counted cell by cell, as weyl_report counts a group without a
 period table; the Gauss-Legendre quadrature checks the exact Weyl integral,
@@ -44,10 +47,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from kohnspec.errors import ReductionError, SizeLimit, _require_int64
+from kohnspec.errors import KohnspecError, SizeLimit, _require_int64
 from kohnspec.genfun import PGPolynomial
 from kohnspec.group_catalog import Angle, ConjugacyClass, QuotientGroup
-from kohnspec.invariant_dims import _sphere_dims
 from kohnspec.oracle import _BASIS_LIMIT, ElementAction, _prime, _rank, modular_image, monomial_exponents
 from kohnspec.spectrum import (
     SpectrumTable,
@@ -106,6 +108,18 @@ def sphere_dim(p: int, q: int, n: int) -> int:
     full = math.comb(p + n - 1, n - 1) * math.comb(q + n - 1, n - 1)
     lower = math.comb(p + n - 2, n - 1) * math.comb(q + n - 2, n - 1)
     return full - lower
+
+
+def sphere_dims(p: np.ndarray, q: np.ndarray, n: int) -> np.ndarray:
+    """sphere_dim elementwise, in Folland's product form (p + q + n - 1)
+    C(p + n - 2, n - 2) C(q + n - 2, n - 2) / (n - 1), in int64 after that
+    product at the largest p and q rules out overflow."""
+    x, y = int(p.max(initial=0)), int(q.max(initial=0))
+    _require_int64((x + y + n - 1) * math.comb(x + n - 2, n - 2) * math.comb(y + n - 2, n - 2))
+    a = b = 1     # C(x + i, i) at x = p and q after step i, exact at every step
+    for i in range(1, n - 1):
+        a, b = a * (p + i) // i, b * (q + i) // i
+    return (p + q + n - 1) * a * b // (n - 1)
 
 
 def exact_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -253,6 +267,11 @@ def build_space(n: int, p: int, q: int) -> BidegreeSpace:
     return BidegreeSpace(n, p, q, basis, lap)
 
 
+class ReductionError(KohnspecError):
+    """Reduction mod the oracle's prime lost rank: the Laplacian's rank mod
+    the prime fell below its rank over the rationals."""
+
+
 def invariant_dim_reference(group: QuotientGroup, p: int, q: int,
                             actions: list[ElementAction] | None = None) -> int:
     """N minus the rank mod ell of the Laplacian stacked over A_g - I for
@@ -284,7 +303,7 @@ def trace_bruteforce(action: ElementAction, p: int, q: int) -> int:
 def sphere_counting_table(n: int, lambda_max: int) -> SpectrumTable:
     """Spectrum table of the sphere itself, from the exact sphere dimensions."""
     p, q = _cells(n, lambda_max)
-    return SpectrumTable(lambda_max, n, p, q, _sphere_dims(p, q, n))
+    return SpectrumTable(lambda_max, n, p, q, sphere_dims(p, q, n))
 
 
 def weyl_report_cells(group: QuotientGroup, grid: list[int]) -> WeylReport:
@@ -292,7 +311,7 @@ def weyl_report_cells(group: QuotientGroup, grid: list[int]) -> WeylReport:
     counting table and the sphere's table on the same cells."""
     n, lam_max = group.n, grid[-1]
     table = counting_function(group, lam_max)
-    sphere = SpectrumTable(lam_max, n, table._p, table._q, _sphere_dims(table._p, table._q, n))
+    sphere = SpectrumTable(lam_max, n, table._p, table._q, sphere_dims(table._p, table._q, n))
     n_quot = [table.count(lam) for lam in grid]
     n_sph = [sphere.count(lam) for lam in grid]
     xi = [xi_bound(Fraction(lam, 2), n) for lam in grid]

@@ -374,6 +374,13 @@ class TestDeterminismAndExitCodes:
         assert all(ok for *_, ok in rows)
         assert (code, err) == (0, "") and json.loads(out)["entries"] == [[p, q, brute] for p, q, brute, *_ in rows]
 
+    def test_n5_dimension_up_to_the_band_guard(self, capsys):
+        # the sphere gate has no int64 bound of its own: the series band guard alone refuses (102567, 0)
+        code, out, err = capture(capsys, ["dims", "--group", "lens:1:1,1,1,1,1", "--p", "102566", "--q", "0"])
+        assert (code, out, err) == (0, "p       q  dim\n102566  0  4611527207790103770\n", "")
+        code, out, err = capture(capsys, ["dims", "--group", "lens:1:1,1,1,1,1", "--p", "102567", "--q", "0"])
+        assert (code, out) == (1, "") and err.startswith("error: exact integer intermediate")
+
     @pytest.mark.parametrize("group", ["2T", "cyclic:7", "lens:5:1,2,3", "lens:3:1,1,1,2", "qsemi:101"])
     def test_large_eigenvalue_multiplicity_is_fast(self, capsys, group):
         # the n = 2 contributors reach p + q = 2^41, within int64 however
@@ -551,6 +558,19 @@ def test_no_assert_in_src():
     found = {path.stem: [node.lineno for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
              for path in sorted(Path(kohnspec.__file__).resolve().parent.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_every_leaf_error_class_is_raised_in_src():
+    # a class no other error class extends is only ever met by being raised by name
+    raised = set()
+    for path in Path(kohnspec.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            exc = node.exc.func if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) else None
+            if isinstance(exc, ast.Name):
+                raised.add(exc.id)
+    leaves = {cls.__name__ for cls in ERROR_CLASSES
+              if not any(other is not cls and issubclass(other, cls) for other in ERROR_CLASSES)}
+    assert leaves - raised == set()
 
 
 def test_module_graph_is_acyclic():

@@ -202,6 +202,13 @@ class TestIntegralityGate:
             with pytest.raises(NonIntegralDimension):
                 dim_invariant(fake, 0, 1)
 
+    def test_dimension_above_the_sphere_detected(self):
+        # at (0, 1) the average (3 + (-2)(-3) + 2(-1)) / 1 = 7 is integral and
+        # nonnegative, but above the sphere dimension 3
+        fake = from_classes("over-sphere-3", 3, 2, [((0, 0, 0), 1), ((1, 1, 1), -2), ((0, 1, 1), 2)])
+        with pytest.raises(NonIntegralDimension):
+            dim_invariant(fake, 0, 1)
+
     def test_lens3_matches_traced_characters(self, lens3_groups):
         # an n >= 3 check independent of the engine, on every cell with p + q <= 10
         for g in lens3_groups:

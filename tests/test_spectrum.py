@@ -32,7 +32,7 @@ from kohnspec import (
 )
 from kohnspec.errors import ConstraintError, SizeLimit
 from kohnspec.group_catalog import parse_group_spec
-from kohnspec.invariant_dims import MAX_CELLS, _sphere_dims, dim_cells, period_table
+from kohnspec.invariant_dims import MAX_CELLS, dim_cells, period_table
 from kohnspec.spectrum import (
     _SPHERE_PERIOD,
     SpectrumEntry,
@@ -48,6 +48,7 @@ from conftest import TWISTED_SPECS, WEYL_GROUP_SPECS
 from reference import (
     sphere_counting_table,
     sphere_dim,
+    sphere_dims,
     tail_bound_holds,
     weyl_integral,
     weyl_report_cells,
@@ -313,74 +314,48 @@ class TestInt64BoundsPerCell:
         with pytest.raises(Int64Limit):
             dim_invariant(g, 2**62, 2**62 - 1)
 
-    def test_sphere_dims_bound_each_cell(self):
+    def test_n5_reaches_the_band_guard(self):
         from kohnspec.errors import Int64Limit
 
-        # no cell pairs the largest p with the largest q
-        for n, big in ((2, 5 * 10**11), (3, 10**6)):
-            p, q = np.array([big, 0, 3]), np.array([1, big, 4])
-            assert _sphere_dims(p, q, n).tolist() == [sphere_dim(a, b, n) for a, b in zip(p, q)]
-        assert _sphere_dims(np.array([1, 4 * 10**9]), np.array([1, 4 * 10**9]), 2).tolist() == [3, 8000000001]
-        with pytest.raises(Int64Limit):     # C(p + 2, 2) fits, the product (p + 2)(p + 1) on its axis does not
-            _sphere_dims(np.array([3_100_000_000]), np.array([0]), 3)
-        with pytest.raises(Int64Limit):     # C(p + 4, 4) alone passes 2^63
-            _sphere_dims(np.array([3 * 10**5, 1]), np.array([1, 3 * 10**5]), 5)
+        # the band guard 2 C(p + 4, 4) < 2^63 is the only bound at (p, 0): C(102570, 4) fits
+        g = parse_group_spec("lens:1:1,1,1,1,1")
+        assert dim_invariant(g, 102566, 0) == 4611527207790103770 == math.comb(102570, 4)
+        with pytest.raises(Int64Limit):
+            dim_invariant(g, 102567, 0)
 
 
-def sphere_product(p, q, n):
-    """(p + q + n - 1) C(p + n - 2, n - 2) C(q + n - 2, n - 2), (n - 1) times the sphere dimension."""
-    return (p + q + n - 1) * math.comb(p + n - 2, n - 2) * math.comb(q + n - 2, n - 2)
-
-
-def largest_fitting(n, q):
-    """The largest p whose product with q stays below 2^63."""
-    lo, hi = 0, 2**63
+def guard_edge(n, p):
+    """The largest q whose single cell (p, q) of a trivial group passes the
+    band guard 2 C(p + n - 1, n - 1) C(q + n - 1, n - 1) < 2^63."""
+    cp = math.comb(p + n - 1, n - 1)
+    lo, hi = 0, 2**62
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        lo, hi = (mid, hi) if sphere_product(mid, q, n) < 2**63 else (lo, mid - 1)
+        lo, hi = (mid, hi) if 2 * cp * math.comb(mid + n - 1, n - 1) < 2**63 else (lo, mid - 1)
     return lo
 
 
-class TestSphereProductForm:
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_matches_reference_below_the_bound(self, n):
-        rng = random.Random(n)
-        top = largest_fitting(n, 0)
-        cells = []
-        while len(cells) < 300:
-            p, q = rng.randint(0, top), rng.choice([rng.randint(0, 9), rng.randint(0, top)])
-            if sphere_product(p, q, n) < 2**63:
-                cells.append((q, p) if rng.random() < 0.5 else (p, q))
-        p, q = np.array(cells).T
-        assert _sphere_dims(p, q, n).tolist() == [sphere_dim(a, b, n) for a, b in cells]
-
-    def test_n4_cells_on_either_axis(self):
-        # the largest p and the largest q, never in one cell: a bound pairing them would refuse these
-        dims = _sphere_dims(np.array([2 * 10**6, 0]), np.array([0, 2 * 10**6]), 4)
-        assert dims.tolist() == [1333337333337000001] * 2 == [sphere_dim(2 * 10**6, 0, 4)] * 2
-
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_raises_only_past_the_product_bound(self, n):
+class TestSphereGate:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_trivial_group_is_the_sphere_to_the_band_edge(self, n):
         from kohnspec.errors import Int64Limit
 
-        for q in (0, 1, 2, 7):
-            edge = largest_fitting(n, q)
-            for p in {min(x, 2**63 - 1) for x in (edge - 1, edge, edge + 1, edge + 2, 2 * edge)}:
-                for cell in ((p, q), (q, p)):
-                    try:
-                        got = _sphere_dims(*np.array([cell], dtype=np.int64).T, n).tolist()
-                    except Int64Limit:
-                        assert sphere_product(*cell, n) >= 2**63, cell
-                    else:
-                        assert got == [sphere_dim(*cell, n)], cell
-
-    def test_cells_past_the_product_answer_when_their_dimension_fits(self):
-        # (2.3e9, 1) at n = 3: the product passes 2^63, its half does not, and neither
-        # does the difference form C(p + 2, 2) C(q + 2, 2) - C(p + 1, 2) C(q + 1, 2)
-        cells = [(2_300_000_000, 1), (1, 2_300_000_000), (5, 7)]
-        assert all(sphere_product(p, q, 3) >= 2**63 for p, q in cells[:2])
-        p, q = np.array(cells).T
-        assert _sphere_dims(p, q, 3).tolist() == [sphere_dim(a, b, 3) for a, b in cells]
+        # every harmonic is invariant, so each dimension meets the gate's upper
+        # end: a sphere dimension read too small raises NonIntegralDimension
+        g = parse_group_spec("lens:1:" + ",".join(["1"] * n))
+        rng = random.Random(n)
+        cap = 100_000   # keeps the series table near a MB
+        cells = 0
+        while cells < 12:
+            p = rng.randint(0, min(cap, guard_edge(n, 0)))
+            edge = guard_edge(n, p)
+            if edge >= cap:
+                continue
+            cells += 1
+            for a, b in ((p, edge), (edge, p), (p, rng.randint(0, edge)), (rng.randint(0, edge), p)):
+                assert dim_cells(g, [a], [b]).tolist() == [sphere_dim(a, b, n)], (a, b)
+            with pytest.raises(Int64Limit):
+                dim_cells(g, [p], [edge + 1])
 
 
 class TestArrayTable:
@@ -408,7 +383,7 @@ class TestArrayTable:
     @pytest.mark.parametrize("n, lam_max", [(2, 240), (3, 160), (4, 100)])
     def test_sphere_table_matches_reference(self, n, lam_max):
         p, q = reference_cells(n, lam_max)
-        entries = reference_entries(n, p, q, _sphere_dims(p, q, n))
+        entries = reference_entries(n, p, q, sphere_dims(p, q, n))
         self.assert_matches(sphere_counting_table(n, lam_max), entries, lam_max)
 
     @pytest.mark.parametrize("n, lam_max", [(2, 240), (3, 160), (4, 100)])
