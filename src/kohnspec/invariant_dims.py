@@ -11,17 +11,15 @@ quotient of the weighted trace sum by phi(E) |G|: a sum that is not
 divisible, or a quotient outside [0, sphere_dim], raises
 NonIntegralDimension.  No float enters, and every int64 product is bounded
 first, by a check that raises Int64Limit, an OverflowError, or by one such
-check already passed (dim_cells proves this of the n >= 3 sphere gate).
+check already passed.
 
-For n = 2 the central orbits trace to (p + q + 1) c_E(k (q - p)), the others
-to differences of prefix-sum rows of c_E, E int64 per distinct divisor of E.
-The non-central traces are E-periodic in p and q, so every dimension is
-base[p mod E, q mod E] + (p // E + q // E) step[(q - p) mod E], at most the
-sphere's p + q + 1, the only n = 2 quantity bounded per cell.  base and step
-are traced at residue pairs and checked there in place of every cell with
-those residues: at all E^2 pairs once per group for the period table, which
-a request of at least E^2 cells reads, or else at the request's own
-residues.  For n >= 3 each orbit of element order o is traced in its own
+For n = 2 the traces are E-periodic in p and q up to a term linear in
+p + q, so every dimension is base[p mod E, q mod E] + (p // E + q // E)
+step[(q - p) mod E], at most the sphere's p + q + 1, the only n = 2
+quantity bounded per cell.  One PeriodTable per group holds the traces,
+step, and base once a request of at least E^2 cells reads it; each is
+checked at residue pairs in place of every cell with those residues.
+For n >= 3 each orbit of element order o is traced in its own
 field Q(zeta_o), by Ramanujan's divisor sum for c_o: the traces of all
 rational classes at once are one int64 matrix product T = (G w) G^T of a
 table of h-vectors summed into d residues, d | o, formed over bands of the
@@ -32,10 +30,9 @@ in one flat gather per chunk of a band.
 dim_cells evaluates whole arrays of cells in one call, dim_triangle every
 cell with p + q <= pq_max, and dim_invariant one cell.  No result is
 memoised; only the Galois orbits of the last CACHE_SIZE groups are cached,
-the n = 2 trace tables of at most as many groups and MAX_TRACE_CACHE_BYTES
-together, and the n = 2 period tables of at most as many groups and
-MAX_PERIOD_CACHE_BYTES together.  Every enumeration of
-cells counts them against one cell budget before it allocates.
+and the n = 2 period tables of at most as many groups and
+MAX_PERIOD_CACHE_BYTES together.  Every enumeration of cells counts them
+against one cell budget before it allocates.
 dim_closed_form evaluates the per-family piecewise formulas; reconcile
 checks the two against each other.
 """
@@ -46,7 +43,6 @@ import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +104,8 @@ def _ramanujan_row(E: int) -> np.ndarray:
 def _h_vectors(angles_int: list[int], E: int, degree: int) -> np.ndarray:
     """Rows p = 0..degree: the complete homogeneous sum h_p of the roots of
     unity with the given integer angles, as exponent-count vectors mod E."""
-    # each entry of row p is at most the row total, C(p + n - 1, n - 1)
-    _require_int64(math.comb(degree + len(angles_int) - 1, len(angles_int) - 1))
+    # each entry of row p is at most the row total, C(p + n - 1, n - 1), which
+    # _series_tables bounds below 2^62 before it calls this
     # folding in a variable with angle a is h'[d] = h[d] + roll(h'[d-1], a);
     # un-rotating row d by d*a turns that recurrence into a cumulative sum
     h = np.zeros((degree + 1, E), dtype=np.int64)
@@ -171,21 +167,43 @@ def _rational_classes(group: QuotientGroup) -> list[tuple[tuple[int, ...], int]]
     return [(key, mult) for key, mult in orbits]
 
 
-class _ProgressionTraces:
-    """Galois traces of the n = 2 characters of one group's rational classes.
+# most bytes the cached period tables hold together, traces and bases alike:
+# cyclic:83160's 64 MB of traces fit alone, cyclic:98280's 76 MB do not, and
+# two filled tables of cyclic:2039 fit (33 MB each), two of cyclic:2047 not
+MAX_PERIOD_CACHE_BYTES = 16 * MAX_CELLS
+
+
+class PeriodTable:
+    """The n = 2 dimensions of one group from the Galois traces of its
+    rational classes:
+    dim(p, q) = base[p mod E, q mod E] + (p // E + q // E) step[(q - p) mod E].
 
     The character at a class with integer angles (k1, k2) mod E is the
-    progression sum of zeta^(base + j step), j = 0..p+q, with
-    base = q k2 - p k1 and step = k1 - k2.  A central class (step = 0)
-    traces to (p + q + 1) c_E(k (q - p)); these fold into one vector
+    progression sum of zeta^(b + j s), j = 0..p+q, with b = q k2 - p k1
+    and s = k1 - k2.  A central class (s = 0) traces to
+    (p + q + 1) c_E(k (q - p)); these fold into one vector
     central[(q - p) mod E].  Otherwise c_E is constant on unit multiples, so
-    the angles (v k1, v k2), v a unit with v step = c = gcd(step, E), trace
+    the angles (v k1, v k2), v a unit with v s = c = gcd(s, E), trace
     alike and are stored.  Row F_c of F holds the stride-c prefix sums of
     c_E: a whole cycle of r -> r + c traces to 0, so F_c[(r + c) mod E] -
-    F_c[r] = c_E(r) at every r, and the p + q + 1 terms from base sum to
-    F_c[base + (p + q + 1) c] - F_c[base], indices mod E; so the traces are
+    F_c[r] = c_E(r) at every r, and the p + q + 1 terms from b sum to
+    F_c[b + (p + q + 1) c] - F_c[b], indices mod E; so the traces are
     E-periodic in p and q.  E int64 per distinct divisor c, plus central:
-    9.6 MB for cyclic:40000 (29 divisors), 64 MB for cyclic:83160 (95)."""
+    9.6 MB for cyclic:40000 (29 divisors), 64 MB for cyclic:83160 (95).
+
+    With p = a E + pr, q = b E + qr, residues pr, qr < E, and k = a + b,
+    p + q + 1 = pr + qr + 1 + k E and (q - p) mod E = (qr - pr) mod E = r,
+    so the weighted trace sum is W(p, q) = W(pr, qr) + k E central[r].  If
+    denom = phi(E) |G| divides (1) W(pr, qr) and (2) E central[r], then
+    dim(p, q) = base + k step[r], base = W(pr, qr) / denom and
+    step = E central / denom, affine in k like the sphere dimension
+    pr + qr + 1 + k E, of slope E; so (3) 0 <= base <= pr + qr + 1 and
+    (4) 0 <= step[r] <= E give 0 <= dim <= sphere dim at every k >= 0.
+    Conversely the gates at k = 0 are (1) and (3), at k = 1 they give
+    denom | W(pr, qr) + E central[r], hence (2), and a slope outside
+    [0, E] leaves [0, pr + qr + 1 + k E] at some k >= 0, hence (4).  step
+    and its checks (2) and (4) are made once per group; base is checked at
+    residue pairs, a request's own by residue_dims or all E^2 by fill."""
 
     def __init__(self, group: QuotientGroup):
         E = group.exponent
@@ -194,6 +212,7 @@ class _ProgressionTraces:
         # so the weighted traces stay below 3 E phi(E) |G|, |G| the summed |multiplicity|
         _require_int64(3 * E * _totient(E) * sum(abs(mult) for _, mult in orbits))
         ram = _ramanujan_row(E)
+        self.name = group.name
         self.E = E
         self.denom = _totient(E) * group.order
         self.central = np.zeros(E, dtype=np.int64)
@@ -214,7 +233,14 @@ class _ProgressionTraces:
         self.F = F.ravel()
         k = np.array(moving, dtype=np.int64).reshape(-1, 4)
         self.k1, self.k2, self.offset, self.mult = k[:, :1], k[:, 1:2], k[:, 2:3], k[:, 3]
-        self.nbytes = self.F.nbytes + self.central.nbytes + k.nbytes
+        stepped = E * self.central
+        self.step = stepped // self.denom
+        # checks (2) and (4), each at every r
+        self.step_indivisible = stepped != self.step * self.denom
+        self.step_outside = (self.step < 0) | (self.step > E)
+        self.base = None    # (E, E) int64 once fill has run
+        self.nbytes = sum(a.nbytes for a in (self.F, k, self.central, self.step, self.step_indivisible,
+                                             self.step_outside))
 
     def _at(self, x: np.ndarray) -> np.ndarray:
         """F at x mod E in each orbit's row, overwriting x; x - E (x // E) is
@@ -227,109 +253,47 @@ class _ProgressionTraces:
         """Weighted non-central traces at residues 0 <= p, q < E."""
         return self.mult @ (self._at((q + 1) * self.k1 - (p + 1) * self.k2) - self._at(q * self.k2 - p * self.k1))
 
+    def residue_dims(self, pr: np.ndarray, qr: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """base at the residue pairs (pr[i], qr[i]), r = qr - pr, traced a
+        block of pairs at a time, after the four checks at those pairs.  Any
+        failure raises NonIntegralDimension, at the first pair in the given
+        order that fails the first check that fails."""
+        E, denom = self.E, self.denom
+        block = max(1, _BLOCK_ENTRIES // max(1, len(self.mult)))
+        W = np.concatenate([self.noncentral(pr[i:i + block], qr[i:i + block]) for i in range(0, len(pr), block)])
+        # r lies in (-E, E), and numpy reads a negative index from the end
+        W += (pr + qr + 1) * self.central[r]
+        base = W // denom
+        failures = [
+            (W != base * denom, lambda i: f"weighted trace sum {W[i]} at residues ({pr[i]}, {qr[i]}) "
+                                          f"is not divisible by {denom}"),
+            (self.step_indivisible[r], lambda i: f"the period increment {E} * {self.central[r[i]]} at "
+                                                 f"(q - p) mod {E} = {r[i] % E} is not divisible by {denom}"),
+            ((base < 0) | (base > pr + qr + 1), lambda i: f"the dimension {base[i]} at residues ({pr[i]}, {qr[i]}) "
+                                                          f"is outside [0, sphere dim]"),
+            (self.step_outside[r], lambda i: f"the period increment {self.step[r[i]]} at (q - p) mod {E} = "
+                                             f"{r[i] % E} is outside [0, {E}]"),
+        ]
+        for bad, what in failures:
+            i = int(bad.argmax())       # the first failing pair, if any fails
+            if bad[i]:
+                raise NonIntegralDimension(f"{self.name}: {what(i)}")
+        return base
 
-# most bytes the cached trace tables hold together: cyclic:83160's 64 MB
-# fit, cyclic:98280's 75 MB are built again on every request
-MAX_TRACE_CACHE_BYTES = 16 * MAX_CELLS
-
-# the n = 2 trace tables of the most recently used groups, oldest first
-_trace_cache: OrderedDict[QuotientGroup, _ProgressionTraces] = OrderedDict()
-
-
-def _cached(cache: OrderedDict, group: QuotientGroup, build, max_bytes: int):
-    """cache[group], moved to the newest end, or else build(group), added
-    there; then the oldest entries are dropped until at most CACHE_SIZE
-    remain and they hold at most max_bytes together.  An entry larger than
-    that is returned but not kept."""
-    if group in cache:
-        cache.move_to_end(group)
-        return cache[group]
-    value = cache[group] = build(group)
-    while len(cache) > CACHE_SIZE or sum(v.nbytes for v in cache.values()) > max_bytes:
-        cache.popitem(last=False)
-    return value
-
-
-def _trace_tables(group: QuotientGroup) -> _ProgressionTraces:
-    """The group's trace tables, kept for reuse within MAX_TRACE_CACHE_BYTES."""
-    return _cached(_trace_cache, group, _ProgressionTraces, MAX_TRACE_CACHE_BYTES)
-
-
-def _su2_traces(tables: _ProgressionTraces, pr: np.ndarray, qr: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """W at residues 0 <= pr, qr < E, r = qr - pr: the non-central traces, a
-    block of cells at a time, plus (pr + qr + 1) central[(qr - pr) mod E]."""
-    block = max(1, _BLOCK_ENTRIES // max(1, len(tables.mult)))
-    nc = np.concatenate([tables.noncentral(pr[i:i + block], qr[i:i + block]) for i in range(0, len(pr), block)])
-    # r lies in (-E, E), and numpy reads a negative index from the end
-    return nc + (pr + qr + 1) * tables.central[r]
-
-
-def _period_from_traces(name: str, E: int, denom: int, W: np.ndarray, central: np.ndarray,
-                        pr: np.ndarray, qr: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """base = W / denom at the residue pairs (pr[i], qr[i]), r = qr - pr, and the period
-    increments step = E central / denom, after four checks at those residues
-    that stand for the per-cell gates at every cell with those residues.
-
-    Write p = a E + pr and q = b E + qr, residues pr, qr < E, and k = a + b.
-    Then p + q + 1 = (pr + qr + 1) + k E and (q - p) mod E = (qr - pr) mod E
-    = r, so W(p, q) = W(pr, qr) + k E central[r].  If (1) denom divides
-    W(pr, qr) and (2) denom divides E central[r], then dim(p, q) =
-    base + k step[r]: the dimension and the sphere dimension
-    pr + qr + 1 + k E are both affine in k, with slopes step[r] and E.  So
-    (3) 0 <= base <= pr + qr + 1 and (4) 0 <= step[r] <= E give
-    0 <= dim <= sphere dim at every k >= 0.  Conversely the gates at k = 0
-    are (1) and (3); at k = 1 they give denom | W(pr, qr) + E central[r],
-    hence (2); and an affine function of k that stays within
-    [0, pr + qr + 1 + k E] for every k >= 0 has a slope in [0, E], which is
-    (4).  Any failure raises NonIntegralDimension, at the first pair in the
-    given order that fails the first check that fails."""
-    base = W // denom
-    stepped = E * central
-    step = stepped // denom
-    def at(i):
-        return int(pr[i]), int(qr[i])
-    def by_pair(bad):   # a check on step, read at each pair's r (in (-E, E)) only if it fails somewhere
-        return bad[r] if bad.any() else bad[:1]
-    failures = [
-        (W != base * denom, lambda i: f"weighted trace sum {W[i]} at residues {at(i)} is not divisible by {denom}"),
-        (by_pair(stepped != step * denom), lambda i: f"the period increment {E} * {central[r[i]]} at "
-                                                     f"(q - p) mod {E} = {r[i] % E} is not divisible by {denom}"),
-        ((base < 0) | (base > pr + qr + 1), lambda i: f"the dimension {base[i]} at residues {at(i)} is outside "
-                                                      f"[0, sphere dim]"),
-        (by_pair((step < 0) | (step > E)), lambda i: f"the period increment {step[r[i]]} at (q - p) mod {E} = "
-                                                     f"{r[i] % E} is outside [0, {E}]"),
-    ]
-    for bad, what in failures:
-        i = int(bad.argmax())       # the first failing pair, if any fails
-        if bad[i]:
-            raise NonIntegralDimension(f"{name}: {what(i)}")
-    return base, step
-
-
-def _residue_dims(group: QuotientGroup, pr: np.ndarray, qr: np.ndarray,
-                  r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """base at the residue pairs, r = qr - pr, and the step vector, traced and checked there."""
-    tables = _trace_tables(group)
-    return _period_from_traces(group.name, tables.E, tables.denom, _su2_traces(tables, pr, qr, r),
-                               tables.central, pr, qr, r)
-
-
-# most bytes the cached period tables hold together: a table is E^2 + E
-# int64 within the cell budget, so this is two of the largest (64 MB)
-MAX_PERIOD_CACHE_BYTES = 16 * MAX_CELLS
-
-
-class PeriodTable(NamedTuple):
-    """The n = 2 dimensions of one group over one period:
-    dim(p, q) = base[p mod E, q mod E] + (p // E + q // E) step[(q - p) mod E]."""
-
-    E: int
-    base: np.ndarray    # (E, E) int64: the dimensions at the residue cells
-    step: np.ndarray    # (E,) int64: the increase per period of p or of q
-
-    @property
-    def nbytes(self) -> int:
-        return self.base.nbytes + self.step.nbytes
+    def fill(self) -> None:
+        """base over all E^2 residue pairs, traced and checked a block of
+        rows at a time, so that filling holds little beyond base; a failed
+        check raises and leaves base unset."""
+        E = self.E
+        base = np.empty(E * E, dtype=np.int64)
+        block = E * max(1, _BLOCK_ENTRIES // E)     # whole rows; the residue pair (pr, qr) is entry pr E + qr
+        for i in range(0, E * E, block):
+            pairs = np.arange(i, min(i + block, E * E))
+            pr = pairs // E
+            qr = pairs - pr * E
+            base[i:i + len(pairs)] = self.residue_dims(pr, qr, qr - pr)
+        self.base = base.reshape(E, E)
+        self.nbytes += base.nbytes
 
 
 # the period tables of the most recently used n = 2 groups, oldest first:
@@ -337,53 +301,81 @@ class PeriodTable(NamedTuple):
 _period_tables: OrderedDict[QuotientGroup, PeriodTable] = OrderedDict()
 
 
+def _evict() -> None:
+    """Drop the oldest tables until the cache is within CACHE_SIZE and
+    MAX_PERIOD_CACHE_BYTES; a table larger than that alone is not kept."""
+    while len(_period_tables) > CACHE_SIZE or sum(t.nbytes for t in _period_tables.values()) > MAX_PERIOD_CACHE_BYTES:
+        _period_tables.popitem(last=False)
+
+
+def _table(group: QuotientGroup) -> PeriodTable:
+    """The group's table: cached and moved to the newest end, or new and added there."""
+    if group in _period_tables:
+        _period_tables.move_to_end(group)
+        return _period_tables[group]
+    table = _period_tables[group] = PeriodTable(group)
+    _evict()
+    return table
+
+
 def period_route(group: QuotientGroup, cells: int) -> bool:
-    """Whether a request of this many cells reads the period table: n = 2,
+    """Whether a request of this many cells reads the table's base: n = 2,
     at least E^2 cells, and E^2 + E entries within the cell budget (E <= 2047)."""
     E = group.exponent
     return group.n == 2 and cells >= E * E and E * E + E <= MAX_CELLS
 
 
 def period_table(group: QuotientGroup, cells: int) -> PeriodTable | None:
-    """The group's period table, cached, for a request of this many cells,
-    or None where period_route says the cells are traced one by one.  It is
-    traced and checked over the E^2 residue pairs a block of rows at a time,
-    so building it holds little beyond the table; a failed check raises and
-    caches nothing."""
+    """The group's table with base filled, for a request of this many cells,
+    or None where period_route says the cells are traced at their own
+    residues."""
     if not period_route(group, cells):
         return None
-    return _cached(_period_tables, group, _build_period_table, MAX_PERIOD_CACHE_BYTES)
+    table = _table(group)
+    if table.base is None:
+        table.fill()
+        _evict()
+    return table
 
 
-def _build_period_table(group: QuotientGroup) -> PeriodTable:
-    E = group.exponent
-    base = np.empty(E * E, dtype=np.int64)
-    block = E * max(1, _BLOCK_ENTRIES // E)     # whole rows; the residue pair (pr, qr) is entry pr E + qr
-    for i in range(0, E * E, block):
-        pairs = np.arange(i, min(i + block, E * E))
-        pr = pairs // E
-        qr = pairs - pr * E
-        base[i:i + len(pairs)], step = _residue_dims(group, pr, qr, qr - pr)
-    return PeriodTable(E, base.reshape(E, E), step)
-
-
-def _series_tables(group: QuotientGroup, E: int, degree: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """The folded h-vector table G, its column weights w and its blocks'
-    summed |weight|.  An orbit of element order o has angles (E / o) a and
-    an h-vector over Z/o; the trace of h_p(conj g) h_q(g) down from
-    Q(zeta_E) is phi(E) / phi(o) times the sum of mu(o / d) d
-    <h_p mod d, h_q mod d> over _ramanujan_divisors(o), h mod d summing h
-    into d residues.  So the orbit, of summed multiplicity m, holds a block
-    h mod d of weight m (phi(E) / phi(o)) mu(o / d) d per d.  Row x stands
-    for degree x - 1: the zero row 0 makes the (p - 1, q - 1) term vanish at
-    p = 0 or q = 0.  The table and one orbit's h-vectors are counted against
-    the budget before either is allocated."""
+def _series_tables(group: QuotientGroup, E: int, p: np.ndarray,
+                   q: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """The folded h-vector table G for the cells (p[i], q[i]), its column
+    weights w, its blocks' summed |weight| and the monomial row C.  An orbit
+    of element order o has angles (E / o) a and an h-vector over Z/o; the
+    trace of h_p(conj g) h_q(g) down from Q(zeta_E) is phi(E) / phi(o)
+    times the sum of mu(o / d) d <h_p mod d, h_q mod d> over
+    _ramanujan_divisors(o), h mod d summing h into d residues.  So the
+    orbit, of summed multiplicity m, holds a block h mod d of weight
+    m (phi(E) / phi(o)) mu(o / d) d per d.  Row x stands for degree x - 1:
+    the zero row 0 makes the (p - 1, q - 1) term vanish at p = 0 or q = 0.
+    The table and one orbit's h-vectors are counted against the budget
+    before either is allocated, and then each cell with C_p C_q >= 2^62 is
+    refused, exactly in int64: C[x + 1] = C_x = C(x + n - 1, n - 1), the
+    degree-x monomial count, and C[0] = 0 is built once the largest
+    degree's count is below 2^62, so it cannot wrap."""
+    degree = int(max(p.max(), q.max()))
     orbits = [(key, E // math.gcd(E, *key), mult) for key, mult in _rational_classes(group)]
     width = sum(d for _, o, _ in orbits for d, _ in _ramanujan_divisors(o))
     entries = (degree + 2) * width + (degree + 1) * max(o for _, o, _ in orbits)
     if entries > MAX_SERIES_ENTRIES:
         raise SizeLimit(f"the series table of {group.name} needs at least {entries} int64 entries, "
                         f"above the budget of {MAX_SERIES_ENTRIES}")
+    top = math.comb(degree + group.n - 1, group.n - 1)     # the largest count a cell reads
+    if top >= 1 << 62:
+        over = np.maximum(p, q) == degree
+    else:
+        # n - 1 cumulative sums of [0, 1, 1, ...] give C[x + 1] = C(x + n - 1, n - 1)
+        C = np.ones(degree + 2, dtype=np.int64)
+        C[0] = 0
+        for _ in range(group.n - 1):
+            np.cumsum(C, out=C)
+        # no cell's C_p C_q reaches 2^62 unless top^2 does
+        over = (np.take(C[1:], p) > ((1 << 62) - 1) // np.take(C[1:], q) if top * top >= 1 << 62
+                else np.zeros(1, dtype=bool))
+    i = int(over.argmax())
+    if over[i]:
+        raise Int64Limit(f"exact integer intermediate C_p C_q at (p,q)=({p[i]},{q[i]}) may reach 2^62, beyond int64")
     G = np.zeros((degree + 2, width), dtype=np.int64)
     w = np.empty(width, dtype=np.int64)
     col = abs_weight = 0
@@ -395,7 +387,7 @@ def _series_tables(group: QuotientGroup, E: int, degree: int) -> tuple[np.ndarra
             w[col:col + d] = weight
             abs_weight += abs(weight)
             col += d
-    return G, w, abs_weight
+    return G, w, abs_weight, C
 
 
 def _bands(p: np.ndarray, q: np.ndarray):
@@ -426,15 +418,16 @@ def _bands(p: np.ndarray, q: np.ndarray):
         first += run
 
 
-def _series_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Weighted traces from the h-vector series.  The character is
+def _series_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted traces from the h-vector series, and the monomial row C of
+    _series_tables.  The character is
     h_p(conj g) h_q(g) - h_(p-1)(conj g) h_(q-1)(g), so T = (G w) G^T sums
     the weighted traces of the first product over the rational classes, and
     cell (p, q) reads T[p, q] - T[p-1, q-1].  T is formed one band of cells
     at a time, in chunks of rows q near _BLOCK_ENTRIES entries, once the
     band's own rows bound every entry it reads below 2^63; a chunk reads its
     cells, sorted by q unless they already are, in one flat gather."""
-    G, w, abs_weight = _series_tables(group, E, int(max(p.max(), q.max())))
+    G, w, abs_weight, C = _series_tables(group, E, p, q)
     order = None if (q[1:] >= q[:-1]).all() else np.argsort(q, kind="stable")
     p, q = (p, q) if order is None else (p[order], q[order])
     traces = np.empty(len(p), dtype=np.int64)
@@ -455,50 +448,51 @@ def _series_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -
             T = (G[q0:min(q0 + step, q_hi + 1) + 1] * w) @ cols      # rows q = q0 - 1 .. min(q0 + step - 1, q_hi)
             D = T[1:, 1:] - T[:-1, :-1]     # D[q - q0, p - lo] is cell (p, q)'s T[p, q] - T[p-1, q-1]
             traces[slice(i, j) if order is None else order[i:j]] = D.ravel()[(q[i:j] - q0) * width + (p[i:j] - lo)]
-    return traces
+    return traces, C
 
 
 def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
-    """Invariant dimensions at the cells (p[i], q[i]), all nonnegative, in one
-    exact evaluation; transient memory stays at a few MB per block of cells.
-    For n = 2 each is base + (p // E + q // E) step[(q - p) mod E], base and
-    step read from the period table where period_route allows, else traced
-    and checked at the request's own residues.  For n >= 3 each cell is
-    traced and gated against the sphere dimension C_p C_q - C_(p-1) C_(q-1)
+    """Invariant dimensions at the cells (p[i], q[i]) in one exact
+    evaluation, 0 at a cell with p < 0 or q < 0; transient memory stays at
+    a few MB per block of cells.
+    For n = 2 each is base + (p // E + q // E) step[(q - p) mod E], read
+    from the group's period table, its base where period_route allows, else
+    traced and checked at the request's own residues.  For n >= 3 each cell
+    is traced and gated against the sphere dimension C_p C_q - C_(p-1) C_(q-1)
     of Folland's split P(p, q) = H(p, q) + |z|^2 P(p - 1, q - 1), read from
-    one row C[x + 1] = C_x = C(x + n - 1, n - 1), the degree-x monomial
-    count, and C[0] = 0, as the identity's column of the series table holds it.
-
-    That gate needs no int64 guard: each band of _series_traces passed
-    2 C_hi |w| max G[q_lo : q_hi + 2] < 2^63, hi its largest p; the identity
-    orbit adds phi(E) >= 1 to |w|, and its column of G makes that max at
-    least C_(q_hi), so C_p C_q < 2^62 at each of the band's cells.  C's
-    largest entry was guarded by _h_vectors, so its sums cannot wrap."""
-    p = np.asarray(p, dtype=np.int64)
-    q = np.asarray(q, dtype=np.int64)
+    the monomial row C of _series_tables, which refused every cell with
+    C_p C_q >= 2^62 before it allocated, so the gate cannot wrap."""
+    try:
+        p = np.asarray(p, dtype=np.int64)
+        q = np.asarray(q, dtype=np.int64)
+    except OverflowError:
+        raise Int64Limit("a cell's p or q is beyond int64") from None
     if not len(p):
         return np.zeros(0, dtype=np.int64)
+    if min(p.min(), q.min()) < 0:
+        inside = (p >= 0) & (q >= 0)
+        dims = np.zeros(len(p), dtype=np.int64)
+        dims[inside] = dim_cells(group, p[inside], q[inside])
+        return dims
     E = group.exponent
     if group.n == 2:
-        # p, q >= 0: every dimension is at most the sphere's p + q + 1, which
-        # fits int64 exactly where p <= 2^63 - 2 - q
+        # every dimension is at most the sphere's p + q + 1, which fits
+        # int64 exactly where p <= 2^63 - 2 - q
         if (p > 2**63 - 2 - q).any():
             raise Int64Limit("exact integer intermediate p + q + 1 may reach 2^63, beyond int64")
         a, b = p // E, q // E
         pr, qr = p - a * E, q - b * E
         r = qr - pr     # in (-E, E): a negative index reads step[(q - p) mod E]
         table = period_table(group, len(p))
-        base, step = (_residue_dims(group, pr, qr, r) if table is None
-                      else (table.base.ravel()[pr * E + qr], table.step))
-        return base + (a + b) * step[r]
+        if table is None:
+            table = _table(group)
+            base = table.residue_dims(pr, qr, r)
+        else:
+            base = table.base.ravel()[pr * E + qr]
+        return base + (a + b) * table.step[r]
     denom = _totient(E) * group.order
-    traces = _series_traces(group, E, p, q)
+    traces, C = _series_traces(group, E, p, q)
     dims = traces // denom
-    # n - 1 cumulative sums of [0, 1, 1, ...] give C[x + 1] = C(x + n - 1, n - 1)
-    C = np.ones(int(max(p.max(), q.max())) + 2, dtype=np.int64)
-    C[0] = 0
-    for _ in range(group.n - 1):
-        np.cumsum(C, out=C)
     sphere = np.take(C[1:], p)
     sphere *= np.take(C[1:], q)
     lower = np.take(C, p)
@@ -524,8 +518,6 @@ def dim_triangle(group: QuotientGroup, pq_max: int) -> list[tuple[int, int, int]
 def dim_invariant(group: QuotientGroup, p: int, q: int) -> int:
     """Dimension of the group-invariant subspace of the bidegree-(p, q)
     harmonic space: dim_cells at one cell, 0 outside p, q >= 0."""
-    if p < 0 or q < 0:
-        return 0
     return int(dim_cells(group, [p], [q])[0])
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .group_catalog import QuotientGroup
+from .group_catalog import QuotientGroup, make_trivial
 from .errors import ConstraintError, SizeLimit, _require_int64
 from .invariant_dims import _BLOCK_ENTRIES, PeriodTable, dim_cells, period_route, period_table, require_cells
 
@@ -140,7 +140,7 @@ def counting_function(group: QuotientGroup, lambda_max: int) -> SpectrumTable:
 # Counting by the hyperbola method, n = 2
 
 # the sphere's own period table: dim(p, q) = 1 + (p + q) 1 = p + q + 1
-_SPHERE_PERIOD = PeriodTable(1, np.ones((1, 1), dtype=np.int64), np.ones(1, dtype=np.int64))
+_SPHERE_PERIOD = period_table(make_trivial(), 1)
 
 
 def _line_sums(base: np.ndarray, step: np.ndarray):

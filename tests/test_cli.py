@@ -304,6 +304,10 @@ class TestDeterminismAndExitCodes:
         code, out, err = capture(capsys, ["dims", "--group", "cyclic:3", "--p", pq, "--q", pq])
         assert (code, out) == (1, "")
         assert err.startswith("error: exact integer intermediate") and err.count("\n") == 1
+        # p = 10^20 or -10^20 is no int64 at all: one stderr line, no traceback
+        for p in ("100000000000000000000", "-100000000000000000000"):
+            code, out, err = capture(capsys, ["dims", "--group", "cyclic:3", "--p", p, "--q", "0"])
+            assert (code, out, err) == (1, "", "error: a cell's p or q is beyond int64\n")
 
     def test_large_cell_within_int64_is_answered(self, capsys):
         for group, p, q, dim, closed in [
@@ -375,7 +379,8 @@ class TestDeterminismAndExitCodes:
         assert (code, err) == (0, "") and json.loads(out)["entries"] == [[p, q, brute] for p, q, brute, *_ in rows]
 
     def test_n5_dimension_up_to_the_band_guard(self, capsys):
-        # the sphere gate has no int64 bound of its own: the series band guard alone refuses (102567, 0)
+        # C(102570, 4) < 2^62 <= C(102571, 4): the cell guard C_p C_q < 2^62 refuses (102567, 0),
+        # as the series band guard would
         code, out, err = capture(capsys, ["dims", "--group", "lens:1:1,1,1,1,1", "--p", "102566", "--q", "0"])
         assert (code, out, err) == (0, "p       q  dim\n102566  0  4611527207790103770\n", "")
         code, out, err = capture(capsys, ["dims", "--group", "lens:1:1,1,1,1,1", "--p", "102567", "--q", "0"])

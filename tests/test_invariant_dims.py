@@ -40,16 +40,13 @@ from kohnspec import invariant_dims
 from kohnspec.group_catalog import from_classes
 from kohnspec.invariant_dims import (
     PeriodTable,
-    _ProgressionTraces,
     _bands,
-    _period_from_traces,
     _h_vectors,
     _ramanujan_row,
     _totient,
     _rational_classes,
     _series_traces,
-    _su2_traces,
-    _trace_tables,
+    _table,
     closed_form_cyclic,
     closed_form_q_semidirect,
     dim_cells,
@@ -217,6 +214,65 @@ class TestIntegralityGate:
                     assert dim_invariant(g, p, s - p) == traced_average(g, p, s - p), (g.name, p, s - p)
 
 
+class TestNegativeCells:
+    def test_cells_outside_the_quadrant_are_zero(self):
+        # residues of negative cells, or a series row -1, would read garbage
+        # (-4 and 1 for the first two) or raise (the two lens cells)
+        lens = make_lens(5, (1, 2, 3))
+        for g, p, q in [(make_cyclic(1), -5, 0), (make_cyclic(4), 3, -1), (lens, -1, 0), (lens, -4, -7)]:
+            assert dim_cells(g, [p], [q]).tolist() == [0] and dim_invariant(g, p, q) == 0, (g.name, p, q)
+            assert dim_cells(g, [p] * 3, [q] * 3).tolist() == [0] * 3, (g.name, p, q)
+
+    def test_mixed_request(self, all_n2_groups, lens3_groups):
+        p = np.array([3, -1, 5, 0, -2, 12, 7])
+        q = np.array([3, 2, -2, 12, -9, 0, 1])
+        inside = (p >= 0) & (q >= 0)
+        for g in all_n2_groups + lens3_groups:
+            expected = [dim_invariant(g, a, b) if a >= 0 and b >= 0 else 0 for a, b in zip(p.tolist(), q.tolist())]
+            assert dim_cells(g, p, q).tolist() == expected, g.name
+            assert np.array_equal(dim_cells(g, p[inside], q[inside]), dim_cells(g, p, q)[inside]), g.name
+
+    def test_int64_overflowing_cells_are_refused(self):
+        from kohnspec.errors import Int64Limit
+
+        for p in (10**20, -10**20):
+            with pytest.raises(Int64Limit, match="beyond int64"):
+                dim_invariant(make_cyclic(3), p, 0)
+
+
+class TestSeriesCellGuard:
+    def test_refused_before_the_series_table(self):
+        # C(10^6 + 2, 2)^2 >= 2^62: refused with the monomial row alone (8 MB),
+        # before the h-vector table of about 300 MB is built
+        from kohnspec.errors import Int64Limit
+
+        g = make_lens(7, (1, 2, 4))
+        tracemalloc.start()
+        try:
+            with pytest.raises(Int64Limit, match="C_p C_q at \\(p,q\\)=\\(1000000,1000000\\) may reach 2\\^62"):
+                dim_invariant(g, 10**6, 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * 10**6, peak
+
+    def test_guard_is_exact_per_cell(self):
+        # lens:1:1,1,1,1,1, C_x = C(x + 4, 4): the largest p with C_p C_q < 2^62
+        # is answered, and a request holding (p + 1, q) is refused there first
+        from kohnspec.errors import Int64Limit
+
+        g = make_trivial(5)
+        for q in (1, 2, 3):
+            cq = math.comb(q + 4, 4)
+            lo, hi = 0, 10**6
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                lo, hi = (mid, hi) if math.comb(mid + 4, 4) * cq < 2**62 else (lo, mid - 1)
+            assert dim_cells(g, [lo], [q]).tolist() == [sphere_dim(lo, q, 5)], q
+            with pytest.raises(Int64Limit, match=f"\\(p,q\\)=\\({lo + 1},{q}\\)"):
+                dim_cells(g, [0, lo + 1, lo + 2, 5], [0, q, q, 5])
+
+
 class TestStructuralProperties:
     def test_pq_symmetry(self, all_n2_groups):
         for g in all_n2_groups:
@@ -319,15 +375,17 @@ def per_class_traces(group, p, q):
 
 
 def orbit_traces(group, p, q):
-    """The engine's traces at the cells: for n = 2 the kernel's traces at
-    the residues plus k E central[r], k = p // E + q // E, r = (q - p) mod E."""
+    """The engine's traces at the cells: for n = 2 the period table's traces
+    at the residues, (pr + qr + 1) central[r] plus the non-central ones, and
+    then k E central[r], k = p // E + q // E, r = (q - p) mod E."""
     E = group.exponent
     if group.n != 2:
-        return _series_traces(group, E, p, q)
-    tables = _trace_tables(group)
+        return _series_traces(group, E, p, q)[0]
+    table = _table(group)
     a, b = p // E, q // E
     pr, qr = p - a * E, q - b * E
-    return _su2_traces(tables, pr, qr, qr - pr) + (a + b) * E * tables.central[(qr - pr) % E]
+    r = (qr - pr) % E
+    return table.noncentral(pr, qr) + (pr + qr + 1 + (a + b) * E) * table.central[r]
 
 
 def cell_sets(n, seed):
@@ -474,13 +532,13 @@ def kernel_points(monkeypatch):
     an empty period-table cache, so that no table built earlier hides them."""
     invariant_dims._period_tables.clear()
     points = []
-    kernel = invariant_dims._ProgressionTraces.noncentral
+    kernel = PeriodTable.noncentral
 
     def counted(self, p, q):
         points.append(len(p))
         return kernel(self, p, q)
 
-    monkeypatch.setattr(invariant_dims._ProgressionTraces, "noncentral", counted)
+    monkeypatch.setattr(PeriodTable, "noncentral", counted)
     return points
 
 
@@ -490,7 +548,7 @@ class TestPrefixRows:
         for E in list(range(1, 121)) + [3636]:
             divisors = [c for c in range(1, E) if E % c == 0]
             fake = from_classes(f"divisors-{E}", 2, E, [((0, 0), 1)] + [((c, 0), 1) for c in divisors])
-            tables = _ProgressionTraces(fake)
+            tables = PeriodTable(fake)
             ram, r = _ramanujan_row(E), np.arange(E)
             seen = []
             for k1, k2, offset in zip(tables.k1.ravel().tolist(), tables.k2.ravel().tolist(),
@@ -505,7 +563,7 @@ class TestPrefixRows:
         g = make_cyclic(40000)
         E = g.exponent
         rows = {math.gcd(k1 - k2, E) for (k1, k2), _ in _rational_classes(g) if k1 != k2}
-        tables = _trace_tables(g)
+        tables = _table(g)
         assert (tables.F.size, tables.central.size) == (E * len(rows), E)
         assert len(rows) == 29      # 9.6 MB with central
 
@@ -537,10 +595,10 @@ class TestResidueRoutes:
         g = make_binary_icosahedral()       # E = 60
         p, q = triangle_cells(90)
         dims = dim_cells(g, p[:3599], q[:3599])
-        assert sum(kernel_points) == 3599 and not invariant_dims._period_tables
+        assert sum(kernel_points) == 3599 and invariant_dims._period_tables[g].base is None
         kernel_points.clear()
         assert np.array_equal(dim_cells(g, p[:3600], q[:3600])[:3599], dims)
-        assert sum(kernel_points) == 3600 and g in invariant_dims._period_tables
+        assert sum(kernel_points) == 3600 and invariant_dims._period_tables[g].base is not None
 
     def test_kernel_runs_at_the_fewer_of_cells_and_residue_pairs(self, kernel_points):
         weyl_report(make_binary_icosahedral(), [6000])        # 24496 cells, E = 60
@@ -559,18 +617,34 @@ def not_a_group():
     return from_classes("not-a-group-2", 2, 3, [((0, 0), 1), ((1, 1), 1)], expect_free=True)
 
 
+def gate_table(W, central):
+    """A table with E = 2 and phi(E) |G| = 4 (the class set of Z/2 x Z/2 in
+    U(2)) whose weighted trace sums at the square's residue pairs (0, 0),
+    (0, 1), (1, 0), (1, 1) are W: its central row is replaced, with step and
+    checks (2) and (4) formed from it as the constructor forms them, and its
+    non-central traces make up the rest of W."""
+    table = PeriodTable(from_classes("gates", 2, 2, [((0, 0), 1), ((1, 1), 1), ((0, 1), 1), ((1, 0), 1)]))
+    assert (table.E, table.denom) == (2, 4)
+    table.central = np.array(central)
+    stepped = 2 * table.central
+    table.step = stepped // 4
+    table.step_indivisible = stepped != 4 * table.step
+    table.step_outside = (table.step < 0) | (table.step > 2)
+    table.noncentral = lambda p, q: W[2 * p + q] - (p + q + 1) * table.central[q - p]
+    return table
+
+
 class TestPeriodGates:
     # E = 2, phi(E) |G| = 4: at the residue pairs (pr, qr) of the square W is
     # 4 times the sphere dimension pr + qr + 1, and central 4 gives the
     # sphere's own increment step = E
-    E, denom = 2, 4
     pr, qr = np.divmod(np.arange(4), 2)
     sphere = pr + qr + 1
 
     def test_sphere_traces_pass(self):
-        base, step = _period_from_traces("sphere", self.E, self.denom, 4 * self.sphere, np.array([4, 4]),
-                                         self.pr, self.qr, self.qr - self.pr)
-        assert base.tolist() == self.sphere.tolist() and step.tolist() == [2, 2]
+        table = gate_table(4 * self.sphere, [4, 4])
+        base = table.residue_dims(self.pr, self.qr, self.qr - self.pr)
+        assert base.tolist() == self.sphere.tolist() and table.step.tolist() == [2, 2]
 
     @pytest.mark.parametrize("cell, value, central, match", [
         ((0, 1), 9, [4, 4], "weighted trace sum 9 at residues \\(0, 1\\) is not divisible by 4"),
@@ -586,8 +660,9 @@ class TestPeriodGates:
         W = 4 * self.sphere
         if cell:
             W[2 * cell[0] + cell[1]] = value
+        table = gate_table(W, central)
         with pytest.raises(NonIntegralDimension, match=match):
-            _period_from_traces("fake", self.E, self.denom, W, np.array(central), self.pr, self.qr, self.qr - self.pr)
+            table.residue_dims(self.pr, self.qr, self.qr - self.pr)
 
     def test_non_group_classes_raise_on_the_table(self):
         # each cell (3, 3j) passes the checks at its residues, where r = 0,
@@ -603,7 +678,7 @@ class TestPeriodGates:
             dim_cells(g, p, q)
         with pytest.raises(NonIntegralDimension, match="not-a-group-2: weighted trace sum"):
             weyl_report(g, [40])
-        assert g not in invariant_dims._period_tables      # a failed table is not cached
+        assert invariant_dims._period_tables[g].base is None      # a failed fill caches no base
 
     def test_class_sets_fail_the_first_and_third_checks(self):
         # weighted class sets, not groups, with non-integral averages or
@@ -624,45 +699,73 @@ class TestPeriodCache:
         table = period_table(g, 60 * 60)
         assert sum(kernel_points) == 60 * 60
         assert period_table(g, 10**6) is table and sum(kernel_points) == 60 * 60
-        assert table.nbytes == 8 * (60 * 60 + 60)
+        assert (table.base.nbytes, table.step.nbytes) == (8 * 60 * 60, 8 * 60)
 
     def test_cache_is_bounded_in_bytes(self, monkeypatch):
-        # room for two tables of 2IxC:7 (E = 420, 1.4 MB each) but not three
+        # room for two filled tables of 2IxC:7 (E = 420, 1.4 MB of base each) but not three
         invariant_dims._period_tables.clear()
-        monkeypatch.setattr(invariant_dims, "MAX_PERIOD_CACHE_BYTES", 3 * 8 * (420 * 420 + 420) - 1)
         groups = [from_classes(f"2IxC:7 copy {i}", 2, 420, [(c.angles, c.mult) for c in
                                                             make_product_with_center(make_binary_icosahedral(), 7).classes])
                   for i in range(3)]
+        size = PeriodTable(groups[0]).nbytes + 8 * 420 * 420
+        monkeypatch.setattr(invariant_dims, "MAX_PERIOD_CACHE_BYTES", 3 * size - 1)
         for i, g in enumerate(groups):
-            period_table(g, 420 * 420)
+            assert period_table(g, 420 * 420).nbytes == size
             assert list(invariant_dims._period_tables)[-1] is g
         assert list(invariant_dims._period_tables) == groups[1:]
         invariant_dims._period_tables.clear()
 
-    def test_trace_tables_are_bounded_in_bytes(self, monkeypatch):
-        # room for two of 2I's trace tables but not three; with room for
-        # none, a table is built for each request and not kept
-        invariant_dims._trace_cache.clear()
+    def test_traces_and_base_count_together(self, monkeypatch):
+        # copies of 2I: room for one filled table and the traces of another,
+        # not for two filled tables; a table over the cap alone is returned
+        # and not kept, and with room for no traces each request builds its own
+        invariant_dims._period_tables.clear()
+        cache = invariant_dims._period_tables
         classes = [(c.angles, c.mult) for c in make_binary_icosahedral().classes]
-        groups = [from_classes(f"2I copy {i}", 2, 60, classes) for i in range(3)]
-        size = _trace_tables(groups[0]).nbytes
-        monkeypatch.setattr(invariant_dims, "MAX_TRACE_CACHE_BYTES", 3 * size - 1)
-        for g in groups:
-            assert _trace_tables(g).nbytes == size
-            assert list(invariant_dims._trace_cache)[-1] is g
-        assert list(invariant_dims._trace_cache) == groups[1:]
-        monkeypatch.setattr(invariant_dims, "MAX_TRACE_CACHE_BYTES", size - 1)
+        a, b = (from_classes(f"2I copy {i}", 2, 60, classes) for i in range(2))
+        traces = PeriodTable(a).nbytes
+        full = traces + 8 * 60 * 60
+        monkeypatch.setattr(invariant_dims, "MAX_PERIOD_CACHE_BYTES", full + traces)
+        period_table(a, 60 * 60)
+        i2 = make_binary_icosahedral()
+        assert dim_cells(b, [6, 60], [6, 0]).tolist() == [dim_closed_form(i2, 6, 6), dim_closed_form(i2, 60, 0)]
+        assert list(cache) == [a, b] and cache[a].nbytes == full and cache[b].nbytes == traces
+        period_table(b, 60 * 60)        # b's base joins its traces: a, the oldest, goes
+        assert list(cache) == [b] and cache[b].nbytes == full
+        monkeypatch.setattr(invariant_dims, "MAX_PERIOD_CACHE_BYTES", full - 1)
+        table = period_table(a, 60 * 60)
+        assert table.base is not None and not cache
+        monkeypatch.setattr(invariant_dims, "MAX_PERIOD_CACHE_BYTES", traces - 1)
         g = make_binary_icosahedral()
-        assert _trace_tables(g) is not _trace_tables(g) and not invariant_dims._trace_cache
+        assert _table(g) is not _table(g) and not cache
         assert dim_cells(g, [6, 60], [6, 0]).tolist() == [dim_closed_form(g, 6, 6), dim_closed_form(g, 60, 0)]
-        invariant_dims._trace_cache.clear()
+        invariant_dims._period_tables.clear()
+
+    def test_step_is_computed_once_per_group(self, kernel_points, monkeypatch):
+        # a residue-route request builds the table, traces and step; a later
+        # fill and later requests of either route read that same step
+        built = []
+        init = PeriodTable.__init__
+
+        def counted(self, group):
+            built.append(group)
+            init(self, group)
+
+        monkeypatch.setattr(PeriodTable, "__init__", counted)
+        g = make_binary_icosahedral()
+        assert dim_cells(g, [6, 61], [6, 0]).tolist() == [dim_closed_form(g, 6, 6), dim_closed_form(g, 61, 0)]
+        step = invariant_dims._period_tables[g].step
+        table = period_table(g, 60 * 60)
+        assert table.step is step and table.base is not None
+        dim_cells(g, [7], [120])
+        assert built == [g] and table.step is step and sum(kernel_points) == 2 + 60 * 60 + 1
 
     def test_building_a_table_peaks_near_its_size(self):
         # the square is traced and checked a block of rows at a time, so
-        # building 2IxC:7's table (E = 420) holds little beyond the table
+        # filling 2IxC:7's table (E = 420) holds little beyond its base
         g = make_product_with_center(make_binary_icosahedral(), 7)
         invariant_dims._period_tables.clear()
-        _trace_tables(g)
+        _table(g)
         tracemalloc.start()
         try:
             table = period_table(g, 420 * 420)
@@ -670,7 +773,7 @@ class TestPeriodCache:
         finally:
             tracemalloc.stop()
         invariant_dims._period_tables.clear()
-        assert peak <= 5 * table.nbytes, (peak, table.nbytes)
+        assert peak <= 5 * table.base.nbytes, (peak, table.base.nbytes)
 
     def test_cache_is_bounded_in_count(self):
         invariant_dims._period_tables.clear()

@@ -317,7 +317,8 @@ class TestInt64BoundsPerCell:
     def test_n5_reaches_the_band_guard(self):
         from kohnspec.errors import Int64Limit
 
-        # the band guard 2 C(p + 4, 4) < 2^63 is the only bound at (p, 0): C(102570, 4) fits
+        # at (p, 0) the cell guard C(p + 4, 4) < 2^62 and the band guard 2 C(p + 4, 4) < 2^63
+        # agree: C(102570, 4) fits
         g = parse_group_spec("lens:1:1,1,1,1,1")
         assert dim_invariant(g, 102566, 0) == 4611527207790103770 == math.comb(102570, 4)
         with pytest.raises(Int64Limit):
