@@ -35,7 +35,7 @@ from .group_catalog import (
     parse_group_spec,
 )
 from .invariant_dims import dim_closed_form, dim_invariant, reconcile
-from .oracle import invariant_dim_bruteforce, matrix_closure, oracle_check
+from .oracle import matrix_closure, oracle_check
 from .sobolev import c_group, c_pq, c_pq_squared, greens_lower_witness
 from .spectrum import (
     box_eigenvalue,

@@ -9,9 +9,11 @@ collapses exactly to an integer through Galois averaging (Ramanujan sums).
 The invariant-dimension engine (:func:`kohnspec.invariant_dims.dim_cells`)
 evaluates that expansion cell by cell; the coefficient table here is its
 square case.  Multiplying the series by (z^e - 1)^n (w^e - 1)^n / (1 - zw)
-produces an integer polynomial of degree at most n(e - 1) in each variable,
-from which a closed polynomial formula for the dimensions at bidegree
-(0, m*e) follows; it reads n coefficients of P, found from n cells.
+produces an integer polynomial P of degree at most n(e - 1) in each
+variable; for n >= 3 the engine keeps P, with U = (1 - zw) P, as one cached
+MolienTable per group, and the square and P are read from it.  A closed
+polynomial formula for the dimensions at bidegree (0, m*e) follows; it
+reads n coefficients of P, found from n cells.
 """
 
 from __future__ import annotations
@@ -21,20 +23,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintError, NonIntegralDimension, TruncationError
+from .errors import ConstraintError
 from .group_catalog import QuotientGroup
-from .invariant_dims import dim_cells, require_cells
+from .invariant_dims import dim_cells, molien_table, period_route, require_cells, series_polynomial
 
 
 def fg_coefficients(group: QuotientGroup, ceiling: int) -> np.ndarray:
     """Series coefficients F[p, q] of F(z, w) for p, q <= ceiling: the
     invariant dimensions on the square, counted against the cell budget and
-    evaluated in one engine call row by row in q, then transposed."""
+    evaluated from the group's MolienTable by MolienTable.square where
+    period_route allows and the square passes its bounds, else in one engine
+    call row by row in q, then transposed."""
     if ceiling < 0:
         raise ConstraintError("ceiling must be nonnegative")
     require_cells((ceiling + 1) ** 2, f"the series square p, q <= {ceiling}")
-    q, p = np.indices((ceiling + 1, ceiling + 1), dtype=np.int64)
-    return dim_cells(group, p.ravel(), q.ravel()).reshape(p.shape).T
+    table = molien_table(group) if period_route(group, (ceiling + 1) ** 2) else None
+    F = None if table is None else table.square(ceiling)
+    if F is None:
+        q, p = np.indices((ceiling + 1, ceiling + 1), dtype=np.int64)
+        F = dim_cells(group, p.ravel(), q.ravel()).reshape(p.shape).T
+    return F
 
 
 @dataclass
@@ -53,14 +61,6 @@ class PGPolynomial:
         return 0
 
 
-def _times_binomial(x: np.ndarray, e: int, n: int) -> np.ndarray:
-    """Multiply by (t^e - 1)^n along axis 0, truncated at the array's end
-    (e < len(x)): n factors, each new[a] = x[a - e] - x[a]."""
-    for _ in range(n):
-        x = np.concatenate((-x[:e], x[:-e] - x[e:]))
-    return x
-
-
 def _over_binomial(x: np.ndarray, e: int, n: int) -> np.ndarray:
     """Divide by (1 - t^e)^n along axis 0: n running sums over the rows of
     each residue class mod e, the rows padded to a multiple of e and grouped
@@ -72,34 +72,14 @@ def _over_binomial(x: np.ndarray, e: int, n: int) -> np.ndarray:
 
 
 def pg_polynomial(group: QuotientGroup, ceiling: int | None = None) -> PGPolynomial:
-    """Compute P by truncated series arithmetic and verify the degree bound:
-    any nonzero coefficient beyond n(e - 1) raises TruncationError."""
-    n = group.n
-    e = group.exponent
-    degree = n * (e - 1)
-    if ceiling is None:
-        ceiling = max(2 * n * e, 24)
-    ceiling = max(ceiling, degree + n + 1)
-    F = fg_coefficients(group, ceiling)
-    size = ceiling + 1
-
-    # multiply by (z^e - 1)^n (w^e - 1)^n, then divide by (1 - zw): running
-    # sums down the diagonals
-    P = _times_binomial(_times_binomial(F.T, e, n).T, e, n)
-    for a in range(1, size):
-        P[a, 1:] += P[a - 1, :-1]
-
-    beyond = P.copy()
-    beyond[: degree + 1, : degree + 1] = 0
-    if np.any(beyond):
-        bad = np.argwhere(beyond)
-        raise TruncationError(
-            f"{group.name}: nonzero coefficient at {tuple(bad[0])} beyond degree {degree}"
-        )
-    poly = PGPolynomial(group, e, degree, P[: degree + 1, : degree + 1].copy())
-    if poly.c(0, 0) != 1:
-        raise NonIntegralDimension(f"{group.name}: P(0,0) = {poly.c(0, 0)}, expected 1")
-    return poly
+    """P by truncated series arithmetic, with its degree bound verified: any
+    nonzero coefficient beyond n(e - 1) raises TruncationError.  Without a
+    ceiling an n >= 3 group with a MolienTable returns a copy of its P; with
+    one, and for n = 2, P is found from the engine on that square
+    (invariant_dims.series_polynomial), never from the table."""
+    table = molien_table(group) if ceiling is None else None
+    P = series_polynomial(group, ceiling) if table is None else table.P.copy()
+    return PGPolynomial(group, group.exponent, len(P) - 1, P)
 
 
 def reconstruct_dims(poly: PGPolynomial, ceiling: int) -> np.ndarray:

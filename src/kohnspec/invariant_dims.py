@@ -25,14 +25,19 @@ rational classes at once are one int64 matrix product T = (G w) G^T of a
 table of h-vectors summed into d residues, d | o, formed over bands of the
 requested cells whose bounding boxes hold at most about twice their cells;
 cells, sorted by q only if they are not already, read T[p, q] - T[p-1, q-1]
-in one flat gather per chunk of a band.
+in one flat gather per chunk of a band.  By Molien's theorem the same
+dimensions are a fixed combination of one small MolienTable per group,
+U = (1 - zw) P, with at most (n + 1)^2 terms per cell; the table is found
+from the kernel on one square and read by every request that holds at least
+that square of cells, period_route's rule for both n.
 
 dim_cells evaluates whole arrays of cells in one call, dim_triangle every
 cell with p + q <= pq_max, and dim_invariant one cell.  No result is
 memoised; only the Galois orbits of the last CACHE_SIZE groups are cached,
-and the n = 2 period tables of at most as many groups and
-MAX_PERIOD_CACHE_BYTES together.  Every enumeration of cells counts them
-against one cell budget before it allocates.
+and one table per group, a PeriodTable for n = 2 and a MolienTable for
+n >= 3, for at most as many groups and MAX_PERIOD_CACHE_BYTES together.
+Every enumeration of cells counts them against one cell budget before it
+allocates.
 dim_closed_form evaluates the per-family piecewise formulas; reconcile
 checks the two against each other.
 """
@@ -46,7 +51,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import Int64Limit, NonIntegralDimension, SizeLimit, UnsupportedFamily, _require_int64
+from .errors import (Int64Limit, NonIntegralDimension, SizeLimit, TruncationError, UnsupportedFamily,
+                     _require_int64)
 from .group_catalog import CACHE_SIZE, QuotientGroup
 
 # int64 entries per transient array while evaluating a block of cells (128 kB)
@@ -59,10 +65,11 @@ MAX_SERIES_ENTRIES = 1 << 24
 # a band of cells may compute this many entries beyond twice its cells
 _BAND_SLACK = 64
 
-# most cells one enumeration may hold: building a spectrum table peaks near
-# 64 bytes per cell (tracemalloc, 2I at lambda 4e5, counting_function and
-# weyl_report alike; 58 for lens:5:1,2,3 at lambda 4e5), so the budget caps
-# one table near 0.3 GB
+# most cells one enumeration may hold.  A request peaks near 88 bytes per cell,
+# its own cells included (tracemalloc): dim_cells over cyclic:2039's period
+# square from a cold cache (16 of cells, 8 of base, 64 of evaluation), and
+# counting_function at lambda 4e5 80 for 2I, 51 for lens:5:1,2,3 on its Molien
+# table and 58 on the kernel; so the budget caps one request near 0.37 GB
 MAX_CELLS = 1 << 22
 
 
@@ -296,9 +303,100 @@ class PeriodTable:
         self.nbytes += base.nbytes
 
 
-# the period tables of the most recently used n = 2 groups, oldest first:
-# at most CACHE_SIZE of them and MAX_PERIOD_CACHE_BYTES together
-_period_tables: OrderedDict[QuotientGroup, PeriodTable] = OrderedDict()
+class MolienTable:
+    """The n >= 3 dimensions of one group from its Molien numerator: F(z, w)
+    = U / ((1 - z^e)^n (1 - w^e)^n), U = (1 - zw) P, P from
+    series_polynomial.  Expanding 1 / (1 - t^e)^n, with p = P' e + pr and
+    q = Q' e + qr, dim(p, q) is the sum over alpha, beta <= n of
+    U[pr + alpha e, qr + beta e] C_(P' - alpha) C_(Q' - beta), C_x =
+    C(x + n - 1, n - 1) and 0 for x < 0.  U, padded to (n + 1) e square, is
+    held as columns[qr, beta, alpha e + pr]."""
+
+    def __init__(self, group: QuotientGroup):
+        n, e = group.n, group.exponent
+        self.name, self.n, self.e = group.name, n, e
+        self.P = series_polynomial(group)
+        d, w = len(self.P), (n + 1) * e
+        U = np.zeros((w, w), dtype=np.int64)
+        U[:d, :d] = self.P
+        U[1:d + 1, 1:d + 1] -= self.P
+        self.columns = np.ascontiguousarray(U.T.reshape(n + 1, e, w).transpose(1, 0, 2))
+        self.weight = int(np.abs(U).sum())
+        self.nbytes = self.P.nbytes + self.columns.nbytes
+
+    def read(self, p: np.ndarray, q: np.ndarray) -> np.ndarray | None:
+        """dim at the cells (p[i], q[i]), after _monomial_row's refusals, or
+        None, for the kernel to answer or refuse, where a cell's sum |U|
+        C_P' C_Q', which bounds every partial sum of its terms, may reach 2^63.
+        The cells, sorted by q unless they already are, go in blocks of at
+        most _BLOCK_ENTRIES cells and of rows q whose U B_q rows hold at most
+        _BLOCK_ENTRIES entries: a block forms W[q, alpha e + pr] =
+        sum_beta U[alpha e + pr, qr + beta e] C_(Q' - beta) for its rows,
+        then n + 1 gathers per cell; every dimension is gated against its
+        sphere dimension."""
+        n, e, w = self.n, self.e, self.columns.shape[2]
+        C = _monomial_row(n, p, q)
+        limit = ((1 << 63) - 1) // self.weight
+        if (int(C[p.max() // e + 1]) * int(C[q.max() // e + 1]) > limit
+                and (np.take(C, p // e + 1) > limit // np.take(C, q // e + 1)).any()):
+            return None
+        order = None if (q[1:] >= q[:-1]).all() else np.argsort(q, kind="stable")
+        ps, qs = (p, q) if order is None else (p[order], q[order])
+        new_row = np.ones(len(qs), dtype=bool)
+        np.not_equal(qs[1:], qs[:-1], out=new_row[1:])
+        cuts = sorted({*np.flatnonzero(new_row)[::max(1, _BLOCK_ENTRIES // w)].tolist(),
+                       *range(0, len(qs), _BLOCK_ENTRIES), len(qs)})
+        Cz = np.concatenate((np.zeros(n - 1, dtype=np.int64), C))     # Cz[x + n] = C_x, 0 for x < 0
+        dims = np.empty(len(p), dtype=np.int64)
+        for i, j in zip(cuts, cuts[1:]):
+            starts = new_row[i:j].copy()
+            starts[0] = True
+            b = qs[i:j][starts] // e
+            U = self.columns[qs[i:j][starts] - b * e]
+            W = U[:, 0] * np.take(Cz, b + n)[:, None]
+            for beta in range(1, n + 1):
+                W += U[:, beta] * np.take(Cz, b + n - beta)[:, None]
+            a = ps[i:j] // e
+            at = (np.cumsum(starts) - 1) * w + ps[i:j] - a * e
+            W = W.ravel()
+            block = np.take(Cz, a + n) * W[at]
+            for alpha in range(1, n + 1):
+                block += np.take(Cz, a + n - alpha) * W[at + alpha * e]
+            dims[slice(i, j) if order is None else order[i:j]] = block
+        bad = np.flatnonzero((dims < 0) | (dims > _sphere(C, p, q)))[:1]
+        self._gate(p[bad], q[bad])
+        return dims
+
+    def square(self, ceiling: int) -> np.ndarray | None:
+        """F[p, q] = dim(p, q) for p, q <= ceiling by two tensordots B U B^T,
+        B[P', alpha] = C_(P' - alpha), gated as read gates the square's cells
+        row by row in q; None, for dim_cells to read or refuse the cells,
+        where the corner cell fails one of read's int64 bounds."""
+        n, e = self.n, self.e
+        K = ceiling // e + 1
+        if (math.comb(ceiling + n - 1, n - 1) ** 2 >= 1 << 62
+                or math.comb(K + n - 2, n - 1) ** 2 > ((1 << 63) - 1) // self.weight):
+            return None
+        C = _monomial_row(n, np.array([ceiling]), np.array([ceiling]))
+        B = np.take(C, np.maximum(np.arange(1, K + 1)[:, None] - np.arange(n + 1), 0))
+        U = self.columns.reshape(e, n + 1, n + 1, e)      # [qr, beta, alpha, pr]
+        F = np.tensordot(np.tensordot(U, B, (2, 1)), B, (1, 1))       # [qr, pr, P', Q']
+        F = F.transpose(2, 1, 3, 0).reshape(K * e, K * e)[:ceiling + 1, :ceiling + 1]
+        bad = (F < 0) | (F > np.outer(C[1:], C[1:]) - np.outer(C[:-1], C[:-1]))
+        self._gate(*np.divmod(np.flatnonzero(bad.T)[:1], ceiling + 1)[::-1])
+        return F
+
+    def _gate(self, p: np.ndarray, q: np.ndarray) -> None:
+        """Refuse the first of these cells, if any: its dimension is outside [0, sphere dim]."""
+        if len(p):
+            raise NonIntegralDimension(f"{self.name} at (p,q)=({p[0]},{q[0]}): the dimension read from the "
+                                       f"Molien table is outside [0, sphere dim]")
+
+
+# the tables of the most recently used groups, oldest first, a PeriodTable
+# for n = 2 and a MolienTable for n >= 3: at most CACHE_SIZE of them and
+# MAX_PERIOD_CACHE_BYTES together
+_period_tables: OrderedDict[QuotientGroup, PeriodTable | MolienTable] = OrderedDict()
 
 
 def _evict() -> None:
@@ -308,34 +406,90 @@ def _evict() -> None:
         _period_tables.popitem(last=False)
 
 
-def _table(group: QuotientGroup) -> PeriodTable:
+def _table(group: QuotientGroup) -> PeriodTable | MolienTable:
     """The group's table: cached and moved to the newest end, or new and added there."""
     if group in _period_tables:
         _period_tables.move_to_end(group)
         return _period_tables[group]
-    table = _period_tables[group] = PeriodTable(group)
+    table = _period_tables[group] = (PeriodTable if group.n == 2 else MolienTable)(group)
     _evict()
     return table
 
 
 def period_route(group: QuotientGroup, cells: int) -> bool:
-    """Whether a request of this many cells reads the table's base: n = 2,
-    at least E^2 cells, and E^2 + E entries within the cell budget (E <= 2047)."""
-    E = group.exponent
-    return group.n == 2 and cells >= E * E and E * E + E <= MAX_CELLS
+    """Whether a request of this many cells reads its group's table, one rule
+    for every n: it holds at least the cells the table is found from, the
+    E^2 residue pairs for n = 2 and the square p, q <= max(2 n e, 24) for
+    n >= 3, and they (with step's E entries for n = 2, so E <= 2047) fit
+    the cell budget.  An n >= 3 table the kernel refuses to build leaves the
+    request on the kernel (molien_table)."""
+    square = group.exponent ** 2 if group.n == 2 else (max(2 * group.n * group.exponent, 24) + 1) ** 2
+    return cells >= square and square + group.exponent * (group.n == 2) <= MAX_CELLS
 
 
-def period_table(group: QuotientGroup, cells: int) -> PeriodTable | None:
-    """The group's table with base filled, for a request of this many cells,
-    or None where period_route says the cells are traced at their own
-    residues."""
+def molien_table(group: QuotientGroup) -> MolienTable | None:
+    """The n >= 3 group's cached MolienTable, or None where the kernel refuses
+    its square with a SizeLimit, on the cell budget or on another budget or
+    int64 bound (nothing is cached then: each request tries again)."""
+    if group.n == 2:
+        return None
+    try:
+        return _table(group)
+    except SizeLimit:       # Int64Limit included
+        return None
+
+
+def period_table(group: QuotientGroup, cells: int) -> PeriodTable | MolienTable | None:
+    """The group's table, with base filled for n = 2, for a request of this
+    many cells, or None where the request stays on the kernel: for n = 2
+    traced at its own residues, for n >= 3 the series."""
     if not period_route(group, cells):
         return None
+    if group.n > 2:
+        return molien_table(group)
     table = _table(group)
     if table.base is None:
         table.fill()
         _evict()
     return table
+
+
+def _monomial_row(n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """C[x + 1] = C_x = C(x + n - 1, n - 1), the degree-x monomial count, to
+    the largest p or q, and C[0] = 0: counted against MAX_SERIES_ENTRIES and
+    built once the largest count is below 2^62; then each cell with
+    C_p C_q >= 2^62 is refused, exactly in int64."""
+    degree = int(max(p.max(), q.max()))
+    if degree + 2 > MAX_SERIES_ENTRIES:
+        raise SizeLimit(f"the monomial row of degree {degree} needs {degree + 2} int64 entries, "
+                        f"above the budget of {MAX_SERIES_ENTRIES}")
+    top = math.comb(degree + n - 1, n - 1)     # the largest count a cell reads
+    if top >= 1 << 62:
+        over = np.maximum(p, q) == degree
+    else:
+        # n - 1 cumulative sums of [0, 1, 1, ...] give C[x + 1] = C(x + n - 1, n - 1)
+        C = np.ones(degree + 2, dtype=np.int64)
+        C[0] = 0
+        for _ in range(n - 1):
+            np.cumsum(C, out=C)
+        # no cell's C_p C_q reaches 2^62 unless top^2 does
+        over = (np.take(C[1:], p) > ((1 << 62) - 1) // np.take(C[1:], q) if top * top >= 1 << 62
+                else np.zeros(1, dtype=bool))
+    i = int(over.argmax())
+    if over[i]:
+        raise Int64Limit(f"exact integer intermediate C_p C_q at (p,q)=({p[i]},{q[i]}) may reach 2^62, beyond int64")
+    return C
+
+
+def _sphere(C: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The sphere dimensions C_p C_q - C_(p-1) C_(q-1) of Folland's split
+    P(p, q) = H(p, q) + |z|^2 P(p - 1, q - 1), from _monomial_row's C."""
+    sphere = np.take(C[1:], p)
+    sphere *= np.take(C[1:], q)
+    lower = np.take(C, p)
+    lower *= np.take(C, q)
+    sphere -= lower
+    return sphere
 
 
 def _series_tables(group: QuotientGroup, E: int, p: np.ndarray,
@@ -350,10 +504,8 @@ def _series_tables(group: QuotientGroup, E: int, p: np.ndarray,
     m (phi(E) / phi(o)) mu(o / d) d per d.  Row x stands for degree x - 1:
     the zero row 0 makes the (p - 1, q - 1) term vanish at p = 0 or q = 0.
     The table and one orbit's h-vectors are counted against the budget
-    before either is allocated, and then each cell with C_p C_q >= 2^62 is
-    refused, exactly in int64: C[x + 1] = C_x = C(x + n - 1, n - 1), the
-    degree-x monomial count, and C[0] = 0 is built once the largest
-    degree's count is below 2^62, so it cannot wrap."""
+    before either is allocated, and then _monomial_row refuses each cell
+    with C_p C_q >= 2^62."""
     degree = int(max(p.max(), q.max()))
     orbits = [(key, E // math.gcd(E, *key), mult) for key, mult in _rational_classes(group)]
     width = sum(d for _, o, _ in orbits for d, _ in _ramanujan_divisors(o))
@@ -361,21 +513,7 @@ def _series_tables(group: QuotientGroup, E: int, p: np.ndarray,
     if entries > MAX_SERIES_ENTRIES:
         raise SizeLimit(f"the series table of {group.name} needs at least {entries} int64 entries, "
                         f"above the budget of {MAX_SERIES_ENTRIES}")
-    top = math.comb(degree + group.n - 1, group.n - 1)     # the largest count a cell reads
-    if top >= 1 << 62:
-        over = np.maximum(p, q) == degree
-    else:
-        # n - 1 cumulative sums of [0, 1, 1, ...] give C[x + 1] = C(x + n - 1, n - 1)
-        C = np.ones(degree + 2, dtype=np.int64)
-        C[0] = 0
-        for _ in range(group.n - 1):
-            np.cumsum(C, out=C)
-        # no cell's C_p C_q reaches 2^62 unless top^2 does
-        over = (np.take(C[1:], p) > ((1 << 62) - 1) // np.take(C[1:], q) if top * top >= 1 << 62
-                else np.zeros(1, dtype=bool))
-    i = int(over.argmax())
-    if over[i]:
-        raise Int64Limit(f"exact integer intermediate C_p C_q at (p,q)=({p[i]},{q[i]}) may reach 2^62, beyond int64")
+    C = _monomial_row(group.n, p, q)
     G = np.zeros((degree + 2, width), dtype=np.int64)
     w = np.empty(width, dtype=np.int64)
     col = abs_weight = 0
@@ -451,17 +589,31 @@ def _series_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -
     return traces, C
 
 
+def _series_dims(group: QuotientGroup, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The n >= 3 kernel at cells p, q >= 0: each cell traced and gated
+    against its sphere dimension."""
+    denom = _totient(group.exponent) * group.order
+    traces, C = _series_traces(group, group.exponent, p, q)
+    dims = traces // denom
+    bad = np.flatnonzero((traces != dims * denom) | (dims < 0) | (dims > _sphere(C, p, q)))
+    if len(bad):
+        i = bad[0]
+        raise NonIntegralDimension(
+            f"{group.name} at (p,q)=({p[i]},{q[i]}): weighted trace sum {traces[i]} "
+            f"is not {denom} times a dimension in [0, sphere dim]"
+        )
+    return dims
+
+
 def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
     """Invariant dimensions at the cells (p[i], q[i]) in one exact
     evaluation, 0 at a cell with p < 0 or q < 0; transient memory stays at
-    a few MB per block of cells.
-    For n = 2 each is base + (p // E + q // E) step[(q - p) mod E], read
-    from the group's period table, its base where period_route allows, else
-    traced and checked at the request's own residues.  For n >= 3 each cell
-    is traced and gated against the sphere dimension C_p C_q - C_(p-1) C_(q-1)
-    of Folland's split P(p, q) = H(p, q) + |z|^2 P(p - 1, q - 1), read from
-    the monomial row C of _series_tables, which refused every cell with
-    C_p C_q >= 2^62 before it allocated, so the gate cannot wrap."""
+    a few MB per block of cells.  A request reads its group's cached table
+    where period_route allows, else the kernel.  For n = 2 each is
+    base + (p // E + q // E) step[(q - p) mod E], base read from the table
+    or traced and checked at the request's own residues.  For n >= 3 each is
+    read from the MolienTable or traced by the series kernel, and gated
+    against its sphere dimension."""
     try:
         p = np.asarray(p, dtype=np.int64)
         q = np.asarray(q, dtype=np.int64)
@@ -490,22 +642,44 @@ def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
         else:
             base = table.base.ravel()[pr * E + qr]
         return base + (a + b) * table.step[r]
-    denom = _totient(E) * group.order
-    traces, C = _series_traces(group, E, p, q)
-    dims = traces // denom
-    sphere = np.take(C[1:], p)
-    sphere *= np.take(C[1:], q)
-    lower = np.take(C, p)
-    lower *= np.take(C, q)
-    sphere -= lower
-    bad = np.flatnonzero((traces != dims * denom) | (dims < 0) | (dims > sphere))
-    if len(bad):
-        i = bad[0]
-        raise NonIntegralDimension(
-            f"{group.name} at (p,q)=({p[i]},{q[i]}): weighted trace sum {traces[i]} "
-            f"is not {denom} times a dimension in [0, sphere dim]"
-        )
-    return dims
+    table = period_table(group, len(p))
+    dims = None if table is None else table.read(p, q)
+    return _series_dims(group, p, q) if dims is None else dims
+
+
+def _times_binomial(x: np.ndarray, e: int, n: int) -> np.ndarray:
+    """Multiply by (t^e - 1)^n along axis 0, truncated at the array's end
+    (e < len(x)): n factors, each new[a] = x[a - e] - x[a]."""
+    for _ in range(n):
+        x = np.concatenate((-x[:e], x[:-e] - x[e:]))
+    return x
+
+
+def series_polynomial(group: QuotientGroup, ceiling: int | None = None) -> np.ndarray:
+    """P = F (z^e - 1)^n (w^e - 1)^n / (1 - zw), (n(e - 1) + 1) square, from
+    F on p, q <= ceiling (max(2 n e, 24) by default, at least ne + 1) by the
+    engine, for n >= 3 the series kernel, never a MolienTable: one factor at
+    a time along each axis, then running sums down the diagonals.  A nonzero
+    coefficient beyond degree n(e - 1) raises TruncationError, and
+    P(0, 0) != 1 NonIntegralDimension."""
+    n, e = group.n, group.exponent
+    degree = n * (e - 1)
+    ceiling = max(max(2 * n * e, 24) if ceiling is None else ceiling, degree + n + 1)
+    require_cells((ceiling + 1) ** 2, f"the series square p, q <= {ceiling}")
+    q, p = np.indices((ceiling + 1, ceiling + 1), dtype=np.int64)
+    F = (dim_cells if n == 2 else _series_dims)(group, p.ravel(), q.ravel()).reshape(p.shape).T
+    P = _times_binomial(_times_binomial(F.T, e, n).T, e, n)
+    for a in range(1, ceiling + 1):
+        P[a, 1:] += P[a - 1, :-1]
+    beyond = P.copy()
+    beyond[: degree + 1, : degree + 1] = 0
+    if np.any(beyond):
+        bad = np.argwhere(beyond)
+        raise TruncationError(f"{group.name}: nonzero coefficient at {tuple(bad[0])} beyond degree {degree}")
+    P = P[: degree + 1, : degree + 1].copy()
+    if P[0, 0] != 1:
+        raise NonIntegralDimension(f"{group.name}: P(0,0) = {P[0, 0]}, expected 1")
+    return P
 
 
 def dim_triangle(group: QuotientGroup, pq_max: int) -> list[tuple[int, int, int]]:

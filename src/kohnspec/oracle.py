@@ -313,14 +313,6 @@ def _poly_dim(actions: list[ElementAction], n: int, p: int, q: int,
     return len(cols) - _rank(np.vstack(stacked), ell)
 
 
-def invariant_dim_bruteforce(group: QuotientGroup, p: int, q: int,
-                             actions: list[ElementAction] | None = None) -> int:
-    """The invariant harmonic dimension at (p, q), d_P(p, q) - d_P(p-1, q-1)."""
-    actions = actions or modular_image(group).actions()
-    lower = _poly_dim(actions, group.n, p - 1, q - 1) if p and q else 0
-    return _poly_dim(actions, group.n, p, q) - lower
-
-
 def _budgeted_blocks(group: QuotientGroup, pq_max: int, actions: list[ElementAction]) -> list[tuple]:
     """The _weight_block of each cell with p + q <= pq_max, in dim_triangle's
     order.  SizeLimit before any matrix is built if the closure and the

@@ -26,6 +26,8 @@ rank mod the prime falls short.  Production (:mod:`kohnspec.oracle`) takes
 no Laplacian: it differences the invariant dimensions of all polynomials of
 bidegrees (p, q) and (p-1, q-1), each eliminated only on the monomials the
 diagonal generators fix; the tests compare the two cell by cell.
+invariant_dim_bruteforce is that difference for one cell, as the tests
+call it.
 
 sphere_dim is the sphere dimension as a difference of monomial counts, in
 Python integers; sphere_dims is Folland's product form in int64, apart from
@@ -50,7 +52,8 @@ import numpy as np
 from kohnspec.errors import KohnspecError, SizeLimit, _require_int64
 from kohnspec.genfun import PGPolynomial
 from kohnspec.group_catalog import Angle, ConjugacyClass, QuotientGroup
-from kohnspec.oracle import _BASIS_LIMIT, ElementAction, _prime, _rank, modular_image, monomial_exponents
+from kohnspec.oracle import (_BASIS_LIMIT, ElementAction, _poly_dim, _prime, _rank, modular_image,
+                             monomial_exponents)
 from kohnspec.spectrum import (
     SpectrumTable,
     WeylReport,
@@ -289,6 +292,15 @@ def invariant_dim_reference(group: QuotientGroup, p: int, q: int,
     ident = np.eye(size, dtype=np.int64)
     stacked = np.vstack([space.laplacian % ell] + [(a.matrix(p, q) - ident) % ell for a in actions])
     return size - _rank(stacked, ell)
+
+
+def invariant_dim_bruteforce(group: QuotientGroup, p: int, q: int,
+                             actions: list[ElementAction] | None = None) -> int:
+    """The invariant harmonic dimension at (p, q), d_P(p, q) - d_P(p-1, q-1),
+    one cell at a time from the oracle's own d_P."""
+    actions = actions or modular_image(group).actions()
+    lower = _poly_dim(actions, group.n, p - 1, q - 1) if p and q else 0
+    return _poly_dim(actions, group.n, p, q) - lower
 
 
 def trace_bruteforce(action: ElementAction, p: int, q: int) -> int:

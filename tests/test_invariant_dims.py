@@ -33,6 +33,7 @@ from kohnspec import (
     make_q_semidirect,
     make_trivial,
     multiplicity,
+    pg_polynomial,
     reconcile,
     weyl_report,
 )
@@ -57,7 +58,7 @@ from kohnspec.invariant_dims import (
 from kohnspec.spectrum import _cells
 
 from conftest import full_reconcile_sweep
-from reference import char_general, exact_matmul, fraction_angles, mobius, sphere_dim
+from reference import char_general, exact_matmul, fraction_angles, mobius, pg_expansion, sphere_dim
 
 
 class TestPinnedDimensions:
@@ -793,7 +794,8 @@ class TestPeriodCache:
         # E^2 + E = 13223136 entries of qsemi:101 (E = 3636) exceed the cell
         # budget, so no request reads a table, however many cells it holds
         assert not invariant_dims.period_route(make_q_semidirect(101), 10**12)
-        assert period_table(make_lens(5, (1, 2, 3)), 10**12) is None       # n = 3
+        # n = 3: the series square of lens:343 (max(2 n e, 24) = 2058) exceeds it too
+        assert period_table(make_lens(343, (1, 2, 3)), 10**12) is None
         # a cell budget below 2I's E^2 + E = 3660: a request of E^2 cells or
         # more is traced cell by cell
         monkeypatch.setattr(invariant_dims, "MAX_CELLS", 60 * 60 + 60 - 1)
@@ -803,3 +805,224 @@ class TestPeriodCache:
         assert dim_cells(g, p, q).tolist() == [dim_closed_form(g, a, b) for a, b in zip(p.tolist(), q.tolist())]
         assert sum(kernel_points) == len(p)
         assert isinstance(period_table(make_cyclic(4), 16), PeriodTable)     # E = 4 fits
+
+
+# ---------------------------------------------------------------------------
+# The n >= 3 Molien table: dim(p, q) = sum U[pr + alpha e, qr + beta e] C_(P' - alpha) C_(Q' - beta)
+
+
+@pytest.fixture
+def series_calls(monkeypatch):
+    """Counts the cells of each call to the n >= 3 series kernel, from an
+    empty table cache, so that no table built earlier hides them."""
+    invariant_dims._period_tables.clear()
+    calls = []
+    kernel = invariant_dims._series_dims
+
+    def counted(group, p, q):
+        calls.append(len(p))
+        return kernel(group, p, q)
+
+    monkeypatch.setattr(invariant_dims, "_series_dims", counted)
+    yield calls
+    invariant_dims._period_tables.clear()
+
+
+def kernel_square(g, ceiling):
+    """F[p, q] for p, q <= ceiling from the series kernel, called directly."""
+    p, q = np.indices((ceiling + 1, ceiling + 1), dtype=np.int64)
+    return invariant_dims._series_dims(g, p.ravel(), q.ravel()).reshape(p.shape)
+
+
+@pytest.fixture(scope="module")
+def molien_groups(lens3_groups):
+    return lens3_groups + [make_lens(5, (1, 2, 3, 4))]
+
+
+class TestMolienTable:
+    def test_route_both_sides_of_the_square(self, molien_groups, series_calls):
+        # (c + 1)^2 - 1 random cells past the square go to the kernel and build
+        # no table; (c + 1)^2 cells build the table from the kernel's square
+        # and read it, and so does every later request of that size
+        rng = np.random.default_rng(19)
+        for g in molien_groups:
+            c = max(2 * g.n * g.exponent, 24)
+            square = (c + 1) ** 2
+            p, q = rng.integers(0, 12 * c, (2, square))
+            p[::3] += 10**4 if g.n == 3 else 10**3     # within the kernel's own int64 bound
+            want = invariant_dims._series_dims(g, p, q)
+            series_calls.clear()
+            assert np.array_equal(dim_cells(g, p[:-1], q[:-1]), want[:-1]), g.name
+            assert series_calls == [square - 1] and g not in invariant_dims._period_tables, g.name
+            series_calls.clear()
+            assert np.array_equal(dim_cells(g, p, q), want), g.name
+            assert series_calls == [square], g.name       # the table's own square, not the request
+            assert isinstance(invariant_dims._period_tables[g], invariant_dims.MolienTable), g.name
+            series_calls.clear()
+            perm = rng.permutation(square)
+            assert np.array_equal(dim_cells(g, p[perm], q[perm]), want[perm]), g.name
+            assert series_calls == [], g.name
+
+    def test_table_equals_the_kernel_on_a_hyperbola(self, molien_groups, series_calls, monkeypatch):
+        for g in molien_groups:
+            p, q = _cells(g.n, 6000 if g.n == 3 else 1000)
+            want = invariant_dims._series_dims(g, p, q)
+            assert len(p) >= max(2 * g.n * g.exponent + 1, 25) ** 2, g.name
+            assert np.array_equal(dim_cells(g, p, q), want), g.name
+            # blocks of a few rows and cells split the hyperbola many times
+            with monkeypatch.context() as small:
+                small.setattr(invariant_dims, "_BLOCK_ENTRIES", 50)
+                assert np.array_equal(dim_cells(g, p, q), want), g.name
+            assert isinstance(invariant_dims._period_tables[g], invariant_dims.MolienTable), g.name
+
+    def test_series_square_equals_the_kernel(self, molien_groups, series_calls):
+        for g in molien_groups:
+            c = max(2 * g.n * g.exponent, 24)
+            # below the table's square the kernel runs on the request itself; at
+            # it the table is built from the kernel's square, and then read
+            for ceiling, calls in [(c - 1, [c * c]), (c, [(c + 1) ** 2]), (c + 1, []), (4 * c, [])]:
+                series_calls.clear()
+                F = fg_coefficients(g, ceiling)
+                assert series_calls == calls, (g.name, ceiling)
+                assert np.array_equal(F, kernel_square(g, ceiling)), (g.name, ceiling)
+            assert isinstance(invariant_dims._period_tables[g], invariant_dims.MolienTable), g.name
+
+    def test_polynomial_equals_the_kernel_expansion(self, molien_groups, series_calls):
+        for g in molien_groups:
+            n, e = g.n, g.exponent
+            c = max(2 * n * e, 24)
+            d = n * (e - 1) + 1
+            P = pg_expansion(kernel_square(g, c), n, e)
+            assert not P[d:].any() and not P[:, d:].any(), g.name
+            series_calls.clear()
+            poly = pg_polynomial(g)
+            assert np.array_equal(poly.coeffs, P[:d, :d]) and poly.degree == d - 1, g.name
+            assert series_calls == [(c + 1) ** 2], g.name      # built the table once
+            series_calls.clear()
+            assert np.array_equal(pg_polynomial(g).coeffs, P[:d, :d]) and series_calls == [], g.name
+            # an explicit ceiling runs the kernel on its own square, never the table
+            assert np.array_equal(pg_polynomial(g, c + 3).coeffs, P[:d, :d]), g.name
+            assert series_calls == [(c + 4) ** 2], g.name
+
+    def test_polynomial_is_not_shared(self, series_calls):
+        g = make_lens(5, (1, 2, 3))
+        first = pg_polynomial(g)
+        want = first.coeffs.copy()
+        first.coeffs[:] = 7
+        assert np.array_equal(pg_polynomial(g).coeffs, want)
+        assert np.array_equal(invariant_dims._period_tables[g].P, want)
+
+    def test_table_bytes(self, series_calls):
+        # P and U, padded to (n + 1) e square: 0.8 kB + 3.2 kB for lens:5, 168 kB + 307 kB for lens:49
+        for g, P, U in [(make_lens(5, (1, 2, 3)), 13, 20), (make_lens(49, (1, 8, 22)), 145, 196)]:
+            table = period_table(g, 10**7)
+            assert table.nbytes == 8 * (P * P + U * U) == invariant_dims._period_tables[g].nbytes, g.name
+
+    def test_route_rule_at_the_budget_edge(self):
+        # max(2 n e, 24) = 2046 for e = 341: 2047^2 cells fit; e = 342 does not
+        fits, over = make_lens(341, (1, 2, 4)), make_lens(342, (1, 5, 7))
+        assert invariant_dims.period_route(fits, 2047**2) and not invariant_dims.period_route(fits, 2047**2 - 1)
+        assert not invariant_dims.period_route(over, 10**12)
+        # the trivial groups: square 25^2 whatever n
+        trivial = make_trivial(6)
+        assert invariant_dims.period_route(trivial, 625) and not invariant_dims.period_route(trivial, 624)
+
+    def test_int64_bound_leaves_the_request_to_the_kernel(self, series_calls, monkeypatch):
+        # sum |U| C_P' C_Q' is checked cell by cell: with a weight that lets
+        # (p, q) = (400, 400) pass exactly, the request is read from the table,
+        # and one that also holds (405, 400) is answered by the kernel
+        g = make_lens(5, (1, 2, 3))
+        table = period_table(g, 10**7)
+        C = lambda x: math.comb(x // 5 + 2, 2)     # C_P' for n = 3
+        monkeypatch.setattr(table, "weight", ((1 << 63) - 1) // (C(400) * C(400)))
+        p, q = _cells(3, 1200)
+        p = np.concatenate([p, [400, 0]])
+        q = np.concatenate([q, [400, 400]])
+        for cells, calls in [((p, q), []), ((np.append(p, [405, 5]), np.append(q, [400, 5])), [len(p) + 2])]:
+            want = invariant_dims._series_dims(g, *cells)
+            series_calls.clear()
+            assert np.array_equal(dim_cells(g, *cells), want) and series_calls == calls
+
+    def test_a_table_the_kernel_refuses_leaves_requests_on_the_kernel(self, series_calls):
+        # lens:101:1,2,3,4,5: the series square p, q <= 1010 fits the cell
+        # budget, but the kernel refuses it, C_p C_q reaching 2^62 near its
+        # corner; a request of as many cells at the origin is answered by the
+        # kernel, each time, and no table is kept.  pg_polynomial is refused
+        # on that square, as the kernel alone would refuse it
+        from kohnspec.errors import Int64Limit
+
+        g = make_lens(101, (1, 2, 3, 4, 5))
+        cells = 1011**2
+        zeros = np.zeros(cells, dtype=np.int64)
+        assert invariant_dims.period_route(g, cells)
+        for _ in range(2):
+            series_calls.clear()
+            assert (dim_cells(g, zeros, zeros) == 1).all()
+            assert series_calls == [cells, cells] and g not in invariant_dims._period_tables
+        with pytest.raises(Int64Limit, match="C_p C_q at \\(p,q\\)=\\(1009,222\\) may reach 2\\^62"):
+            pg_polynomial(g)
+
+    def test_monomial_row_refusal_stays_per_cell(self, series_calls):
+        # lens:1:1,1,1,1,1 (C_x = C(x + 4, 4)): the largest p with C_p C_1 < 2^62
+        # is answered on the table route, and p + 1 refused, as on the kernel
+        from kohnspec.errors import Int64Limit
+
+        g = make_trivial(5)
+        lo, hi = 0, 10**6
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if math.comb(mid + 4, 4) * 5 < 2**62 else (lo, mid - 1)
+        p, q = triangle_cells(40)
+        p, q = np.append(p, lo), np.append(q, 1)
+        assert dim_cells(g, p, q)[-1] == sphere_dim(lo, 1, 5) and g in invariant_dims._period_tables
+        with pytest.raises(Int64Limit, match=f"C_p C_q at \\(p,q\\)=\\({lo + 1},1\\) may reach 2\\^62"):
+            dim_cells(g, np.append(p, lo + 1), np.append(q, 1))
+
+    def test_non_group_fails_on_the_table_build(self, series_calls):
+        # a class set whose averages are not integral fails the kernel's gate
+        # on the table's square, and no table is kept
+        fake = from_classes("not-a-group-3", 3, 3, [((0, 0, 0), 1), ((1, 1, 1), 1)], expect_free=True)
+        p, q = triangle_cells(60)
+        with pytest.raises(NonIntegralDimension, match="weighted trace sum"):
+            dim_cells(fake, p, q)
+        assert fake not in invariant_dims._period_tables
+
+    def test_cells_read_from_a_corrupt_table_are_gated(self, series_calls, monkeypatch):
+        # U[5, 0] and U[0, 10] of lens:5:1,2,3 made very negative: the cells
+        # (5, 0) and (0, 10) first go below 0; each route names the first
+        # failing cell in its request's order, q-major for the square as on the kernel
+        g = make_lens(5, (1, 2, 3))
+        table = period_table(g, 10**7)
+        columns = table.columns.copy()
+        columns[0, 0, 5] = columns[0, 2, 0] = -10**6       # columns[qr, beta, alpha e + pr]
+        monkeypatch.setattr(table, "columns", columns)
+        with pytest.raises(NonIntegralDimension, match="\\(p,q\\)=\\(5,0\\): the dimension read from the Molien"):
+            fg_coefficients(g, 40)
+        p, q = triangle_cells(60)
+        order = np.lexsort((q, p))      # p-major: (0, 10) comes before (5, 0)
+        with pytest.raises(NonIntegralDimension, match="\\(p,q\\)=\\(0,10\\): the dimension read from the Molien"):
+            dim_cells(g, p[order], q[order])
+
+    def test_square_reads_as_its_cells_would(self, series_calls, monkeypatch):
+        # fg_coefficients names the first refused cell row by row in q, as the
+        # kernel does on the square's cells: C_p C_q >= 2^62 for lens:1:1,1,1,1,1
+        # at ceiling 600.  With a weight that (200, 200), P' = Q' = 40, passes
+        # exactly, the square to 204 is read from the table and the one to 205
+        # from the kernel
+        from kohnspec.errors import Int64Limit
+
+        def refusal(call, *args):
+            with pytest.raises(Int64Limit) as exc:
+                call(*args)
+            return str(exc.value)
+
+        q, p = np.indices((601, 601), dtype=np.int64)
+        g = make_trivial(5)
+        assert refusal(fg_coefficients, g, 600) == refusal(invariant_dims._series_dims, g, p.ravel(), q.ravel())
+        g = make_lens(5, (1, 2, 3))
+        table = period_table(g, 10**7)
+        monkeypatch.setattr(table, "weight", ((1 << 63) - 1) // math.comb(40 + 2, 2) ** 2)
+        for ceiling, calls in [(204, []), (205, [206**2])]:
+            series_calls.clear()
+            F = fg_coefficients(g, ceiling)
+            assert series_calls == calls and np.array_equal(F, kernel_square(g, ceiling)), ceiling

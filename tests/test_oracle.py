@@ -12,7 +12,6 @@ import pytest
 from kohnspec import (
     SizeLimit,
     dim_invariant,
-    invariant_dim_bruteforce,
     make_binary_dihedral,
     make_binary_icosahedral,
     make_binary_octahedral,
@@ -40,7 +39,8 @@ from kohnspec.oracle import (
     monomial_exponents,
     oracle_check,
 )
-from reference import build_space, char_general, fraction_angles, invariant_dim_reference, sphere_dim, trace_bruteforce
+from reference import (build_space, char_general, fraction_angles, invariant_dim_bruteforce, invariant_dim_reference,
+                       sphere_dim, trace_bruteforce)
 
 
 def _reduce_character(chi, image) -> int:
