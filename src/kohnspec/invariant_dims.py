@@ -394,20 +394,23 @@ class MolienTable:
 
 
 # the tables of the most recently used groups, oldest first, a PeriodTable
-# for n = 2 and a MolienTable for n >= 3: at most CACHE_SIZE of them and
+# for n = 2 and a MolienTable for n >= 3, or None for an n >= 3 table the
+# kernel refused to build: at most CACHE_SIZE of them and
 # MAX_PERIOD_CACHE_BYTES together
-_period_tables: OrderedDict[QuotientGroup, PeriodTable | MolienTable] = OrderedDict()
+_period_tables: OrderedDict[QuotientGroup, PeriodTable | MolienTable | None] = OrderedDict()
 
 
 def _evict() -> None:
     """Drop the oldest tables until the cache is within CACHE_SIZE and
     MAX_PERIOD_CACHE_BYTES; a table larger than that alone is not kept."""
-    while len(_period_tables) > CACHE_SIZE or sum(t.nbytes for t in _period_tables.values()) > MAX_PERIOD_CACHE_BYTES:
+    while (len(_period_tables) > CACHE_SIZE
+           or sum(t.nbytes for t in _period_tables.values() if t is not None) > MAX_PERIOD_CACHE_BYTES):
         _period_tables.popitem(last=False)
 
 
-def _table(group: QuotientGroup) -> PeriodTable | MolienTable:
-    """The group's table: cached and moved to the newest end, or new and added there."""
+def _table(group: QuotientGroup) -> PeriodTable | MolienTable | None:
+    """The group's table: cached and moved to the newest end, or new and
+    added there; None for a refusal molien_table cached."""
     if group in _period_tables:
         _period_tables.move_to_end(group)
         return _period_tables[group]
@@ -430,12 +433,15 @@ def period_route(group: QuotientGroup, cells: int) -> bool:
 def molien_table(group: QuotientGroup) -> MolienTable | None:
     """The n >= 3 group's cached MolienTable, or None where the kernel refuses
     its square with a SizeLimit, on the cell budget or on another budget or
-    int64 bound (nothing is cached then: each request tries again)."""
+    int64 bound.  The refusal is cached as None, in the table's place, so a
+    later request goes straight to the kernel without trying again."""
     if group.n == 2:
         return None
     try:
         return _table(group)
     except SizeLimit:       # Int64Limit included
+        _period_tables[group] = None
+        _evict()
         return None
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConstraintError
 from .genfun import dim_h0_polynomial, h0_coefficients
 from .group_catalog import QuotientGroup
-from .invariant_dims import dim_cells, triangle_cells
+from .invariant_dims import dim_cells, require_cells
 
 
 def laplace_eigenvalue(s: int, n: int) -> int:
@@ -84,32 +84,52 @@ def c_group(group: QuotientGroup, ceiling: int, convention: int = 2) -> SobolevC
     """Maximum cell constant over nonvanishing invariant bidegrees with
     p + q <= ceiling, ties broken toward the lexicographically smallest cell.
 
+    The triangle is read in blocks of whole lines, lines 0..15 first and
+    then twice as many each round, and the scan stops after the block
+    ending at line hi once the best cell so far lies strictly above the
+    envelope of line hi + 1: no later cell can beat it or tie it.  With
+    t = s + n - 2 the squared envelope is ((t + 1)^2 - n(n - 2)) / (D t)^2,
+    which rises up to s* = max(1, n^2 - 3n + 1) and falls after it.  From
+    s* on, line hi + 1 bounds every later line; before s*, it bounds every
+    line read, so the best cell cannot lie above it and the scan goes on.
+    A cell past the stop line is never evaluated.  The ceiling's whole
+    triangle is still counted against MAX_CELLS before any cell is read.
+
     Certified means the whole-line envelope at the ceiling already lies below
     the found maximum, compared exactly as squares, so no deeper cell can
     beat it; when the envelope plateau sits above the found maximum the
-    result stays uncertified no matter the ceiling.
+    result stays uncertified no matter the ceiling.  Certified and
+    envelope_at_ceiling refer to the ceiling, not to the stop line.
     """
     if ceiling < 2:
         raise ConstraintError("ceiling must be at least 2")
+    require_cells((ceiling + 1) * (ceiling + 2) // 2, f"the triangle p + q <= {ceiling}")
     n = group.n
-    # on a line p + q = s the numerator 1 + mu is fixed, so the line's best
-    # cell is the nonvanishing one with the least q(p + n - 1), then least
-    # p: each line's least key, one minimum.reduceat over the triangle
-    p, q = triangle_cells(ceiling)
-    dims = dim_cells(group, p, q)
-    key = (q * (p + n - 1)) * (ceiling + 1) + p
-    key[(q < 1) | (dims == 0)] = _NO_CELL
-    line_best = np.minimum.reduceat(key, np.arange(ceiling + 1) * np.arange(1, ceiling + 2) // 2)
-    # the lines' squared constants (1 + mu) / den, compared by cross-multiplying
     best: tuple[int, int, tuple[int, int]] | None = None
-    for s, k in enumerate(line_best.tolist()):
-        if k == _NO_CELL:
-            continue
-        p = k % (ceiling + 1)
-        cell = (p, s - p)
-        num, den = 1 + laplace_eigenvalue(s, n), (convention * (s - p) * (p + n - 1)) ** 2
-        if best is None or (order := num * best[1] - best[0] * den) > 0 or (order == 0 and cell < best[2]):
-            best = (num, den, cell)
+    lo, hi = 0, min(ceiling, 15)
+    while True:
+        # on a line p + q = s the numerator 1 + mu is fixed, so the line's
+        # best cell is the nonvanishing one with the least q(p + n - 1), then
+        # least p: each line's least key, one minimum.reduceat over the block
+        lines = np.arange(lo, hi + 1, dtype=np.int64)
+        starts = (lines * (lines + 1) - lo * (lo + 1)) // 2
+        p = np.arange(starts[-1] + hi + 1, dtype=np.int64) - np.repeat(starts, lines + 1)
+        q = np.repeat(lines, lines + 1) - p
+        dims = dim_cells(group, p, q)
+        key = (q * (p + n - 1)) * (ceiling + 1) + p
+        key[(q < 1) | (dims == 0)] = _NO_CELL
+        # the lines' squared constants (1 + mu) / den, compared by cross-multiplying
+        for s, k in enumerate(np.minimum.reduceat(key, starts).tolist(), lo):
+            if k == _NO_CELL:
+                continue
+            p = k % (ceiling + 1)
+            cell = (p, s - p)
+            num, den = 1 + laplace_eigenvalue(s, n), (convention * (s - p) * (p + n - 1)) ** 2
+            if best is None or (order := num * best[1] - best[0] * den) > 0 or (order == 0 and cell < best[2]):
+                best = (num, den, cell)
+        if hi == ceiling or best is not None and envelope_squared(hi + 1, n, convention) < Fraction(*best[:2]):
+            break
+        lo, hi = hi + 1, min(ceiling, 2 * hi + 1)
     if best is None:
         raise ConstraintError(f"{group.name}: no nonvanishing bidegree with q >= 1 below ceiling {ceiling}")
     p, q = best[2]

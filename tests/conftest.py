@@ -82,11 +82,16 @@ def all_n2_groups():
     return su2_sample() + u2_sample()
 
 
-@pytest.fixture(scope="session")
-def lens3_groups():
+def lens3_sample():
+    """Representative n = 3 lens groups."""
     return [
         make_lens(2, (1, 1, 1)),
         make_lens(3, (1, 1, 2)),
         make_lens(4, (1, 3, 3)),
         make_lens(5, (1, 2, 3)),
     ]
+
+
+@pytest.fixture(scope="session")
+def lens3_groups():
+    return lens3_sample()

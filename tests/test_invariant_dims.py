@@ -947,18 +947,20 @@ class TestMolienTable:
         # lens:101:1,2,3,4,5: the series square p, q <= 1010 fits the cell
         # budget, but the kernel refuses it, C_p C_q reaching 2^62 near its
         # corner; a request of as many cells at the origin is answered by the
-        # kernel, each time, and no table is kept.  pg_polynomial is refused
-        # on that square, as the kernel alone would refuse it
+        # kernel.  The refusal is cached in the table's place, so the second
+        # request goes straight to the kernel without building the square
+        # again.  pg_polynomial is refused on that square, as the kernel
+        # alone would refuse it
         from kohnspec.errors import Int64Limit
 
         g = make_lens(101, (1, 2, 3, 4, 5))
         cells = 1011**2
         zeros = np.zeros(cells, dtype=np.int64)
         assert invariant_dims.period_route(g, cells)
-        for _ in range(2):
+        for calls in ([cells, cells], [cells]):
             series_calls.clear()
             assert (dim_cells(g, zeros, zeros) == 1).all()
-            assert series_calls == [cells, cells] and g not in invariant_dims._period_tables
+            assert series_calls == calls and invariant_dims._period_tables[g] is None
         with pytest.raises(Int64Limit, match="C_p C_q at \\(p,q\\)=\\(1009,222\\) may reach 2\\^62"):
             pg_polynomial(g)
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kohnspec import (
+    c_group,
     check_free_action,
     counting_function,
     dim_invariant,
@@ -26,8 +27,9 @@ from kohnspec import (
 from kohnspec.group_catalog import ZERO, from_classes
 from kohnspec.invariant_dims import dim_cells
 
-from conftest import su2_sample, u2_sample
+from conftest import lens3_sample, su2_sample, u2_sample
 from reference import char_general, fraction_angles
+from test_sobolev import reference_c_group
 
 F = Fraction
 
@@ -145,3 +147,20 @@ class TestDimCellsRoutes:
         p, q = np.random.default_rng(seed).integers(0, min(reach * E, 2**62 - 1) + 1, (2, max(1, E * E + side)))
         singles = [dim_invariant(group, a, b) for a, b in zip(p.tolist(), q.tolist())]
         assert dim_cells(group, p, q).tolist() == singles
+
+
+class TestSobolevStop:
+    """c_group, which stops once the envelope of every later line is below
+    its best cell, equals the per-cell scan of the whole triangle."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(group=st.sampled_from(su2_sample() + u2_sample() + lens3_sample()),
+           ceiling=st.integers(min_value=2, max_value=60), convention=st.sampled_from([2, 4]))
+    def test_equals_the_per_cell_scan(self, group, ceiling, convention):
+        best_sq, cell = reference_c_group(group, ceiling, convention)
+        if cell is None:
+            with pytest.raises(ValueError, match="no nonvanishing bidegree"):
+                c_group(group, ceiling, convention)
+            return
+        const = c_group(group, ceiling, convention)
+        assert (const.value_squared, const.p, const.q) == (best_sq, *cell)

@@ -20,6 +20,7 @@ from kohnspec import (
     make_lens,
     make_q_semidirect,
     make_trivial,
+    parse_group_spec,
 )
 from kohnspec.invariant_dims import dim_triangle
 from kohnspec.sobolev import envelope, laplace_eigenvalue
@@ -111,11 +112,39 @@ class TestGroupConstant:
         const = c_group(make_binary_icosahedral(), 40)
         assert (const.p, const.q) == (0, 12)
 
+    def test_stops_at_the_first_block_the_envelope_clears(self, monkeypatch):
+        # 2I's best cell (0, 12) lies above the envelope of line 16 and of
+        # every later line, so only the first block, lines 0..15, is read
+        from kohnspec import sobolev
+
+        reads = []
+        kernel = sobolev.dim_cells
+        monkeypatch.setattr(sobolev, "dim_cells", lambda g, p, q: reads.append(len(p)) or kernel(g, p, q))
+        const = c_group(make_binary_icosahedral(), 2000)
+        assert (const.p, const.q, const.certified) == (0, 12, True)
+        assert sum(reads) == 136
+
+    # the least ceiling at which c_group certifies: s0 + 1, s0 the line of the best cell
+    @pytest.mark.parametrize("spec, ceiling", [
+        ("cyclic:4", 3), ("cyclic:7", 3), ("lens:5:1,2,3", 3), ("2T", 7), ("cycsemi:3:2", 7), ("2O", 9),
+        ("qsemi:1", 9), ("2I", 13), ("lens:5:1,2,3,4", 6), ("2IxC:7", 31), ("qsemi:5", 31),
+    ])
+    def test_certifying_ceiling(self, spec, ceiling):
+        g = parse_group_spec(spec)
+        const = c_group(g, ceiling)
+        assert const.certified and not c_group(g, ceiling - 1).certified
+        # 2894 is the largest ceiling whose triangle fits MAX_CELLS
+        deepest = c_group(g, 2894)
+        assert (deepest.value_squared, deepest.p, deepest.q) == (const.value_squared, const.p, const.q)
 
     @pytest.mark.parametrize("convention", [2, 4])
     def test_line_maxima_match_per_cell_reference(self, all_n2_groups, lens3_groups, convention):
-        for g in all_n2_groups + lens3_groups + [make_trivial(2), make_trivial(3)]:
-            for ceiling in (2, 3, 7, 12, 30):
+        # ceilings on both sides of the ends of the first two blocks (lines 15
+        # and 31), of the best lines s0 (12, 30) and of the envelope peaks
+        # s* = 5, 11, 19, 29 for n = 4 to 7; make_trivial(6) peaks at
+        # (18, 1) and make_trivial(7) at (28, 1), past the first block
+        for g in all_n2_groups + lens3_groups + [make_lens(5, (1, 2, 3, 4))] + [make_trivial(n) for n in range(2, 8)]:
+            for ceiling in (2, 3, 4, 5, 6, 7, 11, 12, 13, 15, 16, 17, 18, 19, 20, 28, 29, 30, 31, 32, 33):
                 best_sq, cell = reference_c_group(g, ceiling, convention)
                 if cell is None:
                     with pytest.raises(ValueError, match="no nonvanishing bidegree"):
