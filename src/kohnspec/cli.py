@@ -110,8 +110,8 @@ def _cmd_dims(args) -> tuple:
         d = dim_invariant(group, args.p, args.q)
         doc = {"group": group.name, "p": args.p, "q": args.q, "dim": d}
         return ["p", "q", "dim"], [[args.p, args.q, d]], doc
-    rows = [list(cell) for cell in dim_triangle(group, args.pq_max)]
-    doc = {"group": group.name, "pq_max": args.pq_max, "entries": [list(r) for r in rows]}
+    rows = dim_triangle(group, args.pq_max)
+    doc = {"group": group.name, "pq_max": args.pq_max, "entries": rows}
     return ["p", "q", "dim"], rows, doc
 
 

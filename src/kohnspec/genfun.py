@@ -25,19 +25,19 @@ import numpy as np
 
 from .errors import ConstraintError
 from .group_catalog import QuotientGroup
-from .invariant_dims import dim_cells, molien_table, period_route, require_cells, series_polynomial
+from .invariant_dims import dim_cells, period_table, require_cells, series_ceiling, series_polynomial
 
 
 def fg_coefficients(group: QuotientGroup, ceiling: int) -> np.ndarray:
     """Series coefficients F[p, q] of F(z, w) for p, q <= ceiling: the
-    invariant dimensions on the square, counted against the cell budget and
-    evaluated from the group's MolienTable by MolienTable.square where
-    period_route allows and the square passes its bounds, else in one engine
-    call row by row in q, then transposed."""
+    invariant dimensions on the square, counted against the cell budget and,
+    for n >= 3, evaluated by MolienTable.square where period_table returns
+    the table for the square's cells and the square passes its bounds, else
+    in one engine call row by row in q, then transposed."""
     if ceiling < 0:
         raise ConstraintError("ceiling must be nonnegative")
     require_cells((ceiling + 1) ** 2, f"the series square p, q <= {ceiling}")
-    table = molien_table(group) if period_route(group, (ceiling + 1) ** 2) else None
+    table = period_table(group, (ceiling + 1) ** 2) if group.n > 2 else None
     F = None if table is None else table.square(ceiling)
     if F is None:
         q, p = np.indices((ceiling + 1, ceiling + 1), dtype=np.int64)
@@ -74,10 +74,10 @@ def _over_binomial(x: np.ndarray, e: int, n: int) -> np.ndarray:
 def pg_polynomial(group: QuotientGroup, ceiling: int | None = None) -> PGPolynomial:
     """P by truncated series arithmetic, with its degree bound verified: any
     nonzero coefficient beyond n(e - 1) raises TruncationError.  Without a
-    ceiling an n >= 3 group with a MolienTable returns a copy of its P; with
-    one, and for n = 2, P is found from the engine on that square
-    (invariant_dims.series_polynomial), never from the table."""
-    table = molien_table(group) if ceiling is None else None
+    ceiling an n >= 3 group returns a copy of the P of period_table's table
+    for the table's own square; otherwise P is found from the engine on the
+    square (invariant_dims.series_polynomial), never from the table."""
+    table = period_table(group, (series_ceiling(group) + 1) ** 2) if ceiling is None and group.n > 2 else None
     P = series_polynomial(group, ceiling) if table is None else table.P.copy()
     return PGPolynomial(group, group.exponent, len(P) - 1, P)
 

@@ -17,8 +17,9 @@ For n = 2 the traces are E-periodic in p and q up to a term linear in
 p + q, so every dimension is base[p mod E, q mod E] + (p // E + q // E)
 step[(q - p) mod E], at most the sphere's p + q + 1, the only n = 2
 quantity bounded per cell.  One PeriodTable per group holds the traces,
-step, and base once a request of at least E^2 cells reads it; each is
-checked at residue pairs in place of every cell with those residues.
+step, and base once a request of at least E^2 cells fills it, for every
+later request; each is checked at residue pairs in place of every cell
+with those residues, a request's own until base is filled.
 For n >= 3 each orbit of element order o is traced in its own
 field Q(zeta_o), by Ramanujan's divisor sum for c_o: the traces of all
 rational classes at once are one int64 matrix product T = (G w) G^T of a
@@ -34,10 +35,10 @@ that square of cells, period_route's rule for both n.
 dim_cells evaluates whole arrays of cells in one call, dim_triangle every
 cell with p + q <= pq_max, and dim_invariant one cell.  No result is
 memoised; only the Galois orbits of the last CACHE_SIZE groups are cached,
-and one table per group, a PeriodTable for n = 2 and a MolienTable for
-n >= 3, for at most as many groups and MAX_PERIOD_CACHE_BYTES together.
-Every enumeration of cells counts them against one cell budget before it
-allocates.
+and one table per group from period_table, a PeriodTable for n = 2 and a
+MolienTable for n >= 3, for at most as many groups and
+MAX_PERIOD_CACHE_BYTES together.  Every enumeration of cells counts them
+against one cell budget before it allocates.
 dim_closed_form evaluates the per-family piecewise formulas; reconcile
 checks the two against each other.
 """
@@ -59,7 +60,8 @@ from .group_catalog import CACHE_SIZE, QuotientGroup
 _BLOCK_ENTRIES = 1 << 14
 
 # most int64 entries the n >= 3 kernel may hold at once, its folded h-vector
-# table and one orbit's h-vectors together (128 MB)
+# table and one orbit's h-vectors together (128 MB); with its monomial row and
+# blocks, one cell of lens:5:1,2,3 at 16.7M entries peaks at 145 MB (tracemalloc)
 MAX_SERIES_ENTRIES = 1 << 24
 
 # a band of cells may compute this many entries beyond twice its cells
@@ -114,14 +116,20 @@ def _h_vectors(angles_int: list[int], E: int, degree: int) -> np.ndarray:
     # each entry of row p is at most the row total, C(p + n - 1, n - 1), which
     # _series_tables bounds below 2^62 before it calls this
     # folding in a variable with angle a is h'[d] = h[d] + roll(h'[d-1], a);
-    # un-rotating row d by d*a turns that recurrence into a cumulative sum
+    # un-rotating row d by d*a turns that recurrence into a cumulative sum,
+    # taken in place a block of about _BLOCK_ENTRIES entries of rows at a
+    # time, carried on from the last sum of the block before
     h = np.zeros((degree + 1, E), dtype=np.int64)
     h[0, 0] = 1
-    d = np.arange(degree + 1)[:, None]
     r = np.arange(E)
+    rows = max(1, _BLOCK_ENTRIES // E)
     for a in angles_int:
-        g = np.cumsum(np.take_along_axis(h, (r + d * a) % E, axis=1), axis=0)
-        h = np.take_along_axis(g, (r - d * a) % E, axis=1)
+        carry = 0
+        for i in range(0, degree + 1, rows):
+            at = (r + np.arange(i, min(i + rows, degree + 1))[:, None] * a) % E
+            g = np.cumsum(np.take_along_axis(h[i:i + rows], at, axis=1), axis=0) + carry
+            carry = g[-1]
+            np.put_along_axis(h[i:i + rows], at, g, axis=1)
     return h
 
 
@@ -408,53 +416,42 @@ def _evict() -> None:
         _period_tables.popitem(last=False)
 
 
-def _table(group: QuotientGroup) -> PeriodTable | MolienTable | None:
-    """The group's table: cached and moved to the newest end, or new and
-    added there; None for a refusal molien_table cached."""
-    if group in _period_tables:
-        _period_tables.move_to_end(group)
-        return _period_tables[group]
-    table = _period_tables[group] = (PeriodTable if group.n == 2 else MolienTable)(group)
-    _evict()
-    return table
+def series_ceiling(group: QuotientGroup) -> int:
+    """max(2 n e, 24), series_polynomial's default ceiling and an n >= 3 table's."""
+    return max(2 * group.n * group.exponent, 24)
 
 
 def period_route(group: QuotientGroup, cells: int) -> bool:
-    """Whether a request of this many cells reads its group's table, one rule
-    for every n: it holds at least the cells the table is found from, the
-    E^2 residue pairs for n = 2 and the square p, q <= max(2 n e, 24) for
-    n >= 3, and they (with step's E entries for n = 2, so E <= 2047) fit
-    the cell budget.  An n >= 3 table the kernel refuses to build leaves the
-    request on the kernel (molien_table)."""
-    square = group.exponent ** 2 if group.n == 2 else (max(2 * group.n * group.exponent, 24) + 1) ** 2
+    """Whether a request of this many cells reads its group's table, for
+    n = 2 filling its base, by one rule for every n: it holds at least the
+    cells the table is found from, the E^2 residue pairs for n = 2 and the
+    square p, q <= series_ceiling for n >= 3, and they (with step's E
+    entries for n = 2, so E <= 2047) fit the cell budget."""
+    square = group.exponent ** 2 if group.n == 2 else (series_ceiling(group) + 1) ** 2
     return cells >= square and square + group.exponent * (group.n == 2) <= MAX_CELLS
 
 
-def molien_table(group: QuotientGroup) -> MolienTable | None:
-    """The n >= 3 group's cached MolienTable, or None where the kernel refuses
-    its square with a SizeLimit, on the cell budget or on another budget or
-    int64 bound.  The refusal is cached as None, in the table's place, so a
-    later request goes straight to the kernel without trying again."""
-    if group.n == 2:
-        return None
-    try:
-        return _table(group)
-    except SizeLimit:       # Int64Limit included
-        _period_tables[group] = None
-        _evict()
-        return None
-
-
 def period_table(group: QuotientGroup, cells: int) -> PeriodTable | MolienTable | None:
-    """The group's table, with base filled for n = 2, for a request of this
-    many cells, or None where the request stays on the kernel: for n = 2
-    traced at its own residues, for n >= 3 the series."""
-    if not period_route(group, cells):
+    """The group's table for a request of this many cells, new and added at
+    the cache's newest end, or cached and moved there.  For n = 2 the
+    PeriodTable, its base filled once period_route allows a request; for
+    n >= 3 the MolienTable where period_route allows, else None.  A SizeLimit
+    (Int64Limit included) on an n >= 3 table's square is cached as None in
+    the table's place, so later requests go straight to the kernel."""
+    route = period_route(group, cells)
+    if group.n > 2 and not route:
         return None
-    if group.n > 2:
-        return molien_table(group)
-    table = _table(group)
-    if table.base is None:
+    if group not in _period_tables:
+        try:
+            _period_tables[group] = (PeriodTable if group.n == 2 else MolienTable)(group)
+        except SizeLimit:       # Int64Limit included
+            if group.n == 2:
+                raise
+            _period_tables[group] = None
+    _period_tables.move_to_end(group)
+    table = _period_tables[group]
+    _evict()
+    if route and group.n == 2 and table.base is None:
         table.fill()
         _evict()
     return table
@@ -526,11 +523,12 @@ def _series_tables(group: QuotientGroup, E: int, p: np.ndarray,
     for key, o, mult in orbits:
         h = _h_vectors([k * o // E for k in key], o, degree)
         for d, mu in _ramanujan_divisors(o):
-            G[1:, col:col + d] = h.reshape(degree + 1, o // d, d).sum(axis=1)
+            h.reshape(degree + 1, o // d, d).sum(axis=1, out=G[1:, col:col + d])
             weight = mult * (_totient(E) // _totient(o)) * mu * d
             w[col:col + d] = weight
             abs_weight += abs(weight)
             col += d
+        del h       # before the next orbit's h-vectors, as the budget counts one orbit's
     return G, w, abs_weight, C
 
 
@@ -614,12 +612,12 @@ def _series_dims(group: QuotientGroup, p: np.ndarray, q: np.ndarray) -> np.ndarr
 def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
     """Invariant dimensions at the cells (p[i], q[i]) in one exact
     evaluation, 0 at a cell with p < 0 or q < 0; transient memory stays at
-    a few MB per block of cells.  A request reads its group's cached table
-    where period_route allows, else the kernel.  For n = 2 each is
+    a few MB per block of cells, through period_table.  For n = 2 each is
     base + (p // E + q // E) step[(q - p) mod E], base read from the table
-    or traced and checked at the request's own residues.  For n >= 3 each is
-    read from the MolienTable or traced by the series kernel, and gated
-    against its sphere dimension."""
+    once a request that period_route allows has filled it, and until then
+    traced and checked at the request's own residues.  For n >= 3 each is
+    read from the MolienTable where period_route allows, else traced by the
+    series kernel, and gated against its sphere dimension."""
     try:
         p = np.asarray(p, dtype=np.int64)
         q = np.asarray(q, dtype=np.int64)
@@ -642,11 +640,7 @@ def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
         pr, qr = p - a * E, q - b * E
         r = qr - pr     # in (-E, E): a negative index reads step[(q - p) mod E]
         table = period_table(group, len(p))
-        if table is None:
-            table = _table(group)
-            base = table.residue_dims(pr, qr, r)
-        else:
-            base = table.base.ravel()[pr * E + qr]
+        base = table.residue_dims(pr, qr, r) if table.base is None else table.base.ravel()[pr * E + qr]
         return base + (a + b) * table.step[r]
     table = period_table(group, len(p))
     dims = None if table is None else table.read(p, q)
@@ -663,14 +657,14 @@ def _times_binomial(x: np.ndarray, e: int, n: int) -> np.ndarray:
 
 def series_polynomial(group: QuotientGroup, ceiling: int | None = None) -> np.ndarray:
     """P = F (z^e - 1)^n (w^e - 1)^n / (1 - zw), (n(e - 1) + 1) square, from
-    F on p, q <= ceiling (max(2 n e, 24) by default, at least ne + 1) by the
+    F on p, q <= ceiling (series_ceiling by default, at least ne + 1) by the
     engine, for n >= 3 the series kernel, never a MolienTable: one factor at
     a time along each axis, then running sums down the diagonals.  A nonzero
     coefficient beyond degree n(e - 1) raises TruncationError, and
     P(0, 0) != 1 NonIntegralDimension."""
     n, e = group.n, group.exponent
     degree = n * (e - 1)
-    ceiling = max(max(2 * n * e, 24) if ceiling is None else ceiling, degree + n + 1)
+    ceiling = max(series_ceiling(group) if ceiling is None else ceiling, degree + n + 1)
     require_cells((ceiling + 1) ** 2, f"the series square p, q <= {ceiling}")
     q, p = np.indices((ceiling + 1, ceiling + 1), dtype=np.int64)
     F = (dim_cells if n == 2 else _series_dims)(group, p.ravel(), q.ravel()).reshape(p.shape).T

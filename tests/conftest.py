@@ -18,6 +18,15 @@ from kohnspec import (
     make_product_with_center,
     make_q_semidirect,
 )
+from kohnspec import invariant_dims
+
+
+@pytest.fixture(autouse=True)
+def empty_table_cache():
+    """Each test starts with no cached group table: catalog groups are shared
+    objects, and a base filled by one test serves every later request of
+    another, which would change the residue pairs it traces."""
+    invariant_dims._period_tables.clear()
 
 
 # the groups of the Weyl-law criteria, and the twisted U(2) groups counted beside them

@@ -7,6 +7,7 @@ every closed form on the full parameter grid.
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -35,6 +36,7 @@ from kohnspec import (
     multiplicity,
     pg_polynomial,
     reconcile,
+    reconstruct_dims,
     weyl_report,
 )
 from kohnspec import invariant_dims
@@ -47,7 +49,6 @@ from kohnspec.invariant_dims import (
     _totient,
     _rational_classes,
     _series_traces,
-    _table,
     closed_form_cyclic,
     closed_form_q_semidirect,
     dim_cells,
@@ -257,6 +258,35 @@ class TestSeriesCellGuard:
             tracemalloc.stop()
         assert peak <= 2 * 8 * 10**6, peak
 
+    def test_h_vectors_in_blocks_count_monomials(self, monkeypatch):
+        # blocks of one to ten rows, each carried on from the block before,
+        # against the monomials of each degree counted by residue
+        monkeypatch.setattr(invariant_dims, "_BLOCK_ENTRIES", 10)
+        degree = 12
+        for angles, E in [((1, 2, 3), 5), ((0, 1, 3, 4), 6), ((2,), 7), ((0, 0, 0), 1)]:
+            want = np.zeros((degree + 1, E), dtype=np.int64)
+            for exps in itertools.product(range(degree + 1), repeat=len(angles)):
+                if sum(exps) <= degree:
+                    want[sum(exps), sum(e * a for e, a in zip(exps, angles)) % E] += 1
+            assert np.array_equal(_h_vectors(list(angles), E, degree), want), angles
+
+    def test_kernel_peaks_near_its_budget(self):
+        # one far cell of lens:5:1,2,3 holds the series table (7 columns) and one
+        # orbit's h-vectors (o = 5) per degree, the entries the budget counts,
+        # and the monomial row: each variable is folded into the h-vectors a
+        # block of degree rows at a time, and each divisor's residues are
+        # summed straight into the table
+        g = make_lens(5, (1, 2, 3))
+        p = 2 * 10**5
+        entries = (p + 2) * 7 + (p + 1) * 5 + (p + 2)
+        tracemalloc.start()
+        try:
+            assert dim_invariant(g, p, 0) == 4000060001
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * entries, (peak, 8 * entries)
+
     def test_guard_is_exact_per_cell(self):
         # lens:1:1,1,1,1,1, C_x = C(x + 4, 4): the largest p with C_p C_q < 2^62
         # is answered, and a request holding (p + 1, q) is refused there first
@@ -382,7 +412,7 @@ def orbit_traces(group, p, q):
     E = group.exponent
     if group.n != 2:
         return _series_traces(group, E, p, q)[0]
-    table = _table(group)
+    table = period_table(group, 0)      # no request of 0 cells fills base
     a, b = p // E, q // E
     pr, qr = p - a * E, q - b * E
     r = (qr - pr) % E
@@ -412,14 +442,22 @@ def cell_sets(n, seed):
 class TestRationalClasses:
     def test_orbit_engine_matches_per_class_kernels(self, all_n2_groups, lens3_groups):
         # U(2) lens groups where the inverse of step / c mod E / c is not a
-        # unit mod E: 2 of 3 non-central orbits in lens:12:1,5, all 4 in lens:30:1,7
+        # unit mod E: 2 of 3 non-central orbits in lens:12:1,5, all 4 in lens:30:1,7.
+        # Each cell set is read from an empty table cache, where an n = 2 set
+        # below E^2 cells is traced at its own residues, and again once the
+        # group's table is built, an n = 2 base filled
         lifted = [make_lens(12, (1, 5)), make_lens(30, (1, 7))]
         for seed, g in enumerate(all_n2_groups + lifted + lens3_groups):
             denom = _totient(g.exponent) * g.order
-            for name, (p, q) in cell_sets(g.n, seed).items():
-                expected = per_class_traces(g, p, q)
-                assert np.array_equal(orbit_traces(g, p, q), expected), (g.name, name)
-                assert np.array_equal(dim_cells(g, p, q), expected // denom), (g.name, name)
+            sets = cell_sets(g.n, seed)
+            expected = {name: per_class_traces(g, p, q) for name, (p, q) in sets.items()}
+            for filled in (False, True):
+                for name, (p, q) in sets.items():
+                    if not filled:
+                        invariant_dims._period_tables.clear()
+                    assert np.array_equal(orbit_traces(g, p, q), expected[name]), (g.name, name, filled)
+                    assert np.array_equal(dim_cells(g, p, q), expected[name] // denom), (g.name, name, filled)
+                period_table(g, invariant_dims.MAX_CELLS)
 
     def test_row_chunks_split_bands(self, lens3_groups, monkeypatch):
         # a block of 40 entries cuts every band into chunks of a few rows q
@@ -529,9 +567,7 @@ class TestSortFreeSeries:
 
 @pytest.fixture
 def kernel_points(monkeypatch):
-    """Counts the residue pairs the n = 2 non-central kernel evaluates, from
-    an empty period-table cache, so that no table built earlier hides them."""
-    invariant_dims._period_tables.clear()
+    """Counts the residue pairs the n = 2 non-central kernel evaluates."""
     points = []
     kernel = PeriodTable.noncentral
 
@@ -564,7 +600,7 @@ class TestPrefixRows:
         g = make_cyclic(40000)
         E = g.exponent
         rows = {math.gcd(k1 - k2, E) for (k1, k2), _ in _rational_classes(g) if k1 != k2}
-        tables = _table(g)
+        tables = period_table(g, 1)
         assert (tables.F.size, tables.central.size) == (E * len(rows), E)
         assert len(rows) == 29      # 9.6 MB with central
 
@@ -581,16 +617,32 @@ class TestResidueRoutes:
             kernel_points.clear()
             square = dim_cells(g, p, q)
             assert sum(kernel_points) == E * E, g.name
-            step = max(1, E * E - 1)    # each call below E^2 cells, so at the cells' own residues
+            # each call below E^2 cells, from an empty cache, so at the cells' own residues
+            step = max(1, E * E - 1)
+            invariant_dims._period_tables.clear()
             kernel_points.clear()
-            with monkeypatch.context() as no_table:
-                if E == 1:      # no request is below E^2 = 1 cell: trace one cell at a time without the table
-                    no_table.setattr(invariant_dims, "period_table", lambda group, cells: None)
+            with monkeypatch.context() as no_base:
+                if E == 1:      # no request is below E^2 = 1 cell: trace one cell at a time without a base
+                    no_base.setattr(invariant_dims, "period_route", lambda group, cells: False)
                 per_cell = np.concatenate([dim_cells(g, p[i:i + step], q[i:i + step]) for i in range(0, cells, step)])
             assert sum(kernel_points) == cells, g.name
             assert np.array_equal(square, per_cell), g.name
             closed = [dim_closed_form(g, a, b) for a, b in zip(p.tolist(), q.tolist())]
             assert square.tolist() == closed, g.name
+
+    def test_a_filled_base_serves_every_later_request(self, all_n2_groups, kernel_points):
+        # after a fill, requests of a few cells read base and trace no residue
+        # pair, with the answers they get from an empty cache
+        rng = np.random.default_rng(17)
+        for g in all_n2_groups:
+            requests = [rng.integers(0, 10**6, (2, k)) for k in (1, 5)] + [rng.integers(0, 50, (2, 5))]
+            invariant_dims._period_tables.clear()
+            cold = [dim_cells(g, p, q) for p, q in requests]
+            assert period_table(g, g.exponent ** 2).base is not None, g.name
+            kernel_points.clear()
+            for (p, q), want in zip(requests, cold):
+                assert np.array_equal(dim_cells(g, p, q), want), g.name
+            assert sum(kernel_points) == 0, g.name
 
     def test_table_is_read_from_E_squared_cells(self, kernel_points):
         g = make_binary_icosahedral()       # E = 60
@@ -704,7 +756,6 @@ class TestPeriodCache:
 
     def test_cache_is_bounded_in_bytes(self, monkeypatch):
         # room for two filled tables of 2IxC:7 (E = 420, 1.4 MB of base each) but not three
-        invariant_dims._period_tables.clear()
         groups = [from_classes(f"2IxC:7 copy {i}", 2, 420, [(c.angles, c.mult) for c in
                                                             make_product_with_center(make_binary_icosahedral(), 7).classes])
                   for i in range(3)]
@@ -714,13 +765,11 @@ class TestPeriodCache:
             assert period_table(g, 420 * 420).nbytes == size
             assert list(invariant_dims._period_tables)[-1] is g
         assert list(invariant_dims._period_tables) == groups[1:]
-        invariant_dims._period_tables.clear()
 
     def test_traces_and_base_count_together(self, monkeypatch):
         # copies of 2I: room for one filled table and the traces of another,
         # not for two filled tables; a table over the cap alone is returned
         # and not kept, and with room for no traces each request builds its own
-        invariant_dims._period_tables.clear()
         cache = invariant_dims._period_tables
         classes = [(c.angles, c.mult) for c in make_binary_icosahedral().classes]
         a, b = (from_classes(f"2I copy {i}", 2, 60, classes) for i in range(2))
@@ -738,13 +787,12 @@ class TestPeriodCache:
         assert table.base is not None and not cache
         monkeypatch.setattr(invariant_dims, "MAX_PERIOD_CACHE_BYTES", traces - 1)
         g = make_binary_icosahedral()
-        assert _table(g) is not _table(g) and not cache
+        assert period_table(g, 1) is not period_table(g, 1) and not cache
         assert dim_cells(g, [6, 60], [6, 0]).tolist() == [dim_closed_form(g, 6, 6), dim_closed_form(g, 60, 0)]
-        invariant_dims._period_tables.clear()
 
     def test_step_is_computed_once_per_group(self, kernel_points, monkeypatch):
         # a residue-route request builds the table, traces and step; a later
-        # fill and later requests of either route read that same step
+        # fill and later requests read that same step, and the filled base
         built = []
         init = PeriodTable.__init__
 
@@ -759,29 +807,25 @@ class TestPeriodCache:
         table = period_table(g, 60 * 60)
         assert table.step is step and table.base is not None
         dim_cells(g, [7], [120])
-        assert built == [g] and table.step is step and sum(kernel_points) == 2 + 60 * 60 + 1
+        assert built == [g] and table.step is step and sum(kernel_points) == 2 + 60 * 60
 
     def test_building_a_table_peaks_near_its_size(self):
         # the square is traced and checked a block of rows at a time, so
         # filling 2IxC:7's table (E = 420) holds little beyond its base
         g = make_product_with_center(make_binary_icosahedral(), 7)
-        invariant_dims._period_tables.clear()
-        _table(g)
+        period_table(g, 1)
         tracemalloc.start()
         try:
             table = period_table(g, 420 * 420)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        invariant_dims._period_tables.clear()
         assert peak <= 5 * table.base.nbytes, (peak, table.base.nbytes)
 
     def test_cache_is_bounded_in_count(self):
-        invariant_dims._period_tables.clear()
         for m in range(1, 2 * invariant_dims.CACHE_SIZE + 1):
             period_table(make_cyclic(m), m * m)
         assert len(invariant_dims._period_tables) == invariant_dims.CACHE_SIZE
-        invariant_dims._period_tables.clear()
 
     def test_weyl_refuses_past_the_xi_cutoff_before_building(self, kernel_points):
         # cyclic:2047 has the largest table within budget; lambda = 10^12 is
@@ -792,19 +836,19 @@ class TestPeriodCache:
 
     def test_over_budget_exponent_keeps_the_cell_route(self, kernel_points, monkeypatch):
         # E^2 + E = 13223136 entries of qsemi:101 (E = 3636) exceed the cell
-        # budget, so no request reads a table, however many cells it holds
+        # budget, so no request fills a base, however many cells it holds
         assert not invariant_dims.period_route(make_q_semidirect(101), 10**12)
         # n = 3: the series square of lens:343 (max(2 n e, 24) = 2058) exceeds it too
         assert period_table(make_lens(343, (1, 2, 3)), 10**12) is None
         # a cell budget below 2I's E^2 + E = 3660: a request of E^2 cells or
-        # more is traced cell by cell
+        # more is traced cell by cell, at its cells' own residues
         monkeypatch.setattr(invariant_dims, "MAX_CELLS", 60 * 60 + 60 - 1)
         g = make_binary_icosahedral()
-        assert period_table(g, 10**12) is None
+        assert period_table(g, 10**12).base is None
         p, q = triangle_cells(84)       # 3655 cells
         assert dim_cells(g, p, q).tolist() == [dim_closed_form(g, a, b) for a, b in zip(p.tolist(), q.tolist())]
         assert sum(kernel_points) == len(p)
-        assert isinstance(period_table(make_cyclic(4), 16), PeriodTable)     # E = 4 fits
+        assert period_table(make_cyclic(4), 16).base is not None     # E = 4 fits
 
 
 # ---------------------------------------------------------------------------
@@ -813,9 +857,7 @@ class TestPeriodCache:
 
 @pytest.fixture
 def series_calls(monkeypatch):
-    """Counts the cells of each call to the n >= 3 series kernel, from an
-    empty table cache, so that no table built earlier hides them."""
-    invariant_dims._period_tables.clear()
+    """Counts the cells of each call to the n >= 3 series kernel."""
     calls = []
     kernel = invariant_dims._series_dims
 
@@ -824,8 +866,7 @@ def series_calls(monkeypatch):
         return kernel(group, p, q)
 
     monkeypatch.setattr(invariant_dims, "_series_dims", counted)
-    yield calls
-    invariant_dims._period_tables.clear()
+    return calls
 
 
 def kernel_square(g, ceiling):
@@ -917,6 +958,38 @@ class TestMolienTable:
         for g, P, U in [(make_lens(5, (1, 2, 3)), 13, 20), (make_lens(49, (1, 8, 22)), 145, 196)]:
             table = period_table(g, 10**7)
             assert table.nbytes == 8 * (P * P + U * U) == invariant_dims._period_tables[g].nbytes, g.name
+
+    def test_outcomes_do_not_depend_on_the_cache(self, series_calls):
+        # a far cell is refused on the series budget, and a request below the
+        # table's square goes to the kernel, whether or not the table is cached
+        g = make_lens(5, (1, 2, 3))
+        p, q = triangle_cells(30)
+        for cached in (False, True):
+            assert isinstance(invariant_dims._period_tables.get(g), invariant_dims.MolienTable) == cached
+            with pytest.raises(SizeLimit, match="the series table of lens:5:1,2,3 needs at least 18000019 int64 "):
+                dim_invariant(g, 1500000, 0)
+            series_calls.clear()
+            dim_cells(g, p, q)
+            assert series_calls == [len(p)], cached
+            pg_polynomial(g)
+
+    def test_square_then_polynomial_build_the_table_once(self, molien_groups, series_calls, monkeypatch):
+        built = []
+        init = invariant_dims.MolienTable.__init__
+
+        def counted(self, group):
+            built.append(group)
+            init(self, group)
+
+        monkeypatch.setattr(invariant_dims.MolienTable, "__init__", counted)
+        for g in molien_groups:
+            c = invariant_dims.series_ceiling(g)
+            series_calls.clear()
+            F = fg_coefficients(g, c)
+            poly = pg_polynomial(g)
+            assert built[-1:] == [g] and series_calls == [(c + 1) ** 2], g.name
+            assert np.array_equal(reconstruct_dims(poly, c), F), g.name
+        assert built == molien_groups
 
     def test_route_rule_at_the_budget_edge(self):
         # max(2 n e, 24) = 2046 for e = 341: 2047^2 cells fit; e = 342 does not
