@@ -10,8 +10,9 @@ The invariant-dimension engine (:func:`kohnspec.invariant_dims.dim_cells`)
 evaluates that expansion cell by cell; the coefficient table here is its
 square case.  Multiplying the series by (z^e - 1)^n (w^e - 1)^n / (1 - zw)
 produces an integer polynomial P of degree at most n(e - 1) in each
-variable; for n >= 3 the engine keeps P, with U = (1 - zw) P, as one cached
-MolienTable per group, and the square and P are read from it.  A closed
+variable; for n >= 3 the engine builds P from the classes, keeps it with
+U = (1 - zw) P as one cached MolienTable per group, and the square and P
+are read from it.  A closed
 polynomial formula for the dimensions at bidegree (0, m*e) follows; it
 reads n coefficients of P, found from n cells.
 """
@@ -23,22 +24,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintError
+from .errors import ConstraintError, NonIntegralDimension, SizeLimit, TruncationError
 from .group_catalog import QuotientGroup
-from .invariant_dims import dim_cells, period_table, require_cells, series_ceiling, series_polynomial
+from .invariant_dims import _times_binomial, dim_cells, period_table, require_cells
 
 
 def fg_coefficients(group: QuotientGroup, ceiling: int) -> np.ndarray:
     """Series coefficients F[p, q] of F(z, w) for p, q <= ceiling: the
     invariant dimensions on the square, counted against the cell budget and,
-    for n >= 3, evaluated by MolienTable.square where period_table returns
-    the table for the square's cells and the square passes its bounds, else
-    in one engine call row by row in q, then transposed."""
+    for n >= 3, evaluated by MolienTable.square where the group has a table
+    and the square passes its bounds, else in one engine call row by row in
+    q, then transposed."""
     if ceiling < 0:
         raise ConstraintError("ceiling must be nonnegative")
     require_cells((ceiling + 1) ** 2, f"the series square p, q <= {ceiling}")
-    table = period_table(group, (ceiling + 1) ** 2) if group.n > 2 else None
-    F = None if table is None else table.square(ceiling)
+    F = None
+    if group.n > 2:
+        try:
+            F = period_table(group, 0).square(ceiling)
+        except SizeLimit:       # no table: dim_cells takes the direct route
+            pass
     if F is None:
         q, p = np.indices((ceiling + 1, ceiling + 1), dtype=np.int64)
         F = dim_cells(group, p.ravel(), q.ravel()).reshape(p.shape).T
@@ -72,14 +77,32 @@ def _over_binomial(x: np.ndarray, e: int, n: int) -> np.ndarray:
 
 
 def pg_polynomial(group: QuotientGroup, ceiling: int | None = None) -> PGPolynomial:
-    """P by truncated series arithmetic, with its degree bound verified: any
-    nonzero coefficient beyond n(e - 1) raises TruncationError.  Without a
-    ceiling an n >= 3 group returns a copy of the P of period_table's table
-    for the table's own square; otherwise P is found from the engine on the
-    square (invariant_dims.series_polynomial), never from the table."""
-    table = period_table(group, (series_ceiling(group) + 1) ** 2) if ceiling is None and group.n > 2 else None
-    P = series_polynomial(group, ceiling) if table is None else table.P.copy()
-    return PGPolynomial(group, group.exponent, len(P) - 1, P)
+    """P, of degree n(e - 1).  For n >= 3 a copy of the P of the group's
+    MolienTable, built from the classes, whatever the ceiling; a group
+    whose product does not fit raises its SizeLimit.  For n = 2 P comes from
+    the series square p, q <= ceiling (max(4 e, 24) by default, at least
+    2 e + 1) by truncated series arithmetic: one factor (1 - t^e) at a
+    time along each axis, then running sums down the diagonals, with its
+    degree bound verified: a nonzero coefficient beyond 2(e - 1) raises
+    TruncationError, and P(0, 0) != 1 NonIntegralDimension."""
+    e = group.exponent
+    if group.n > 2:
+        P = period_table(group, 0).P.copy()
+        return PGPolynomial(group, e, len(P) - 1, P)
+    degree = 2 * (e - 1)
+    ceiling = max(max(4 * e, 24) if ceiling is None else ceiling, degree + 3)
+    P = _times_binomial(_times_binomial(fg_coefficients(group, ceiling).T, e, 2).T, e, 2)
+    for a in range(1, ceiling + 1):
+        P[a, 1:] += P[a - 1, :-1]
+    beyond = P.copy()
+    beyond[: degree + 1, : degree + 1] = 0
+    if np.any(beyond):
+        raise TruncationError(f"{group.name}: nonzero coefficient at {tuple(np.argwhere(beyond)[0])} "
+                              f"beyond degree {degree}")
+    P = P[: degree + 1, : degree + 1].copy()
+    if P[0, 0] != 1:
+        raise NonIntegralDimension(f"{group.name}: P(0,0) = {P[0, 0]}, expected 1")
+    return PGPolynomial(group, e, degree, P)
 
 
 def reconstruct_dims(poly: PGPolynomial, ceiling: int) -> np.ndarray:

@@ -20,17 +20,16 @@ quantity bounded per cell.  One PeriodTable per group holds the traces,
 step, and base once a request of at least E^2 cells fills it, for every
 later request; each is checked at residue pairs in place of every cell
 with those residues, a request's own until base is filled.
-For n >= 3 each orbit of element order o is traced in its own
-field Q(zeta_o), by Ramanujan's divisor sum for c_o: the traces of all
-rational classes at once are one int64 matrix product T = (G w) G^T of a
-table of h-vectors summed into d residues, d | o, formed over bands of the
-requested cells whose bounding boxes hold at most about twice their cells;
-cells, sorted by q only if they are not already, read T[p, q] - T[p-1, q-1]
-in one flat gather per chunk of a band.  By Molien's theorem the same
-dimensions are a fixed combination of one small MolienTable per group,
-U = (1 - zw) P, with at most (n + 1)^2 terms per cell; the table is found
-from the kernel on one square and read by every request that holds at least
-that square of cells, period_route's rule for both n.
+For n >= 3, by Molien's theorem in Stanley's form, every dimension is a
+fixed combination of one small MolienTable per group, U = (1 - zw) P, with
+at most (n + 1)^2 terms per cell.  P, of degree n(e - 1), is a class sum of
+polynomials: each orbit of element order o is traced in its own field
+Q(zeta_o), by Ramanujan's divisor sum for c_o, so P is one int64 product
+(G w) G^T of a table of truncated h-vectors summed into d residues, d | o.
+Every request of a group whose product fits its budgets reads the table; a
+group whose product does not fit takes the same product cell by cell, from
+plain h-vectors to the request's own degree.  So no n >= 3 answer or
+refusal depends on the shape of a request or on what is cached.
 
 dim_cells evaluates whole arrays of cells in one call, dim_triangle every
 cell with p + q <= pq_max, and dim_invariant one cell.  No result is
@@ -52,26 +51,23 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (Int64Limit, NonIntegralDimension, SizeLimit, TruncationError, UnsupportedFamily,
-                     _require_int64)
+from .errors import Int64Limit, NonIntegralDimension, SizeLimit, UnsupportedFamily, _require_int64
 from .group_catalog import CACHE_SIZE, QuotientGroup
 
 # int64 entries per transient array while evaluating a block of cells (128 kB)
 _BLOCK_ENTRIES = 1 << 14
 
-# most int64 entries the n >= 3 kernel may hold at once, its folded h-vector
-# table and one orbit's h-vectors together (128 MB); with its monomial row and
-# blocks, one cell of lens:5:1,2,3 at 16.7M entries peaks at 145 MB (tracemalloc)
+# most int64 entries an n >= 3 series table may hold at once, the folded
+# h-vector table and one orbit's h-vectors together (128 MB), to degree
+# n(e - 1) for a MolienTable and to a request's largest p or q for a group
+# without one; also the most entries of a monomial row, one per degree
 MAX_SERIES_ENTRIES = 1 << 24
-
-# a band of cells may compute this many entries beyond twice its cells
-_BAND_SLACK = 64
 
 # most cells one enumeration may hold.  A request peaks near 88 bytes per cell,
 # its own cells included (tracemalloc): dim_cells over cyclic:2039's period
 # square from a cold cache (16 of cells, 8 of base, 64 of evaluation), and
-# counting_function at lambda 4e5 80 for 2I, 51 for lens:5:1,2,3 on its Molien
-# table and 58 on the kernel; so the budget caps one request near 0.37 GB
+# counting_function at lambda 4e5 80 for 2I and 51 for lens:5:1,2,3 on its
+# Molien table; so the budget caps one request near 0.37 GB
 MAX_CELLS = 1 << 22
 
 
@@ -114,7 +110,7 @@ def _h_vectors(angles_int: list[int], E: int, degree: int) -> np.ndarray:
     """Rows p = 0..degree: the complete homogeneous sum h_p of the roots of
     unity with the given integer angles, as exponent-count vectors mod E."""
     # each entry of row p is at most the row total, C(p + n - 1, n - 1), which
-    # _series_tables bounds below 2^62 before it calls this
+    # every caller bounds below 2^63 first
     # folding in a variable with angle a is h'[d] = h[d] + roll(h'[d-1], a);
     # un-rotating row d by d*a turns that recurrence into a cumulative sum,
     # taken in place a block of about _BLOCK_ENTRIES entries of rows at a
@@ -313,41 +309,76 @@ class PeriodTable:
 
 class MolienTable:
     """The n >= 3 dimensions of one group from its Molien numerator: F(z, w)
-    = U / ((1 - z^e)^n (1 - w^e)^n), U = (1 - zw) P, P from
-    series_polynomial.  Expanding 1 / (1 - t^e)^n, with p = P' e + pr and
-    q = Q' e + qr, dim(p, q) is the sum over alpha, beta <= n of
-    U[pr + alpha e, qr + beta e] C_(P' - alpha) C_(Q' - beta), C_x =
-    C(x + n - 1, n - 1) and 0 for x < 0.  U, padded to (n + 1) e square, is
-    held as columns[qr, beta, alpha e + pr]."""
+    = U / ((1 - z^e)^n (1 - w^e)^n), U = (1 - zw) P.  As lambda^e = 1 for
+    every eigenvalue, (1 - z^e) / (1 - lambda z) = 1 + lambda z + ... +
+    (lambda z)^(e - 1), so phi(e) |G| P = (G w) G^T, G the series table of
+    truncated h-vectors to degree n(e - 1), one int64 product.  Its square
+    is counted against the cell budget and G against the series budget
+    before either is allocated, and the product's partial sums are bounded
+    below 2^63 before it is formed; then the product must divide exactly,
+    with P(0, 0) = 1 and P(1, 1) |G| = e^(2n), the identity's term, as
+    every other element has an eigenvalue lambda != 1, whose factor
+    1 + lambda + ... + lambda^(e - 1) vanishes.  Expanding 1 / (1 - t^e)^n,
+    with p = P' e + pr and q = Q' e + qr, dim(p, q) is the sum over alpha,
+    beta <= n of U[pr + alpha e, qr + beta e] C_(P' - alpha) C_(Q' - beta),
+    C_x = C(x + n - 1, n - 1) and 0 for x < 0.  U, padded to (n + 1) e
+    square, is held as columns[qr, beta, alpha e + pr]."""
 
     def __init__(self, group: QuotientGroup):
         n, e = group.n, group.exponent
         self.name, self.n, self.e = group.name, n, e
-        self.P = series_polynomial(group)
-        d, w = len(self.P), (n + 1) * e
-        U = np.zeros((w, w), dtype=np.int64)
-        U[:d, :d] = self.P
-        U[1:d + 1, 1:d + 1] -= self.P
-        self.columns = np.ascontiguousarray(U.T.reshape(n + 1, e, w).transpose(1, 0, 2))
-        self.weight = int(np.abs(U).sum())
+        degree = n * (e - 1)
+        require_cells((degree + 1) ** 2, f"the Molien product of {group.name}, p, q <= {degree},")
+        G, w, _ = _series_tables(group, degree, truncated=True)
+        G = G[1:]
+        # G >= 0, so no partial sum of (G[q] w) . G[p] exceeds the largest
+        # |w_k| max G[:, k] times the largest row sum
+        top = max(a * b for a, b in zip(np.abs(w).tolist(), G.max(axis=0).tolist()))
+        _require_int64(top * int(G.sum(axis=1).max()))
+        denom = _totient(e) * group.order
+        P = (G * w) @ G.T
+        bad = np.flatnonzero(P % denom)[:1]
+        if len(bad):
+            a, b = divmod(int(bad[0]), len(P))
+            raise NonIntegralDimension(f"{self.name}: the weighted trace sum {P[a, b]} of z^{a} w^{b} in the "
+                                       f"Molien numerator is not divisible by {denom}")
+        P //= denom
+        if P[0, 0] != 1:
+            raise NonIntegralDimension(f"{self.name}: P(0,0) = {P[0, 0]}, expected 1")
+        # denom P(1, 1), the sum of (G w) G^T, is the sum over the columns k of w_k s_k^2, s G's column sums
+        s = G.sum(axis=0).tolist()
+        at_one = sum(wk * sk * sk for wk, sk in zip(w.tolist(), s)) // _totient(e)
+        if at_one != e ** (2 * n):
+            raise NonIntegralDimension(f"{self.name}: P(1,1) |G| = {at_one}, expected e^(2n) = {e ** (2 * n)}")
+        d, width = len(P), (n + 1) * e
+        U = np.zeros((width, width), dtype=np.int64)
+        U[:d, :d] = P
+        U[1:d + 1, 1:d + 1] -= P
+        # sum |U| <= 2 sum |P| <= 2 sum_k |w_k| s_k^2 / denom: summed in int64 below 2^63, else that bound
+        bound = 2 * sum(abs(wk) * sk * sk for wk, sk in zip(w.tolist(), s)) // denom
+        self.weight = int(np.abs(U).sum()) if bound < 1 << 63 else bound
+        self.P = P
+        self.columns = np.ascontiguousarray(U.T.reshape(n + 1, e, width).transpose(1, 0, 2))
         self.nbytes = self.P.nbytes + self.columns.nbytes
 
-    def read(self, p: np.ndarray, q: np.ndarray) -> np.ndarray | None:
-        """dim at the cells (p[i], q[i]), after _monomial_row's refusals, or
-        None, for the kernel to answer or refuse, where a cell's sum |U|
-        C_P' C_Q', which bounds every partial sum of its terms, may reach 2^63.
-        The cells, sorted by q unless they already are, go in blocks of at
-        most _BLOCK_ENTRIES cells and of rows q whose U B_q rows hold at most
-        _BLOCK_ENTRIES entries: a block forms W[q, alpha e + pr] =
-        sum_beta U[alpha e + pr, qr + beta e] C_(Q' - beta) for its rows,
-        then n + 1 gathers per cell; every dimension is gated against its
-        sphere dimension."""
+    def read(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """dim at the cells (p[i], q[i]), after _monomial_row's refusals and
+        the refusal of the first cell whose sum |U| C_P' C_Q', which bounds
+        every partial sum of its terms, may reach 2^63.  The cells, sorted by
+        q unless they already are, go in blocks of at most _BLOCK_ENTRIES
+        cells and of rows q whose U B_q rows hold at most _BLOCK_ENTRIES
+        entries: a block forms W[q, alpha e + pr] = sum_beta U[alpha e + pr,
+        qr + beta e] C_(Q' - beta) for its rows, then n + 1 gathers per cell;
+        every dimension is gated against its sphere dimension."""
         n, e, w = self.n, self.e, self.columns.shape[2]
         C = _monomial_row(n, p, q)
         limit = ((1 << 63) - 1) // self.weight
-        if (int(C[p.max() // e + 1]) * int(C[q.max() // e + 1]) > limit
-                and (np.take(C, p // e + 1) > limit // np.take(C, q // e + 1)).any()):
-            return None
+        if int(C[p.max() // e + 1]) * int(C[q.max() // e + 1]) > limit:
+            over = np.take(C, p // e + 1) > limit // np.take(C, q // e + 1)
+            i = int(over.argmax())
+            if over[i]:
+                raise Int64Limit(f"exact integer intermediate sum |U| C_P' C_Q' at (p,q)=({p[i]},{q[i]}) "
+                                 f"may reach 2^63, beyond int64")
         order = None if (q[1:] >= q[:-1]).all() else np.argsort(q, kind="stable")
         ps, qs = (p, q) if order is None else (p[order], q[order])
         new_row = np.ones(len(qs), dtype=bool)
@@ -378,8 +409,8 @@ class MolienTable:
     def square(self, ceiling: int) -> np.ndarray | None:
         """F[p, q] = dim(p, q) for p, q <= ceiling by two tensordots B U B^T,
         B[P', alpha] = C_(P' - alpha), gated as read gates the square's cells
-        row by row in q; None, for dim_cells to read or refuse the cells,
-        where the corner cell fails one of read's int64 bounds."""
+        row by row in q; None, for dim_cells to refuse the cells, where the
+        corner cell fails one of read's int64 bounds."""
         n, e = self.n, self.e
         K = ceiling // e + 1
         if (math.comb(ceiling + n - 1, n - 1) ** 2 >= 1 << 62
@@ -402,56 +433,40 @@ class MolienTable:
 
 
 # the tables of the most recently used groups, oldest first, a PeriodTable
-# for n = 2 and a MolienTable for n >= 3, or None for an n >= 3 table the
-# kernel refused to build: at most CACHE_SIZE of them and
+# for n = 2 and a MolienTable for n >= 3: at most CACHE_SIZE of them and
 # MAX_PERIOD_CACHE_BYTES together
-_period_tables: OrderedDict[QuotientGroup, PeriodTable | MolienTable | None] = OrderedDict()
+_period_tables: OrderedDict[QuotientGroup, PeriodTable | MolienTable] = OrderedDict()
 
 
 def _evict() -> None:
     """Drop the oldest tables until the cache is within CACHE_SIZE and
     MAX_PERIOD_CACHE_BYTES; a table larger than that alone is not kept."""
     while (len(_period_tables) > CACHE_SIZE
-           or sum(t.nbytes for t in _period_tables.values() if t is not None) > MAX_PERIOD_CACHE_BYTES):
+           or sum(t.nbytes for t in _period_tables.values()) > MAX_PERIOD_CACHE_BYTES):
         _period_tables.popitem(last=False)
 
 
-def series_ceiling(group: QuotientGroup) -> int:
-    """max(2 n e, 24), series_polynomial's default ceiling and an n >= 3 table's."""
-    return max(2 * group.n * group.exponent, 24)
-
-
 def period_route(group: QuotientGroup, cells: int) -> bool:
-    """Whether a request of this many cells reads its group's table, for
-    n = 2 filling its base, by one rule for every n: it holds at least the
-    cells the table is found from, the E^2 residue pairs for n = 2 and the
-    square p, q <= series_ceiling for n >= 3, and they (with step's E
-    entries for n = 2, so E <= 2047) fit the cell budget."""
-    square = group.exponent ** 2 if group.n == 2 else (series_ceiling(group) + 1) ** 2
-    return cells >= square and square + group.exponent * (group.n == 2) <= MAX_CELLS
+    """Whether an n = 2 request of this many cells fills its group's base:
+    it holds at least the E^2 residue pairs, and they and step's E entries
+    fit the cell budget, so E <= 2047."""
+    square = group.exponent ** 2
+    return cells >= square and square + group.exponent <= MAX_CELLS
 
 
-def period_table(group: QuotientGroup, cells: int) -> PeriodTable | MolienTable | None:
-    """The group's table for a request of this many cells, new and added at
-    the cache's newest end, or cached and moved there.  For n = 2 the
-    PeriodTable, its base filled once period_route allows a request; for
-    n >= 3 the MolienTable where period_route allows, else None.  A SizeLimit
-    (Int64Limit included) on an n >= 3 table's square is cached as None in
-    the table's place, so later requests go straight to the kernel."""
-    route = period_route(group, cells)
-    if group.n > 2 and not route:
-        return None
+def period_table(group: QuotientGroup, cells: int) -> PeriodTable | MolienTable:
+    """The group's table, new and added at the cache's newest end, or cached
+    and moved there: for n = 2 the PeriodTable, its base filled once
+    period_route allows a request of this many cells; for n >= 3 the
+    MolienTable, whatever the request.  Where an n >= 3 group's product
+    does not fit, its SizeLimit (Int64Limit included) is raised before the
+    product is allocated, and nothing is cached."""
     if group not in _period_tables:
-        try:
-            _period_tables[group] = (PeriodTable if group.n == 2 else MolienTable)(group)
-        except SizeLimit:       # Int64Limit included
-            if group.n == 2:
-                raise
-            _period_tables[group] = None
+        _period_tables[group] = (PeriodTable if group.n == 2 else MolienTable)(group)
     _period_tables.move_to_end(group)
     table = _period_tables[group]
     _evict()
-    if route and group.n == 2 and table.base is None:
+    if group.n == 2 and table.base is None and period_route(group, cells):
         table.fill()
         _evict()
     return table
@@ -495,109 +510,83 @@ def _sphere(C: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return sphere
 
 
-def _series_tables(group: QuotientGroup, E: int, p: np.ndarray,
-                   q: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-    """The folded h-vector table G for the cells (p[i], q[i]), its column
-    weights w, its blocks' summed |weight| and the monomial row C.  An orbit
-    of element order o has angles (E / o) a and an h-vector over Z/o; the
-    trace of h_p(conj g) h_q(g) down from Q(zeta_E) is phi(E) / phi(o)
-    times the sum of mu(o / d) d <h_p mod d, h_q mod d> over
-    _ramanujan_divisors(o), h mod d summing h into d residues.  So the
-    orbit, of summed multiplicity m, holds a block h mod d of weight
-    m (phi(E) / phi(o)) mu(o / d) d per d.  Row x stands for degree x - 1:
-    the zero row 0 makes the (p - 1, q - 1) term vanish at p = 0 or q = 0.
+def _times_binomial(x: np.ndarray, e: int, n: int) -> np.ndarray:
+    """Multiply by (1 - t^e)^n along axis 0, truncated at the array's end:
+    n factors, each new[a] = x[a] - x[a - e]."""
+    for _ in range(n):
+        x = np.concatenate((x[:e], x[e:] - x[:-e]))
+    return x
+
+
+def _series_tables(group: QuotientGroup, degree: int, truncated: bool = False) -> tuple[np.ndarray, np.ndarray, int]:
+    """The folded h-vector table G to this degree, its column weights w and
+    its blocks' summed |weight|.  An orbit of element order o has angles
+    (E / o) a and an h-vector over Z/o; the trace of h_p(conj g) h_q(g)
+    down from Q(zeta_E) is phi(E) / phi(o) times the sum of
+    mu(o / d) d <h_p mod d, h_q mod d> over _ramanujan_divisors(o), h mod d
+    summing h into d residues.  So the orbit, of summed multiplicity m,
+    holds a block h mod d of weight m (phi(E) / phi(o)) mu(o / d) d per d.
+    Row x stands for degree x - 1: the zero row 0 makes the (p - 1, q - 1)
+    term vanish at p = 0 or q = 0.  Truncated, each block is multiplied by
+    (1 - z^E)^n along the degrees, so that its row of degree x counts the
+    tuples j in [0, E)^n summing to x by residue: non-negative, each block
+    of a row summing to the same count, and each column to at most E^n.
     The table and one orbit's h-vectors are counted against the budget
-    before either is allocated, and then _monomial_row refuses each cell
-    with C_p C_q >= 2^62."""
-    degree = int(max(p.max(), q.max()))
+    before either is allocated; a truncated table's intermediates, at most
+    2^n C(degree + n - 1, n - 1), and its row sums are bounded below 2^63
+    first, a plain table's entries by the caller's _monomial_row."""
+    E, n = group.exponent, group.n
     orbits = [(key, E // math.gcd(E, *key), mult) for key, mult in _rational_classes(group)]
     width = sum(d for _, o, _ in orbits for d, _ in _ramanujan_divisors(o))
     entries = (degree + 2) * width + (degree + 1) * max(o for _, o, _ in orbits)
     if entries > MAX_SERIES_ENTRIES:
         raise SizeLimit(f"the series table of {group.name} needs at least {entries} int64 entries, "
                         f"above the budget of {MAX_SERIES_ENTRIES}")
-    C = _monomial_row(group.n, p, q)
+    if truncated:
+        _require_int64(max(2 ** n * math.comb(degree + n - 1, n - 1), width * E ** n))
     G = np.zeros((degree + 2, width), dtype=np.int64)
     w = np.empty(width, dtype=np.int64)
     col = abs_weight = 0
     for key, o, mult in orbits:
         h = _h_vectors([k * o // E for k in key], o, degree)
         for d, mu in _ramanujan_divisors(o):
-            h.reshape(degree + 1, o // d, d).sum(axis=1, out=G[1:, col:col + d])
+            block = G[1:, col:col + d]
+            h.reshape(degree + 1, o // d, d).sum(axis=1, out=block)
+            if truncated:
+                block[:] = _times_binomial(block, E, n)
             weight = mult * (_totient(E) // _totient(o)) * mu * d
             w[col:col + d] = weight
             abs_weight += abs(weight)
             col += d
         del h       # before the next orbit's h-vectors, as the budget counts one orbit's
-    return G, w, abs_weight, C
+    return G, w, abs_weight
 
 
-def _bands(p: np.ndarray, q: np.ndarray):
-    """Runs of the cells, sorted by q, as (start, stop, least p, largest p).
-    A run never splits a row q, and it ends before the row that would make
-    its bounding box hold more than twice its cells plus _BAND_SLACK; only a
-    run of one sparse row can exceed that.  A square, a triangle or a single
-    cell is one run, the hyperbola of a counting table O(log lambda) runs."""
-    starts = np.flatnonzero(np.diff(q, prepend=-1))
-    ends = np.append(starts[1:], len(q))
-    row_q = q[starts]
-    row_lo = np.minimum.reduceat(p, starts)
-    row_hi = np.maximum.reduceat(p, starts)
-    first, rows = 0, len(starts)
-    while first < rows:
-        width = 16
-        while True:     # widen the window until the box overflows or the rows run out
-            last = min(rows, first + width)
-            lo = np.minimum.accumulate(row_lo[first:last])
-            hi = np.maximum.accumulate(row_hi[first:last])
-            box = (row_q[first:last] - row_q[first] + 1) * (hi - lo + 1)
-            over = np.flatnonzero(box > 2 * (ends[first:last] - starts[first]) + _BAND_SLACK)
-            if len(over) or last == rows:
-                break
-            width *= 2
-        run = max(1, int(over[0])) if len(over) else last - first
-        yield int(starts[first]), int(ends[first + run - 1]), int(lo[run - 1]), int(hi[run - 1])
-        first += run
-
-
-def _series_traces(group: QuotientGroup, E: int, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted traces from the h-vector series, and the monomial row C of
-    _series_tables.  The character is
-    h_p(conj g) h_q(g) - h_(p-1)(conj g) h_(q-1)(g), so T = (G w) G^T sums
-    the weighted traces of the first product over the rational classes, and
-    cell (p, q) reads T[p, q] - T[p-1, q-1].  T is formed one band of cells
-    at a time, in chunks of rows q near _BLOCK_ENTRIES entries, once the
-    band's own rows bound every entry it reads below 2^63; a chunk reads its
-    cells, sorted by q unless they already are, in one flat gather."""
-    G, w, abs_weight, C = _series_tables(group, E, p, q)
-    order = None if (q[1:] >= q[:-1]).all() else np.argsort(q, kind="stable")
-    p, q = (p, q) if order is None else (p[order], q[order])
+def _direct_dims(group: QuotientGroup, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The n >= 3 dimensions at cells p, q >= 0 of a group with no
+    MolienTable: the character is h_p(conj g) h_q(g) - h_(p-1)(conj g)
+    h_(q-1)(g), so each cell's weighted trace sum is (G[q] w) . G[p] -
+    (G[q-1] w) . G[p-1], rows of _series_tables' plain table to the largest
+    p or q, a block of cells at a time.  Each block of a row of degree x
+    sums to its C_x monomials, so every partial sum of a cell's two terms
+    stays below 2 |w| C_p C_q, |w| the summed |weight|: a cell where that
+    may reach 2^63 is refused, after _monomial_row's refusals.  Each cell is
+    gated against its sphere dimension."""
+    C = _monomial_row(group.n, p, q)
+    G, w, abs_weight = _series_tables(group, int(max(p.max(), q.max())))
+    limit = ((1 << 63) - 1) // (2 * abs_weight)
+    over = np.take(C[1:], p) > limit // np.take(C[1:], q)
+    i = int(over.argmax())
+    if over[i]:
+        raise Int64Limit(f"exact integer intermediate 2 |w| C_p C_q at (p,q)=({p[i]},{q[i]}) may reach 2^63, "
+                         f"beyond int64")
     traces = np.empty(len(p), dtype=np.int64)
-    for start, stop, lo, hi in _bands(p, q):
-        q_lo, q_hi = int(q[start]), int(q[stop - 1])
-        # the band reads rows lo .. hi + 1 as p, q_lo .. q_hi + 1 as q.  Each block of the row
-        # of degree x sums to its C(x + n - 1, n - 1) monomials, so G[p] |w| is at most that
-        # count at x = hi times abs_weight, and no partial sum of (G[q] w) . G[p] exceeds it times max G[q]
-        _require_int64(2 * math.comb(hi + group.n - 1, group.n - 1) * abs_weight
-                       * int(G[q_lo:q_hi + 2].max()))
-        cols = G[lo:hi + 2].T       # columns p = lo - 1 .. hi
-        width = hi - lo + 1
-        step = max(1, _BLOCK_ENTRIES // (width + 1))
-        for q0 in range(q_lo, q_hi + 1, step):
-            i, j = start + np.searchsorted(q[start:stop], [q0, q0 + step])
-            if i == j:
-                continue
-            T = (G[q0:min(q0 + step, q_hi + 1) + 1] * w) @ cols      # rows q = q0 - 1 .. min(q0 + step - 1, q_hi)
-            D = T[1:, 1:] - T[:-1, :-1]     # D[q - q0, p - lo] is cell (p, q)'s T[p, q] - T[p-1, q-1]
-            traces[slice(i, j) if order is None else order[i:j]] = D.ravel()[(q[i:j] - q0) * width + (p[i:j] - lo)]
-    return traces, C
-
-
-def _series_dims(group: QuotientGroup, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The n >= 3 kernel at cells p, q >= 0: each cell traced and gated
-    against its sphere dimension."""
+    block = max(1, _BLOCK_ENTRIES // len(w))
+    for i in range(0, len(p), block):
+        a, b = p[i:i + block], q[i:i + block]
+        traces[i:i + block] = (np.einsum("ij,j,ij->i", G[b + 1], w, G[a + 1])
+                               - np.einsum("ij,j,ij->i", G[b], w, G[a]))
     denom = _totient(group.exponent) * group.order
-    traces, C = _series_traces(group, group.exponent, p, q)
     dims = traces // denom
     bad = np.flatnonzero((traces != dims * denom) | (dims < 0) | (dims > _sphere(C, p, q)))
     if len(bad):
@@ -616,8 +605,9 @@ def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
     base + (p // E + q // E) step[(q - p) mod E], base read from the table
     once a request that period_route allows has filled it, and until then
     traced and checked at the request's own residues.  For n >= 3 each is
-    read from the MolienTable where period_route allows, else traced by the
-    series kernel, and gated against its sphere dimension."""
+    read from the group's MolienTable, or, for a group whose product does
+    not fit, traced by _direct_dims; either gates it against its sphere
+    dimension."""
     try:
         p = np.asarray(p, dtype=np.int64)
         q = np.asarray(q, dtype=np.int64)
@@ -642,44 +632,11 @@ def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
         table = period_table(group, len(p))
         base = table.residue_dims(pr, qr, r) if table.base is None else table.base.ravel()[pr * E + qr]
         return base + (a + b) * table.step[r]
-    table = period_table(group, len(p))
-    dims = None if table is None else table.read(p, q)
-    return _series_dims(group, p, q) if dims is None else dims
-
-
-def _times_binomial(x: np.ndarray, e: int, n: int) -> np.ndarray:
-    """Multiply by (t^e - 1)^n along axis 0, truncated at the array's end
-    (e < len(x)): n factors, each new[a] = x[a - e] - x[a]."""
-    for _ in range(n):
-        x = np.concatenate((-x[:e], x[:-e] - x[e:]))
-    return x
-
-
-def series_polynomial(group: QuotientGroup, ceiling: int | None = None) -> np.ndarray:
-    """P = F (z^e - 1)^n (w^e - 1)^n / (1 - zw), (n(e - 1) + 1) square, from
-    F on p, q <= ceiling (series_ceiling by default, at least ne + 1) by the
-    engine, for n >= 3 the series kernel, never a MolienTable: one factor at
-    a time along each axis, then running sums down the diagonals.  A nonzero
-    coefficient beyond degree n(e - 1) raises TruncationError, and
-    P(0, 0) != 1 NonIntegralDimension."""
-    n, e = group.n, group.exponent
-    degree = n * (e - 1)
-    ceiling = max(series_ceiling(group) if ceiling is None else ceiling, degree + n + 1)
-    require_cells((ceiling + 1) ** 2, f"the series square p, q <= {ceiling}")
-    q, p = np.indices((ceiling + 1, ceiling + 1), dtype=np.int64)
-    F = (dim_cells if n == 2 else _series_dims)(group, p.ravel(), q.ravel()).reshape(p.shape).T
-    P = _times_binomial(_times_binomial(F.T, e, n).T, e, n)
-    for a in range(1, ceiling + 1):
-        P[a, 1:] += P[a - 1, :-1]
-    beyond = P.copy()
-    beyond[: degree + 1, : degree + 1] = 0
-    if np.any(beyond):
-        bad = np.argwhere(beyond)
-        raise TruncationError(f"{group.name}: nonzero coefficient at {tuple(bad[0])} beyond degree {degree}")
-    P = P[: degree + 1, : degree + 1].copy()
-    if P[0, 0] != 1:
-        raise NonIntegralDimension(f"{group.name}: P(0,0) = {P[0, 0]}, expected 1")
-    return P
+    try:
+        table = period_table(group, len(p))
+    except SizeLimit:       # Int64Limit included: the group has no table
+        return _direct_dims(group, p, q)
+    return table.read(p, q)
 
 
 def dim_triangle(group: QuotientGroup, pq_max: int) -> list[tuple[int, int, int]]:

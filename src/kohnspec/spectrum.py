@@ -388,7 +388,7 @@ def weyl_report(group: QuotientGroup, grid) -> WeylReport:
     # it builds the table
     E = group.exponent
     cells = _hyperbola_cells(min(lam_max // 2, E * E)) if n == 2 else 0
-    tabled = period_route(group, cells)
+    tabled = n == 2 and period_route(group, cells)
     if not tabled:
         table = counting_function(group, lam_max)
         n_quot = [table.count(lam) for lam in grid]

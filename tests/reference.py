@@ -18,6 +18,13 @@ pg_expansion and reconstruct_expansion expand (z^e - 1)^n (w^e - 1)^n and
 its inverse series term by term, one shifted 2-D block per pair of binomial
 terms; genfun's one-axis operators are checked against them.
 
+series_dims is the n >= 3 band kernel, the independent check of the
+Molien tables: the traces T = (G w) G^T of plain h-vectors to each cell's
+own degree, formed over bands of the q-sorted cells whose bounding boxes
+hold at most about twice their cells, each cell reading
+T[p, q] - T[p-1, q-1].  It shares the engine's series table but not its
+truncation, its product over the classes or its binomial expansion.
+
 The oracle's independent reference lives here: the harmonic space as the
 kernel of the Laplacian, built monomial by monomial on the whole monomial
 space of bidegree (p, q), stacked over the actions of all generators as
@@ -49,9 +56,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from kohnspec.errors import KohnspecError, SizeLimit, _require_int64
+from kohnspec.errors import KohnspecError, NonIntegralDimension, SizeLimit, _require_int64
 from kohnspec.genfun import PGPolynomial
 from kohnspec.group_catalog import Angle, ConjugacyClass, QuotientGroup
+from kohnspec.invariant_dims import _monomial_row, _series_tables, _sphere, _totient
 from kohnspec.oracle import (_BASIS_LIMIT, ElementAction, _poly_dim, _prime, _rank, modular_image,
                              monomial_exponents)
 from kohnspec.spectrum import (
@@ -169,6 +177,98 @@ def reconstruct_expansion(poly: PGPolynomial, ceiling: int) -> np.ndarray:
                 continue
             F[dz:, dw:] += cz * cw * U[: size - dz, : size - dw]
     return F
+
+
+# a band of cells may compute this many entries beyond twice its cells
+BAND_SLACK = 64
+
+# int64 entries per chunk of a band's rows
+BLOCK_ENTRIES = 1 << 14
+
+
+def bands(p: np.ndarray, q: np.ndarray):
+    """Runs of the cells, sorted by q, as (start, stop, least p, largest p).
+    A run never splits a row q, and it ends before the row that would make
+    its bounding box hold more than twice its cells plus BAND_SLACK; only a
+    run of one sparse row can exceed that.  A square, a triangle or a single
+    cell is one run, the hyperbola of a counting table O(log lambda) runs."""
+    starts = np.flatnonzero(np.diff(q, prepend=-1))
+    ends = np.append(starts[1:], len(q))
+    row_q = q[starts]
+    row_lo = np.minimum.reduceat(p, starts)
+    row_hi = np.maximum.reduceat(p, starts)
+    first, rows = 0, len(starts)
+    while first < rows:
+        width = 16
+        while True:     # widen the window until the box overflows or the rows run out
+            last = min(rows, first + width)
+            lo = np.minimum.accumulate(row_lo[first:last])
+            hi = np.maximum.accumulate(row_hi[first:last])
+            box = (row_q[first:last] - row_q[first] + 1) * (hi - lo + 1)
+            over = np.flatnonzero(box > 2 * (ends[first:last] - starts[first]) + BAND_SLACK)
+            if len(over) or last == rows:
+                break
+            width *= 2
+        run = max(1, int(over[0])) if len(over) else last - first
+        yield int(starts[first]), int(ends[first + run - 1]), int(lo[run - 1]), int(hi[run - 1])
+        first += run
+
+
+def series_traces(group: QuotientGroup, p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted traces from the h-vector series, and the monomial row C.
+    The character is h_p(conj g) h_q(g) - h_(p-1)(conj g) h_(q-1)(g), so
+    T = (G w) G^T sums the weighted traces of the first product over the
+    rational classes, and cell (p, q) reads T[p, q] - T[p-1, q-1].  T is
+    formed one band of cells at a time, in chunks of rows q near
+    BLOCK_ENTRIES entries, once the band's own rows bound every entry it
+    reads below 2^63; a chunk reads its cells, sorted by q unless they
+    already are, in one flat gather."""
+    C = _monomial_row(group.n, p, q)
+    G, w, abs_weight = _series_tables(group, int(max(p.max(), q.max())))
+    order = None if (q[1:] >= q[:-1]).all() else np.argsort(q, kind="stable")
+    p, q = (p, q) if order is None else (p[order], q[order])
+    traces = np.empty(len(p), dtype=np.int64)
+    for start, stop, lo, hi in bands(p, q):
+        q_lo, q_hi = int(q[start]), int(q[stop - 1])
+        # the band reads rows lo .. hi + 1 as p, q_lo .. q_hi + 1 as q.  Each block of the row
+        # of degree x sums to its C(x + n - 1, n - 1) monomials, so G[p] |w| is at most that
+        # count at x = hi times abs_weight, and no partial sum of (G[q] w) . G[p] exceeds it times max G[q]
+        _require_int64(2 * math.comb(hi + group.n - 1, group.n - 1) * abs_weight
+                       * int(G[q_lo:q_hi + 2].max()))
+        cols = G[lo:hi + 2].T       # columns p = lo - 1 .. hi
+        width = hi - lo + 1
+        step = max(1, BLOCK_ENTRIES // (width + 1))
+        for q0 in range(q_lo, q_hi + 1, step):
+            i, j = start + np.searchsorted(q[start:stop], [q0, q0 + step])
+            if i == j:
+                continue
+            T = (G[q0:min(q0 + step, q_hi + 1) + 1] * w) @ cols      # rows q = q0 - 1 .. min(q0 + step - 1, q_hi)
+            D = T[1:, 1:] - T[:-1, :-1]     # D[q - q0, p - lo] is cell (p, q)'s T[p, q] - T[p-1, q-1]
+            traces[slice(i, j) if order is None else order[i:j]] = D.ravel()[(q[i:j] - q0) * width + (p[i:j] - lo)]
+    return traces, C
+
+
+def series_dims(group: QuotientGroup, p, q) -> np.ndarray:
+    """The band kernel's dimensions at cells p, q >= 0: each cell traced
+    and gated against its sphere dimension."""
+    p, q = np.asarray(p, dtype=np.int64), np.asarray(q, dtype=np.int64)
+    denom = _totient(group.exponent) * group.order
+    traces, C = series_traces(group, p, q)
+    dims = traces // denom
+    bad = np.flatnonzero((traces != dims * denom) | (dims < 0) | (dims > _sphere(C, p, q)))
+    if len(bad):
+        i = bad[0]
+        raise NonIntegralDimension(
+            f"{group.name} at (p,q)=({p[i]},{q[i]}): weighted trace sum {traces[i]} "
+            f"is not {denom} times a dimension in [0, sphere dim]"
+        )
+    return dims
+
+
+def series_square(group: QuotientGroup, ceiling: int) -> np.ndarray:
+    """F[p, q] for p, q <= ceiling from the band kernel."""
+    p, q = np.indices((ceiling + 1, ceiling + 1), dtype=np.int64)
+    return series_dims(group, p.ravel(), q.ravel()).reshape(p.shape)
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:

@@ -43,12 +43,10 @@ from kohnspec import invariant_dims
 from kohnspec.group_catalog import from_classes
 from kohnspec.invariant_dims import (
     PeriodTable,
-    _bands,
     _h_vectors,
     _ramanujan_row,
     _totient,
     _rational_classes,
-    _series_traces,
     closed_form_cyclic,
     closed_form_q_semidirect,
     dim_cells,
@@ -58,8 +56,10 @@ from kohnspec.invariant_dims import (
 )
 from kohnspec.spectrum import _cells
 
-from conftest import full_reconcile_sweep
-from reference import char_general, exact_matmul, fraction_angles, mobius, pg_expansion, sphere_dim
+import reference
+from conftest import full_reconcile_sweep, lens3_sample
+from reference import (char_general, exact_matmul, fraction_angles, mobius, pg_expansion, series_dims, series_square,
+                       series_traces, sphere_dim)
 
 
 class TestPinnedDimensions:
@@ -271,21 +271,27 @@ class TestSeriesCellGuard:
             assert np.array_equal(_h_vectors(list(angles), E, degree), want), angles
 
     def test_kernel_peaks_near_its_budget(self):
-        # one far cell of lens:5:1,2,3 holds the series table (7 columns) and one
+        # one far cell of lens:5:1,2,3 on the direct route, which serves the
+        # groups with no table, holds the series table (7 columns) and one
         # orbit's h-vectors (o = 5) per degree, the entries the budget counts,
         # and the monomial row: each variable is folded into the h-vectors a
         # block of degree rows at a time, and each divisor's residues are
-        # summed straight into the table
+        # summed straight into the table.  Read from the group's Molien table
+        # the same cell holds little beyond its monomial row, twice: as built
+        # and padded for the terms with P' < alpha
         g = make_lens(5, (1, 2, 3))
         p = 2 * 10**5
         entries = (p + 2) * 7 + (p + 1) * 5 + (p + 2)
-        tracemalloc.start()
-        try:
-            assert dim_invariant(g, p, 0) == 4000060001
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * 8 * entries, (peak, 8 * entries)
+        period_table(g, 1)
+        for call, held in [(lambda: invariant_dims._direct_dims(g, np.array([p]), np.array([0]))[0], entries),
+                           (lambda: dim_invariant(g, p, 0), 2 * (p + 2))]:
+            tracemalloc.start()
+            try:
+                assert call() == 4000060001
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.25 * 8 * held, (peak, 8 * held)
 
     def test_guard_is_exact_per_cell(self):
         # lens:1:1,1,1,1,1, C_x = C(x + 4, 4): the largest p with C_p C_q < 2^62
@@ -361,7 +367,8 @@ class TestStructuralProperties:
 # ---------------------------------------------------------------------------
 # The per-class kernels the orbit engine replaced, kept as references: one
 # Galois trace for every class, by progression prefix sums (n = 2) and by
-# gathering h-vector rows per cell (n >= 3).
+# gathering h-vector rows per cell (n >= 3).  For n >= 3 the orbit traces
+# are the band kernel's, in reference.py.
 
 
 def per_class_su2_traces(group, E, p, q):
@@ -408,10 +415,11 @@ def per_class_traces(group, p, q):
 def orbit_traces(group, p, q):
     """The engine's traces at the cells: for n = 2 the period table's traces
     at the residues, (pr + qr + 1) central[r] plus the non-central ones, and
-    then k E central[r], k = p // E + q // E, r = (q - p) mod E."""
+    then k E central[r], k = p // E + q // E, r = (q - p) mod E; for n >= 3
+    the band kernel's traces."""
     E = group.exponent
     if group.n != 2:
-        return _series_traces(group, E, p, q)[0]
+        return series_traces(group, p, q)[0]
     table = period_table(group, 0)      # no request of 0 cells fills base
     a, b = p // E, q // E
     pr, qr = p - a * E, q - b * E
@@ -460,8 +468,8 @@ class TestRationalClasses:
                 period_table(g, invariant_dims.MAX_CELLS)
 
     def test_row_chunks_split_bands(self, lens3_groups, monkeypatch):
-        # a block of 40 entries cuts every band into chunks of a few rows q
-        monkeypatch.setattr(invariant_dims, "_BLOCK_ENTRIES", 40)
+        # a block of 40 entries cuts every band of the reference kernel into chunks of a few rows q
+        monkeypatch.setattr(reference, "BLOCK_ENTRIES", 40)
         for g in lens3_groups:
             for name, (p, q) in cell_sets(g.n, 7).items():
                 assert np.array_equal(orbit_traces(g, p, q), per_class_traces(g, p, q)), (g.name, name)
@@ -503,7 +511,7 @@ class TestRationalClasses:
     def test_bands_bound_their_boxes(self):
         def bands(p, q):
             order = np.argsort(q, kind="stable")
-            return list(_bands(p[order], q[order]))
+            return list(reference.bands(p[order], q[order]))
 
         p, q = np.indices((200, 200), dtype=np.int64)
         assert len(bands(p.ravel(), q.ravel())) == 1
@@ -516,7 +524,7 @@ class TestRationalClasses:
             order = np.argsort(q, kind="stable")
             for start, stop, lo, hi in runs:
                 qs = q[order][start:stop]
-                assert (qs[-1] - qs[0] + 1) * (hi - lo + 1) <= 2 * (stop - start) + 64
+                assert (qs[-1] - qs[0] + 1) * (hi - lo + 1) <= 2 * (stop - start) + reference.BAND_SLACK
 
 
 class CountingNumpy:
@@ -838,8 +846,10 @@ class TestPeriodCache:
         # E^2 + E = 13223136 entries of qsemi:101 (E = 3636) exceed the cell
         # budget, so no request fills a base, however many cells it holds
         assert not invariant_dims.period_route(make_q_semidirect(101), 10**12)
-        # n = 3: the series square of lens:343 (max(2 n e, 24) = 2058) exceeds it too
-        assert period_table(make_lens(343, (1, 2, 3)), 10**12) is None
+        # n = 3: the Molien product of lens:701 (p, q <= n (e - 1) = 2100) exceeds it too
+        with pytest.raises(SizeLimit, match="the Molien product of lens:701:1,2,3, p, q <= 2100, needs at least "
+                                            "4414201 cells"):
+            period_table(make_lens(701, (1, 2, 3)), 10**12)
         # a cell budget below 2I's E^2 + E = 3660: a request of E^2 cells or
         # more is traced cell by cell, at its cells' own residues
         monkeypatch.setattr(invariant_dims, "MAX_CELLS", 60 * 60 + 60 - 1)
@@ -856,23 +866,18 @@ class TestPeriodCache:
 
 
 @pytest.fixture
-def series_calls(monkeypatch):
-    """Counts the cells of each call to the n >= 3 series kernel."""
+def direct_calls(monkeypatch):
+    """Counts the cells of each call to the n >= 3 direct route, which only
+    a group with no Molien table takes."""
     calls = []
-    kernel = invariant_dims._series_dims
+    direct = invariant_dims._direct_dims
 
     def counted(group, p, q):
         calls.append(len(p))
-        return kernel(group, p, q)
+        return direct(group, p, q)
 
-    monkeypatch.setattr(invariant_dims, "_series_dims", counted)
+    monkeypatch.setattr(invariant_dims, "_direct_dims", counted)
     return calls
-
-
-def kernel_square(g, ceiling):
-    """F[p, q] for p, q <= ceiling from the series kernel, called directly."""
-    p, q = np.indices((ceiling + 1, ceiling + 1), dtype=np.int64)
-    return invariant_dims._series_dims(g, p.ravel(), q.ravel()).reshape(p.shape)
 
 
 @pytest.fixture(scope="module")
@@ -880,72 +885,82 @@ def molien_groups(lens3_groups):
     return lens3_groups + [make_lens(5, (1, 2, 3, 4))]
 
 
+def outcome(call, *args):
+    """A call's answer as a list, or its refusal as (error type, message)."""
+    try:
+        return call(*args).tolist()
+    except (SizeLimit, NonIntegralDimension) as exc:
+        return type(exc).__name__, str(exc)
+
+
 class TestMolienTable:
-    def test_route_both_sides_of_the_square(self, molien_groups, series_calls):
-        # (c + 1)^2 - 1 random cells past the square go to the kernel and build
-        # no table; (c + 1)^2 cells build the table from the kernel's square
-        # and read it, and so does every later request of that size
+    def test_route_both_sides_of_the_square(self, molien_groups, direct_calls):
+        # one route on both sides of the square p, q <= max(2 n e, 24) the
+        # table was once found from: the first request builds the table from
+        # the classes, and every request reads it
         rng = np.random.default_rng(19)
         for g in molien_groups:
             c = max(2 * g.n * g.exponent, 24)
             square = (c + 1) ** 2
             p, q = rng.integers(0, 12 * c, (2, square))
             p[::3] += 10**4 if g.n == 3 else 10**3     # within the kernel's own int64 bound
-            want = invariant_dims._series_dims(g, p, q)
-            series_calls.clear()
+            want = series_dims(g, p, q)
             assert np.array_equal(dim_cells(g, p[:-1], q[:-1]), want[:-1]), g.name
-            assert series_calls == [square - 1] and g not in invariant_dims._period_tables, g.name
-            series_calls.clear()
-            assert np.array_equal(dim_cells(g, p, q), want), g.name
-            assert series_calls == [square], g.name       # the table's own square, not the request
             assert isinstance(invariant_dims._period_tables[g], invariant_dims.MolienTable), g.name
-            series_calls.clear()
+            assert np.array_equal(dim_cells(g, p, q), want), g.name
             perm = rng.permutation(square)
             assert np.array_equal(dim_cells(g, p[perm], q[perm]), want[perm]), g.name
-            assert series_calls == [], g.name
+        assert direct_calls == []
 
-    def test_table_equals_the_kernel_on_a_hyperbola(self, molien_groups, series_calls, monkeypatch):
+    def test_table_equals_the_kernel_on_a_hyperbola(self, molien_groups, direct_calls, monkeypatch):
         for g in molien_groups:
             p, q = _cells(g.n, 6000 if g.n == 3 else 1000)
-            want = invariant_dims._series_dims(g, p, q)
-            assert len(p) >= max(2 * g.n * g.exponent + 1, 25) ** 2, g.name
+            want = series_dims(g, p, q)
             assert np.array_equal(dim_cells(g, p, q), want), g.name
             # blocks of a few rows and cells split the hyperbola many times
             with monkeypatch.context() as small:
                 small.setattr(invariant_dims, "_BLOCK_ENTRIES", 50)
                 assert np.array_equal(dim_cells(g, p, q), want), g.name
             assert isinstance(invariant_dims._period_tables[g], invariant_dims.MolienTable), g.name
+        assert direct_calls == []
 
-    def test_series_square_equals_the_kernel(self, molien_groups, series_calls):
+    def test_table_equals_the_kernel_near_and_far(self, lens3_groups, direct_calls):
+        # random cells near the origin in one request, and far cells, with p or
+        # q near 10^5, one kernel call each so that no band bound joins them
+        rng = np.random.default_rng(23)
+        for g in lens3_groups:
+            p, q = rng.integers(0, 40, (2, 300))
+            assert np.array_equal(dim_cells(g, p, q), series_dims(g, p, q)), g.name
+            far = rng.integers(10**5 - 100, 10**5 + 100, 3)
+            near = rng.integers(0, 40, 3)
+            for a, b in [*zip(far, near), *zip(near, far)]:
+                assert dim_invariant(g, a, b) == series_dims(g, [a], [b])[0], (g.name, a, b)
+        assert direct_calls == []
+
+    def test_series_square_equals_the_kernel(self, molien_groups, direct_calls):
         for g in molien_groups:
             c = max(2 * g.n * g.exponent, 24)
-            # below the table's square the kernel runs on the request itself; at
-            # it the table is built from the kernel's square, and then read
-            for ceiling, calls in [(c - 1, [c * c]), (c, [(c + 1) ** 2]), (c + 1, []), (4 * c, [])]:
-                series_calls.clear()
-                F = fg_coefficients(g, ceiling)
-                assert series_calls == calls, (g.name, ceiling)
-                assert np.array_equal(F, kernel_square(g, ceiling)), (g.name, ceiling)
+            for ceiling in (c - 1, c, c + 1, 4 * c):
+                assert np.array_equal(fg_coefficients(g, ceiling), series_square(g, ceiling)), (g.name, ceiling)
             assert isinstance(invariant_dims._period_tables[g], invariant_dims.MolienTable), g.name
+        assert direct_calls == []
 
-    def test_polynomial_equals_the_kernel_expansion(self, molien_groups, series_calls):
-        for g in molien_groups:
+    def test_polynomial_equals_the_kernel_expansion(self, direct_calls):
+        # P from the classes in one product, bit for bit the expansion of the
+        # kernel's square p, q <= max(2 n e, 24); a ceiling is not used
+        for g in lens3_sample() + [make_lens(5, (1, 2, 3, 4)), make_lens(7, (1, 2, 3, 4)), make_lens(9, (1, 2, 4, 5))]:
             n, e = g.n, g.exponent
             c = max(2 * n * e, 24)
             d = n * (e - 1) + 1
-            P = pg_expansion(kernel_square(g, c), n, e)
+            P = pg_expansion(series_square(g, c), n, e)
             assert not P[d:].any() and not P[:, d:].any(), g.name
-            series_calls.clear()
             poly = pg_polynomial(g)
             assert np.array_equal(poly.coeffs, P[:d, :d]) and poly.degree == d - 1, g.name
-            assert series_calls == [(c + 1) ** 2], g.name      # built the table once
-            series_calls.clear()
-            assert np.array_equal(pg_polynomial(g).coeffs, P[:d, :d]) and series_calls == [], g.name
-            # an explicit ceiling runs the kernel on its own square, never the table
+            assert np.array_equal(invariant_dims._period_tables[g].P, P[:d, :d]), g.name
             assert np.array_equal(pg_polynomial(g, c + 3).coeffs, P[:d, :d]), g.name
-            assert series_calls == [(c + 4) ** 2], g.name
+        assert direct_calls == []
 
-    def test_polynomial_is_not_shared(self, series_calls):
+    def test_polynomial_is_not_shared(self):
         g = make_lens(5, (1, 2, 3))
         first = pg_polynomial(g)
         want = first.coeffs.copy()
@@ -953,27 +968,40 @@ class TestMolienTable:
         assert np.array_equal(pg_polynomial(g).coeffs, want)
         assert np.array_equal(invariant_dims._period_tables[g].P, want)
 
-    def test_table_bytes(self, series_calls):
+    def test_table_bytes(self):
         # P and U, padded to (n + 1) e square: 0.8 kB + 3.2 kB for lens:5, 168 kB + 307 kB for lens:49
         for g, P, U in [(make_lens(5, (1, 2, 3)), 13, 20), (make_lens(49, (1, 8, 22)), 145, 196)]:
             table = period_table(g, 10**7)
             assert table.nbytes == 8 * (P * P + U * U) == invariant_dims._period_tables[g].nbytes, g.name
 
-    def test_outcomes_do_not_depend_on_the_cache(self, series_calls):
-        # a far cell is refused on the series budget, and a request below the
-        # table's square goes to the kernel, whether or not the table is cached
-        g = make_lens(5, (1, 2, 3))
-        p, q = triangle_cells(30)
-        for cached in (False, True):
-            assert isinstance(invariant_dims._period_tables.get(g), invariant_dims.MolienTable) == cached
-            with pytest.raises(SizeLimit, match="the series table of lens:5:1,2,3 needs at least 18000019 int64 "):
-                dim_invariant(g, 1500000, 0)
-            series_calls.clear()
-            dim_cells(g, p, q)
-            assert series_calls == [len(p)], cached
-            pg_polynomial(g)
+    def test_outcomes_do_not_depend_on_the_cache(self, direct_calls):
+        # one cell gives the same answer or the same refusal alone, inside a
+        # triangle, inside a counting hyperbola, from an empty cache, and
+        # before and after pg_polynomial built (or refused) the group's
+        # table.  The cells: near, far on either side, past the table's
+        # int64 bound, past the C_p C_q guard, past the monomial row's budget;
+        # lens:701:1,2,3 has no table and takes the direct route, whose far
+        # cells meet the series budget
+        cells = [(3, 4), (120000, 7), (9, 1500000), (64500, 64500), (10**6, 10**6), (2 * 10**7, 0)]
+        groups = [make_lens(5, (1, 2, 3)), make_lens(7, (1, 2, 4)), make_lens(9, (1, 2, 4, 5)), make_lens(701, (1, 2, 3))]
+        for g in groups:
+            requests = [(triangle_cells(30), slice(-1, None)), (_cells(g.n, 300), slice(-1, None))]
+            for a, b in cells:
+                alone = outcome(dim_cells, g, [a], [b])
+                invariant_dims._period_tables.clear()
+                for (p, q), last in requests:
+                    joint = outcome(dim_cells, g, np.append(p, a), np.append(q, b))
+                    assert (joint if isinstance(joint, tuple) else joint[last]) == alone, (g.name, a, b)
+                invariant_dims._period_tables.clear()
+                built = outcome(lambda: pg_polynomial(g).coeffs)
+                assert outcome(dim_cells, g, [a], [b]) == alone, (g.name, a, b)
+                assert isinstance(built, tuple) == (g.n == 3 and g.exponent == 701), g.name
+        assert outcome(dim_cells, groups[0], [120000], [7]) == [dim_invariant(groups[0], 7, 120000)]
+        assert outcome(dim_cells, groups[0], [64500], [64500])[0] == "Int64Limit"
+        assert outcome(dim_cells, groups[3], [9], [1500000])[1].startswith("the series table of lens:701:1,2,3 needs")
+        assert set(direct_calls) == {1, len(triangle_cells(30)[0]) + 1, len(_cells(3, 300)[0]) + 1}
 
-    def test_square_then_polynomial_build_the_table_once(self, molien_groups, series_calls, monkeypatch):
+    def test_square_then_polynomial_build_the_table_once(self, molien_groups, monkeypatch):
         built = []
         init = invariant_dims.MolienTable.__init__
 
@@ -983,27 +1011,34 @@ class TestMolienTable:
 
         monkeypatch.setattr(invariant_dims.MolienTable, "__init__", counted)
         for g in molien_groups:
-            c = invariant_dims.series_ceiling(g)
-            series_calls.clear()
+            c = max(2 * g.n * g.exponent, 24)
             F = fg_coefficients(g, c)
             poly = pg_polynomial(g)
-            assert built[-1:] == [g] and series_calls == [(c + 1) ** 2], g.name
+            assert built[-1:] == [g], g.name
             assert np.array_equal(reconstruct_dims(poly, c), F), g.name
         assert built == molien_groups
 
-    def test_route_rule_at_the_budget_edge(self):
-        # max(2 n e, 24) = 2046 for e = 341: 2047^2 cells fit; e = 342 does not
-        fits, over = make_lens(341, (1, 2, 4)), make_lens(342, (1, 5, 7))
-        assert invariant_dims.period_route(fits, 2047**2) and not invariant_dims.period_route(fits, 2047**2 - 1)
-        assert not invariant_dims.period_route(over, 10**12)
-        # the trivial groups: square 25^2 whatever n
-        trivial = make_trivial(6)
-        assert invariant_dims.period_route(trivial, 625) and not invariant_dims.period_route(trivial, 624)
+    def test_route_rule_at_the_budget_edge(self, monkeypatch):
+        # the product's square p, q <= n (e - 1): 2047^2 cells fit for e = 683,
+        # 2050^2 do not for e = 684, refused before anything is allocated.  With
+        # no series budget at all, e = 683 passes its square and meets that budget
+        over = make_lens(684, (1, 5, 7))
+        with pytest.raises(SizeLimit, match="the Molien product of lens:684:1,5,7, p, q <= 2049, needs at least "
+                                            "4202500 cells"):
+            period_table(over, 1)
+        assert over not in invariant_dims._period_tables
+        # the trivial groups: a 1 x 1 P whatever n
+        assert period_table(make_trivial(6), 1).P.tolist() == [[1]]
+        monkeypatch.setattr(invariant_dims, "MAX_SERIES_ENTRIES", 0)
+        with pytest.raises(SizeLimit, match="the series table of lens:683:1,2,4 needs at least"):
+            period_table(make_lens(683, (1, 2, 4)), 1)
 
-    def test_int64_bound_leaves_the_request_to_the_kernel(self, series_calls, monkeypatch):
+    def test_int64_bound_refuses_per_cell(self, direct_calls, monkeypatch):
         # sum |U| C_P' C_Q' is checked cell by cell: with a weight that lets
         # (p, q) = (400, 400) pass exactly, the request is read from the table,
-        # and one that also holds (405, 400) is answered by the kernel
+        # and one that also holds (405, 400) is refused there
+        from kohnspec.errors import Int64Limit
+
         g = make_lens(5, (1, 2, 3))
         table = period_table(g, 10**7)
         C = lambda x: math.comb(x // 5 + 2, 2)     # C_P' for n = 3
@@ -1011,35 +1046,31 @@ class TestMolienTable:
         p, q = _cells(3, 1200)
         p = np.concatenate([p, [400, 0]])
         q = np.concatenate([q, [400, 400]])
-        for cells, calls in [((p, q), []), ((np.append(p, [405, 5]), np.append(q, [400, 5])), [len(p) + 2])]:
-            want = invariant_dims._series_dims(g, *cells)
-            series_calls.clear()
-            assert np.array_equal(dim_cells(g, *cells), want) and series_calls == calls
+        assert np.array_equal(dim_cells(g, p, q), series_dims(g, p, q))
+        with pytest.raises(Int64Limit, match="sum \\|U\\| C_P' C_Q' at \\(p,q\\)=\\(405,400\\) may reach 2\\^63"):
+            dim_cells(g, np.append(p, [405, 5]), np.append(q, [400, 5]))
+        assert direct_calls == []
 
-    def test_a_table_the_kernel_refuses_leaves_requests_on_the_kernel(self, series_calls):
-        # lens:101:1,2,3,4,5: the series square p, q <= 1010 fits the cell
-        # budget, but the kernel refuses it, C_p C_q reaching 2^62 near its
-        # corner; a request of as many cells at the origin is answered by the
-        # kernel.  The refusal is cached in the table's place, so the second
-        # request goes straight to the kernel without building the square
-        # again.  pg_polynomial is refused on that square, as the kernel
-        # alone would refuse it
-        from kohnspec.errors import Int64Limit
-
-        g = make_lens(101, (1, 2, 3, 4, 5))
-        cells = 1011**2
-        zeros = np.zeros(cells, dtype=np.int64)
-        assert invariant_dims.period_route(g, cells)
-        for calls in ([cells, cells], [cells]):
-            series_calls.clear()
-            assert (dim_cells(g, zeros, zeros) == 1).all()
-            assert series_calls == calls and invariant_dims._period_tables[g] is None
-        with pytest.raises(Int64Limit, match="C_p C_q at \\(p,q\\)=\\(1009,222\\) may reach 2\\^62"):
+    def test_a_group_without_a_table_takes_the_direct_route(self, direct_calls):
+        # lens:701:1,2,3: the product's square p, q <= 2100 is over the cell
+        # budget, so every request takes the direct route, refused a priori and
+        # tried again each time, as nothing is cached; its answers are the
+        # kernel's, and pg_polynomial is refused on that budget
+        g = make_lens(701, (1, 2, 3))
+        p, q = triangle_cells(40)
+        want = series_dims(g, p, q)
+        for _ in range(2):
+            assert np.array_equal(dim_cells(g, p, q), want)
+        assert direct_calls == [len(p)] * 2 and g not in invariant_dims._period_tables
+        with pytest.raises(SizeLimit, match="the Molien product of lens:701:1,2,3, p, q <= 2100, needs"):
             pg_polynomial(g)
+        # blocks of one cell each, and far cells one at a time
+        for a, b in [(4000, 3), (5, 3000), (2000, 2000)]:
+            assert dim_invariant(g, a, b) == series_dims(g, [a], [b])[0], (a, b)
 
-    def test_monomial_row_refusal_stays_per_cell(self, series_calls):
+    def test_monomial_row_refusal_stays_per_cell(self):
         # lens:1:1,1,1,1,1 (C_x = C(x + 4, 4)): the largest p with C_p C_1 < 2^62
-        # is answered on the table route, and p + 1 refused, as on the kernel
+        # is answered on the table route, and p + 1 refused
         from kohnspec.errors import Int64Limit
 
         g = make_trivial(5)
@@ -1053,19 +1084,54 @@ class TestMolienTable:
         with pytest.raises(Int64Limit, match=f"C_p C_q at \\(p,q\\)=\\({lo + 1},1\\) may reach 2\\^62"):
             dim_cells(g, np.append(p, lo + 1), np.append(q, 1))
 
-    def test_non_group_fails_on_the_table_build(self, series_calls):
-        # a class set whose averages are not integral fails the kernel's gate
-        # on the table's square, and no table is kept
+    def test_non_group_fails_on_the_table_build(self):
+        # a class set whose averages are not integral fails the product's
+        # divisibility check, and no table is kept
         fake = from_classes("not-a-group-3", 3, 3, [((0, 0, 0), 1), ((1, 1, 1), 1)], expect_free=True)
         p, q = triangle_cells(60)
         with pytest.raises(NonIntegralDimension, match="weighted trace sum"):
             dim_cells(fake, p, q)
         assert fake not in invariant_dims._period_tables
 
-    def test_cells_read_from_a_corrupt_table_are_gated(self, series_calls, monkeypatch):
+    def test_product_is_checked_at_one_one(self, monkeypatch):
+        # (1 - z^(2e))^n in place of (1 - z^e)^n still gives an integral
+        # numerator with constant term 1, P (1 + z^e)^n (1 + w^e)^n cut at
+        # degree n (e - 1); only P(1, 1) |G| = e^(2n) refuses it
+        times = invariant_dims._times_binomial
+        monkeypatch.setattr(invariant_dims, "_times_binomial", lambda x, e, n: times(x, 2 * e, n))
+        with pytest.raises(NonIntegralDimension, match="lens:5:1,2,3: P\\(1,1\\) \\|G\\| = .*, expected e\\^\\(2n\\) = "
+                                                       "15625"):
+            period_table(make_lens(5, (1, 2, 3)), 1)
+
+    def test_a_group_that_does_not_act_freely_passes_at_one_one(self):
+        # at z = w = 1 every element but the identity has a factor
+        # 1 + lambda + ... + lambda^(e - 1) = 0, lambda != 1 one of its
+        # eigenvalues, whether or not it also has the eigenvalue 1: so the
+        # check holds for the group generated by diag(zeta_3, zeta_3, 1), which
+        # fixes a circle, and its table gives the traced averages
+        g = from_classes("fixes-a-circle", 3, 3, [((0, 0, 0), 1), ((1, 1, 0), 1), ((2, 2, 0), 1)])
+        table = period_table(g, 1)
+        assert int(table.P.sum()) * g.order == 3 ** 6
+        for s in range(7):
+            for p in range(s + 1):
+                assert dim_invariant(g, p, s - p) == traced_average(g, p, s - p), (p, s - p)
+
+    def test_refusals_that_became_answers(self):
+        # the kernel refused these: lens:401:1,2,3's square p, q <= 2406 and the
+        # series budget of one far cell of lens:5:1,2,3; lens:101:1,2,3,4,5's
+        # C_p C_q near the corner of its kernel square
+        poly = pg_polynomial(make_lens(401, (1, 2, 3)))
+        assert poly.degree == 1200 and poly.c(0, 0) == 1
+        assert dim_invariant(make_lens(5, (1, 2, 3)), 1500000, 0) == math.comb(1500002, 2) // 5 + 1 - (1500000 % 5 != 0)
+        g = make_lens(101, (1, 2, 3, 4, 5))
+        assert pg_polynomial(g).degree == 500
+        assert [dim_invariant(g, a, b) for a, b in [(0, 0), (1, 1), (3, 2)]] == [
+            traced_average(g, a, b) for a, b in [(0, 0), (1, 1), (3, 2)]]
+
+    def test_cells_read_from_a_corrupt_table_are_gated(self, monkeypatch):
         # U[5, 0] and U[0, 10] of lens:5:1,2,3 made very negative: the cells
         # (5, 0) and (0, 10) first go below 0; each route names the first
-        # failing cell in its request's order, q-major for the square as on the kernel
+        # failing cell in its request's order, q-major for the square
         g = make_lens(5, (1, 2, 3))
         table = period_table(g, 10**7)
         columns = table.columns.copy()
@@ -1078,12 +1144,12 @@ class TestMolienTable:
         with pytest.raises(NonIntegralDimension, match="\\(p,q\\)=\\(0,10\\): the dimension read from the Molien"):
             dim_cells(g, p[order], q[order])
 
-    def test_square_reads_as_its_cells_would(self, series_calls, monkeypatch):
-        # fg_coefficients names the first refused cell row by row in q, as the
-        # kernel does on the square's cells: C_p C_q >= 2^62 for lens:1:1,1,1,1,1
-        # at ceiling 600.  With a weight that (200, 200), P' = Q' = 40, passes
-        # exactly, the square to 204 is read from the table and the one to 205
-        # from the kernel
+    def test_square_reads_as_its_cells_would(self, monkeypatch):
+        # fg_coefficients names the first refused cell row by row in q, as
+        # dim_cells does on the square's cells: C_p C_q >= 2^62 for
+        # lens:1:1,1,1,1,1 at ceiling 600.  With a weight that (200, 200),
+        # P' = Q' = 40, passes exactly, the square to 204 is read by two
+        # tensordots, and the one to 205 refused at (205, 200)
         from kohnspec.errors import Int64Limit
 
         def refusal(call, *args):
@@ -1093,11 +1159,11 @@ class TestMolienTable:
 
         q, p = np.indices((601, 601), dtype=np.int64)
         g = make_trivial(5)
-        assert refusal(fg_coefficients, g, 600) == refusal(invariant_dims._series_dims, g, p.ravel(), q.ravel())
+        assert refusal(fg_coefficients, g, 600) == refusal(dim_cells, g, p.ravel(), q.ravel())
         g = make_lens(5, (1, 2, 3))
         table = period_table(g, 10**7)
         monkeypatch.setattr(table, "weight", ((1 << 63) - 1) // math.comb(40 + 2, 2) ** 2)
-        for ceiling, calls in [(204, []), (205, [206**2])]:
-            series_calls.clear()
-            F = fg_coefficients(g, ceiling)
-            assert series_calls == calls and np.array_equal(F, kernel_square(g, ceiling)), ceiling
+        assert np.array_equal(fg_coefficients(g, 204), series_square(g, 204))
+        q, p = np.indices((206, 206), dtype=np.int64)
+        assert refusal(fg_coefficients, g, 205) == refusal(dim_cells, g, p.ravel(), q.ravel())
+        assert "at (p,q)=(205,200)" in refusal(fg_coefficients, g, 205)

@@ -286,12 +286,15 @@ class TestInt64BoundsPerCell:
         from kohnspec.errors import Int64Limit
 
         g = make_lens(5, (1, 2, 3))
-        # three bands, each bounded by its own rows: the single-cell values,
-        # where one bound over all three rows raised Int64Limit
+        # three far cells, each read from the Molien table under its own
+        # bound: the single-cell values, where one bound over all three rows
+        # raised Int64Limit.  (64500, 64500) passes the C_p C_q < 2^62 guard
+        # but not the table's sum |U| C_P' C_Q' < 2^63
         assert dim_cells(g, [20000, 100000, 0], [20000, 0, 100000]).tolist() == [
             1600240012001, 1000030001, 1000030001]
-        with pytest.raises(Int64Limit):
-            dim_cells(g, [0, 30000], [1, 30000])
+        assert math.comb(64502, 2) ** 2 < 2**62
+        with pytest.raises(Int64Limit, match="sum \\|U\\| C_P' C_Q' at \\(p,q\\)=\\(64500,64500\\)"):
+            dim_cells(g, [0, 64500], [1, 64500])
 
     def test_n2_trace_bound_reads_each_cells_own_degree(self):
         # qsemi:101: the contributors' largest p + q is ~6e11, while
