@@ -895,9 +895,8 @@ def outcome(call, *args):
 
 class TestMolienTable:
     def test_route_both_sides_of_the_square(self, molien_groups, direct_calls):
-        # one route on both sides of the square p, q <= max(2 n e, 24) the
-        # table was once found from: the first request builds the table from
-        # the classes, and every request reads it
+        # requests on both sides of the square p, q <= max(2 n e, 24) read the
+        # table, which the first request builds from the classes
         rng = np.random.default_rng(19)
         for g in molien_groups:
             c = max(2 * g.n * g.exponent, 24)
@@ -1116,13 +1115,19 @@ class TestMolienTable:
             for p in range(s + 1):
                 assert dim_invariant(g, p, s - p) == traced_average(g, p, s - p), (p, s - p)
 
-    def test_refusals_that_became_answers(self):
-        # the kernel refused these: lens:401:1,2,3's square p, q <= 2406 and the
-        # series budget of one far cell of lens:5:1,2,3; lens:101:1,2,3,4,5's
-        # C_p C_q near the corner of its kernel square
+    def test_answers_past_the_kernels_budgets(self):
+        # the band kernel refuses each of these: lens:401:1,2,3's P, from its
+        # square p, q <= max(2 n e, 24) = 2406, over the cell budget; a far
+        # cell of lens:5:1,2,3, over the series budget; lens:101:1,2,3,4,5's
+        # P, whose square reaches C_p C_q >= 2^62 near its corner
         poly = pg_polynomial(make_lens(401, (1, 2, 3)))
         assert poly.degree == 1200 and poly.c(0, 0) == 1
-        assert dim_invariant(make_lens(5, (1, 2, 3)), 1500000, 0) == math.comb(1500002, 2) // 5 + 1 - (1500000 % 5 != 0)
+        # (p, 0) counts the invariant monomials z1^a z2^b z3^c, a + b + c = p,
+        # a + 2 b + 3 c = p + b + 2 c = 0 mod 5: for each c, the b <= p - c in one residue class
+        p = 1500000
+        c = np.arange(p + 1)
+        r = (-p - 2 * c) % 5
+        assert dim_invariant(make_lens(5, (1, 2, 3)), p, 0) == int(np.maximum((p - c - r) // 5 + 1, 0).sum())
         g = make_lens(101, (1, 2, 3, 4, 5))
         assert pg_polynomial(g).degree == 500
         assert [dim_invariant(g, a, b) for a, b in [(0, 0), (1, 1), (3, 2)]] == [
