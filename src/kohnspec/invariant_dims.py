@@ -63,11 +63,11 @@ _BLOCK_ENTRIES = 1 << 14
 # without one; also the most entries of a monomial row, one per degree
 MAX_SERIES_ENTRIES = 1 << 24
 
-# most cells one enumeration may hold.  A request peaks near 88 bytes per cell,
+# most cells one enumeration may hold.  A request peaks near 32 bytes per cell,
 # its own cells included (tracemalloc): dim_cells over cyclic:2039's period
-# square from a cold cache (16 of cells, 8 of base, 64 of evaluation), and
-# counting_function at lambda 4e5 80 for 2I and 51 for lens:5:1,2,3 on its
-# Molien table; so the budget caps one request near 0.37 GB
+# square from a cold cache (16 of cells, 8 of base, 8 of answer, and one
+# block of scratch), and counting_function at lambda 4e5 25 for 2I and 26 for
+# lens:5:1,2,3 on its Molien table; so the budget caps one request near 0.13 GB
 MAX_CELLS = 1 << 22
 
 
@@ -291,6 +291,33 @@ class PeriodTable:
                 raise NonIntegralDimension(f"{self.name}: {what(i)}")
         return base
 
+    def read(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """dim at the cells (p[i], q[i]), p, q >= 0, a block of at most
+        _BLOCK_ENTRIES cells at a time, so that the scratch beside the
+        answer is one block's: base read from the filled table, or until
+        then from residue_dims at the block's residues.  A block's refusal
+        need not be the request's first, so on refusal the whole request is
+        checked at once, to raise as residue_dims does over all its cells."""
+        if len(p) <= _BLOCK_ENTRIES:
+            return self._read_block(p, q)
+        dims = np.empty(len(p), dtype=np.int64)
+        try:
+            for i in range(0, len(p), _BLOCK_ENTRIES):
+                dims[i:i + _BLOCK_ENTRIES] = self._read_block(p[i:i + _BLOCK_ENTRIES], q[i:i + _BLOCK_ENTRIES])
+        except NonIntegralDimension:
+            self._read_block(p, q)
+            raise
+        return dims
+
+    def _read_block(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+        """dim at the cells (p[i], q[i]), p, q >= 0, in one pass."""
+        E = self.E
+        a, b = p // E, q // E
+        pr, qr = p - a * E, q - b * E
+        r = qr - pr     # in (-E, E): a negative index reads step[(q - p) mod E]
+        base = self.residue_dims(pr, qr, r) if self.base is None else self.base.ravel()[pr * E + qr]
+        return base + (a + b) * self.step[r]
+
     def fill(self) -> None:
         """base over all E^2 residue pairs, traced and checked a block of
         rows at a time, so that filling holds little beyond base; a failed
@@ -364,53 +391,67 @@ class MolienTable:
     def read(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """dim at the cells (p[i], q[i]), after _monomial_row's refusals and
         the refusal of the first cell whose sum |U| C_P' C_Q', which bounds
-        every partial sum of its terms, may reach 2^63.  The cells, sorted by
-        q unless they already are, go in blocks of at most _BLOCK_ENTRIES
-        cells and of rows q whose U B_q rows hold at most _BLOCK_ENTRIES
-        entries: a block forms W[q, alpha e + pr] = sum_beta U[alpha e + pr,
-        qr + beta e] C_(Q' - beta) for its rows, then n + 1 gathers per cell;
-        every dimension is gated against its sphere dimension."""
+        every partial sum of its terms, may reach 2^63.  The cells, in order
+        of q (by a stable sort unless they already are), go in blocks of at
+        most _BLOCK_ENTRIES cells and of rows q whose U B_q rows hold at most
+        _BLOCK_ENTRIES entries: a block forms W[q, alpha e + pr] = sum_beta
+        U[alpha e + pr, qr + beta e] C_(Q' - beta) for its rows, then n + 1
+        gathers per cell, and gates its dimensions against their sphere
+        dimensions.  So beside the answer the scratch is one block's, and for
+        unsorted cells their sort order."""
         n, e, w = self.n, self.e, self.columns.shape[2]
         C = _monomial_row(n, p, q)
         limit = ((1 << 63) - 1) // self.weight
         if int(C[p.max() // e + 1]) * int(C[q.max() // e + 1]) > limit:
-            over = np.take(C, p // e + 1) > limit // np.take(C, q // e + 1)
-            i = int(over.argmax())
-            if over[i]:
+            i = _first_cell(lambda p, q: np.take(C, p // e + 1) > limit // np.take(C, q // e + 1), p, q)
+            if i is not None:
                 raise Int64Limit(f"exact integer intermediate sum |U| C_P' C_Q' at (p,q)=({p[i]},{q[i]}) "
                                  f"may reach 2^63, beyond int64")
-        order = None if (q[1:] >= q[:-1]).all() else np.argsort(q, kind="stable")
-        ps, qs = (p, q) if order is None else (p[order], q[order])
-        new_row = np.ones(len(qs), dtype=bool)
-        np.not_equal(qs[1:], qs[:-1], out=new_row[1:])
-        cuts = sorted({*np.flatnonzero(new_row)[::max(1, _BLOCK_ENTRIES // w)].tolist(),
-                       *range(0, len(qs), _BLOCK_ENTRIES), len(qs)})
+        order = None if _first_cell(np.greater, q[:-1], q[1:]) is None else np.argsort(q, kind="stable")
+        rows = max(1, _BLOCK_ENTRIES // w)
         Cz = np.concatenate((np.zeros(n - 1, dtype=np.int64), C))     # Cz[x + n] = C_x, 0 for x < 0
         dims = np.empty(len(p), dtype=np.int64)
-        for i, j in zip(cuts, cuts[1:]):
-            starts = new_row[i:j].copy()
-            starts[0] = True
-            b = qs[i:j][starts] // e
-            U = self.columns[qs[i:j][starts] - b * e]
+        inside = True
+        i = 0
+        while i < len(p):
+            cells = slice(i, i + _BLOCK_ENTRIES) if order is None else order[i:i + _BLOCK_ENTRIES]
+            ps, qs = p[cells], q[cells]
+            starts = np.ones(len(qs), dtype=bool)
+            np.not_equal(qs[1:], qs[:-1], out=starts[1:])
+            heads = np.flatnonzero(starts)
+            if len(heads) > rows:       # the block ends where its (rows + 1)-th row starts
+                end = heads[rows]
+                cells = slice(i, i + end) if order is None else cells[:end]
+                ps, qs, starts, heads = ps[:end], qs[:end], starts[:end], heads[:rows]
+            b = qs[heads] // e
+            U = self.columns[qs[heads] - b * e]
             W = U[:, 0] * np.take(Cz, b + n)[:, None]
             for beta in range(1, n + 1):
                 W += U[:, beta] * np.take(Cz, b + n - beta)[:, None]
-            a = ps[i:j] // e
-            at = (np.cumsum(starts) - 1) * w + ps[i:j] - a * e
+            a = ps // e
+            at = (np.cumsum(starts) - 1) * w + ps - a * e
             W = W.ravel()
             block = np.take(Cz, a + n) * W[at]
             for alpha in range(1, n + 1):
                 block += np.take(Cz, a + n - alpha) * W[at + alpha * e]
-            dims[slice(i, j) if order is None else order[i:j]] = block
-        bad = np.flatnonzero((dims < 0) | (dims > _sphere(C, p, q)))[:1]
-        self._gate(p[bad], q[bad])
+            inside = inside and not _outside(block, _sphere(C, ps, qs)).any()
+            dims[cells] = block
+            i += len(ps)
+        if not inside:
+            # the first failing block need not hold the request's first failing cell
+            i = _first_cell(lambda d, p, q: _outside(d, _sphere(C, p, q)), dims, p, q)
+            self._refuse(p[i], q[i])
         return dims
 
     def square(self, ceiling: int) -> np.ndarray | None:
-        """F[p, q] = dim(p, q) for p, q <= ceiling by two tensordots B U B^T,
-        B[P', alpha] = C_(P' - alpha), gated as read gates the square's cells
-        row by row in q; None, for dim_cells to refuse the cells, where the
-        corner cell fails one of read's int64 bounds."""
+        """F[p, q] = dim(p, q) for p, q <= ceiling as B U B^T, B[P', alpha] =
+        C_(P' - alpha): a tensordot with the small U, then one product with
+        B per row of F, which forms F in its own layout, with no full-size
+        intermediate; gated as read gates the square's cells, a block of
+        rows p at a time, so that the gate's scratch is one block's, and
+        refused at the first failing cell row by row in q; None, for
+        dim_cells to refuse the cells, where the corner cell fails one of
+        read's int64 bounds."""
         n, e = self.n, self.e
         K = ceiling // e + 1
         if (math.comb(ceiling + n - 1, n - 1) ** 2 >= 1 << 62
@@ -419,17 +460,31 @@ class MolienTable:
         C = _monomial_row(n, np.array([ceiling]), np.array([ceiling]))
         B = np.take(C, np.maximum(np.arange(1, K + 1)[:, None] - np.arange(n + 1), 0))
         U = self.columns.reshape(e, n + 1, n + 1, e)      # [qr, beta, alpha, pr]
-        F = np.tensordot(np.tensordot(U, B, (2, 1)), B, (1, 1))       # [qr, pr, P', Q']
-        F = F.transpose(2, 1, 3, 0).reshape(K * e, K * e)[:ceiling + 1, :ceiling + 1]
-        bad = (F < 0) | (F > np.outer(C[1:], C[1:]) - np.outer(C[:-1], C[:-1]))
-        self._gate(*np.divmod(np.flatnonzero(bad.T)[:1], ceiling + 1)[::-1])
+        V = np.tensordot(B, U, (1, 2)).transpose(0, 3, 2, 1)      # [P', pr, beta, qr]
+        # row P' e + pr of F is the product B V[P', pr], written straight into F's layout
+        side = ceiling + 1
+        F = np.matmul(B, np.ascontiguousarray(V).reshape(K * e, n + 1, e)).reshape(K * e, K * e)[:side, :side]
+
+        def outside(ps: slice, qs: slice) -> np.ndarray:
+            sphere = np.outer(C[1:][ps], C[1:][qs])
+            sphere -= np.outer(C[:-1][ps], C[:-1][qs])
+            return _outside(F[ps, qs], sphere)
+
+        rows = max(1, _BLOCK_ENTRIES // side)
+        if any(outside(slice(i, i + rows), slice(None)).any() for i in range(0, side, rows)):
+            # the gate runs along F's rows p, where the rows are contiguous; the
+            # refusal names the first failing cell row by row in q
+            for j in range(0, side, rows):
+                bad = outside(slice(None), slice(j, j + rows))
+                if bad.any():
+                    q, p = divmod(int(bad.T.argmax()), side)
+                    self._refuse(p, j + q)
         return F
 
-    def _gate(self, p: np.ndarray, q: np.ndarray) -> None:
-        """Refuse the first of these cells, if any: its dimension is outside [0, sphere dim]."""
-        if len(p):
-            raise NonIntegralDimension(f"{self.name} at (p,q)=({p[0]},{q[0]}): the dimension read from the "
-                                       f"Molien table is outside [0, sphere dim]")
+    def _refuse(self, p: int, q: int) -> None:
+        """Refuse the cell (p, q): its dimension is outside [0, sphere dim]."""
+        raise NonIntegralDimension(f"{self.name} at (p,q)=({p},{q}): the dimension read from the "
+                                   f"Molien table is outside [0, sphere dim]")
 
 
 # the tables of the most recently used groups, oldest first, a PeriodTable
@@ -483,7 +538,7 @@ def _monomial_row(n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
                         f"above the budget of {MAX_SERIES_ENTRIES}")
     top = math.comb(degree + n - 1, n - 1)     # the largest count a cell reads
     if top >= 1 << 62:
-        over = np.maximum(p, q) == degree
+        i = _first_cell(lambda p, q: np.maximum(p, q) == degree, p, q)
     else:
         # n - 1 cumulative sums of [0, 1, 1, ...] give C[x + 1] = C(x + n - 1, n - 1)
         C = np.ones(degree + 2, dtype=np.int64)
@@ -491,12 +546,23 @@ def _monomial_row(n: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         for _ in range(n - 1):
             np.cumsum(C, out=C)
         # no cell's C_p C_q reaches 2^62 unless top^2 does
-        over = (np.take(C[1:], p) > ((1 << 62) - 1) // np.take(C[1:], q) if top * top >= 1 << 62
-                else np.zeros(1, dtype=bool))
-    i = int(over.argmax())
-    if over[i]:
+        i = (_first_cell(lambda p, q: np.take(C[1:], p) > ((1 << 62) - 1) // np.take(C[1:], q), p, q)
+             if top * top >= 1 << 62 else None)
+    if i is not None:
         raise Int64Limit(f"exact integer intermediate C_p C_q at (p,q)=({p[i]},{q[i]}) may reach 2^62, beyond int64")
     return C
+
+
+def _first_cell(test, *cells: np.ndarray) -> int | None:
+    """The index of the first cell at which test is true, None if there is
+    none: test maps blocks of the cell arrays, _BLOCK_ENTRIES cells at a
+    time, to boolean masks, so that no mask is longer than a block."""
+    for i in range(0, len(cells[0]), _BLOCK_ENTRIES):
+        bad = test(*(c[i:i + _BLOCK_ENTRIES] for c in cells))
+        j = int(bad.argmax())
+        if bad[j]:
+            return i + j
+    return None
 
 
 def _sphere(C: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -508,6 +574,13 @@ def _sphere(C: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     lower *= np.take(C, q)
     sphere -= lower
     return sphere
+
+
+def _outside(dims: np.ndarray, sphere: np.ndarray) -> np.ndarray:
+    """Where dims leave [0, sphere]: as the sphere dimensions are >= 0, a
+    negative dimension read unsigned exceeds its sphere's, so one unsigned
+    comparison makes both checks."""
+    return dims.view(np.uint64) > sphere.view(np.uint64)
 
 
 def _times_binomial(x: np.ndarray, e: int, n: int) -> np.ndarray:
@@ -571,37 +644,38 @@ def _direct_dims(group: QuotientGroup, p: np.ndarray, q: np.ndarray) -> np.ndarr
     sums to its C_x monomials, so every partial sum of a cell's two terms
     stays below 2 |w| C_p C_q, |w| the summed |weight|: a cell where that
     may reach 2^63 is refused, after _monomial_row's refusals.  Each cell is
-    gated against its sphere dimension."""
+    gated against its sphere dimension in its block, so that the scratch
+    beside the answer is one block's."""
     C = _monomial_row(group.n, p, q)
     G, w, abs_weight = _series_tables(group, int(max(p.max(), q.max())))
     limit = ((1 << 63) - 1) // (2 * abs_weight)
-    over = np.take(C[1:], p) > limit // np.take(C[1:], q)
-    i = int(over.argmax())
-    if over[i]:
+    i = _first_cell(lambda p, q: np.take(C[1:], p) > limit // np.take(C[1:], q), p, q)
+    if i is not None:
         raise Int64Limit(f"exact integer intermediate 2 |w| C_p C_q at (p,q)=({p[i]},{q[i]}) may reach 2^63, "
                          f"beyond int64")
-    traces = np.empty(len(p), dtype=np.int64)
+    denom = _totient(group.exponent) * group.order
+    dims = np.empty(len(p), dtype=np.int64)
     block = max(1, _BLOCK_ENTRIES // len(w))
     for i in range(0, len(p), block):
         a, b = p[i:i + block], q[i:i + block]
-        traces[i:i + block] = (np.einsum("ij,j,ij->i", G[b + 1], w, G[a + 1])
-                               - np.einsum("ij,j,ij->i", G[b], w, G[a]))
-    denom = _totient(group.exponent) * group.order
-    dims = traces // denom
-    bad = np.flatnonzero((traces != dims * denom) | (dims < 0) | (dims > _sphere(C, p, q)))
-    if len(bad):
-        i = bad[0]
-        raise NonIntegralDimension(
-            f"{group.name} at (p,q)=({p[i]},{q[i]}): weighted trace sum {traces[i]} "
-            f"is not {denom} times a dimension in [0, sphere dim]"
-        )
+        traces = np.einsum("ij,j,ij->i", G[b + 1], w, G[a + 1]) - np.einsum("ij,j,ij->i", G[b], w, G[a])
+        d = traces // denom
+        bad = (traces != d * denom) | _outside(d, _sphere(C, a, b))
+        j = int(bad.argmax())
+        if bad[j]:
+            raise NonIntegralDimension(
+                f"{group.name} at (p,q)=({a[j]},{b[j]}): weighted trace sum {traces[j]} "
+                f"is not {denom} times a dimension in [0, sphere dim]"
+            )
+        dims[i:i + block] = d
     return dims
 
 
 def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
     """Invariant dimensions at the cells (p[i], q[i]) in one exact
-    evaluation, 0 at a cell with p < 0 or q < 0; transient memory stays at
-    a few MB per block of cells, through period_table.  For n = 2 each is
+    evaluation, 0 at a cell with p < 0 or q < 0; beside the cells and the
+    answer, transient memory stays at one block of at most _BLOCK_ENTRIES
+    cells, through period_table.  For n = 2 each is
     base + (p // E + q // E) step[(q - p) mod E], base read from the table
     once a request that period_route allows has filled it, and until then
     traced and checked at the request's own residues.  For n >= 3 each is
@@ -620,18 +694,13 @@ def dim_cells(group: QuotientGroup, p, q) -> np.ndarray:
         dims = np.zeros(len(p), dtype=np.int64)
         dims[inside] = dim_cells(group, p[inside], q[inside])
         return dims
-    E = group.exponent
     if group.n == 2:
         # every dimension is at most the sphere's p + q + 1, which fits
         # int64 exactly where p <= 2^63 - 2 - q
-        if (p > 2**63 - 2 - q).any():
+        if (int(p.max()) + int(q.max()) > 2**63 - 2
+                and _first_cell(lambda p, q: p > 2**63 - 2 - q, p, q) is not None):
             raise Int64Limit("exact integer intermediate p + q + 1 may reach 2^63, beyond int64")
-        a, b = p // E, q // E
-        pr, qr = p - a * E, q - b * E
-        r = qr - pr     # in (-E, E): a negative index reads step[(q - p) mod E]
-        table = period_table(group, len(p))
-        base = table.residue_dims(pr, qr, r) if table.base is None else table.base.ravel()[pr * E + qr]
-        return base + (a + b) * table.step[r]
+        return period_table(group, len(p)).read(p, q)
     try:
         table = period_table(group, len(p))
     except SizeLimit:       # Int64Limit included: the group has no table

@@ -19,10 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .group_catalog import QuotientGroup, make_trivial
+from .group_catalog import CACHE_SIZE, QuotientGroup, make_trivial
 from .errors import ConstraintError, SizeLimit, _require_int64
 from .invariant_dims import _BLOCK_ENTRIES, PeriodTable, dim_cells, period_route, period_table, require_cells
 
@@ -74,16 +75,21 @@ class SpectrumTable:
     ``slots[h]`` is the multiplicity of the eigenvalue 2h, for 2h <=
     lambda_max, and 0 where no bidegree space contributes.  ``entries`` keeps
     an eigenvalue of multiplicity zero whenever the sphere has a contributing
-    bidegree space: explicit zeros matter for comparisons.
+    bidegree space: explicit zeros matter for comparisons.  The slots are
+    summed a block of cells at a time, so that the table's scratch is one
+    block's.
     """
 
     def __init__(self, lambda_max, n: int, p: np.ndarray, q: np.ndarray, dims: np.ndarray):
         """Sum the dimensions of the cells from _cells into the slots of their
-        half-eigenvalues q(p + n - 1); no cell is sorted."""
+        half-eigenvalues q(p + n - 1), formed a block of at most
+        _BLOCK_ENTRIES cells at a time; no cell is sorted."""
         _require_int64(len(dims) * int(dims.max(initial=0)))
         self.lambda_max = int(lambda_max)
         self.slots = np.zeros(max(self.lambda_max // 2, 0) + 1, dtype=np.int64)
-        np.add.at(self.slots, q * (p + n - 1), dims)
+        for i in range(0, len(dims), _BLOCK_ENTRIES):
+            at = slice(i, i + _BLOCK_ENTRIES)
+            np.add.at(self.slots, q[at] * (p[at] + n - 1), dims[at])
         self._cumulative = np.cumsum(self.slots)
         self._n, self._p, self._q = n, p, q
 
@@ -289,10 +295,17 @@ def xi_bound(lam, n: int) -> int:
         raise SizeLimit(f"xi_bound needs lam <= {MAX_XI_CUTOFF}, the cutoff budget")
     L = lam.numerator // lam.denominator
     _require_xi_digits((n - 1) * math.comb(max(L, 0), n - 1), n, L)
-    total = 0
-    for a, b, v in _floor_runs(L, n - 1, L):
-        total += ((math.comb(b, n - 1) - math.comb(a - 1, n - 1))
-                  * (math.comb(v + n - 2, n - 1) + math.comb(v + n - 1, n - 1) - 1))
+    # the runs a..b of _floor_runs(L, n - 1, L), walked inline: a generator
+    # step costs about as much as the rest of a run's work
+    total, below, a = 0, 0, n - 1       # below = C(a-1, n-1), carried over from the run before
+    while a <= L:
+        v = L // a
+        b = L // v
+        upto = math.comb(b, n - 1)
+        inner = math.comb(v + n - 2, n - 1)
+        # C(v+n-1, n-1) = C(v+n-2, n-1) (v+n-1) / v, exactly, as v >= 1
+        total += (upto - below) * (inner + inner * (v + n - 1) // v - 1)
+        below, a = upto, b + 1
     _require_xi_digits(total, n, L)
     return total
 
@@ -348,6 +361,7 @@ def weyl_integral_coefficients(n: int) -> dict[int, Fraction]:
     }
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def weyl_constant(n: int) -> float:
     """Constant C with N(lam)/lam^n -> C * Vol(quotient):
     C = (n - 1) I(n) / (n (2 pi)^n n!), evaluated in exact rationals with a

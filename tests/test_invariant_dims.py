@@ -7,6 +7,7 @@ every closed form on the full parameter grid.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -47,6 +48,7 @@ from kohnspec.invariant_dims import (
     _ramanujan_row,
     _totient,
     _rational_classes,
+    _direct_dims,
     closed_form_cyclic,
     closed_form_q_semidirect,
     dim_cells,
@@ -54,7 +56,8 @@ from kohnspec.invariant_dims import (
     period_table,
     triangle_cells,
 )
-from kohnspec.spectrum import _cells
+from kohnspec import spectrum
+from kohnspec.spectrum import _cells, counting_function
 
 import reference
 from conftest import full_reconcile_sweep, lens3_sample
@@ -1153,8 +1156,8 @@ class TestMolienTable:
         # fg_coefficients names the first refused cell row by row in q, as
         # dim_cells does on the square's cells: C_p C_q >= 2^62 for
         # lens:1:1,1,1,1,1 at ceiling 600.  With a weight that (200, 200),
-        # P' = Q' = 40, passes exactly, the square to 204 is read by two
-        # tensordots, and the one to 205 refused at (205, 200)
+        # P' = Q' = 40, passes exactly, the square to 204 is read as the
+        # product B U B^T, and the one to 205 refused at (205, 200)
         from kohnspec.errors import Int64Limit
 
         def refusal(call, *args):
@@ -1172,3 +1175,192 @@ class TestMolienTable:
         q, p = np.indices((206, 206), dtype=np.int64)
         assert refusal(fg_coefficients, g, 205) == refusal(dim_cells, g, p.ravel(), q.ravel())
         assert "at (p,q)=(205,200)" in refusal(fg_coefficients, g, 205)
+
+
+# ---------------------------------------------------------------------------
+# Scratch a block at a time: every transient array of the engine and of the
+# spectrum tables holds at most _BLOCK_ENTRIES cells
+
+
+def small_blocks(monkeypatch, entries=7):
+    """Blocks of a few cells, in the engine and in the spectrum tables."""
+    monkeypatch.setattr(invariant_dims, "_BLOCK_ENTRIES", entries)
+    monkeypatch.setattr(spectrum, "_BLOCK_ENTRIES", entries)
+
+
+def mixed_cells(pq_max, scale):
+    """The cells of the triangle p + q <= pq_max times scale, and four with
+    p < 0 or q < 0, in a fixed random order."""
+    p, q = triangle_cells(pq_max)
+    p, q = np.append(scale * p, [-1, 3, -2, 0]), np.append(scale * q, [2, -1, -5, -1])
+    order = np.random.default_rng(7).permutation(len(p))
+    return p[order], q[order]
+
+
+def closed_forms(g, p, q):
+    return [dim_closed_form(g, a, b) if min(a, b) >= 0 else 0 for a, b in zip(p.tolist(), q.tolist())]
+
+
+def sha1(values: np.ndarray) -> str:
+    return hashlib.sha1(np.ascontiguousarray(values, dtype="<i8").tobytes()).hexdigest()
+
+
+class TestBlocks:
+    # each route over a request of several blocks of 7 cells against the
+    # same request in one block
+
+    def test_n2_on_a_filled_base(self, monkeypatch):
+        g = make_binary_icosahedral()
+        assert period_table(g, 60 * 60).base is not None
+        p, q = mixed_cells(40, 7)
+        whole = dim_cells(g, p, q)
+        assert whole.tolist() == closed_forms(g, p, q)
+        small_blocks(monkeypatch)
+        assert np.array_equal(dim_cells(g, p, q), whole)
+
+    def test_n2_on_the_residue_route(self, monkeypatch):
+        g = make_q_semidirect(101)      # E = 3636: 865 cells trace their own residues
+        p, q = mixed_cells(40, 1001)
+        whole = dim_cells(g, p, q)
+        assert whole.tolist() == closed_forms(g, p, q)
+        small_blocks(monkeypatch)
+        assert np.array_equal(dim_cells(g, p, q), whole)
+        assert invariant_dims._period_tables[g].base is None
+
+    def test_n3_read_square_and_direct(self, monkeypatch):
+        g = make_lens(5, (1, 2, 3))
+        p, q = mixed_cells(40, 3)
+        inside = (p >= 0) & (q >= 0)
+        cp, cq = _cells(3, 600)     # q-major, as counting reads them
+
+        def routes():
+            return [dim_cells(g, p, q), dim_cells(g, cp, cq), fg_coefficients(g, 40),
+                    _direct_dims(g, p[inside], q[inside]), _direct_dims(g, cp, cq)]
+
+        whole = routes()
+        assert np.array_equal(whole[0][inside], whole[3]) and np.array_equal(whole[1], whole[4])
+        assert np.array_equal(whole[2], series_square(g, 40))
+        small_blocks(monkeypatch)
+        for a, b in zip(routes(), whole):
+            assert np.array_equal(a, b)
+
+    def test_spectrum_tables(self, monkeypatch):
+        def tables():
+            return [counting_function(make_binary_icosahedral(), 2000), counting_function(make_lens(5, (1, 2, 3)), 600)]
+
+        whole = tables()
+        small_blocks(monkeypatch)
+        for a, b in zip(tables(), whole):
+            assert np.array_equal(a.slots, b.slots) and a.entries == b.entries
+
+    def test_answers_are_pinned(self):
+        # the sha1 of their int64 bytes, recorded before the scratch was blocked
+        assert sha1(counting_function(make_binary_icosahedral(), 10**5).slots) == (
+            "dd49ac571387cff37fed468c90ef672fd3bc6645")
+        g = make_cyclic(509)
+        assert g.exponent == 509
+        p, q = np.divmod(np.arange(509 * 509, dtype=np.int64), 509)
+        assert sha1(dim_cells(g, p, q)) == "71b59691ca70e4a247b8fb0a6798b9a3f325a6fa"
+
+
+class TestBlockedRefusals:
+    # a request that fails in several blocks is refused as in one block: at
+    # the first check that fails, at its first failing cell in request order
+
+    def test_n2_first_check_in_a_later_block(self, monkeypatch):
+        # residues (1, 1) fail the third check (dimension 4 > 3) in the first
+        # block, residues (0, 1) the first (9 is not divisible by 4) in the second
+        W = 4 * (TestPeriodGates.pr + TestPeriodGates.qr + 1)
+        W[3], W[1] = 16, 9
+        table = gate_table(W, [4, 4])
+        k = np.arange(7)
+        p, q = np.concatenate([2 * k + 1, 2 * k]), np.concatenate([2 * k + 1, 2 * k + 1])
+        whole = outcome(table.read, p, q)
+        assert whole == ("NonIntegralDimension", "gates: weighted trace sum 9 at residues (0, 1) is not divisible by 4")
+        small_blocks(monkeypatch)
+        assert outcome(table.read, p, q) == whole
+
+    @pytest.mark.parametrize("classes", [[((0, 0), 1), ((0, 1), 2)], [((0, 0), 1), ((0, 1), 1), ((1, 1), -1)]])
+    def test_n2_class_sets(self, monkeypatch, classes):
+        # weighted class sets, not groups: many of the request's cells fail
+        g = from_classes(f"weighted {classes}", 2, 2, classes)
+        p, q = mixed_cells(12, 5)
+        whole = outcome(dim_cells, g, p, q)
+        assert whole[0] == "NonIntegralDimension"
+        small_blocks(monkeypatch)
+        assert outcome(dim_cells, g, p, q) == whole
+
+    def test_n3_corrupt_table(self, monkeypatch):
+        # as in test_cells_read_from_a_corrupt_table_are_gated: (5, 0) fails
+        # first in q-major order, (0, 10) in p-major order, many cells after them
+        g = make_lens(5, (1, 2, 3))
+        table = period_table(g, 10**7)
+        columns = table.columns.copy()
+        columns[0, 0, 5] = columns[0, 2, 0] = -10**6
+        monkeypatch.setattr(table, "columns", columns)
+        p, q = triangle_cells(60)
+        by_p = np.lexsort((q, p))
+        by_q = np.lexsort((p, q))
+        calls = [(fg_coefficients, g, 40), (dim_cells, g, p[by_p], q[by_p]), (dim_cells, g, p[by_q], q[by_q])]
+        whole = [outcome(*call) for call in calls]
+        assert [message.split(" at ")[1][:13] for _, message in whole] == ["(p,q)=(5,0): ", "(p,q)=(0,10):",
+                                                                            "(p,q)=(5,0): "]
+        small_blocks(monkeypatch)
+        assert [outcome(*call) for call in calls] == whole
+
+    def test_direct_route_and_int64_bounds(self, monkeypatch):
+        fake = from_classes("not-a-group-3", 3, 3, [((0, 0, 0), 1), ((1, 1, 1), 1)], expect_free=True)
+        p, q = mixed_cells(20, 1)
+        inside = (p >= 0) & (q >= 0)
+        # lens:1:1,1,1,1,1 at q = 1: the cells from p = 68590 on have C_p C_q >= 2^62
+        far = (np.array([0, 5, 71270, 71271, 3, 71272], dtype=np.int64), np.ones(6, dtype=np.int64))
+        calls = [(_direct_dims, fake, p[inside], q[inside]), (dim_cells, make_trivial(5), *far)]
+        whole = [outcome(*call) for call in calls]
+        assert whole[0][1].startswith("not-a-group-3 at (p,q)=") and "(p,q)=(71270,1)" in whole[1][1]
+        for entries in (1, 2):
+            small_blocks(monkeypatch, entries)
+            assert [outcome(*call) for call in calls] == whole
+
+
+class TestScratchPeaks:
+    # under tracemalloc a request holds its cells, its answer, the rows it
+    # reads and a few blocks of scratch; nothing else the size of the request
+    few_blocks = 12 * 8 * invariant_dims._BLOCK_ENTRIES
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_n2_period_square(self):
+        # from a cold cache: the table is built and its base filled, then read
+        g = make_cyclic(509)
+        p, q = np.divmod(np.arange(509 * 509, dtype=np.int64), 509)
+        dims, peak = self.peak(lambda: dim_cells(g, p, q))
+        assert peak <= dims.nbytes + invariant_dims._period_tables[g].nbytes + self.few_blocks
+
+    @pytest.mark.parametrize("g", [make_binary_icosahedral(), make_lens(5, (1, 2, 3))], ids=lambda g: g.name)
+    def test_counting(self, g):
+        # the cells p and q, their dimensions, the slots and their cumulative
+        # sums, and for n = 3 the monomial row, twice
+        period_table(g, 10**7)
+        table, peak = self.peak(lambda: counting_function(g, 10**5))
+        cells = len(table._p)
+        assert cells > 4 * 10**5
+        rows = 2 * 8 * (5 * 10**4 + 2) if g.n > 2 else 0
+        assert peak <= 24 * cells + 2 * table.slots.nbytes + rows + self.few_blocks, (peak, cells)
+
+    def test_n3_square(self):
+        g = make_lens(5, (1, 2, 3))
+        period_table(g, 1)
+        F, peak = self.peak(lambda: fg_coefficients(g, 1000))
+        assert peak <= F.base.nbytes + self.few_blocks, (peak, F.base.nbytes)
+
+    def test_direct_route(self):
+        g = make_lens(5, (1, 2, 3))
+        p, q = triangle_cells(800)
+        dims, peak = self.peak(lambda: _direct_dims(g, p, q))
+        assert peak <= dims.nbytes + self.few_blocks, (peak, dims.nbytes)
