@@ -18,6 +18,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import sobolev as sb
 from .errors import KohnspecError, ParseError, SizeLimit, UserError
 from .genfun import dim_h0_polynomial, h0_coefficients, pg_polynomial
@@ -213,14 +215,10 @@ def _cmd_xi(args) -> tuple:
 def _cmd_genfun(args) -> tuple:
     if args.ceiling is not None and args.ceiling < 0:
         raise ParseError(f"genfun needs --ceiling >= 0, got {args.ceiling}")
-    group = parse_group_spec(args.group)
-    poly = pg_polynomial(group, args.ceiling)
-    coeffs = [
-        [a, b, int(poly.coeffs[a, b])]
-        for a in range(poly.degree + 1)
-        for b in range(poly.degree + 1)
-        if poly.coeffs[a, b] != 0
-    ]
+    poly = pg_polynomial(parse_group_spec(args.group))
+    # the nonzero coefficients in row-major order, as np.nonzero lists them
+    a, b = np.nonzero(poly.coeffs)
+    coeffs = np.column_stack((a, b, poly.coeffs[a, b])).tolist()
     return ["a", "b", "c_ab"], coeffs, {"e": poly.e, "degree": poly.degree, "coeffs": coeffs}
 
 

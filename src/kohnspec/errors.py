@@ -60,8 +60,8 @@ class ClosureMismatch(KohnspecError):
 
 
 class TruncationError(KohnspecError):
-    """A generating-function polynomial had nonzero coefficients beyond its
-    proven degree bound."""
+    """A group's Molien numerator U is not (1 - zw) times a polynomial of
+    degree at most n(e - 1), its proven degree bound."""
 
 
 class ParseError(UserError):

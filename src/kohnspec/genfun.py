@@ -1,20 +1,15 @@
 """Generating-function machinery for invariant dimensions.
 
-The bivariate series F(z, w) = sum dim z^p w^q of invariant dimensions equals
-a finite average of rational functions (1 - zw) / (det(z - g) det(w - conj g))
-over the group.  Expanding each determinant factor as a product of geometric
-series in the eigenvalues gives the coefficients as integer combinations of
-roots of unity whose order divides the group exponent e; the combination
-collapses exactly to an integer through Galois averaging (Ramanujan sums).
-The invariant-dimension engine (:func:`kohnspec.invariant_dims.dim_cells`)
-evaluates that expansion cell by cell; the coefficient table here is its
-square case.  Multiplying the series by (z^e - 1)^n (w^e - 1)^n / (1 - zw)
-produces an integer polynomial P of degree at most n(e - 1) in each
-variable; for n >= 3 the engine builds P from the classes, keeps it with
-U = (1 - zw) P as one cached MolienTable per group, and the square and P
-are read from it.  A closed
-polynomial formula for the dimensions at bidegree (0, m*e) follows; it
-reads n coefficients of P, found from n cells.
+The bivariate series F(z, w) = sum dim z^p w^q of invariant dimensions is
+(1 - zw) times the group's bigraded Molien series; fg_coefficients reads
+its square of cells from the engine
+(:func:`kohnspec.invariant_dims.dim_cells`) or from the group's table.
+Multiplying F by (z^e - 1)^n (w^e - 1)^n / (1 - zw), e the group exponent,
+gives an integer polynomial P of degree at most n(e - 1) in each variable,
+and pg_polynomial divides it out of U = (1 - zw) P, which the group's
+cached table holds for every n.  A closed polynomial formula for the
+dimensions at bidegree (0, m*e) reads n coefficients of P, found from n
+cells.
 """
 
 from __future__ import annotations
@@ -26,7 +21,7 @@ import numpy as np
 
 from .errors import ConstraintError, NonIntegralDimension, SizeLimit, TruncationError
 from .group_catalog import QuotientGroup
-from .invariant_dims import _times_binomial, dim_cells, period_table, require_cells
+from .invariant_dims import dim_cells, period_table, require_cells, require_product_cells
 
 
 def fg_coefficients(group: QuotientGroup, ceiling: int) -> np.ndarray:
@@ -76,29 +71,19 @@ def _over_binomial(x: np.ndarray, e: int, n: int) -> np.ndarray:
     return y.reshape(-1, x.shape[1])[: len(x)]
 
 
-def pg_polynomial(group: QuotientGroup, ceiling: int | None = None) -> PGPolynomial:
-    """P, of degree n(e - 1).  For n >= 3 a copy of the P of the group's
-    MolienTable, built from the classes, whatever the ceiling; a group
-    whose product does not fit raises its SizeLimit.  For n = 2 P comes from
-    the series square p, q <= ceiling (max(4 e, 24) by default, at least
-    2 e + 1) by truncated series arithmetic: one factor (1 - t^e) at a
-    time along each axis, then running sums down the diagonals, with its
-    degree bound verified: a nonzero coefficient beyond 2(e - 1) raises
-    TruncationError, and P(0, 0) != 1 NonIntegralDimension."""
+def pg_polynomial(group: QuotientGroup) -> PGPolynomial:
+    """P, of degree n(e - 1): its square counted against the cell budget,
+    then divided out of the group's U = (1 - zw) P, read from period_table,
+    by running sums down the diagonals.  A nonzero sum beyond degree
+    n(e - 1) raises TruncationError, and P(0, 0) != 1 NonIntegralDimension."""
     e = group.exponent
-    if group.n > 2:
-        P = period_table(group, 0).P.copy()
-        return PGPolynomial(group, e, len(P) - 1, P)
-    degree = 2 * (e - 1)
-    ceiling = max(max(4 * e, 24) if ceiling is None else ceiling, degree + 3)
-    P = _times_binomial(_times_binomial(fg_coefficients(group, ceiling).T, e, 2).T, e, 2)
-    for a in range(1, ceiling + 1):
+    degree = group.n * (e - 1)
+    require_product_cells(group)
+    P = period_table(group, e * e).numerator()
+    for a in range(1, len(P)):
         P[a, 1:] += P[a - 1, :-1]
-    beyond = P.copy()
-    beyond[: degree + 1, : degree + 1] = 0
-    if np.any(beyond):
-        raise TruncationError(f"{group.name}: nonzero coefficient at {tuple(np.argwhere(beyond)[0])} "
-                              f"beyond degree {degree}")
+    if P[degree + 1:].any() or P[:, degree + 1:].any():
+        raise TruncationError(f"{group.name}: U is not (1 - zw) times a polynomial of degree <= {degree}")
     P = P[: degree + 1, : degree + 1].copy()
     if P[0, 0] != 1:
         raise NonIntegralDimension(f"{group.name}: P(0,0) = {P[0, 0]}, expected 1")

@@ -29,14 +29,15 @@ Q(zeta_o), by Ramanujan's divisor sum for c_o, so P is one int64 product
 Every request of a group whose product fits its budgets reads the table; a
 group whose product does not fit takes the same product cell by cell, from
 plain h-vectors to the request's own degree.  So no n >= 3 answer or
-refusal depends on the shape of a request or on what is cached.
+refusal depends on the shape of a request or on what is cached.  Either
+table hands out U, from which genfun divides P.
 
 dim_cells evaluates whole arrays of cells in one call, dim_triangle every
 cell with p + q <= pq_max, and dim_invariant one cell.  No result is
 memoised; only the Galois orbits of the last CACHE_SIZE groups are cached,
 and one table per group from period_table, a PeriodTable for n = 2 and a
-MolienTable for n >= 3, for at most as many groups and
-MAX_PERIOD_CACHE_BYTES together.  Every enumeration of cells counts them
+MolienTable for n >= 3, or the refusal of one that does not fit, for at
+most as many groups and MAX_PERIOD_CACHE_BYTES together.  Every enumeration of cells counts them
 against one cell budget before it allocates.
 dim_closed_form evaluates the per-family piecewise formulas; reconcile
 checks the two against each other.
@@ -333,6 +334,14 @@ class PeriodTable:
         self.base = base.reshape(E, E)
         self.nbytes += base.nbytes
 
+    def numerator(self) -> np.ndarray:
+        """U = (1 - zw) P = F (1 - z^E)^2 (1 - w^E)^2, 2E square, from the
+        filled base: as dim(a E + pr, b E + qr) = B + (a + b) S, B = base[pr, qr]
+        and S = step[(qr - pr) mod E], its E x E blocks are B, S - B, S - B, B - 2 S."""
+        r = np.arange(self.E)
+        B, S = self.base, self.step[r - r[:, None]]     # a negative index reads step[(qr - pr) mod E]
+        return np.block([[B, S - B], [S - B, B - 2 * S]])
+
 
 class MolienTable:
     """The n >= 3 dimensions of one group from its Molien numerator: F(z, w)
@@ -340,8 +349,8 @@ class MolienTable:
     every eigenvalue, (1 - z^e) / (1 - lambda z) = 1 + lambda z + ... +
     (lambda z)^(e - 1), so phi(e) |G| P = (G w) G^T, G the series table of
     truncated h-vectors to degree n(e - 1), one int64 product.  Its square
-    is counted against the cell budget and G against the series budget
-    before either is allocated, and the product's partial sums are bounded
+    is counted against the cell budget by period_table, and G against the
+    series budget, before either is allocated; the product's partial sums are bounded
     below 2^63 before it is formed; then the product must divide exactly,
     with P(0, 0) = 1 and P(1, 1) |G| = e^(2n), the identity's term, as
     every other element has an eigenvalue lambda != 1, whose factor
@@ -354,9 +363,7 @@ class MolienTable:
     def __init__(self, group: QuotientGroup):
         n, e = group.n, group.exponent
         self.name, self.n, self.e = group.name, n, e
-        degree = n * (e - 1)
-        require_cells((degree + 1) ** 2, f"the Molien product of {group.name}, p, q <= {degree},")
-        G, w, _ = _series_tables(group, degree, truncated=True)
+        G, w, _ = _series_tables(group, n * (e - 1), truncated=True)
         G = G[1:]
         # G >= 0, so no partial sum of (G[q] w) . G[p] exceeds the largest
         # |w_k| max G[:, k] times the largest row sum
@@ -384,9 +391,13 @@ class MolienTable:
         # sum |U| <= 2 sum |P| <= 2 sum_k |w_k| s_k^2 / denom: summed in int64 below 2^63, else that bound
         bound = 2 * sum(abs(wk) * sk * sk for wk, sk in zip(w.tolist(), s)) // denom
         self.weight = int(np.abs(U).sum()) if bound < 1 << 63 else bound
-        self.P = P
         self.columns = np.ascontiguousarray(U.T.reshape(n + 1, e, width).transpose(1, 0, 2))
-        self.nbytes = self.P.nbytes + self.columns.nbytes
+        self.nbytes = self.columns.nbytes
+
+    def numerator(self) -> np.ndarray:
+        """U, (n + 1) e square, a copy of the table's."""
+        width = self.columns.shape[2]
+        return self.columns.transpose(2, 1, 0).copy().reshape(width, width)
 
     def read(self, p: np.ndarray, q: np.ndarray) -> np.ndarray:
         """dim at the cells (p[i], q[i]), after _monomial_row's refusals and
@@ -488,17 +499,25 @@ class MolienTable:
 
 
 # the tables of the most recently used groups, oldest first, a PeriodTable
-# for n = 2 and a MolienTable for n >= 3: at most CACHE_SIZE of them and
+# for n = 2 and a MolienTable for n >= 3, or the SizeLimit that refused the
+# group's table, at 0 bytes: at most CACHE_SIZE of them and
 # MAX_PERIOD_CACHE_BYTES together
-_period_tables: OrderedDict[QuotientGroup, PeriodTable | MolienTable] = OrderedDict()
+_period_tables: OrderedDict[QuotientGroup, PeriodTable | MolienTable | SizeLimit] = OrderedDict()
 
 
 def _evict() -> None:
     """Drop the oldest tables until the cache is within CACHE_SIZE and
     MAX_PERIOD_CACHE_BYTES; a table larger than that alone is not kept."""
     while (len(_period_tables) > CACHE_SIZE
-           or sum(t.nbytes for t in _period_tables.values()) > MAX_PERIOD_CACHE_BYTES):
+           or sum(getattr(t, "nbytes", 0) for t in _period_tables.values()) > MAX_PERIOD_CACHE_BYTES):
         _period_tables.popitem(last=False)
+
+
+def require_product_cells(group: QuotientGroup) -> None:
+    """Raise SizeLimit before allocation if the square p, q <= n(e - 1) of
+    the group's Molien numerator P exceeds the cell budget."""
+    degree = group.n * (group.exponent - 1)
+    require_cells((degree + 1) ** 2, f"the Molien product of {group.name}, p, q <= {degree},")
 
 
 def period_route(group: QuotientGroup, cells: int) -> bool:
@@ -515,12 +534,21 @@ def period_table(group: QuotientGroup, cells: int) -> PeriodTable | MolienTable:
     period_route allows a request of this many cells; for n >= 3 the
     MolienTable, whatever the request.  Where an n >= 3 group's product
     does not fit, its SizeLimit (Int64Limit included) is raised before the
-    product is allocated, and nothing is cached."""
+    product is allocated.  A refusal on the product's cells costs nothing
+    and is not cached; a later one is cached in the table's place and
+    raised afresh on every request, so the series table is built once."""
     if group not in _period_tables:
-        _period_tables[group] = (PeriodTable if group.n == 2 else MolienTable)(group)
+        if group.n > 2:
+            require_product_cells(group)
+        try:
+            _period_tables[group] = (PeriodTable if group.n == 2 else MolienTable)(group)
+        except SizeLimit as refusal:       # kept with no traceback, which would hold the request's arrays
+            _period_tables[group] = refusal.with_traceback(None)
     _period_tables.move_to_end(group)
     table = _period_tables[group]
     _evict()
+    if isinstance(table, SizeLimit):
+        raise type(table)(*table.args)
     if group.n == 2 and table.base is None and period_route(group, cells):
         table.fill()
         _evict()

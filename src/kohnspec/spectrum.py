@@ -264,11 +264,17 @@ def sphere_count(lam: int, n: int) -> int:
     C(v+1, n) C(q+n-1, n-1) - C(v, n) C(q+n-2, n-1).  Over each run of
     constant v the sums over q are hockey-stick differences."""
     L = int(lam) // 2
-    total, below = 0, (1, 0)     # C(q+n-1, n) and C(q+n-2, n) at the run's first q
-    for _, b, v in _floor_runs(L, 1, L // (n - 1)):
-        upto = math.comb(b + n, n), math.comb(b + n - 1, n)
-        total += math.comb(v + 1, n) * (upto[0] - below[0]) - math.comb(v, n) * (upto[1] - below[1])
-        below = upto
+    last = L // (n - 1)
+    # the runs a..b of _floor_runs(L, 1, last), walked inline as in xi_bound;
+    # as v >= n - 1, b = L // v <= last.  below, below1 = C(q+n-1, n),
+    # C(q+n-2, n) at q = a, carried over from the run before
+    total, below, below1, a = 0, 1, 0, 1
+    while a <= last:
+        v = L // a
+        b = L // v
+        upto, upto1 = math.comb(b + n, n), math.comb(b + n - 1, n)
+        total += math.comb(v + 1, n) * (upto - below) - math.comb(v, n) * (upto1 - below1)
+        below, below1, a = upto, upto1, b + 1
     return total
 
 

@@ -343,8 +343,8 @@ class TestDeterminismAndExitCodes:
          "above the budget of 16777216"),
         (["multiplicity", "--group", "2T", "--lambda", "4398046511106"],
          "eigenvalue 4398046511106 is above the budget of 4398046511104"),
-        (["genfun", "--group", "cyclic:4", "--ceiling", "1000000"],
-         "the series square p, q <= 1000000 needs at least 1000002000001 cells, "
+        (["genfun", "--group", "cyclic:1025"],
+         "the Molien product of cyclic:1025, p, q <= 2048, needs at least 4198401 cells, "
          "above the budget of 4194304"),
         (["xi", "--n", "1300", "--lambda", "1000000"],
          "xi_bound at n = 1300, floor(lam) = 1000000 has more than 4300 digits, the digit budget"),

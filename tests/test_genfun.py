@@ -26,9 +26,11 @@ from kohnspec import (
     pg_polynomial,
     reconstruct_dims,
 )
-from kohnspec.invariant_dims import _ramanujan_divisors, _ramanujan_row, _totient
+from kohnspec import invariant_dims
+from kohnspec.errors import SizeLimit, TruncationError
+from kohnspec.invariant_dims import _ramanujan_divisors, _ramanujan_row, _totient, period_table
 from kohnspec.oracle import modular_image
-from reference import element_orders, mobius, pg_expansion, reconstruct_expansion
+from reference import element_orders, mobius, pg_expansion, reconstruct_expansion, series_square
 
 
 GENFUN_GROUPS = [
@@ -124,7 +126,6 @@ class TestPolynomialFactor:
     def test_operators_match_the_binomial_expansions(self, all_n2_groups, lens3_groups):
         for g in all_n2_groups + lens3_groups:
             poly = pg_polynomial(g)
-            # pg_polynomial's default ceiling
             P = pg_expansion(fg_coefficients(g, max(2 * g.n * poly.e, 24)), g.n, poly.e)
             d = poly.degree + 1
             assert np.array_equal(P[:d, :d], poly.coeffs), g.name
@@ -137,6 +138,41 @@ class TestPolynomialFactor:
         # e = 1 or 2: the binomial series has (ceiling / e + 1)^2 pairs of terms
         g = parse_group_spec(spec)
         assert np.array_equal(reconstruct_dims(pg_polynomial(g), ceiling), fg_coefficients(g, ceiling))
+
+    def test_n2_numerator_is_the_expanded_series(self, all_n2_groups):
+        # U = (1 - zw) P from base and step, against the binomial expansion of
+        # the band kernel's square p, q < 2 E, where U lives
+        for g in all_n2_groups:
+            E = g.exponent
+            P = pg_expansion(series_square(g, 2 * E - 1), 2, E)
+            U = P.copy()
+            U[1:, 1:] -= P[:-1, :-1]
+            assert np.array_equal(period_table(g, E * E).numerator(), U), g.name
+
+    def test_a_corrupt_base_does_not_divide(self, monkeypatch):
+        # one base entry off by one adds 2 to one diagonal sum of U and -1 to
+        # two others, so U is not (1 - zw) times a polynomial of degree 118
+        g = make_binary_icosahedral()
+        table = period_table(g, 3600)
+        base = table.base.copy()
+        base[7, 3] += 1
+        monkeypatch.setattr(table, "base", base)
+        with pytest.raises(TruncationError, match="^2I: U is not \\(1 - zw\\) times a polynomial of degree <= 118$"):
+            pg_polynomial(g)
+
+    def test_n2_edge_is_the_product_budget(self):
+        # P's square p, q <= 2(e - 1) fits the cell budget up to e = 1024, as
+        # for n >= 3; at e = 1025 it is refused before any base is filled
+        g = make_cyclic(1024)
+        poly = pg_polynomial(g)
+        assert poly.degree == 2046 and int(poly.coeffs.sum()) * g.order == 1024 ** 4
+        assert np.array_equal(reconstruct_dims(poly, 40), fg_coefficients(g, 40))
+        over = make_cyclic(1025)
+        assert dim_invariant(over, 3, 5) == 1     # one cell: the group's traces, and no base
+        with pytest.raises(SizeLimit, match="^the Molien product of cyclic:1025, p, q <= 2048, needs at least "
+                                            "4198401 cells, above the budget of 4194304$"):
+            pg_polynomial(over)
+        assert invariant_dims._period_tables[over].base is None
 
 
 class TestH0Polynomial:

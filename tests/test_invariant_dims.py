@@ -949,7 +949,7 @@ class TestMolienTable:
 
     def test_polynomial_equals_the_kernel_expansion(self, direct_calls):
         # P from the classes in one product, bit for bit the expansion of the
-        # kernel's square p, q <= max(2 n e, 24); a ceiling is not used
+        # kernel's square p, q <= max(2 n e, 24)
         for g in lens3_sample() + [make_lens(5, (1, 2, 3, 4)), make_lens(7, (1, 2, 3, 4)), make_lens(9, (1, 2, 4, 5))]:
             n, e = g.n, g.exponent
             c = max(2 * n * e, 24)
@@ -958,23 +958,23 @@ class TestMolienTable:
             assert not P[d:].any() and not P[:, d:].any(), g.name
             poly = pg_polynomial(g)
             assert np.array_equal(poly.coeffs, P[:d, :d]) and poly.degree == d - 1, g.name
-            assert np.array_equal(invariant_dims._period_tables[g].P, P[:d, :d]), g.name
-            assert np.array_equal(pg_polynomial(g, c + 3).coeffs, P[:d, :d]), g.name
+            assert isinstance(invariant_dims._period_tables[g], invariant_dims.MolienTable), g.name
         assert direct_calls == []
 
     def test_polynomial_is_not_shared(self):
         g = make_lens(5, (1, 2, 3))
         first = pg_polynomial(g)
         want = first.coeffs.copy()
+        U = invariant_dims._period_tables[g].numerator()
         first.coeffs[:] = 7
         assert np.array_equal(pg_polynomial(g).coeffs, want)
-        assert np.array_equal(invariant_dims._period_tables[g].P, want)
+        assert np.array_equal(invariant_dims._period_tables[g].numerator(), U)
 
     def test_table_bytes(self):
-        # P and U, padded to (n + 1) e square: 0.8 kB + 3.2 kB for lens:5, 168 kB + 307 kB for lens:49
-        for g, P, U in [(make_lens(5, (1, 2, 3)), 13, 20), (make_lens(49, (1, 8, 22)), 145, 196)]:
+        # U alone, padded to (n + 1) e square: 3.2 kB for lens:5, 307 kB for lens:49
+        for g, U in [(make_lens(5, (1, 2, 3)), 20), (make_lens(49, (1, 8, 22)), 196)]:
             table = period_table(g, 10**7)
-            assert table.nbytes == 8 * (P * P + U * U) == invariant_dims._period_tables[g].nbytes, g.name
+            assert table.nbytes == 8 * U * U == invariant_dims._period_tables[g].nbytes, g.name
 
     def test_outcomes_do_not_depend_on_the_cache(self, direct_calls):
         # one cell gives the same answer or the same refusal alone, inside a
@@ -1030,7 +1030,7 @@ class TestMolienTable:
             period_table(over, 1)
         assert over not in invariant_dims._period_tables
         # the trivial groups: a 1 x 1 P whatever n
-        assert period_table(make_trivial(6), 1).P.tolist() == [[1]]
+        assert pg_polynomial(make_trivial(6)).coeffs.tolist() == [[1]]
         monkeypatch.setattr(invariant_dims, "MAX_SERIES_ENTRIES", 0)
         with pytest.raises(SizeLimit, match="the series table of lens:683:1,2,4 needs at least"):
             period_table(make_lens(683, (1, 2, 4)), 1)
@@ -1069,6 +1069,32 @@ class TestMolienTable:
         # blocks of one cell each, and far cells one at a time
         for a, b in [(4000, 3), (5, 3000), (2000, 2000)]:
             assert dim_invariant(g, a, b) == series_dims(g, [a], [b])[0], (a, b)
+
+    def test_a_refused_table_is_remembered(self, direct_calls, monkeypatch):
+        # lens:509:1,2,3,4 passes the product's cell and series budgets, builds
+        # its truncated series table, and only then fails the int64 bound on
+        # it: the refusal is kept at 0 bytes, so a second request builds no
+        # table, takes the direct route at once and answers the same
+        from kohnspec.errors import Int64Limit
+
+        built = []
+        tables = invariant_dims._series_tables
+
+        def counted(group, degree, truncated=False):
+            built.append(truncated)
+            return tables(group, degree, truncated)
+
+        monkeypatch.setattr(invariant_dims, "_series_tables", counted)
+        g = make_lens(509, (1, 2, 3, 4))
+        assert [dim_invariant(g, 1, 1) for _ in range(2)] == [3, 3]
+        assert built == [True, False, False] and direct_calls == [1, 1]
+        assert isinstance(invariant_dims._period_tables[g], Int64Limit)
+        refusals = [outcome(period_table, g, 1) for _ in range(2)]
+        assert refusals[0] == refusals[1] and refusals[0][0] == "Int64Limit" and built == [True, False, False]
+        assert invariant_dims._period_tables[g].__traceback__ is None
+        # the refusal counts no bytes against the cache
+        invariant_dims._evict()
+        assert g in invariant_dims._period_tables
 
     def test_monomial_row_refusal_stays_per_cell(self):
         # lens:1:1,1,1,1,1 (C_x = C(x + 4, 4)): the largest p with C_p C_1 < 2^62
@@ -1112,8 +1138,7 @@ class TestMolienTable:
         # check holds for the group generated by diag(zeta_3, zeta_3, 1), which
         # fixes a circle, and its table gives the traced averages
         g = from_classes("fixes-a-circle", 3, 3, [((0, 0, 0), 1), ((1, 1, 0), 1), ((2, 2, 0), 1)])
-        table = period_table(g, 1)
-        assert int(table.P.sum()) * g.order == 3 ** 6
+        assert int(pg_polynomial(g).coeffs.sum()) * g.order == 3 ** 6
         for s in range(7):
             for p in range(s + 1):
                 assert dim_invariant(g, p, s - p) == traced_average(g, p, s - p), (p, s - p)

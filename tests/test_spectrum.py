@@ -567,6 +567,18 @@ class TestSphereCount:
         for lam in lams + list(range(0, 200)):
             assert sphere_count(lam, n) == table.count(lam), (n, lam)
 
+    def test_inline_runs_at_many_cutoffs(self):
+        # every cutoff to 400 and 300 random ones to 4 * 10^5: n = 2 against
+        # the sphere's period-table count, n = 3 and 4 against the cell count
+        # of the sphere's spectrum table, to the cutoff where its int64 bound holds
+        rng = random.Random(5)
+        lams = list(range(400)) + sorted(rng.randrange(400000) for _ in range(300))
+        assert [sphere_count(lam, 2) for lam in lams] == period_counts([_SPHERE_PERIOD], lams)[0]
+        for n, top in [(3, 60000), (4, 20000)]:
+            table = sphere_counting_table(n, top)
+            for lam in [lam for lam in lams if lam <= top] + [top - 1, top]:
+                assert sphere_count(lam, n) == table.count(lam), (n, lam)
+
     @pytest.mark.parametrize("group", [make_binary_icosahedral(), make_trivial(3), make_lens(5, (1, 2, 3, 4))],
                              ids=["2I", "trivial3", "lens4"])
     def test_weyl_report_sphere_counts(self, group):
